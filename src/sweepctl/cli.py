@@ -43,7 +43,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -845,15 +844,7 @@ def _cmd_converge(args) -> int:
         return [float(k), w12_x, sup_u, gap]
 
     try:
-        workers = int(os.environ.get("SWEEP_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(run_one, ks))
-        else:
-            rows = [run_one(k) for k in ks]
+        rows = [run_one(k) for k in ks]
     except (SimulationError, GeometryError) as e:
         return _fail(out_dir, e, EXIT_SIMULATION)
 

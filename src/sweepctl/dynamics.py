@@ -16,6 +16,7 @@ in convergence reporting, and a small mesh-refinement study driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,9 +65,12 @@ class Mesh:
     def h(self) -> float:
         return self.T / self.k
 
-    @property
+    @cached_property
     def nodes(self) -> Array:
-        return np.linspace(0.0, self.T, self.k + 1)
+        """t_0 .. t_k, built once per mesh and read-only (it is shared)."""
+        t = np.linspace(0.0, self.T, self.k + 1)
+        t.flags.writeable = False
+        return t
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,15 @@ decomposition of a normal-cone element through ``grad_x psi`` into a
 ``Theta``-cone multiplier, and the per-index classification of the
 coderivative of the orthant/box normal-cone map.
 
-Everything here is plain ``numpy``; the projection QPs are solved exactly by
-active-set enumeration (dual coordinate ascent for many rows), so no external
-optimizer is involved.
+Every projection onto a polyhedron (the affine projection, each linearized
+subproblem of the nonlinear one, and polyhedral distances) is one exact
+least-distance program solved by ``scipy.optimize.nnls``, which also returns
+the facet multipliers.  scipy is imported inside the functions that use it,
+never at package import.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Literal, Sequence
@@ -268,10 +269,7 @@ class LinearImagePolyhedron(ThetaSet):
 
 def polyhedron_distance(H: Array, d: Array, z: Array) -> float:
     """Euclidean distance from z to {w : H w <= d} (0 if inside)."""
-    viol = H @ z - d
-    if np.all(viol <= 0.0):
-        return 0.0
-    w, _, _ = _project_onto_halfspaces(np.eye(len(z)), np.zeros(len(z)), H, d, z)
+    w, _ = _project_onto_halfspaces(H, d, z)
     return float(np.linalg.norm(w - z))
 
 
@@ -426,98 +424,44 @@ class ConeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Exact projection machinery (affine rows)
+# Exact projection machinery
 # ---------------------------------------------------------------------------
 
-_ENUMERATION_LIMIT = 8
-_DUAL_MAX_SWEEPS = 200_000
+def _project_onto_halfspaces(G: Array, g: Array,
+                             x: Array) -> tuple[Array, Array]:
+    """Minimize ||y - x|| subject to G y <= g.
 
-
-def _project_onto_halfspaces(A: Array, c: Array, H: Array, d: Array,
-                             x: Array) -> tuple[Array, Array, tuple[int, ...]]:
-    """Minimize ||y - x|| subject to H (A y + c) <= d.
-
-    Returns (y*, mu, active_rows) where mu >= 0 are the facet multipliers
-    with x - y* = (H A)^T mu.  Solved exactly by active-set enumeration for
-    few rows, by Hildreth dual coordinate ascent otherwise.
+    Returns (y*, mu) where mu >= 0 are the row multipliers with
+    x - y* = G^T mu.  With z = y - x this is the least-distance program
+    min ||z|| s.t. -G z >= -(g - G x), solved exactly by one nonnegative
+    least-squares problem (Lawson & Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23): for E = [-G^T; -(g - G x)^T], e = (0, .., 0, 1)
+    and w = argmin_{w >= 0} ||E w - e||, the residual res = E w - e has
+    res[-1] = -||res||^2.  It vanishes exactly when the set is empty;
+    otherwise mu = w / -res[-1].  Raises ProjectionFailureError for an empty
+    set and NumericalFailureError when the NNLS iteration limit is hit.
     """
-    G = H @ A
-    g = d - H @ c
+    # Imported here: importing scipy would double the package's import time.
+    from scipy.optimize import nnls
+
     r = G.shape[0]
     if r == 0 or np.all(G @ x <= g + TOL_FEAS):
-        mu = np.zeros(r)
-        return x.copy(), mu, ()
-    if r <= _ENUMERATION_LIMIT:
-        y, mu = _enumerate_active_sets(G, g, x)
-    else:
-        y, mu = _hildreth(G, g, x)
-    active = tuple(i for i in range(r) if G[i] @ y >= g[i] - 1e-7)
-    return y, mu, active
-
-
-def _enumerate_active_sets(G: Array, g: Array, x: Array) -> tuple[Array, Array]:
-    r, n = G.shape
-    best: tuple[float, Array, Array] | None = None
-    feas_tol = 1e-9
-    for size in range(0, min(r, n) + 1):
-        for subset in itertools.combinations(range(r), size):
-            if size == 0:
-                y = x.copy()
-                mu_s = np.zeros(0)
-            else:
-                Gs = G[list(subset)]
-                gs = g[list(subset)]
-                # KKT of min 1/2||y-x||^2 s.t. Gs y = gs:
-                #   [I  Gs^T][y ]   [x ]
-                #   [Gs  0  ][mu] = [gs]
-                KKT = np.block([[np.eye(n), Gs.T],
-                                [Gs, np.zeros((size, size))]])
-                rhs = np.concatenate([x, gs])
-                try:
-                    sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
-                except np.linalg.LinAlgError:
-                    continue
-                y = sol[:n]
-                mu_s = sol[n:]
-                if np.linalg.norm(Gs @ y - gs) > 1e-8 * (1 + np.linalg.norm(gs)):
-                    continue  # inconsistent equality system
-            if np.any(G @ y > g + feas_tol):
-                continue
-            if size and np.any(mu_s < -1e-9):
-                continue
-            dist = float(np.linalg.norm(y - x))
-            if best is None or dist < best[0] - 1e-12:
-                mu = np.zeros(r)
-                for idx, i in enumerate(subset):
-                    mu[i] = max(mu_s[idx], 0.0)
-                best = (dist, y, mu)
-    if best is None:
-        raise ProjectionFailureError("no feasible active set: the moving set is empty")
-    return best[1], best[2]
-
-
-def _hildreth(G: Array, g: Array, x: Array) -> tuple[Array, Array]:
-    """Dual coordinate ascent for min ||y-x|| s.t. G y <= g (many rows)."""
-    r = G.shape[0]
-    GG = G @ G.T
-    q = G @ x - g
-    mu = np.zeros(r)
-    diag = np.diag(GG).copy()
-    diag[diag <= 0] = 1.0
-    for sweep in range(_DUAL_MAX_SWEEPS):
-        delta = 0.0
-        for i in range(r):
-            grad_i = q[i] - GG[i] @ mu
-            new = max(0.0, mu[i] + grad_i / diag[i])
-            delta = max(delta, abs(new - mu[i]))
-            mu[i] = new
-        if delta <= 1e-13 * (1.0 + np.max(np.abs(mu))):
-            break
-    else:
-        raise NumericalFailureError("dual ascent did not converge")
+        return x.copy(), np.zeros(r)
+    E = -np.vstack([G.T, g - G @ x])
+    e = np.zeros(E.shape[0])
+    e[-1] = 1.0
+    try:
+        w, _ = nnls(E, e)
+    except RuntimeError as err:
+        raise NumericalFailureError(f"least-distance NNLS: {err}") from err
+    res = E @ w - e
+    if not res[-1] < 0.0:
+        raise ProjectionFailureError("least-distance program is infeasible: "
+                                     "the moving set is empty")
+    mu = w / -res[-1]
     y = x - G.T @ mu
-    if np.any(G @ y > g + 1e-6):
-        raise ProjectionFailureError("dual ascent finished infeasible; set may be empty")
+    if np.any(G @ y > g + 1e-9 * (1.0 + np.abs(g))):
+        raise ProjectionFailureError("projection finished infeasible; set may be empty")
     return y, mu
 
 
@@ -531,9 +475,8 @@ def _sqp_local_projection(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
     """
     y = np.asarray(warm, dtype=float).copy()
     for _ in range(max_iter):
-        rows, rhs, lift = _constraint_rows(field, theta, y, u)
-        J = np.eye(field.n), np.zeros(field.n)
-        y_new, mu, _ = _project_onto_halfspaces(J[0], J[1], rows, rhs, x)
+        rows, rhs, _ = _constraint_rows(field, theta, y, u)
+        y_new, _ = _project_onto_halfspaces(rows, rhs, x)
         step = np.linalg.norm(y_new - y)
         y = y_new
         if step <= tol:
@@ -541,8 +484,7 @@ def _sqp_local_projection(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
     else:
         raise NumericalFailureError("projection SQP did not converge")
     rows, rhs, lift = _constraint_rows(field, theta, y, u)
-    _, mu, _ = _project_onto_halfspaces(np.eye(field.n), np.zeros(field.n),
-                                        rows, rhs, x)
+    _, mu = _project_onto_halfspaces(rows, rhs, x)
     eta = lift(mu)
     z = psi_eval(field, y, u)
     active = _active_indices(theta, z)
@@ -614,7 +556,7 @@ def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array
     if field.x_affine is not None and theta.halfspaces() is not None:
         A, c = field.x_affine(u)
         H, d = theta.halfspaces()
-        y, mu, _ = _project_onto_halfspaces(A, c, H, d, x)
+        y, mu = _project_onto_halfspaces(H @ A, d - H @ c, x)
         eta = H.T @ mu
         z = psi_eval(field, y, u)
         active = _active_indices(theta, z)

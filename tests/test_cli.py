@@ -7,6 +7,8 @@ files left behind, and the printed summary lines.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -359,22 +361,6 @@ def test_converge_writes_decreasing_error_table(tmp_path, capsys):
     assert rows[0, 1] > rows[1, 1] > rows[2, 1]
 
 
-def test_converge_threaded_run_matches_sequential(tmp_path, monkeypatch):
-    spec_path = export_spec(tmp_path, "remark45", 8)
-    seq_csv = str(tmp_path / "seq.csv")
-    assert cli.main(["converge", spec_path, "--ks", "8,16,32",
-                     "--out", seq_csv]) == 0
-    par_csv = str(tmp_path / "par.csv")
-    monkeypatch.setenv("SWEEP_THREADS", "3")
-    assert cli.main(["converge", spec_path, "--ks", "8,16,32",
-                     "--out", par_csv]) == 0
-    with open(seq_csv, "rb") as fh:
-        seq_bytes = fh.read()
-    with open(par_csv, "rb") as fh:
-        par_bytes = fh.read()
-    assert seq_bytes == par_bytes
-
-
 def test_converge_needs_a_reference(tmp_path):
     spec_path = export_spec(tmp_path, "nonconvex22", 8)
     rc = cli.main(["converge", spec_path, "--ks", "8,16",
@@ -411,3 +397,20 @@ def test_csv_round_trip_is_exact(tmp_path):
     with open(second, "rb") as fh:
         second_bytes = fh.read()
     assert first_bytes == second_bytes
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the functions that need it: a top-level
+    # import would add about half a second to every command's start-up.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sweepctl.cli, sweepctl.ocp, sweepctl.certify, sweepctl.problems; "
+            "import sys; assert 'scipy' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -203,6 +203,17 @@ class TestFeasibleCompanion:
             np.testing.assert_allclose(psi_new, psi_ref, atol=1e-12)
 
 
+def test_mesh_nodes_are_cached_and_read_only():
+    mesh = Mesh(k=4, T=2.0)
+    nodes = mesh.nodes
+    assert mesh.nodes is nodes
+    np.testing.assert_array_equal(nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0
+    # equality and hashing still see only (k, T)
+    assert mesh == Mesh(k=4, T=2.0) and hash(mesh) == hash(Mesh(k=4, T=2.0))
+
+
 # ---------------------------------------------------------------------------
 # Path metric
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from sweepctl.geometry import (
     LinearImagePolyhedron,
     NonpositiveOrthant,
     NotInConeError,
+    ProjectionFailureError,
     SmoothInequality,
     coderivative_orthant,
     coderivative_theta,
@@ -25,6 +26,7 @@ from sweepctl.geometry import (
     surjectivity_check,
     theta_contains,
 )
+from sweepctl.dynamics import Mesh, Path, SimulationError, SweepingSystem, simulate
 
 # ---------------------------------------------------------------------------
 # Independent oracles (kept deliberately dumb and separate from the library)
@@ -234,6 +236,76 @@ class TestProjection:
             y, _ = project_onto_moving_set(field, theta, u, x)
             y_ref = brute_force_project(G, g, x)
             np.testing.assert_allclose(y, y_ref, atol=1e-8)
+        # many rows: the oracle enumerates 2^s subsets, so only a few trials
+        for s in (9, 9, 9, 12, 12, 12):
+            n = int(rng.integers(2, 4))
+            field, theta, u, G, g = random_affine_instance(rng, n, s)
+            x = rng.normal(scale=4.0, size=n)
+            y, _ = project_onto_moving_set(field, theta, u, x)
+            y_ref = brute_force_project(G, g, x)
+            np.testing.assert_allclose(y, y_ref, atol=1e-8)
+
+    def test_dependent_active_rows(self):
+        # Duplicated rows, and a box pinning psi to a single value: the
+        # multipliers are not unique, so check the KKT identity and the cone.
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            row = rng.normal(size=n)
+            Ax = np.vstack([row, row, 2.0 * row, rng.normal(size=n)])
+            c = np.array([-1.0, -1.0, -2.0, -5.0])
+            field = FieldMap.affine_fixed(Ax, np.zeros((4, 1)), c)
+            theta = NonpositiveOrthant(4)
+            x = rng.normal(scale=3.0, size=n) + 2.0 * row / (row @ row)
+            y, dec = project_onto_moving_set(field, theta, np.zeros(1), x)
+            np.testing.assert_allclose(y, brute_force_project(Ax, -c, x), atol=1e-8)
+            np.testing.assert_allclose((x - y) - Ax.T @ dec.eta, np.zeros(n),
+                                       atol=1e-10)
+            assert np.all(dec.eta >= -1e-12)
+        pinned = Box(lower=(0.5, -np.inf), upper=(0.5, 1.0))
+        field = FieldMap.affine_fixed([[1.0, 1.0], [1.0, -1.0]], [[0.0], [0.0]],
+                                      [0.0, 0.0])
+        for x in ([3.0, 0.0], [-2.0, 1.0], [0.25, 0.25], [4.0, -4.0]):
+            x = np.array(x)
+            y, dec = project_onto_moving_set(field, pinned, np.zeros(1), x)
+            z = psi_eval(field, y, np.zeros(1))
+            assert abs(z[0] - 0.5) <= 1e-10 and z[1] <= 1.0 + 1e-10
+            J = field.dpsi_dx(y, np.zeros(1))
+            np.testing.assert_allclose((x - y) - J.T @ dec.eta, np.zeros(2),
+                                       atol=1e-10)
+            assert pinned.normal_cone_violation(z, dec.eta) <= 1e-12
+
+    def test_weakly_active_row(self):
+        # Rows x_1 <= 0 and x_2 <= 0.  Both points end where row 2 is active
+        # with a zero multiplier: the first is already feasible, the second
+        # is projected onto the corner by row 1 alone.
+        field = FieldMap.affine_fixed(np.eye(2), np.zeros((2, 1)), [0.0, 0.0])
+        theta = NonpositiveOrthant(2)
+        u = np.zeros(1)
+        y, dec = project_onto_moving_set(field, theta, u, np.array([-1.0, 0.0]))
+        np.testing.assert_allclose(y, [-1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(dec.eta, [0.0, 0.0], atol=1e-14)
+        assert dec.active_indices == (1,)
+        y, dec = project_onto_moving_set(field, theta, u, np.array([2.0, 0.0]))
+        np.testing.assert_allclose(y, [0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(dec.eta, [2.0, 0.0], atol=1e-12)
+        assert dec.active_indices == (0, 1)
+
+    def test_empty_moving_set(self):
+        # x + u <= 0 and -x + u <= 0, i.e. |x| <= -u: empty for u > 0.
+        field = FieldMap.affine_fixed([[1.0], [-1.0]], [[1.0], [1.0]], [0.0, 0.0])
+        theta = NonpositiveOrthant(2)
+        for x in (0.0, 3.0, -1.5):
+            with pytest.raises(ProjectionFailureError):
+                project_onto_moving_set(field, theta, np.array([0.5]), np.array([x]))
+        # The same set seen from the simulator: it empties at step 2.
+        system = SweepingSystem(f=lambda t, x: np.zeros(1), field=field,
+                                theta=theta, x0=np.zeros(1), T=1.0)
+        control = Path(mesh=Mesh(k=4, T=1.0),
+                       values=np.array([-1.0, -1.0, -0.5, 0.5, 1.0]))
+        with pytest.raises(SimulationError) as info:
+            simulate(system, control)
+        assert info.value.step == 2
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
