@@ -154,7 +154,14 @@ class SweepingSystem:
         return self.field.n
 
     def effective_field(self) -> FieldMap:
-        """The field composed with the linear state map (identity: unchanged)."""
+        """The field composed with the linear state map (identity: unchanged).
+
+        Built once per system; every call returns the same FieldMap.
+        """
+        return self._effective_field
+
+    @cached_property
+    def _effective_field(self) -> FieldMap:
         if self.g is None:
             return self.field
         G = self.g

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -82,7 +83,22 @@ class ThetaSet:
         raise NotImplementedError
 
     def halfspaces(self) -> tuple[Array, Array] | None:
-        """Return (H, d) with Theta = {z : H z <= d}, or None if not polyhedral."""
+        """Return (H, d) with Theta = {z : H z <= d}, or None if not polyhedral.
+
+        The pair is built once per set and both arrays are read-only (they
+        are shared by every caller).
+        """
+        return self._halfspaces
+
+    @cached_property
+    def _halfspaces(self) -> tuple[Array, Array] | None:
+        pair = self._build_halfspaces()
+        if pair is not None:
+            for arr in pair:
+                arr.flags.writeable = False
+        return pair
+
+    def _build_halfspaces(self) -> tuple[Array, Array] | None:
         return None
 
     def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
@@ -102,7 +118,7 @@ class NonpositiveOrthant(ThetaSet):
             raise ConfigurationError(f"expected point in R^{self.s}, got shape {z.shape}")
         return bool(np.all(z <= tol))
 
-    def halfspaces(self) -> tuple[Array, Array]:
+    def _build_halfspaces(self) -> tuple[Array, Array]:
         return np.eye(self.s), np.zeros(self.s)
 
     def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
@@ -143,7 +159,7 @@ class Box(ThetaSet):
         hi = np.asarray(self.upper)
         return bool(np.all(z >= lo - tol) and np.all(z <= hi + tol))
 
-    def halfspaces(self) -> tuple[Array, Array]:
+    def _build_halfspaces(self) -> tuple[Array, Array]:
         rows: list[Array] = []
         rhs: list[float] = []
         for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
@@ -246,7 +262,7 @@ class LinearImagePolyhedron(ThetaSet):
     def s(self) -> int:  # type: ignore[override]
         return self._A().shape[0]
 
-    def halfspaces(self) -> tuple[Array, Array]:
+    def _build_halfspaces(self) -> tuple[Array, Array]:
         # w in A Z  <=>  G A^{-1} w <= g
         H = np.linalg.solve(self._A().T, self._G().T).T
         return H, np.array(self.g, dtype=float)
@@ -553,9 +569,10 @@ def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if field.x_affine is not None and theta.halfspaces() is not None:
+    hs = theta.halfspaces()
+    if field.x_affine is not None and hs is not None:
         A, c = field.x_affine(u)
-        H, d = theta.halfspaces()
+        H, d = hs
         y, mu = _project_onto_halfspaces(H @ A, d - H @ c, x)
         eta = H.T @ mu
         z = psi_eval(field, y, u)

@@ -19,10 +19,17 @@ decision variables (x, u, eta): explicit dynamics equalities
 
 per-step cone conditions eta_j in N_Theta(psi(x_j, u_j)) written as
 complementarity pairs, and the endpoint constraint psi(x_k, u_k) in Theta.
+One signed selector P (+e_i per finite upper bound of Theta, -e_i per finite
+lower bound) with bounds c = [hi; -lo] gives every pair at once: slacks
+c - P psi and multipliers mu >= 0 with eta = P^T mu.
 ``solve_smoothed`` replaces every pair (a, b) by the Fischer-Burmeister
 residual a + b - sqrt(a^2 + b^2 + sigma^2) and drives the full KKT system to
 stationarity with a damped Newton iteration while sigma is pushed down the
-continuation schedule.  ``solve_shooting`` instead optimizes the control
+continuation schedule.  The KKT residual and Jacobian are assembled from
+stage stacks (the callbacks evaluated once per node, arrays indexed by step)
+through integer index tables into the unknown vector, so the block-banded
+Jacobian is built by einsums and one scatter, not by per-step loops.
+``solve_shooting`` instead optimizes the control
 nodes directly over the catching-up simulator with finite-difference
 gradients and an Armijo line search.
 """
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +47,7 @@ from .geometry import (
     Array,
     Box,
     ConfigurationError,
+    FieldMap,
     LinearImagePolyhedron,
     NonpositiveOrthant,
     NumericalFailureError,
@@ -237,9 +245,34 @@ def _theta_bounds(theta: ThetaSet) -> tuple[Array, Array]:
             else:
                 lo[i] = max(lo[i], rhs / row[i])
         d = np.diag(A)
-        return lo * d, hi * d
+        # A negative scale swaps the ends of an interval.
+        return np.minimum(lo * d, hi * d), np.maximum(lo * d, hi * d)
     raise ConfigurationError(
         "complementarity transcription supports orthant/box-like Theta only")
+
+
+def _signed_selector(lo: Array, hi: Array) -> tuple[Array, Array]:
+    """Signed pair selector P and bound vector c for lo <= z <= hi.
+
+    P stacks +e_i for every finite upper bound, then -e_i for every finite
+    lower bound, and c = [hi_up; -lo_lo], so c - P z stacks the slacks
+    hi - z and z - lo, and pair multipliers mu >= 0 act as eta = P^T mu.
+    """
+    eye = np.eye(len(lo))
+    ups, los = np.isfinite(hi), np.isfinite(lo)
+    return np.vstack([eye[ups], -eye[los]]), np.concatenate([hi[ups], -lo[los]])
+
+
+def _psi_stack(field: FieldMap, x: Array, u: Array) -> tuple[Array, Array]:
+    """psi and its Jacobian [dpsi_dx | dpsi_du] at every node, stacked."""
+    n = field.n
+    psi = np.empty((len(x), field.s))
+    Jz = np.empty((len(x), field.s, n + field.m))
+    for j, (xj, uj) in enumerate(zip(x, u)):
+        psi[j] = psi_eval(field, xj, uj)
+        Jz[j, :, :n] = field.dpsi_dx(xj, uj)
+        Jz[j, :, n:] = field.dpsi_du(xj, uj)
+    return psi, Jz
 
 
 def _fb(a: Array, b: Array, sigma: float) -> Array:
@@ -263,26 +296,25 @@ class Transcription:
 
     Decision variables are the state and control nodes plus one nonnegative
     multiplier per finite Theta bound per step; the endpoint constraint adds
-    a terminal multiplier pair.  ``solve_smoothed`` owns the KKT unknowns
-    (adjoints included); this object carries the structure.
+    a terminal multiplier pair.  ``P`` and ``c`` are the signed pair
+    selector and bounds of Theta (see ``_signed_selector``).
+    ``solve_smoothed`` owns the KKT unknowns (adjoints included); this object
+    carries the structure.
     """
 
     def __init__(self, problem: OcpProblem, k: int):
         self.problem = problem
         self.mesh = Mesh(k=k, T=problem.system.T)
         self.field = problem.system.effective_field()
-        lo, hi = _theta_bounds(problem.system.theta)
-        self.lo, self.hi = lo, hi
-        self.ups = tuple(int(i) for i in np.where(np.isfinite(hi))[0])
-        self.los = tuple(int(i) for i in np.where(np.isfinite(lo))[0])
+        self.P, self.c = _signed_selector(*_theta_bounds(problem.system.theta))
         n, m = self.field.n, self.field.m
         k = self.mesh.k
-        su, sl = len(self.ups), len(self.los)
+        r = len(self.c)
         self.counts = {
-            "variables": (k + 1) * n + (k + 1) * m + k * (su + sl),
+            "variables": (k + 1) * n + (k + 1) * m + k * r,
             "dynamic_equalities": k * n,
-            "complementarity_rows": k * (su + sl),
-            "endpoint_rows": su + sl,
+            "complementarity_rows": k * r,
+            "endpoint_rows": r,
         }
 
     # -- complementarity inspection ----------------------------------------
@@ -290,25 +322,20 @@ class Transcription:
     def pair_values(self, z: DiscreteDecision) -> list[tuple[float, float]]:
         """All (multiplier, slack) pairs at a decision (terminal pair omitted:
         the terminal multiplier is not part of the decision data)."""
-        out: list[tuple[float, float]] = []
-        for j in range(self.mesh.k):
-            psi = psi_eval(self.field, z.x[j], z.u[j])
-            for i in self.ups:
-                out.append((float(max(z.eta[j, i], 0.0)), float(self.hi[i] - psi[i])))
-            for i in self.los:
-                out.append((float(max(-z.eta[j, i], 0.0)), float(psi[i] - self.lo[i])))
-        return out
+        psi, _ = _psi_stack(self.field, z.x[:-1], z.u[:-1])
+        mu = np.maximum(z.eta @ self.P.T, 0.0)
+        slack = self.c - psi @ self.P.T
+        return list(zip(mu.ravel().tolist(), slack.ravel().tolist()))
 
     def dynamics_residual(self, z: DiscreteDecision) -> float:
         h = self.mesh.h
-        worst = 0.0
-        for j in range(self.mesh.k):
-            f = np.atleast_1d(np.asarray(
-                self.problem.system.f(float(self.mesh.nodes[j]), z.x[j]), dtype=float))
-            Jx = np.atleast_2d(self.field.dpsi_dx(z.x[j], z.u[j]))
-            r = z.x[j + 1] - z.x[j] - h * f + h * Jx.T @ z.eta[j]
-            worst = max(worst, float(np.max(np.abs(r))))
-        return worst
+        f = np.array([np.atleast_1d(np.asarray(self.problem.system.f(float(t), x),
+                                               dtype=float))
+                      for t, x in zip(self.mesh.nodes, z.x[:-1])])
+        _, Jz = _psi_stack(self.field, z.x[:-1], z.u[:-1])
+        r = (z.x[1:] - z.x[:-1] - h * f
+             + h * np.einsum("jsn,js->jn", Jz[:, :, :self.field.n], z.eta))
+        return float(np.max(np.abs(r)))
 
     def initial_decision(self) -> DiscreteDecision:
         """Warm start: hold the anchor control (or u0) and simulate."""
@@ -338,578 +365,271 @@ class _KktSystem:
     """Layout and evaluation of the smoothed KKT residual and its Jacobian.
 
     Unknowns, in order: x_1..x_k, u_1..u_k, etap_0..etap_{k-1},
-    etam_0..etam_{k-1}, p_1..p_k, gammap, gammam, thetap, thetam.
+    etam_0..etam_{k-1}, p_1..p_k, gammap, gammam, thetap, thetam; residual
+    rows use the same layout (stationarity in the primal slots, constraints
+    in the dual slots).  Integer index tables, built once, locate each name
+    per node or step: ``iz[j]`` the node unknowns z_j = (x_j, u_j) (row 0 is
+    -1: z_0 is pinned), ``imu[j]`` the pair multipliers mu_j = [etap_j;
+    etam_j], ``igam[j]`` their smoothed-row duals, ``ip[j]`` the adjoint
+    p_{j+1} of step j and ``it`` the terminal pair.  The transcription's
+    signed selector P turns them into slacks b_j = c - P psi_j and the
+    multiplier eta_j = P^T mu_j, so upper and lower bounds share every
+    formula.
+
+    ``residual`` calls the problem's callbacks once per node and stacks the
+    stage data.  F is a handful of gathers and einsums.  J is the sum of
+    dense blocks: one symmetric block per step over (z_j, mu_j, gamma_j,
+    p_{j+1}), one cost block per stage over (z_j, z_{j+1}) (running cost by
+    central differences of ``dell``, anchor, tie-break and terminal cost),
+    the identity couplings of p_{j+1} with x_{j+1} and one terminal block,
+    all scattered by one ``np.bincount`` that adds entries sharing a
+    position.  Second derivatives of f and third derivatives of psi are
+    left out of J.
     """
 
     def __init__(self, tr: Transcription):
-        self.tr = tr
-        self.problem = tr.problem
-        self.field = tr.field
-        self.mesh = tr.mesh
-        self.n = tr.field.n
-        self.m = tr.field.m
-        self.s = tr.field.s
-        self.su = len(tr.ups)
-        self.sl = len(tr.los)
-        k, n, m, su, sl = self.mesh.k, self.n, self.m, self.su, self.sl
-        sizes = [k * n, k * m, k * su, k * sl, k * n, k * su, k * sl, su, sl]
-        names = ["x", "u", "ep", "em", "p", "gp", "gm", "tp", "tm"]
-        self.off = {}
-        start = 0
-        for name, size in zip(names, sizes):
-            self.off[name] = start
-            start += size
-        self.N = start
-        self.hi_up = tr.hi[list(tr.ups)]
-        self.lo_lo = tr.lo[list(tr.los)]
+        self.tr, self.problem, self.mesh = tr, tr.problem, tr.mesh
+        self.field, self.P, self.c = tr.field, tr.P, tr.c
+        k, n, m, h = self.mesh.k, self.field.n, self.field.m, self.mesh.h
+        su, r = int(np.sum(self.P > 0)), len(self.c)  # upper-bound rows come first
+        widths = {"x": n, "u": m, "ep": su, "em": r - su, "p": n, "gp": su,
+                  "gm": r - su}
+        tab, start = {}, 0
+        for name, width in widths.items():
+            tab[name] = start + np.arange(k * width).reshape(k, width)
+            start += k * width
+        self.iz = np.vstack([np.full((1, n + m), -1),
+                             np.hstack([tab["x"], tab["u"]])])
+        self.imu = np.hstack([tab["ep"], tab["em"]])
+        self.igam = np.hstack([tab["gp"], tab["gm"]])
+        self.ip = tab["p"]
+        self.it = start + np.arange(r)
+        self.N = start + r
+        self.n_stat = k * (n + m + r)
+        # The running cost's raw argument (x, u, vx[, vu]) is M (z_j, z_{j+1}).
+        E = np.eye(2 * (n + m))
+        V = (E[n + m:] - E[:n + m]) / h
+        self.M = np.vstack([E[:n + m], V if self.problem.uses_udot else V[:n]])
 
     # -- packing ------------------------------------------------------------
 
-    def sl_x(self, j):  # state node j (1..k)
-        o = self.off["x"] + (j - 1) * self.n
-        return slice(o, o + self.n)
-
-    def sl_u(self, j):
-        o = self.off["u"] + (j - 1) * self.m
-        return slice(o, o + self.m)
-
-    def sl_ep(self, j):  # step j (0..k-1)
-        o = self.off["ep"] + j * self.su
-        return slice(o, o + self.su)
-
-    def sl_em(self, j):
-        o = self.off["em"] + j * self.sl
-        return slice(o, o + self.sl)
-
-    def sl_p(self, j):  # adjoint p_j (1..k)
-        o = self.off["p"] + (j - 1) * self.n
-        return slice(o, o + self.n)
-
-    def sl_gp(self, j):
-        o = self.off["gp"] + j * self.su
-        return slice(o, o + self.su)
-
-    def sl_gm(self, j):
-        o = self.off["gm"] + j * self.sl
-        return slice(o, o + self.sl)
-
-    def sl_tp(self):
-        return slice(self.off["tp"], self.off["tp"] + self.su)
-
-    def sl_tm(self):
-        return slice(self.off["tm"], self.off["tm"] + self.sl)
+    def nodes(self, X: Array) -> Array:
+        """Node values z_j = (x_j, u_j), j = 0..k, stacked (k+1, n+m)."""
+        z = np.empty((self.mesh.k + 1, self.iz.shape[1]))
+        z[0] = np.concatenate([self.problem.system.x0, self.problem.u0])
+        z[1:] = X[self.iz[1:]]
+        return z
 
     def pack_primal(self, z: DiscreteDecision) -> Array:
         X = np.zeros(self.N)
-        for j in range(1, self.mesh.k + 1):
-            X[self.sl_x(j)] = z.x[j]
-            X[self.sl_u(j)] = z.u[j]
-        for j in range(self.mesh.k):
-            X[self.sl_ep(j)] = np.maximum(z.eta[j, list(self.tr.ups)], 0.0)
-            X[self.sl_em(j)] = np.maximum(-z.eta[j, list(self.tr.los)], 0.0)
+        X[self.iz[1:]] = np.hstack([z.x, z.u])[1:]
+        X[self.imu] = np.maximum(z.eta @ self.P.T, 0.0)
         return X
 
     def unpack(self, X: Array) -> DiscreteDecision:
-        k = self.mesh.k
-        x = np.zeros((k + 1, self.n))
-        u = np.zeros((k + 1, self.m))
-        x[0] = self.problem.system.x0
-        u[0] = self.problem.u0
-        for j in range(1, k + 1):
-            x[j] = X[self.sl_x(j)]
-            u[j] = X[self.sl_u(j)]
-        eta = np.zeros((k, self.s))
-        for j in range(k):
-            for idx, i in enumerate(self.tr.ups):
-                eta[j, i] += X[self.sl_ep(j)][idx]
-            for idx, i in enumerate(self.tr.los):
-                eta[j, i] -= X[self.sl_em(j)][idx]
-        return DiscreteDecision(mesh=self.mesh, x=x, u=u, eta=eta)
+        z = self.nodes(X)
+        n = self.field.n
+        return DiscreteDecision(mesh=self.mesh, x=z[:, :n], u=z[:, n:],
+                                eta=X[self.imu] @ self.P)
 
-    # -- nodes and per-step data ---------------------------------------------
+    # -- stage data -----------------------------------------------------------
 
-    def nodes(self, X: Array) -> tuple[Array, Array]:
-        k = self.mesh.k
-        x = np.zeros((k + 1, self.n))
-        u = np.zeros((k + 1, self.m))
-        x[0] = self.problem.system.x0
-        u[0] = self.problem.u0
-        for j in range(1, k + 1):
-            x[j] = X[self.sl_x(j)]
-            u[j] = X[self.sl_u(j)]
-        return x, u
-
-    def eta_net(self, X: Array, j: int) -> Array:
-        eta = np.zeros(self.s)
-        for idx, i in enumerate(self.tr.ups):
-            eta[i] += X[self.sl_ep(j)][idx]
-        for idx, i in enumerate(self.tr.los):
-            eta[i] -= X[self.sl_em(j)][idx]
-        return eta
-
-    # -- cost derivatives -----------------------------------------------------
-
-    def _raw_dim(self) -> int:
-        return 2 * self.n + self.m + (self.m if self.problem.uses_udot else 0)
-
-    def _ell_grad(self, t: float, x: Array, u: Array, vx: Array,
-                  vu: Array | None) -> Array:
+    def _ell_grad(self, t: float, raw: Array) -> Array:
+        n, m = self.field.n, self.field.m
+        args = (raw[:n], raw[n:n + m], raw[n + m:2 * n + m])
         if self.problem.uses_udot:
-            parts = self.problem.dell(t, x, u, vx, vu)
-        else:
-            parts = self.problem.dell(t, x, u, vx)
+            args += (raw[2 * n + m:],)
         return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float))
-                               for p in parts])
+                               for p in self.problem.dell(t, *args)])
 
-    def _ell_grad_raw(self, t: float, raw: Array) -> Array:
-        n, m = self.n, self.m
-        x = raw[:n]
-        u = raw[n:n + m]
-        vx = raw[n + m:2 * n + m]
-        vu = raw[2 * n + m:] if self.problem.uses_udot else None
-        return self._ell_grad(t, x, u, vx, vu)
+    def _stages(self, z: Array, want_hess: bool) -> tuple:
+        """Every callback once per node, stacked.
 
-    def cost_gradient_hessian(self, x: Array, u: Array, want_hess: bool = True,
-                              ) -> tuple[Array, Array, Array | None]:
-        """Node gradient (gx, gu) and dense Hessian over [x nodes | u nodes].
-
-        The running-cost Hessian comes from central differences of the
-        user-provided gradient, step by step; anchor terms are quadratic and
-        assembled analytically.  ``want_hess=False`` skips the differencing.
+        Returns psi and its Jacobian [dpsi_dx | dpsi_du] at nodes 0..k, the
+        per-row curvature Hz[j, i] = [[Hxx(e_i), Hux(e_i)^T], [Hux(e_i), 0]],
+        the drift f and its Jacobian at steps 0..k-1, and the cost's node
+        gradient and (with ``want_hess``) per-stage Hessian blocks from
+        ``_cost``.
         """
-        k, n, m = self.mesh.k, self.n, self.m
-        h = self.mesh.h
-        gx = np.zeros((k + 1, n))
-        gu = np.zeros((k + 1, m))
-        ny = (k + 1) * (n + m)
-        H = np.zeros((ny, ny)) if want_hess else None
+        pb, field, mesh = self.problem, self.field, self.mesh
+        k, n, h = mesh.k, field.n, mesh.h
+        x, u = z[:, :n], z[:, n:]
+        psi, Jz = _psi_stack(field, x, u)
+        Hz = np.zeros((k + 1, field.s) + 2 * (z.shape[1],))
+        vel = np.diff(z, axis=0) / h
+        raw = np.hstack([z[:-1], vel if pb.uses_udot else vel[:, :n]])
+        f = np.empty((k, n))
+        A = np.empty((k, n, n))
+        g = np.empty(raw.shape)
+        Hraw = np.empty((k,) + 2 * raw.shape[1:]) if want_hess else None
+        for j in range(k + 1):
+            for i, e in enumerate(np.eye(field.s)):
+                if field.hess_xx is not None:
+                    Hz[j, i, :n, :n] = field.hess_xx(x[j], u[j], e)
+                if field.hess_ux is not None:
+                    Hz[j, i, n:, :n] = field.hess_ux(x[j], u[j], e)
+            if j == k:
+                break
+            t = float(mesh.nodes[j])
 
-        def xi(j):
-            return slice(j * n, (j + 1) * n)
+            def drift(v: Array) -> Array:
+                return np.atleast_1d(np.asarray(pb.system.f(t, v), dtype=float))
 
-        def ui(j):
-            o = (k + 1) * n
-            return slice(o + j * m, o + (j + 1) * m)
-
-        q = self._raw_dim()
-        # Map raw (x, u, vx[, vu]) to the node quadruple (x_j, u_j, x_j1, u_j1).
-        M = np.zeros((q, 2 * (n + m)))
-        M[:n, :n] = np.eye(n)
-        M[n:n + m, n:n + m] = np.eye(m)
-        M[n + m:2 * n + m, :n] = -np.eye(n) / h
-        M[n + m:2 * n + m, n + m:2 * n + m] = np.eye(n) / h
-        if self.problem.uses_udot:
-            M[2 * n + m:, n:n + m] = -np.eye(m) / h
-            M[2 * n + m:, 2 * n + m:] = np.eye(m) / h
-
-        vxs = np.diff(x, axis=0) / h
-        vus = np.diff(u, axis=0) / h
-        for j in range(k):
-            t = float(self.mesh.nodes[j])
-            raw = [x[j], u[j], vxs[j]]
-            if self.problem.uses_udot:
-                raw.append(vus[j])
-            raw = np.concatenate(raw)
-            g = self._ell_grad_raw(t, raw)
-            gn = h * (M.T @ g)
-            gx[j] += gn[:n]
-            gu[j] += gn[n:n + m]
-            gx[j + 1] += gn[n + m:2 * n + m]
-            gu[j + 1] += gn[2 * n + m:]
+            f[j], A[j] = drift(x[j]), _central_jacobian(drift, x[j])
+            g[j] = self._ell_grad(t, raw[j])
             if want_hess:
-                Hraw = np.zeros((q, q))
-                for a in range(q):
-                    step = 1e-6 * (1.0 + abs(raw[a]))
-                    rp = raw.copy()
-                    rp[a] += step
-                    rm = raw.copy()
-                    rm[a] -= step
-                    Hraw[:, a] = (self._ell_grad_raw(t, rp)
-                                  - self._ell_grad_raw(t, rm)) / (2 * step)
-                Hraw = 0.5 * (Hraw + Hraw.T)
-                Hn = h * (M.T @ Hraw @ M)
-                idx = np.concatenate([np.arange(xi(j).start, xi(j).stop),
-                                      np.arange(ui(j).start, ui(j).stop),
-                                      np.arange(xi(j + 1).start, xi(j + 1).stop),
-                                      np.arange(ui(j + 1).start, ui(j + 1).stop)])
-                H[np.ix_(idx, idx)] += Hn
+                Hraw[j] = _central_jacobian(lambda v: self._ell_grad(t, v), raw[j])
+        Hz[:, :, :n, n:] = Hz[:, :, n:, :n].swapaxes(2, 3)
 
-        # Terminal cost.
-        gphi = np.atleast_1d(np.asarray(self.problem.dphi(x[k]), dtype=float))
-        gx[k] += gphi
-        if want_hess:
-            Hphi = np.zeros((n, n))
-            for a in range(n):
-                step = 1e-6 * (1.0 + abs(x[k][a]))
-                xp = x[k].copy()
-                xp[a] += step
-                xm = x[k].copy()
-                xm[a] -= step
-                Hphi[:, a] = (np.atleast_1d(self.problem.dphi(xp))
-                              - np.atleast_1d(self.problem.dphi(xm))) / (2 * step)
-            H[np.ix_(range(xi(k).start, xi(k).stop),
-                     range(xi(k).start, xi(k).stop))] += 0.5 * (Hphi + Hphi.T)
+        def dphi(v: Array) -> Array:
+            return np.atleast_1d(np.asarray(pb.dphi(v), dtype=float))
 
-        # Anchor proximity terms (exact quadratics).
-        if self.problem.rho > 0 and self.problem.anchor is not None:
-            rho = self.problem.rho
-            xref, uref = self.problem.anchor
-            dxr = np.array([xref.at(self.mesh.nodes[j + 1]) - xref.at(self.mesh.nodes[j])
-                            for j in range(k)])
-            if self.problem.mode == "W12xW12":
-                dur = np.array([uref.at(self.mesh.nodes[j + 1]) - uref.at(self.mesh.nodes[j])
-                                for j in range(k)])
-                for j in range(k):
-                    rx = 2 * rho * (x[j + 1] - x[j] - dxr[j])
-                    gx[j] -= rx
-                    gx[j + 1] += rx
-                    ru = 2 * rho * (u[j + 1] - u[j] - dur[j])
-                    gu[j] -= ru
-                    gu[j + 1] += ru
-                    if not want_hess:
-                        continue
-                    for sla, slb, d in ((xi(j), xi(j + 1), n), (ui(j), ui(j + 1), m)):
-                        B = 2 * rho * np.eye(d)
-                        ia = np.arange(sla.start, sla.stop)
-                        ib = np.arange(slb.start, slb.stop)
-                        H[np.ix_(ia, ia)] += B
-                        H[np.ix_(ib, ib)] += B
-                        H[np.ix_(ia, ib)] -= B
-                        H[np.ix_(ib, ia)] -= B
+        Hphi = _central_jacobian(dphi, x[k]) if want_hess else None
+        return (psi, Jz, Hz, f, A) + self._cost(z, g, Hraw, dphi(x[k]), Hphi)
+
+    def _cost(self, z: Array, g: Array, Hraw: Array | None, gphi: Array,
+              Hphi: Array | None) -> tuple[Array, Array | None]:
+        """Node gradient (k+1, n+m) of the discrete cost from the running-cost
+        gradient g in its raw argument and the terminal gradient gphi, and,
+        given their Hessians, the per-stage Hessian blocks (k, 2(n+m),
+        2(n+m)) over (z_j, z_{j+1}).  Anchor and tie-break terms are exact
+        quadratics w * ||z_{j+1} - z_j - dref_j||^2 / 2 per stage."""
+        pb, k, h = self.problem, self.mesh.k, self.mesh.h
+        n, d = self.field.n, z.shape[1]
+        gs = h * (g @ self.M)
+        gz = np.zeros((k + 1, d))
+        gz[1:] += gs[:, d:]
+        gz[:-1] += gs[:, :d]
+        gz[k, :n] += gphi
+        w = np.zeros((k, d))
+        dref = np.zeros((k, d))
+        wnode = np.zeros(d)  # W12xC control-node proximity
+        if pb.rho > 0 and pb.anchor is not None:
+            ref = np.hstack([path.at(self.mesh.nodes) for path in pb.anchor])
+            if pb.uses_udot:
+                w[:] = 2 * pb.rho
+                dref = np.diff(ref, axis=0)
             else:
-                for j in range(k + 1):
-                    gu[j] += 2 * rho * (u[j] - uref.at(self.mesh.nodes[j]))
-                    if want_hess:
-                        iu = np.arange(ui(j).start, ui(j).stop)
-                        H[np.ix_(iu, iu)] += 2 * rho * np.eye(m)
-                for j in range(k):
-                    rx = (2 * rho / h) * (x[j + 1] - x[j] - dxr[j])
-                    gx[j] -= rx
-                    gx[j + 1] += rx
-                    if not want_hess:
-                        continue
-                    B = (2 * rho / h) * np.eye(n)
-                    ia = np.arange(xi(j).start, xi(j).stop)
-                    ib = np.arange(xi(j + 1).start, xi(j + 1).stop)
-                    H[np.ix_(ia, ia)] += B
-                    H[np.ix_(ib, ib)] += B
-                    H[np.ix_(ia, ib)] -= B
-                    H[np.ix_(ib, ia)] -= B
-
-        # Terminal-control tie-break (W12xC): without it u_k only enters the
-        # endpoint constraint and the KKT matrix goes singular along u_k.
-        if not self.problem.uses_udot:
-            w = UK_TIE_WEIGHT
-            r = 2 * w * (u[k] - u[k - 1])
-            gu[k] += r
-            gu[k - 1] -= r
-            if want_hess:
-                ia = np.arange(ui(k - 1).start, ui(k - 1).stop)
-                ib = np.arange(ui(k).start, ui(k).stop)
-                B = 2 * w * np.eye(m)
-                H[np.ix_(ia, ia)] += B
-                H[np.ix_(ib, ib)] += B
-                H[np.ix_(ia, ib)] -= B
-                H[np.ix_(ib, ia)] -= B
-        return gx, gu, H
-
-    # -- field helpers --------------------------------------------------------
-
-    def _hess_xx(self, x, u, p):
-        if self.field.hess_xx is None:
-            return np.zeros((self.n, self.n))
-        return np.atleast_2d(np.asarray(self.field.hess_xx(x, u, p), dtype=float))
-
-    def _hess_ux(self, x, u, p):
-        if self.field.hess_ux is None:
-            return np.zeros((self.m, self.n))
-        return np.atleast_2d(np.asarray(self.field.hess_ux(x, u, p), dtype=float))
-
-    def _df_dx(self, t, x):
-        f0 = np.atleast_1d(np.asarray(self.problem.system.f(t, x), dtype=float))
-        J = np.zeros((self.n, self.n))
-        for a in range(self.n):
-            step = 1e-6 * (1.0 + abs(x[a]))
-            xp = x.copy()
-            xp[a] += step
-            xm = x.copy()
-            xm[a] -= step
-            fp = np.atleast_1d(np.asarray(self.problem.system.f(t, xp), dtype=float))
-            fm = np.atleast_1d(np.asarray(self.problem.system.f(t, xm), dtype=float))
-            J[:, a] = (fp - fm) / (2 * step)
-        return f0, J
+                w[:, :n] = 2 * pb.rho / h
+                dref[:, :n] = np.diff(ref[:, :n], axis=0)
+                wnode[n:] = 2 * pb.rho
+                gz[:, n:] += 2 * pb.rho * (z[:, n:] - ref[:, n:])
+        if not pb.uses_udot:
+            # Terminal-control tie-break: without it u_k only enters the
+            # endpoint constraint and the KKT matrix goes singular along u_k.
+            w[-1, n:] = 2 * UK_TIE_WEIGHT
+        rd = w * (np.diff(z, axis=0) - dref)
+        gz[1:] += rd
+        gz[:-1] -= rd
+        if Hraw is None:
+            return gz, None
+        Hc = h * (self.M.T @ (0.5 * (Hraw + Hraw.swapaxes(1, 2))) @ self.M)
+        Hc[-1, d:d + n, d:d + n] += 0.5 * (Hphi + Hphi.T)
+        Hc[:, :d, :d] += np.diag(wnode)
+        Hc[-1, d:, d:] += np.diag(wnode)
+        W = w[:, :, None] * np.eye(d)
+        return gz, Hc + np.block([[W, -W], [-W, W]])
 
     # -- residual and Jacobian --------------------------------------------
 
     def residual(self, X: Array, sigma: float,
                  with_jacobian: bool = False) -> tuple[Array, Array | None]:
-        k, n, m, su, sl = self.mesh.k, self.n, self.m, self.su, self.sl
-        h = self.mesh.h
-        ups, los = list(self.tr.ups), list(self.tr.los)
-        x, u = self.nodes(X)
-        gx, gu, Hcost = self.cost_gradient_hessian(x, u, want_hess=with_jacobian)
+        P, k, n, h = self.P, self.mesh.k, self.field.n, self.mesh.h
+        z = self.nodes(X)
+        psi, Jz, Hz, f, A, gz, Hc = self._stages(z, with_jacobian)
+        mu, gam, p, tk = X[self.imu], X[self.igam], X[self.ip], X[self.it]
+        eta = mu @ P
+        PJz = P @ Jz
+        b = self.c - psi @ P.T  # slacks: one row per step, then the terminal one
+        fa, fb = _fb_partials(mu, b[:k], sigma)
+        Heta = np.einsum("js,jsab->jab", eta, Hz[:k])
+        # Q[j, i] = d/dz_j of h^-1 (P Jx_j p_{j+1})_i: row curvature times p.
+        Q = P @ np.einsum("jsab,jb->jsa", Hz[:k, :, :, :n], p)
+        lift = -(gam * fb) @ P
 
         F = np.zeros(self.N)
-        J = np.zeros((self.N, self.N)) if with_jacobian else None
+        Fz = gz
+        Fz[1:, :n] += p
+        Fz[:k, :n] += -p - h * np.einsum("jab,ja->jb", A, p)
+        Fz[:k] += (h * np.einsum("jab,jb->ja", Heta[:, :, :n], p)
+                   + np.einsum("jsa,js->ja", Jz[:k], lift))
+        Fz[k] += Jz[k].T @ (tk @ P)
+        F[self.iz[1:]] = Fz[1:]
+        F[self.imu] = h * np.einsum("jrn,jn->jr", PJz[:k, :, :n], p) + fa * gam
+        F[self.ip] = (z[1:, :n] - z[:-1, :n] - h * f
+                      + h * np.einsum("jsn,js->jn", Jz[:k, :, :n], eta))
+        F[self.igam] = _fb(mu, b[:k], sigma)
+        F[self.it] = _fb(tk, b[k], sigma)
+        if not with_jacobian:
+            return F, None
 
-        # Row offsets mirror the unknown layout: stat_x/stat_u/stat_ep/stat_em
-        # occupy the x/u/ep/em slots, constraints occupy the dual slots.
-        def row_x(j):
-            return self.sl_x(j)
-
-        def row_u(j):
-            return self.sl_u(j)
-
-        def row_ep(j):
-            return self.sl_ep(j)
-
-        def row_em(j):
-            return self.sl_em(j)
-
-        def row_dyn(j):
-            return self.sl_p(j + 1)
-
-        def row_fbp(j):
-            return self.sl_gp(j)
-
-        def row_fbm(j):
-            return self.sl_gm(j)
-
-        row_fbtp = self.sl_tp()
-        row_fbtm = self.sl_tm()
-
-        ny = (k + 1) * (n + m)
-
-        def yxi(j):
-            return np.arange(j * n, (j + 1) * n)
-
-        def yui(j):
-            o = (k + 1) * n
-            return np.arange(o + j * m, o + (j + 1) * m)
-
-        # Cost gradient into stationarity rows; Hessian into Jacobian.
-        for j in range(1, k + 1):
-            F[row_x(j)] += gx[j]
-            F[row_u(j)] += gu[j]
-        if with_jacobian:
-            for j1 in range(1, k + 1):
-                for (rows, yrows) in ((row_x(j1), yxi(j1)), (row_u(j1), yui(j1))):
-                    for j2 in range(max(1, j1 - 1), min(k, j1 + 1) + 1):
-                        for (cols, ycols) in ((self.sl_x(j2), yxi(j2)),
-                                              (self.sl_u(j2), yui(j2))):
-                            block = Hcost[np.ix_(yrows, ycols)]
-                            if np.any(block):
-                                J[rows, cols] += block
-
-        # Per-step terms.
-        for j in range(k):
-            t = float(self.mesh.nodes[j])
-            xj, uj = x[j], u[j]
-            eta = self.eta_net(X, j)
-            psi = psi_eval(self.field, xj, uj)
-            Jx = np.atleast_2d(self.field.dpsi_dx(xj, uj))
-            Ju = np.atleast_2d(self.field.dpsi_du(xj, uj))
-            f0, dfdx = self._df_dx(t, xj)
-            p_next = X[self.sl_p(j + 1)]
-            ep = X[self.sl_ep(j)]
-            em = X[self.sl_em(j)]
-            gp = X[self.sl_gp(j)]
-            gm = X[self.sl_gm(j)]
-            bp = self.hi_up - psi[ups]
-            bm = psi[los] - self.lo_lo
-            fap, fbp_ = _fb_partials(ep, bp, sigma)
-            fam, fbm_ = _fb_partials(em, bm, sigma)
-
-            # dynamics residual
-            F[row_dyn(j)] = x[j + 1] - xj - h * f0 + h * (Jx.T @ eta)
-            # complementarity residuals
-            F[row_fbp(j)] = _fb(ep, bp, sigma)
-            F[row_fbm(j)] = _fb(em, bm, sigma)
-            # multiplier stationarity
-            Jxp = Jx @ p_next
-            F[row_ep(j)] = h * Jxp[ups] + fap * gp
-            F[row_em(j)] = -h * Jxp[los] + fam * gm
-
-            # stationarity contributions to x_j, u_j (skipped for j = 0: those
-            # nodes are pinned), plus the p_j feed from the previous dynamics.
-            if j >= 1:
-                Hxx_eta = self._hess_xx(xj, uj, eta)
-                Hux_eta = self._hess_ux(xj, uj, eta)
-                F[row_x(j)] += (-p_next - h * (dfdx.T @ p_next)
-                                + h * (Hxx_eta @ p_next))
-                F[row_u(j)] += h * (Hux_eta @ p_next)
-                # FB coupling into stationarity
-                wp = gp * fbp_
-                wm = gm * fbm_
-                lift = np.zeros(self.s)
-                lift[ups] -= wp
-                lift[los] += wm
-                F[row_x(j)] += Jx.T @ lift
-                F[row_u(j)] += Ju.T @ lift
-            F[row_x(j + 1)] += p_next
-
-            if with_jacobian:
-                # dynamics block
-                rd = row_dyn(j)
-                if j >= 1:
-                    J[rd, self.sl_x(j)] += (-np.eye(n) - h * dfdx
-                                            + h * self._hess_xx(xj, uj, eta))
-                    J[rd, self.sl_u(j)] += h * self._hess_ux(xj, uj, eta).T
-                J[rd, self.sl_x(j + 1)] += np.eye(n)
-                if su:
-                    J[rd, self.sl_ep(j)] += h * Jx.T[:, ups]
-                if sl:
-                    J[rd, self.sl_em(j)] -= h * Jx.T[:, los]
-
-                # FB rows
-                if su:
-                    J[row_fbp(j), self.sl_ep(j)] += np.diag(fap)
-                    if j >= 1:
-                        J[row_fbp(j), self.sl_x(j)] += np.diag(fbp_) @ (-Jx[ups])
-                        J[row_fbp(j), self.sl_u(j)] += np.diag(fbp_) @ (-Ju[ups])
-                if sl:
-                    J[row_fbm(j), self.sl_em(j)] += np.diag(fam)
-                    if j >= 1:
-                        J[row_fbm(j), self.sl_x(j)] += np.diag(fbm_) @ Jx[los]
-                        J[row_fbm(j), self.sl_u(j)] += np.diag(fbm_) @ Ju[los]
-
-                # multiplier stationarity rows
-                faap, fabp, _ = _fb_second(ep, bp, sigma)
-                faam, fabm, _ = _fb_second(em, bm, sigma)
-                if su:
-                    J[row_ep(j), self.sl_p(j + 1)] += h * Jx[ups]
-                    J[row_ep(j), self.sl_gp(j)] += np.diag(fap)
-                    J[row_ep(j), self.sl_ep(j)] += np.diag(gp * faap)
-                    if j >= 1:
-                        J[row_ep(j), self.sl_x(j)] += np.diag(gp * fabp) @ (-Jx[ups])
-                        J[row_ep(j), self.sl_u(j)] += np.diag(gp * fabp) @ (-Ju[ups])
-                if sl:
-                    J[row_em(j), self.sl_p(j + 1)] -= h * Jx[los]
-                    J[row_em(j), self.sl_gm(j)] += np.diag(fam)
-                    J[row_em(j), self.sl_em(j)] += np.diag(gm * faam)
-                    if j >= 1:
-                        J[row_em(j), self.sl_x(j)] += np.diag(gm * fabm) @ Jx[los]
-                        J[row_em(j), self.sl_u(j)] += np.diag(gm * fabm) @ Ju[los]
-                # per-row psi second derivatives for the p-coupled terms
-                if j >= 1:
-                    for idx, i in enumerate(ups):
-                        ei = np.zeros(self.s)
-                        ei[i] = 1.0
-                        hxrow = self._hess_xx(xj, uj, ei) @ p_next
-                        huro = self._hess_ux(xj, uj, ei) @ p_next
-                        J[row_ep(j).start + idx, self.sl_x(j)] += h * hxrow
-                        J[row_ep(j).start + idx, self.sl_u(j)] += h * huro
-                    for idx, i in enumerate(los):
-                        ei = np.zeros(self.s)
-                        ei[i] = 1.0
-                        hxrow = self._hess_xx(xj, uj, ei) @ p_next
-                        huro = self._hess_ux(xj, uj, ei) @ p_next
-                        J[row_em(j).start + idx, self.sl_x(j)] -= h * hxrow
-                        J[row_em(j).start + idx, self.sl_u(j)] -= h * huro
-
-                # stationarity x_j/u_j blocks (j >= 1)
-                if j >= 1:
-                    rx, ru = row_x(j), row_u(j)
-                    J[rx, self.sl_p(j + 1)] += (-np.eye(n) - h * dfdx.T
-                                                + h * self._hess_xx(xj, uj, eta))
-                    J[ru, self.sl_p(j + 1)] += h * self._hess_ux(xj, uj, eta)
-                    # eta columns of the p-coupled curvature
-                    for idx, i in enumerate(ups):
-                        ei = np.zeros(self.s)
-                        ei[i] = 1.0
-                        J[rx, self.sl_ep(j).start + idx] += h * (
-                            self._hess_xx(xj, uj, ei) @ p_next)
-                        J[ru, self.sl_ep(j).start + idx] += h * (
-                            self._hess_ux(xj, uj, ei) @ p_next)
-                    for idx, i in enumerate(los):
-                        ei = np.zeros(self.s)
-                        ei[i] = 1.0
-                        J[rx, self.sl_em(j).start + idx] -= h * (
-                            self._hess_xx(xj, uj, ei) @ p_next)
-                        J[ru, self.sl_em(j).start + idx] -= h * (
-                            self._hess_ux(xj, uj, ei) @ p_next)
-                    # FB-lift curvature
-                    if su:
-                        J[rx, self.sl_gp(j)] += -Jx.T[:, ups] @ np.diag(fbp_)
-                        J[ru, self.sl_gp(j)] += -Ju.T[:, ups] @ np.diag(fbp_)
-                    if sl:
-                        J[rx, self.sl_gm(j)] += Jx.T[:, los] @ np.diag(fbm_)
-                        J[ru, self.sl_gm(j)] += Ju.T[:, los] @ np.diag(fbm_)
-                    _, _, fbbp = _fb_second(ep, bp, sigma)
-                    _, _, fbbm = _fb_second(em, bm, sigma)
-                    wxp = Jx[ups].T * (gp * fbbp) if su else None
-                    wxm = Jx[los].T * (gm * fbbm) if sl else None
-                    if su:
-                        J[rx, self.sl_x(j)] += wxp @ Jx[ups]
-                        J[rx, self.sl_u(j)] += wxp @ Ju[ups]
-                        J[ru, self.sl_x(j)] += (Ju[ups].T * (gp * fbbp)) @ Jx[ups]
-                        J[ru, self.sl_u(j)] += (Ju[ups].T * (gp * fbbp)) @ Ju[ups]
-                        J[rx, self.sl_ep(j)] += -Jx.T[:, ups] @ np.diag(gp * fabp)
-                        J[ru, self.sl_ep(j)] += -Ju.T[:, ups] @ np.diag(gp * fabp)
-                    if sl:
-                        J[rx, self.sl_x(j)] += wxm @ Jx[los]
-                        J[rx, self.sl_u(j)] += wxm @ Ju[los]
-                        J[ru, self.sl_x(j)] += (Ju[los].T * (gm * fbbm)) @ Jx[los]
-                        J[ru, self.sl_u(j)] += (Ju[los].T * (gm * fbbm)) @ Ju[los]
-                        J[rx, self.sl_em(j)] += Jx.T[:, los] @ np.diag(gm * fabm)
-                        J[ru, self.sl_em(j)] += Ju.T[:, los] @ np.diag(gm * fabm)
-                    # psi-curvature of the FB lift
-                    lift = np.zeros(self.s)
-                    if su:
-                        lift[ups] -= gp * fbp_
-                    if sl:
-                        lift[los] += gm * fbm_
-                    J[rx, self.sl_x(j)] += self._hess_xx(xj, uj, lift)
-                    J[rx, self.sl_u(j)] += self._hess_ux(xj, uj, lift).T
-                    J[ru, self.sl_x(j)] += self._hess_ux(xj, uj, lift)
-                # p_j feed into stat_x_{j+1}
-                J[row_x(j + 1), self.sl_p(j + 1)] += np.eye(n)
-
-        # Endpoint terms at (x_k, u_k).
-        xk, uk = x[k], u[k]
-        psik = psi_eval(self.field, xk, uk)
-        Jxk = np.atleast_2d(self.field.dpsi_dx(xk, uk))
-        Juk = np.atleast_2d(self.field.dpsi_du(xk, uk))
-        tp = X[row_fbtp]
-        tm = X[row_fbtm]
-        btp = self.hi_up - psik[ups]
-        btm = psik[los] - self.lo_lo
-        fatp, fbtp_ = _fb_partials(tp, btp, sigma)
-        fatm, fbtm_ = _fb_partials(tm, btm, sigma)
-        F[row_fbtp] = _fb(tp, btp, sigma)
-        F[row_fbtm] = _fb(tm, btm, sigma)
-        theta_net = np.zeros(self.s)
-        theta_net[ups] += tp
-        theta_net[los] -= tm
-        F[row_x(k)] += Jxk.T @ theta_net
-        F[row_u(k)] += Juk.T @ theta_net
-
-        if with_jacobian:
-            if su:
-                J[row_fbtp, row_fbtp] += np.diag(fatp)
-                J[row_fbtp, self.sl_x(k)] += np.diag(fbtp_) @ (-Jxk[ups])
-                J[row_fbtp, self.sl_u(k)] += np.diag(fbtp_) @ (-Juk[ups])
-                J[row_x(k), row_fbtp] += Jxk.T[:, ups]
-                J[row_u(k), row_fbtp] += Juk.T[:, ups]
-            if sl:
-                J[row_fbtm, row_fbtm] += np.diag(fatm)
-                J[row_fbtm, self.sl_x(k)] += np.diag(fbtm_) @ Jxk[los]
-                J[row_fbtm, self.sl_u(k)] += np.diag(fbtm_) @ Juk[los]
-                J[row_x(k), row_fbtm] -= Jxk.T[:, los]
-                J[row_u(k), row_fbtm] -= Juk.T[:, los]
-            J[row_x(k), self.sl_x(k)] += self._hess_xx(xk, uk, theta_net)
-            J[row_x(k), self.sl_u(k)] += self._hess_ux(xk, uk, theta_net).T
-            J[row_u(k), self.sl_x(k)] += self._hess_ux(xk, uk, theta_net)
+        d, r = z.shape[1], len(self.c)
+        Z, M, G, D = (slice(0, d), slice(d, d + r), slice(d + r, d + 2 * r),
+                      slice(d + 2 * r, None))
+        faa, fab, fbb = _fb_second(mu, b[:k], sigma)
+        Ex = np.eye(d)[:n]
+        # Step block over (z_j, mu_j, gamma_j, p_{j+1}).  It is a Lagrangian
+        # Hessian, so symmetric: the lower half is mirrored, then the
+        # diagonal blocks are set.
+        L = np.zeros((k,) + 2 * (d + 2 * r + n,))
+        L[:, M, Z] = h * Q - (gam * fab)[:, :, None] * PJz[:k]
+        L[:, G, Z] = -fb[:, :, None] * PJz[:k]
+        L[:, G, M] = fa[:, :, None] * np.eye(r)
+        L[:, D, Z] = -Ex - h * A @ Ex + h * Heta[:, :n]
+        L[:, D, M] = h * PJz[:k, :, :n].swapaxes(1, 2)
+        L += L.swapaxes(1, 2)
+        L[:, Z, Z] = (np.einsum("jra,jr,jrb->jab", PJz[:k], gam * fbb, PJz[:k])
+                      + np.einsum("js,jsab->jab", lift, Hz[:k]))
+        L[:, M, M] = (gam * faa)[:, :, None] * np.eye(r)
+        # Terminal block over (z_k, thetap, thetam).
+        fat, fbt = _fb_partials(tk, b[k], sigma)
+        T = np.block([[np.einsum("s,sab->ab", tk @ P, Hz[k]), PJz[k].T],
+                      [-fbt[:, None] * PJz[k], np.diag(fat)]])
+        step = np.hstack([self.iz[:k], self.imu, self.igam, self.ip])
+        stage = np.hstack([self.iz[:-1], self.iz[1:]])
+        term = np.concatenate([self.iz[k], self.it])[None]
+        eye = np.broadcast_to(np.eye(n), (k, n, n))
+        J = _assemble(self.N, [(step, step, L), (stage, stage, Hc),
+                               (self.ip, self.iz[1:, :n], eye),
+                               (self.iz[1:, :n], self.ip, eye),
+                               (term, term, T[None])])
         return F, J
 
     def stationarity_norm(self, F: Array) -> float:
-        k = self.mesh.k
-        end = self.off["p"]
-        return float(np.max(np.abs(F[:end]))) if end else 0.0
+        return float(np.max(np.abs(F[:self.n_stat])))
 
 
-def _comp_residual(pairs: Sequence[tuple[float, float]]) -> float:
-    return max((abs(min(a, b)) for a, b in pairs), default=0.0)
+def _central_jacobian(fn: Callable[[Array], Array], v: Array) -> Array:
+    """Central differences of fn at v, steps 1e-6 (1 + |v_a|), by column."""
+    cols = []
+    for a in range(v.size):
+        step = 1e-6 * (1.0 + abs(v[a]))
+        vp, vm = v.copy(), v.copy()
+        vp[a] += step
+        vm[a] -= step
+        cols.append((fn(vp) - fn(vm)) / (2 * step))
+    return np.column_stack(cols)
+
+
+def _assemble(N: int, blocks: Sequence[tuple[Array, Array, Array]]) -> Array:
+    """Dense N x N matrix from stacks of dense blocks.
+
+    Each (rows, cols, B) puts B[j] at rows[j] x cols[j]; entries sharing a
+    position add up, and entries with a negative index (the pinned node)
+    are dropped.
+    """
+    r = np.concatenate([np.broadcast_to(i[:, :, None], B.shape).ravel()
+                        for i, _, B in blocks])
+    c = np.concatenate([np.broadcast_to(j[:, None, :], B.shape).ravel()
+                        for _, j, B in blocks])
+    v = np.concatenate([B.ravel() for _, _, B in blocks])
+    keep = (r >= 0) & (c >= 0)
+    return np.bincount(r[keep] * N + c[keep], v[keep],
+                       minlength=N * N).reshape(N, N)
+
+
+def _comp_residual(pairs: Iterable[tuple[float, float]]) -> float:
+    return float(max((abs(min(a, b)) for a, b in pairs), default=0.0))
 
 
 def _default_schedule(start: float = 0.3) -> tuple[float, ...]:
@@ -991,37 +711,19 @@ def _centered_start(kkt: _KktSystem, warm: DiscreteDecision,
     backward cost sweep, and the constraint multipliers solve their own
     stationarity rows exactly.
     """
-    tr = kkt.tr
+    P, k, n, h = kkt.P, kkt.mesh.k, kkt.field.n, kkt.mesh.h
     X = kkt.pack_primal(warm)
-    x, u = kkt.nodes(X)
-    gx, _, _ = kkt.cost_gradient_hessian(x, u, want_hess=False)
-    k = kkt.mesh.k
-    h = kkt.mesh.h
-    p = np.zeros((k + 1, kkt.n))
-    p[k] = -gx[k]
-    for j in range(k - 1, 0, -1):
-        p[j] = p[j + 1] - gx[j]
-    for j in range(1, k + 1):
-        X[kkt.sl_p(j)] = p[j]
-    for j in range(k):
-        psi = psi_eval(kkt.field, x[j], u[j])
-        Jx = np.atleast_2d(kkt.field.dpsi_dx(x[j], u[j]))
-        Jxp = Jx @ p[j + 1]
-        bp = kkt.hi_up - psi[list(tr.ups)]
-        bm = psi[list(tr.los)] - kkt.lo_lo
-        ep = sigma0 ** 2 / (2 * np.maximum(bp, sigma0))
-        em = sigma0 ** 2 / (2 * np.maximum(bm, sigma0))
-        X[kkt.sl_ep(j)] = ep
-        X[kkt.sl_em(j)] = em
-        fap, _ = _fb_partials(ep, np.maximum(bp, sigma0), sigma0)
-        fam, _ = _fb_partials(em, np.maximum(bm, sigma0), sigma0)
-        X[kkt.sl_gp(j)] = -h * Jxp[list(tr.ups)] / np.maximum(fap, 1e-2)
-        X[kkt.sl_gm(j)] = h * Jxp[list(tr.los)] / np.maximum(fam, 1e-2)
-    psik = psi_eval(kkt.field, x[k], u[k])
-    btp = kkt.hi_up - psik[list(tr.ups)]
-    btm = psik[list(tr.los)] - kkt.lo_lo
-    X[kkt.sl_tp()] = sigma0 ** 2 / (2 * np.maximum(btp, sigma0))
-    X[kkt.sl_tm()] = sigma0 ** 2 / (2 * np.maximum(btm, sigma0))
+    z = kkt.nodes(X)
+    psi, Jz, _, _, _, gz, _ = kkt._stages(z, want_hess=False)
+    p = -np.cumsum(gz[:0:-1, :n], axis=0)[::-1]  # p_j = -(gx_j + .. + gx_k)
+    X[kkt.ip] = p
+    b = np.maximum(kkt.c - psi @ P.T, sigma0)
+    mu = sigma0 ** 2 / (2 * b)
+    fa, _ = _fb_partials(mu[:k], b[:k], sigma0)
+    X[kkt.imu] = mu[:k]
+    X[kkt.igam] = (-h * np.einsum("jrn,jn->jr", P @ Jz[:k, :, :n], p)
+                   / np.maximum(fa, 1e-2))
+    X[kkt.it] = mu[k]
     return X
 
 
@@ -1192,13 +894,8 @@ def solve_smoothed(transcription: Transcription,
     decision = kkt.unpack(X)
     F, _ = kkt.residual(X, sig[-1])
     pairs = transcription.pair_values(decision)
-    tp = X[kkt.sl_tp()]
-    tm = X[kkt.sl_tm()]
     psik = psi_eval(transcription.field, decision.x[-1], decision.u[-1])
-    for idx, i in enumerate(transcription.ups):
-        pairs.append((float(tp[idx]), float(transcription.hi[i] - psik[i])))
-    for idx, i in enumerate(transcription.los):
-        pairs.append((float(tm[idx]), float(psik[i] - transcription.lo[i])))
+    pairs += zip(X[kkt.it].tolist(), (kkt.c - kkt.P @ psik).tolist())
     report = SolveReport(
         cost=cost_eval(problem, decision),
         comp_residual=_comp_residual(pairs),
@@ -1293,25 +990,16 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     if decision is None:
         raise NumericalFailureError("final control failed to simulate")
     field = problem.system.effective_field()
+    # simulator multipliers satisfy the cone condition at the right node
+    psi_next, _ = _psi_stack(field, decision.x[1:], decision.u[1:])
     try:
-        lo, hi = _theta_bounds(problem.system.theta)
-    except ConfigurationError:
-        lo = hi = None  # smooth Theta: report cone violation instead
-    comp = 0.0
-    for j in range(k):
-        # simulator multipliers satisfy the cone condition at the right node
-        psi_next = psi_eval(field, decision.x[j + 1], decision.u[j + 1])
-        if lo is None:
-            comp = max(comp, problem.system.theta.normal_cone_violation(
-                psi_next, decision.eta[j]))
-            continue
-        for i in range(field.s):
-            if np.isfinite(hi[i]):
-                comp = max(comp, abs(min(max(decision.eta[j, i], 0.0),
-                                         hi[i] - psi_next[i])))
-            if np.isfinite(lo[i]):
-                comp = max(comp, abs(min(max(-decision.eta[j, i], 0.0),
-                                         psi_next[i] - lo[i])))
+        P, c = _signed_selector(*_theta_bounds(problem.system.theta))
+    except ConfigurationError:  # smooth Theta: report cone violation instead
+        comp = max((problem.system.theta.normal_cone_violation(psi, eta)
+                    for psi, eta in zip(psi_next, decision.eta)), default=0.0)
+    else:
+        comp = _comp_residual(zip(np.maximum(decision.eta @ P.T, 0.0).ravel(),
+                                  (c - psi_next @ P.T).ravel()))
     report = SolveReport(
         cost=current,
         comp_residual=comp,

@@ -214,6 +214,20 @@ def test_mesh_nodes_are_cached_and_read_only():
     assert mesh == Mesh(k=4, T=2.0) and hash(mesh) == hash(Mesh(k=4, T=2.0))
 
 
+def test_effective_field_is_built_once_per_system():
+    field = FieldMap.affine_fixed([[1.0, 0.0]], [[1.0]], [0.0])
+    system = SweepingSystem(f=lambda t, x: np.zeros(2), field=field,
+                            theta=NonpositiveOrthant(1), x0=[-1.0, 0.0], T=1.0,
+                            g=[[2.0, 0.0], [0.0, 1.0]])
+    eff = system.effective_field()
+    assert system.effective_field() is eff
+    np.testing.assert_array_equal(eff.psi(np.array([1.0, 3.0]), np.array([0.5])),
+                                  [2.5])
+    plain = SweepingSystem(f=lambda t, x: np.zeros(2), field=field,
+                           theta=NonpositiveOrthant(1), x0=[-1.0, 0.0], T=1.0)
+    assert plain.effective_field() is field
+
+
 # ---------------------------------------------------------------------------
 # Path metric
 # ---------------------------------------------------------------------------

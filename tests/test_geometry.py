@@ -177,6 +177,22 @@ class TestThetaContains:
         assert theta_contains(theta, np.array([1.5, 0.5]))
         assert not theta_contains(theta, np.array([2.5, 0.0]))
 
+    @pytest.mark.parametrize("theta", [
+        NonpositiveOrthant(2),
+        Box(lower=(-1.0, -np.inf), upper=(1.0, 2.0)),
+        LinearImagePolyhedron(A=((2.0, 0.0), (0.0, 1.0)),
+                              G=((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)),
+                              g=(1.0, 1.0, 1.0)),
+    ])
+    def test_halfspaces_are_built_once_and_read_only(self, theta):
+        H, d = theta.halfspaces()
+        again = theta.halfspaces()
+        assert again[0] is H and again[1] is d
+        for arr in (H, d):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        assert all(theta.contains(z) for z in (np.zeros(2), -0.5 * np.ones(2)))
+
     def test_linear_image_requires_spd(self):
         with pytest.raises(Exception):
             LinearImagePolyhedron(A=((0.0, 1.0), (1.0, 0.0)),

@@ -1,6 +1,7 @@
 """Cost templates, transcription structure, and the two solvers."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sweepctl.dynamics import Mesh, Path
 from sweepctl.geometry import (
     ConfigurationError,
     FieldMap,
+    LinearImagePolyhedron,
     NonpositiveOrthant,
     SmoothInequality,
 )
@@ -17,6 +19,8 @@ from sweepctl.ocp import (
     DiscreteDecision,
     InfeasibleWarmStartError,
     OcpProblem,
+    _KktSystem,
+    _theta_bounds,
     cost_eval,
     localization_violation,
     solve_shooting,
@@ -24,7 +28,13 @@ from sweepctl.ocp import (
     transcribe,
 )
 from sweepctl.certify import recover_eta
-from sweepctl.problems import elastoplastic_instance, instance, solution_on_mesh
+from sweepctl.cli import build_problem
+from sweepctl.problems import (
+    elastoplastic_instance,
+    instance,
+    instance_spec,
+    solution_on_mesh,
+)
 
 
 def remark45_problem():
@@ -149,6 +159,25 @@ def test_transcription_rejects_smooth_theta():
     problem = dataclasses.replace(remark45_problem(), system=system)
     with pytest.raises(ConfigurationError):
         transcribe(problem, 4)
+
+
+def test_theta_bounds_follow_a_negative_diagonal_scaling():
+    # Z = [-2, 1] scaled by A = -1 is Theta = [-1, 2]
+    theta = LinearImagePolyhedron(A=((-1.0,),), G=((1.0,), (-1.0,)),
+                                  g=(1.0, 2.0), require_spd=False)
+    lo, hi = _theta_bounds(theta)
+    for z in np.linspace(-3.0, 3.0, 25):
+        assert bool(lo[0] <= z <= hi[0]) == theta.contains(np.array([z]))
+    # a mixed-sign diagonal with one-sided Z rows
+    theta = LinearImagePolyhedron(A=((-2.0, 0.0), (0.0, 3.0)),
+                                  G=((1.0, 0.0), (0.0, -1.0)),
+                                  g=(1.0, 1.0), require_spd=False)
+    lo, hi = _theta_bounds(theta)
+    np.testing.assert_array_equal(lo, [-2.0, -3.0])
+    np.testing.assert_array_equal(hi, [np.inf, np.inf])
+    for z in itertools.product(np.linspace(-4.0, 4.0, 17), repeat=2):
+        z = np.array(z)
+        assert bool(np.all((lo <= z) & (z <= hi))) == theta.contains(z)
 
 
 def test_initial_decision_is_dynamically_consistent():
@@ -330,3 +359,57 @@ def test_random_feasible_decisions_never_beat_the_solver():
         if cost_eval(problem, z) < report.cost - 1e-9:
             beaten += 1
     assert beaten == 0
+
+
+# ---------------------------------------------------------------------------
+# Smoothed KKT Jacobian against central differences of its residual
+# ---------------------------------------------------------------------------
+
+
+def _affine_drift_problem():
+    """counterexample53 rebuilt from its spec with an affine drift."""
+    spec = instance_spec("counterexample53", k=6)
+    spec["dynamics"] = {"kind": "affine", "A": [[-0.5, 0.3], [0.2, -0.4]],
+                        "b": [0.1, -0.2]}
+    return build_problem(spec)
+
+
+def _anchored(instance_id, rho):
+    problem = instance(instance_id).problem
+    return dataclasses.replace(problem, rho=rho,
+                               anchor=solution_on_mesh(instance_id, 8))
+
+
+KKT_CASES = {
+    "remark45": remark45_problem,
+    "counterexample53": lambda: instance("counterexample53").problem,
+    "elastoplastic61": lambda: instance("elastoplastic61").problem,
+    "nonconvex22": lambda: instance("nonconvex22").problem,
+    "remark45_anchored_w12c": lambda: _anchored("remark45", 0.7),
+    "elastoplastic61_anchored_w12w12": lambda: _anchored("elastoplastic61", 0.4),
+    "spec_affine_drift": _affine_drift_problem,
+}
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1e-3])
+@pytest.mark.parametrize("case", sorted(KKT_CASES))
+def test_kkt_jacobian_matches_central_differences(case, sigma):
+    kkt = _KktSystem(transcribe(KKT_CASES[case](), 6))
+    rng = np.random.default_rng([sum(map(ord, case)), round(1 / sigma)])
+    X = kkt.pack_primal(kkt.tr.initial_decision())
+    X = X + rng.normal(scale=0.2, size=X.shape)
+    F, J = kkt.residual(X, sigma, with_jacobian=True)
+    assert np.array_equal(kkt.residual(X, sigma)[0], F)
+
+    def shifted(i, c):
+        Y = X.copy()
+        Y[i] += c * 3e-5 * (1.0 + abs(X[i]))
+        return kkt.residual(Y, sigma)[0]
+
+    # Fourth-order central differences: the residual differences the drift
+    # itself (step 1e-6), so a coarse probe step keeps that noise out, and
+    # the higher order keeps the smoothing curvature at small sigma out.
+    fd = np.column_stack([
+        (8 * (shifted(i, 1) - shifted(i, -1)) - (shifted(i, 2) - shifted(i, -2)))
+        / (12 * 3e-5 * (1.0 + abs(X[i]))) for i in range(X.size)])
+    assert np.max(np.abs(J - fd)) <= 1e-7 * max(1.0, np.max(np.abs(J)))
