@@ -17,7 +17,9 @@ Conventions used throughout:
   repeats the last cell's value at node k,
 * a :class:`VectorMeasure` is an absolutely continuous density per cell plus
   finitely many atoms; tails integrate over the closed interval [t, T], so
-  an atom sitting exactly at t is included.
+  an atom sitting exactly at t is included.  Tails are vectorized over t:
+  one pass (a suffix sum over the cells) serves every query time, so the
+  tails at all nodes or midpoints cost O(k), not O(k^2).
 
 Residual reports never hide a failed subproblem: conditions that cannot be
 met at all (an empty coderivative, an infeasible point) surface as infinite
@@ -226,28 +228,53 @@ class VectorMeasure:
         return tv
 
     def tail(self, field: FieldMap, state: Path, control: Path,
-             t: float) -> Array:
+             t: float | Array) -> Array:
         """Integral of the transposed constraint gradient over [t, T].
 
         The gradient is frozen at the left node of each cell, which is exact
         for the piecewise-constant densities stored here whenever the field
         gradients are constant along the cell.  Atoms at times >= t count.
+
+        Vectorized over t: a scalar gives one R^{n+m} vector, an array of
+        times one row per time.  All tails come from one pass: the cell
+        integrands h G_j density_j are summed from the right once, so each
+        query costs a lookup plus its partial cell, O(k + len(t) + atoms)
+        in total (see :func:`_tail_cells` for which cells count).
         """
-        nodes = self.mesh.nodes
-        h = self.mesh.h
-        out = np.zeros(field.n + field.m)
-        for j in range(self.mesh.k):
-            right = float(nodes[j + 1])
-            if right <= t + 1e-14:
-                continue
-            left = float(nodes[j])
-            length = h if left >= t - 1e-14 else right - t
-            out += length * _grad_T(field, state.at(left), control.at(left)) \
-                @ self.density[j]
+        k = self.mesh.k
+        ts = np.asarray(t, dtype=float)
+        tq = np.atleast_1d(ts)
+        grads = _grads_T(field, state.values[:k], control.values[:k])
+        g = (grads @ self.density[:, :, np.newaxis])[:, :, 0]
+        suffix = np.zeros((k + 1, field.n + field.m))
+        suffix[:k] = np.cumsum((self.mesh.h * g)[::-1], axis=0)[::-1]
+        full, cut, length = _tail_cells(self.mesh, tq)
+        out = suffix[full]
+        at = cut >= 0
+        out[at] += length[at, np.newaxis] * g[cut[at]]
         for tau, w in self.atoms:
-            if tau >= t - 1e-14:
-                out += _grad_T(field, state.at(tau), control.at(tau)) @ w
-        return out
+            atom = _grad_T(field, state.at(tau), control.at(tau)) @ w
+            out[tau >= tq - 1e-14] += atom
+        return out.reshape(ts.shape + (field.n + field.m,))
+
+
+def _tail_cells(mesh: Mesh, t: Array) -> tuple[Array, Array, Array]:
+    """Which cells of the mesh lie in [t, T], for each time in t.
+
+    A cell counts in full (length h) when its left node is >= t - 1e-14 and
+    is cut at t when only its right node is > t + 1e-14.  Returns
+    (full, cut, length): cells full[i] .. k - 1 count in full for t[i], and
+    where cut[i] >= 0 that cell counts with length[i] = t_{cut[i]+1} - t[i].
+    """
+    nodes = mesh.nodes
+    k = mesh.k
+    first_full = np.searchsorted(nodes, t - 1e-14, side="left")
+    first_in = np.searchsorted(nodes[1:], t + 1e-14, side="right")
+    full = np.minimum(np.maximum(first_full, first_in), k)
+    has_cut = (first_in < first_full) & (first_full <= k)
+    cut = np.where(has_cut, first_full - 1, -1)
+    length = np.where(has_cut, nodes[np.minimum(first_full, k)] - t, 0.0)
+    return full, cut, length
 
 
 def _grad_T(field: FieldMap, x: Array, u: Array) -> Array:
@@ -255,6 +282,16 @@ def _grad_T(field: FieldMap, x: Array, u: Array) -> Array:
     Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x, u), dtype=float))
     Ju = np.atleast_2d(np.asarray(field.dpsi_du(x, u), dtype=float))
     return np.hstack([Jx, Ju]).T
+
+
+def _grads_T(field: FieldMap, xs: Array, us: Array) -> Array:
+    """:func:`_grad_T` at each row pair of (xs, us): shape (rows, n + m, s).
+
+    Each slice is a transposed view laid out exactly as ``_grad_T`` returns
+    it, so products with it round as the per-point ones do.
+    """
+    J = np.stack([_grad_T(field, x, u).T for x, u in zip(xs, us)])
+    return J.transpose(0, 2, 1)
 
 
 def _hess_xx(field: FieldMap, x: Array, u: Array, w: Array) -> Array:
@@ -416,15 +453,11 @@ def _interior_margin(theta: ThetaSet, z: Array) -> float:
 def _midpoint_q(cert: Certificate, field: FieldMap, state: Path,
                 control: Path) -> Array:
     """q at cell midpoints: interpolated adjoint minus the measure tail."""
-    mesh = state.mesh
-    nodes = mesh.nodes
-    out = np.zeros((mesh.k, field.n + field.m))
+    nodes = state.mesh.nodes
     pvals = cert.p.values
-    for j in range(mesh.k):
-        t_mid = 0.5 * (float(nodes[j]) + float(nodes[j + 1]))
-        p_mid = 0.5 * (pvals[j] + pvals[j + 1])
-        out[j] = p_mid - cert.gamma.tail(field, state, control, t_mid)
-    return out
+    t_mid = 0.5 * (nodes[:-1] + nodes[1:])
+    p_mid = 0.5 * (pvals[:-1] + pvals[1:])
+    return p_mid - cert.gamma.tail(field, state, control, t_mid)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +637,8 @@ def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
         else:
             qu = max(qu, float(np.linalg.norm(q_mid[j, n:])))
 
-    qg = 0.0
-    for j in range(k + 1):
-        tail_j = cert.gamma.tail(field, state, control, float(nodes[j]))
-        qg = max(qg, float(np.linalg.norm(cert.q[j] - (pvals[j] - tail_j))))
+    tails = cert.gamma.tail(field, state, control, nodes)
+    qg = float(np.max(np.linalg.norm(cert.q - (pvals - tails), axis=1)))
 
     x_T = state.values[k]
     u_T = control.values[k]
@@ -1083,8 +1114,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     eta_path = recover_eta(system, state, control)
     sg = _running_subgradients(problem, state, control)
 
-    grads = [_grad_T(field, state.values[j], control.values[j])
-             for j in range(k)]
+    grads = _grads_T(field, state.values[:k], control.values[:k])
     x_T = state.values[k]
     u_T = control.values[k]
     grad_T_end = _grad_T(field, x_T, u_T)
@@ -1099,7 +1129,6 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     contact = [j for j in range(k)
                if min(_interior_margin(theta, psis[j]),
                       _interior_margin(theta, psis[j + 1])) <= 1e-6]
-    dens_index = {j: idx for idx, j in enumerate(contact)}
 
     npv = (k + 1) * (n + m)
     ndv = len(contact) * s
@@ -1113,19 +1142,21 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     def px_slice(j: int) -> slice:
         return slice(j * (n + m), j * (n + m) + n)
 
-    def dens_slice(j: int) -> slice:
-        idx = dens_index[j]
-        return slice(npv + idx * s, npv + (idx + 1) * s)
+    # Length of each contact cell inside [t_mid, T], for every midpoint: the
+    # cells the tail at that midpoint integrates, as VectorMeasure.tail
+    # counts them.
+    t_mid = 0.5 * (nodes[:-1] + nodes[1:])
+    full, cut, length = _tail_cells(mesh, t_mid)
+    weights = np.where(np.arange(k) >= full[:, np.newaxis], h, 0.0)
+    at = cut >= 0
+    weights[at, cut[at]] = length[at]
+    weights = weights[:, contact, np.newaxis, np.newaxis]
+    grads_u = grads[contact, n:, :]
+    dens_cols = slice(npv, i_atom)
 
-    def tail_cells(t: float) -> list[tuple[int, float]]:
-        out = []
-        for jp in range(k):
-            right = float(nodes[jp + 1])
-            if right <= t + 1e-14:
-                continue
-            left = float(nodes[jp])
-            out.append((jp, h if left >= t - 1e-14 else right - t))
-        return out
+    def dens_block(blocks: Array) -> Array:
+        """(cells, rows, s) blocks side by side as the density columns."""
+        return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], ndv)
 
     rows: list[Array] = []
     rhs: list[Array] = []
@@ -1134,8 +1165,6 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
         x_j = state.values[j]
         u_j = control.values[j]
         eta_j = eta_path.values[j]
-        t_mid = 0.5 * (float(nodes[j]) + float(nodes[j + 1]))
-        cells = tail_cells(t_mid)
         hxx = _hess_xx(field, x_j, u_j, eta_j)
         hux = _hess_ux(field, x_j, u_j, eta_j)
         Hmat = np.vstack([hxx, hux])  # (n+m, n)
@@ -1147,9 +1176,8 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
         M[:, p_slice(j + 1)] += eye / h
         M[:, px_slice(j)] -= 0.5 * Hmat
         M[:, px_slice(j + 1)] -= 0.5 * Hmat
-        for jp, coef in cells:
-            if jp in dens_index:
-                M[:, dens_slice(jp)] += coef * (Hmat @ grads[jp][:n, :])
+        M[:, dens_cols] += dens_block(
+            weights[j] * (Hmat @ grads[:, :n, :])[contact])
         M[:, i_atom:i_atom + s] += Hmat @ grad_T_end[:n, :]
         b = lam * np.concatenate([sg.w_x[j], sg.w_u[j]]) \
             - Hmat @ (lam * sg.v_x[j])
@@ -1162,9 +1190,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
         sl_j1 = p_slice(j + 1)
         M[:, sl_j.start + n:sl_j.stop] += 0.5 * np.eye(m)
         M[:, sl_j1.start + n:sl_j1.stop] += 0.5 * np.eye(m)
-        for jp, coef in cells:
-            if jp in dens_index:
-                M[:, dens_slice(jp)] -= coef * grads[jp][n:, :]
+        M[:, dens_cols] -= dens_block(weights[j] * grads_u)
         M[:, i_atom:i_atom + s] -= grad_T_end[n:, :]
         rows.append(M)
         rhs.append(lam * sg.v_u[j] if problem.uses_udot else np.zeros(m))
@@ -1199,17 +1225,14 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
 
     p_arr = X[:npv].reshape(k + 1, n + m)
     dens = np.zeros((k, s))
-    for j in contact:
-        dens[j] = X[dens_slice(j)]
+    dens[contact] = X[dens_cols].reshape(-1, s)
     w_atom = X[i_atom:i_atom + s]
     atoms: tuple[tuple[float, Array], ...] = ()
     if float(np.linalg.norm(w_atom)) > 1e-9:
         atoms = ((float(mesh.T), w_atom),)
     gamma = VectorMeasure(mesh=mesh, density=dens, atoms=atoms)
     p_path = Path(mesh=mesh, values=p_arr)
-    q = np.zeros((k + 1, n + m))
-    for j in range(k + 1):
-        q[j] = p_arr[j] - gamma.tail(field, state, control, float(nodes[j]))
+    q = p_arr - gamma.tail(field, state, control, nodes)
     nu_vals = np.vstack([dens, dens[-1:]]) if k else np.zeros((1, s))
     return Certificate(lam=lam, p=p_path, q=q, eta=eta_path, gamma=gamma,
                        subgrad=sg, nu=Path(mesh=mesh, values=nu_vals),

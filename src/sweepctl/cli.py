@@ -579,9 +579,7 @@ def parse_certificate(data: dict, problem: OcpProblem, state: Path,
             v_u=v_u)
 
     if q is None:
-        q = np.array([p[j] - gamma.tail(field, state, control,
-                                        float(mesh.nodes[j]))
-                      for j in range(k + 1)])
+        q = p - gamma.tail(field, state, control, mesh.nodes)
     try:
         return Certificate(lam=lam, p=Path(mesh=mesh, values=p), q=q, eta=eta,
                            gamma=gamma, subgrad=subgrad, nu=nu)

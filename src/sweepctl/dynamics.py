@@ -221,11 +221,10 @@ def step_catching_up(system: SweepingSystem, x_j: Array, u_next: Array,
     y, dec = project_onto_moving_set(
         eff, system.theta, u_next, drifted,
         warm_start=x_j if warm_start is None else warm_start)
-    z = psi_eval(eff, y, u_next)
     record = StepRecord(
         eta=dec.eta,
         projection_residual=dec.residual,
-        feasibility=feasibility_violation(system.theta, z),
+        feasibility=feasibility_violation(system.theta, dec.psi),
         active_indices=dec.active_indices,
     )
     return y, record

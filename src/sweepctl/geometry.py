@@ -431,12 +431,13 @@ class ConeDecomposition:
     """Multiplier eta in N_Theta(psi(x,u)) with grad_x psi^T eta = v.
 
     ``active_indices`` is the active set I(x, u) of psi components;
-    ``residual`` is ||grad_x psi^T eta - v||.
+    ``residual`` is ||grad_x psi^T eta - v||; ``psi`` is psi(x, u) itself.
     """
 
     eta: Array
     active_indices: tuple[int, ...]
     residual: float
+    psi: Array
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +484,11 @@ def _project_onto_halfspaces(G: Array, g: Array,
 
 def _sqp_local_projection(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
                           warm: Array, tol: float, max_iter: int = 100,
-                          ) -> tuple[Array, Array, tuple[int, ...]]:
+                          ) -> tuple[Array, Array, tuple[int, ...], Array]:
     """Local projection for nonlinear psi (or smooth Theta) from a warm start.
 
     Sequentially projects onto the linearized constraint system at the
-    current iterate; returns (y, eta, active_indices).
+    current iterate; returns (y, eta, active_indices, psi(y, u)).
     """
     y = np.asarray(warm, dtype=float).copy()
     for _ in range(max_iter):
@@ -504,7 +505,7 @@ def _sqp_local_projection(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
     eta = lift(mu)
     z = psi_eval(field, y, u)
     active = _active_indices(theta, z)
-    return y, eta, active
+    return y, eta, active, z
 
 
 def _constraint_rows(field: FieldMap, theta: ThetaSet, y: Array, u: Array,
@@ -579,11 +580,12 @@ def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array
         active = _active_indices(theta, z)
         J = np.atleast_2d(np.asarray(field.dpsi_dx(y, u), dtype=float))
         residual = float(np.linalg.norm((x - y) - J.T @ eta))
-        return y, ConeDecomposition(eta=eta, active_indices=active, residual=residual)
+        return y, ConeDecomposition(eta=eta, active_indices=active,
+                                    residual=residual, psi=z)
 
     if warm_start is None:
         raise ConfigurationError("nonlinear projection requires a feasible warm start")
-    candidates: list[tuple[Array, Array, tuple[int, ...]]] = []
+    candidates: list[tuple[Array, Array, tuple[int, ...], Array]] = []
     for start in [warm_start, *extra_starts]:
         try:
             candidates.append(_sqp_local_projection(field, theta, u, x,
@@ -592,14 +594,15 @@ def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array
             continue
     if not candidates:
         raise ProjectionFailureError("no projection candidate converged")
-    dists = [np.linalg.norm(y - x) for y, _, _ in candidates]
+    dists = [np.linalg.norm(cand[0] - x) for cand in candidates]
     dmin = min(dists)
     tied = [cand for cand, dist in zip(candidates, dists) if dist <= dmin + 1e-9]
     # Deterministic tie-break: lexicographically largest coordinates win.
-    y, eta, active = max(tied, key=lambda cand: tuple(cand[0]))
+    y, eta, active, z = max(tied, key=lambda cand: tuple(cand[0]))
     J = np.atleast_2d(np.asarray(field.dpsi_dx(y, u), dtype=float))
     residual = float(np.linalg.norm((x - y) - J.T @ eta))
-    return y, ConeDecomposition(eta=eta, active_indices=active, residual=residual)
+    return y, ConeDecomposition(eta=eta, active_indices=active,
+                                residual=residual, psi=z)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +660,8 @@ def normal_cone_decompose(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
     violation = theta.normal_cone_violation(z, eta, tol=max(TOL_FEAS, tol))
     if violation > tol:
         raise NotInConeError(f"eta={eta} violates N_Theta by {violation:.3e}")
-    return ConeDecomposition(eta=eta, active_indices=active, residual=residual)
+    return ConeDecomposition(eta=eta, active_indices=active, residual=residual,
+                             psi=z)
 
 
 def _signed_cone_distance(cols: Array, v: Array, signs: Sequence[int]) -> float:

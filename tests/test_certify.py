@@ -685,6 +685,64 @@ def test_vector_measure_arithmetic():
                                [0.5 - 3.0, 0.5 - 3.0])
 
 
+def _loop_tail(vm, field, state, control, t):
+    """Per-cell reference for VectorMeasure.tail at one time."""
+    def grad_T(t):
+        x, u = state.at(t), control.at(t)
+        return np.hstack([np.atleast_2d(field.dpsi_dx(x, u)),
+                          np.atleast_2d(field.dpsi_du(x, u))]).T
+
+    nodes = vm.mesh.nodes
+    out = np.zeros(field.n + field.m)
+    for j in range(vm.mesh.k):
+        right = float(nodes[j + 1])
+        if right <= t + 1e-14:
+            continue
+        left = float(nodes[j])
+        length = vm.mesh.h if left >= t - 1e-14 else right - t
+        out += length * grad_T(left) @ vm.density[j]
+    for tau, w in vm.atoms:
+        if tau >= t - 1e-14:
+            out += grad_T(tau) @ w
+    return out
+
+
+@pytest.mark.parametrize("n, m, s", [(1, 1, 1), (2, 1, 3), (1, 3, 2),
+                                     (3, 2, 1), (2, 2, 2), (3, 3, 3)])
+def test_vectorized_tail_matches_the_per_point_loop(n, m, s):
+    rng = np.random.default_rng([n, m, s])
+    A, B = rng.standard_normal((s, n)), rng.standard_normal((s, m))
+    c, d = rng.standard_normal(s), rng.standard_normal(s)
+    # State- and control-dependent gradients, so every node's differs.
+    field = FieldMap(
+        n=n, m=m, s=s,
+        psi=lambda x, u: A @ x + B @ u + c * np.sum(np.sin(x)),
+        dpsi_dx=lambda x, u: A + np.outer(c, np.cos(x)),
+        dpsi_du=lambda x, u: B + np.outer(d, u ** 2))
+    k, T = 9, 1.3
+    mesh = Mesh(k=k, T=T)
+    nodes = mesh.nodes
+    state = Path(mesh=mesh, values=rng.standard_normal((k + 1, n)))
+    control = Path(mesh=mesh, values=rng.standard_normal((k + 1, m)))
+    atoms = tuple((t, rng.standard_normal(s))
+                  for t in (float(nodes[4]), T, 0.37 * T))
+    vm = VectorMeasure(mesh=mesh, density=rng.standard_normal((k, s)),
+                       atoms=atoms)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    near = np.concatenate([nodes[1:-1] - 5e-16, nodes[1:-1] + 5e-16])
+    ts = np.concatenate([nodes, mids, [0.0, T, 0.37 * T], near])
+    ref = np.array([_loop_tail(vm, field, state, control, float(t))
+                    for t in ts])
+    got = vm.tail(field, state, control, ts)
+    assert got.shape == (len(ts), n + m)
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+    one = vm.tail(field, state, control, float(mids[3]))
+    assert one.shape == (n + m,)
+    np.testing.assert_allclose(one, ref[k + 1 + 3], rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
 def test_vector_measure_validation():
     mesh = Mesh(k=4, T=1.0)
     with pytest.raises(ConfigurationError):

@@ -5,6 +5,7 @@ files produced by the ``export`` subcommand, and checks exit codes, the
 files left behind, and the printed summary lines.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -307,6 +308,32 @@ def test_certify_flags_suboptimal_pair(tmp_path, capsys):
     assert report["passed"] is False
     assert report["stationarity"]["passed"] is True
     assert report["max_condition"]["passed"] is False
+
+
+def test_certify_constraint_gradients_scale_linearly_in_k(tmp_path,
+                                                         monkeypatch):
+    # Every measure tail of a certify run comes from one pass over the
+    # cells, so constraint gradients are evaluated O(k) times in total; a
+    # per-point tail loop would make this O(k^2).
+    k = 200
+    calls = [0]
+    build_field = cli._build_field
+
+    def counting_field(*args):
+        field = build_field(*args)
+
+        def dpsi_dx(x, u):
+            calls[0] += 1
+            return field.dpsi_dx(x, u)
+        return dataclasses.replace(field, dpsi_dx=dpsi_dx)
+
+    spec_path = export_spec(tmp_path, "elastoplastic61", k)
+    sol = write_pair(tmp_path, *solution_on_mesh("elastoplastic61", k))
+    monkeypatch.setattr(cli, "_build_field", counting_field)
+    rc = cli.main(["certify", spec_path, "--solution", sol,
+                   "--out-dir", str(tmp_path / "cert")])
+    assert rc == 0
+    assert 0 < calls[0] <= 20 * k
 
 
 def test_certify_inconsistent_pair_exits_5_without_report(tmp_path):

@@ -20,6 +20,7 @@ from sweepctl.geometry import (
     FieldMap,
     LinearImagePolyhedron,
     NonpositiveOrthant,
+    psi_eval,
 )
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,28 @@ def test_effective_field_is_built_once_per_system():
     plain = SweepingSystem(f=lambda t, x: np.zeros(2), field=field,
                            theta=NonpositiveOrthant(1), x0=[-1.0, 0.0], T=1.0)
     assert plain.effective_field() is field
+
+
+def test_simulate_evaluates_psi_once_per_step(monkeypatch):
+    # The projection already evaluates psi at the projected point; the step
+    # reads feasibility from that value instead of evaluating psi again.
+    from sweepctl import dynamics, geometry
+    from sweepctl.problems import instance, solution_on_mesh
+    system = instance("elastoplastic61").problem.system
+    _, control = solution_on_mesh("elastoplastic61", 40)
+    seen = []
+
+    def counting_psi(field, x, u):
+        z = psi_eval(field, x, u)
+        seen.append(z)
+        return z
+    monkeypatch.setattr(geometry, "psi_eval", counting_psi)
+    monkeypatch.setattr(dynamics, "psi_eval", counting_psi)
+    state, records = simulate(system, control)
+    assert len(seen) == 1 + control.mesh.k
+    for j, rec in enumerate(records):
+        z = psi_eval(system.field, state.values[j + 1], control.values[j + 1])
+        assert rec.feasibility == dynamics.feasibility_violation(system.theta, z)
 
 
 # ---------------------------------------------------------------------------
