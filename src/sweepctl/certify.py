@@ -36,18 +36,16 @@ from typing import Any
 import numpy as np
 
 from .geometry import (
-    Box,
     ConfigurationError,
     DomainError,
     FieldMap,
-    LinearImagePolyhedron,
     NonpositiveOrthant,
     NotInConeError,
     SmoothInequality,
     SurjectivityError,
     ThetaSet,
     _cone_generators,
-    _image_as_box,
+    _halfspaces_of,
     _signed_cone_distance,
     coderivative_orthant,
     coderivative_theta,
@@ -431,23 +429,11 @@ def theta_quantities(problem: OcpProblem, z: DiscreteDecision,
 def _interior_margin(theta: ThetaSet, z: Array) -> float:
     """How strictly z sits inside Theta (negative outside, 0 on the boundary)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if isinstance(theta, NonpositiveOrthant):
-        return float(-np.max(z))
-    if isinstance(theta, Box):
-        margin = math.inf
-        for i, (lo, hi) in enumerate(zip(theta.lower, theta.upper)):
-            if np.isfinite(hi):
-                margin = min(margin, hi - z[i])
-            if np.isfinite(lo):
-                margin = min(margin, z[i] - lo)
-        return float(margin)
     if isinstance(theta, SmoothInequality):
         hv = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
         return float(-np.max(hv))
-    if isinstance(theta, LinearImagePolyhedron):
-        H, d = theta.halfspaces()
-        return float(np.min(d - H @ z))
-    raise ConfigurationError("unknown Theta variant")
+    H, d = _halfspaces_of(theta)
+    return float(np.min(d - H @ z, initial=math.inf))
 
 
 def _midpoint_q(cert: Certificate, field: FieldMap, state: Path,
@@ -866,17 +852,16 @@ def conventional_sufficiency_check(problem: OcpProblem, state: Path,
 
 def _interior_margin_component(theta: ThetaSet, z: Array, i: int) -> float:
     """Margin of one component of z to its nearest boundary in Theta."""
-    if isinstance(theta, NonpositiveOrthant):
-        return float(-z[i])
-    if isinstance(theta, Box):
-        margin = math.inf
-        lo, hi = theta.lower[i], theta.upper[i]
-        if np.isfinite(hi):
-            margin = min(margin, hi - z[i])
-        if np.isfinite(lo):
-            margin = min(margin, z[i] - lo)
-        return float(margin)
-    raise ConfigurationError("componentwise activity needs an orthant or box target")
+    bounds = theta.bounds()
+    if bounds is None:
+        raise ConfigurationError("componentwise activity needs a box-like target")
+    lo, hi = bounds[0][i], bounds[1][i]
+    margin = math.inf
+    if np.isfinite(hi):
+        margin = min(margin, hi - z[i])
+    if np.isfinite(lo):
+        margin = min(margin, z[i] - lo)
+    return float(margin)
 
 
 # ---------------------------------------------------------------------------
@@ -891,11 +876,13 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
     """Endpoint qualification: only the zero multiplier may be two-sided.
 
     Degeneracy means some nonzero element lies both in the coderivative of
-    the normal-cone map at zero direction and in minus the normal cone; for
-    orthant and box targets that happens exactly when an active component
-    carries a strictly positive velocity multiplier, and the witness is the
-    corresponding signed unit vector.  Requires the full constraint Jacobian
-    at the endpoint to be surjective.
+    the normal-cone map at zero direction and in minus the normal cone.  For
+    a target with an interval form (``theta.bounds()``: orthant, box,
+    diagonal linear image) that happens exactly when a component at an end
+    carries a nonzero multiplier pointing out of that end, and the witness
+    is the signed unit vector -e_i at an upper end, +e_i at a lower end.  A
+    smooth inequality target is judged through its lifted multiplier.
+    Requires the full constraint Jacobian at the endpoint to be surjective.
     """
     x_T = np.atleast_1d(np.asarray(x_T, dtype=float))
     u_T = np.atleast_1d(np.asarray(u_T, dtype=float))
@@ -911,24 +898,19 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
     if theta.normal_cone_violation(z, eta_T, tol=act_tol) > act_tol:
         raise DomainError("eta_T is not in the normal cone at psi(x_T, u_T)")
 
-    if isinstance(theta, NonpositiveOrthant):
-        for i in range(theta.s):
-            if z[i] >= -act_tol and eta_T[i] > pos_tol:
-                witness = np.zeros(theta.s)
-                witness[i] = -1.0
-                return NondegeneracyResult(nondegenerate=False, witness=witness)
+    bounds = theta.bounds()
+    if bounds is not None:
+        for i, (lo, hi) in enumerate(zip(*bounds)):
+            if np.isfinite(hi) and z[i] >= hi - act_tol and eta_T[i] > pos_tol:
+                sign = -1.0
+            elif np.isfinite(lo) and z[i] <= lo + act_tol and eta_T[i] < -pos_tol:
+                sign = 1.0
+            else:
+                continue
+            witness = np.zeros(theta.s)
+            witness[i] = sign
+            return NondegeneracyResult(nondegenerate=False, witness=witness)
         return NondegeneracyResult(nondegenerate=True)
-    if isinstance(theta, Box):
-        return _box_nondegeneracy(theta, z, eta_T, act_tol, pos_tol)
-    if isinstance(theta, LinearImagePolyhedron):
-        box = _image_as_box(theta)
-        diag = np.diag(theta._A())
-        result = _box_nondegeneracy(box, z / diag, eta_T * diag,
-                                    act_tol, pos_tol)
-        if result.witness is None:
-            return result
-        return NondegeneracyResult(nondegenerate=False,
-                                   witness=result.witness / diag)
     if isinstance(theta, SmoothInequality):
         hv = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
         Dh = np.atleast_2d(np.asarray(theta.jac(z), dtype=float))
@@ -943,21 +925,8 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
             if hv[i] >= -act_tol and mu[i] > pos_tol:
                 return NondegeneracyResult(nondegenerate=False, witness=-Dh[i])
         return NondegeneracyResult(nondegenerate=True)
-    raise ConfigurationError("unknown Theta variant")
-
-
-def _box_nondegeneracy(theta: Box, z: Array, eta: Array, act_tol: float,
-                       pos_tol: float) -> NondegeneracyResult:
-    for i, (lo, hi) in enumerate(zip(theta.lower, theta.upper)):
-        if np.isfinite(hi) and z[i] >= hi - act_tol and eta[i] > pos_tol:
-            witness = np.zeros(len(theta.lower))
-            witness[i] = -1.0
-            return NondegeneracyResult(nondegenerate=False, witness=witness)
-        if np.isfinite(lo) and z[i] <= lo + act_tol and eta[i] < -pos_tol:
-            witness = np.zeros(len(theta.lower))
-            witness[i] = 1.0
-            return NondegeneracyResult(nondegenerate=False, witness=witness)
-    return NondegeneracyResult(nondegenerate=True)
+    raise ConfigurationError(
+        "nondegeneracy needs a box-like or inequality-described target")
 
 
 def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,

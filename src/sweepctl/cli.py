@@ -530,7 +530,7 @@ def parse_certificate(data: dict, problem: OcpProblem, state: Path,
         raise SpecError("certificate file must be a JSON object")
     mesh = state.mesh
     k = mesh.k
-    field = problem.system.field
+    field = problem.system.effective_field()
     n, m, s = field.n, field.m, field.s
     try:
         lam = float(data.get("lam", 1.0))

@@ -6,11 +6,19 @@ This module owns the two geometric ingredients of a controlled moving set
 
 namely the target set ``Theta`` (orthant, box, smooth-inequality, or linear
 image of a polyhedron) and the field ``psi`` together with its derivatives.
+It owns both descriptions of ``Theta`` the rest of the package reads, each
+built once per set: ``halfspaces()``, the rows {z : H z <= d} of a polyhedral
+Theta, and ``bounds()``, the intervals lo <= z <= hi of a box-like Theta
+(orthant, box, or a linear image with diagonal A and axis-aligned Z).  Code
+that works row by row reads the first, code that works component by
+component reads the second; no other module decides how a Theta variant
+is written as bounds.
 On top of those it provides the operations the rest of the package leans on:
 Euclidean projection onto ``C(u)`` with KKT multiplier recovery, the
 decomposition of a normal-cone element through ``grad_x psi`` into a
 ``Theta``-cone multiplier, and the per-index classification of the
-coderivative of the orthant/box normal-cone map.
+coderivative of the normal-cone map of a box-like Theta (one interval case
+table).
 
 Every projection onto a polyhedron (the affine projection, each linearized
 subproblem of the nonlinear one, and polyhedral distances) is one exact
@@ -73,8 +81,12 @@ class ThetaSet:
     """Base class for the supported Theta variants.
 
     A variant must know its ambient dimension ``s``, decide membership, and
-    (for the polyhedral variants) describe itself as a halfspace system
-    ``{z : H z <= d}`` so projections and cone tests can share one QP path.
+    describe itself in up to two forms, each built once per set:
+    ``halfspaces()`` gives the rows ``{z : H z <= d}`` of a polyhedral set
+    (so projections and cone tests share one QP path), and ``bounds()``
+    gives the componentwise interval form ``lo <= z <= hi`` of a box-like
+    set (so complementarity pairs, coderivatives and componentwise activity
+    read one description).
     """
 
     s: int
@@ -90,15 +102,27 @@ class ThetaSet:
         """
         return self._halfspaces
 
+    def bounds(self) -> tuple[Array, Array] | None:
+        """Return (lo, hi) with Theta = {z : lo <= z <= hi}, or None.
+
+        Infinite entries mark unbounded sides.  None means Theta is not a
+        product of intervals in its own coordinates.  Built once per set;
+        both arrays are read-only.
+        """
+        return self._bounds
+
     @cached_property
     def _halfspaces(self) -> tuple[Array, Array] | None:
-        pair = self._build_halfspaces()
-        if pair is not None:
-            for arr in pair:
-                arr.flags.writeable = False
-        return pair
+        return _read_only(self._build_halfspaces())
+
+    @cached_property
+    def _bounds(self) -> tuple[Array, Array] | None:
+        return _read_only(self._build_bounds())
 
     def _build_halfspaces(self) -> tuple[Array, Array] | None:
+        return None
+
+    def _build_bounds(self) -> tuple[Array, Array] | None:
         return None
 
     def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
@@ -106,35 +130,64 @@ class ThetaSet:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class NonpositiveOrthant(ThetaSet):
-    """Theta = R^s_- (every coordinate nonpositive)."""
+def _read_only(pair: tuple[Array, Array] | None) -> tuple[Array, Array] | None:
+    if pair is not None:
+        for arr in pair:
+            arr.flags.writeable = False
+    return pair
 
-    s: int
+
+class _IntervalTheta(ThetaSet):
+    """Membership and normal cone of a product of intervals, read off bounds()."""
 
     def contains(self, z: Array, tol: float = TOL_FEAS) -> bool:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.s,):
             raise ConfigurationError(f"expected point in R^{self.s}, got shape {z.shape}")
-        return bool(np.all(z <= tol))
+        lo, hi = self.bounds()
+        return all(lo_i - tol <= zi <= hi_i + tol
+                   for zi, lo_i, hi_i in zip(z.tolist(), lo.tolist(), hi.tolist()))
 
     def _build_halfspaces(self) -> tuple[Array, Array]:
-        return np.eye(self.s), np.zeros(self.s)
+        # Per component: the row +e_i <= hi_i, then -e_i <= -lo_i; finite ones.
+        lo, hi = self.bounds()
+        eye = np.eye(self.s)
+        rows = np.stack([eye, -eye], axis=1).reshape(2 * self.s, self.s)
+        rhs = np.stack([hi, -lo], axis=1).ravel()
+        finite = np.isfinite(rhs)
+        return rows[finite], rhs[finite]
 
     def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
-        z = np.asarray(z, dtype=float)
-        eta = np.asarray(eta, dtype=float)
+        z = np.asarray(z, dtype=float).tolist()
+        eta = np.asarray(eta, dtype=float).tolist()
+        lo, hi = self.bounds()
         worst = 0.0
-        for zi, ei in zip(z, eta):
-            if zi < -tol:
-                worst = max(worst, abs(ei))
-            else:
+        for zi, ei, lo_i, hi_i in zip(z, eta, lo.tolist(), hi.tolist()):
+            at_hi = hi_i < np.inf and zi >= hi_i - tol
+            at_lo = lo_i > -np.inf and zi <= lo_i + tol
+            if at_hi and at_lo:
+                continue  # degenerate interval: eta_i is free
+            if at_hi:
                 worst = max(worst, max(0.0, -ei))
+            elif at_lo:
+                worst = max(worst, max(0.0, ei))
+            else:
+                worst = max(worst, abs(ei))
         return worst
 
 
 @dataclass(frozen=True)
-class Box(ThetaSet):
+class NonpositiveOrthant(_IntervalTheta):
+    """Theta = R^s_- (every coordinate nonpositive)."""
+
+    s: int
+
+    def _build_bounds(self) -> tuple[Array, Array]:
+        return np.full(self.s, -np.inf), np.zeros(self.s)
+
+
+@dataclass(frozen=True)
+class Box(_IntervalTheta):
     """Theta = product of intervals [lower_i, upper_i]; infinite bounds allowed."""
 
     lower: tuple[float, ...]
@@ -151,46 +204,8 @@ class Box(ThetaSet):
     def s(self) -> int:  # type: ignore[override]
         return len(self.lower)
 
-    def contains(self, z: Array, tol: float = TOL_FEAS) -> bool:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.s,):
-            raise ConfigurationError(f"expected point in R^{self.s}, got shape {z.shape}")
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return bool(np.all(z >= lo - tol) and np.all(z <= hi + tol))
-
-    def _build_halfspaces(self) -> tuple[Array, Array]:
-        rows: list[Array] = []
-        rhs: list[float] = []
-        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            e = np.zeros(self.s)
-            e[i] = 1.0
-            if np.isfinite(hi):
-                rows.append(e)
-                rhs.append(hi)
-            if np.isfinite(lo):
-                rows.append(-e)
-                rhs.append(-lo)
-        if not rows:
-            return np.zeros((0, self.s)), np.zeros(0)
-        return np.array(rows), np.array(rhs)
-
-    def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
-        z = np.asarray(z, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        worst = 0.0
-        for zi, ei, lo, hi in zip(z, eta, self.lower, self.upper):
-            at_hi = np.isfinite(hi) and zi >= hi - tol
-            at_lo = np.isfinite(lo) and zi <= lo + tol
-            if at_hi and at_lo:
-                continue  # degenerate interval: eta_i is free
-            if at_hi:
-                worst = max(worst, max(0.0, -ei))
-            elif at_lo:
-                worst = max(worst, max(0.0, ei))
-            else:
-                worst = max(worst, abs(ei))
-        return worst
+    def _build_bounds(self) -> tuple[Array, Array]:
+        return np.array(self.lower, dtype=float), np.array(self.upper, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -267,6 +282,26 @@ class LinearImagePolyhedron(ThetaSet):
         H = np.linalg.solve(self._A().T, self._G().T).T
         return H, np.array(self.g, dtype=float)
 
+    def _build_bounds(self) -> tuple[Array, Array] | None:
+        # A diagonal A maps the axis-aligned Z = [lo, hi] onto [d lo, d hi],
+        # whose ends swap where a scale d_i is negative.
+        A = self._A()
+        if not np.allclose(A, np.diag(np.diag(A)), atol=1e-12):
+            return None
+        lo = np.full(self.s, -np.inf)
+        hi = np.full(self.s, np.inf)
+        for row, rhs in zip(self._G(), self.g):
+            nz = np.nonzero(row)[0]
+            if len(nz) != 1:
+                return None
+            i = nz[0]
+            if row[i] > 0:
+                hi[i] = min(hi[i], rhs / row[i])
+            else:
+                lo[i] = max(lo[i], rhs / row[i])
+        d = np.diag(A)
+        return np.minimum(lo * d, hi * d), np.maximum(lo * d, hi * d)
+
     def contains(self, z: Array, tol: float = TOL_FEAS) -> bool:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.s,):
@@ -278,7 +313,7 @@ class LinearImagePolyhedron(ThetaSet):
         H, d = self.halfspaces()
         z = np.asarray(z, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        active = [i for i in range(H.shape[0]) if H[i] @ z >= d[i] - tol]
+        active = _active_rows(H, d, z, tol)
         return _signed_cone_distance(H[active].T if active else np.zeros((self.s, 0)),
                                      eta, [1] * len(active))
 
@@ -533,23 +568,33 @@ def _constraint_rows(field: FieldMap, theta: ThetaSet, y: Array, u: Array,
 
 
 def _active_indices(theta: ThetaSet, z: Array, tol: float = 1e-7) -> tuple[int, ...]:
-    """Indices of psi components sitting on the boundary of their constraint."""
-    if isinstance(theta, NonpositiveOrthant):
-        return tuple(i for i in range(theta.s) if z[i] >= -tol)
-    if isinstance(theta, Box):
-        out = []
-        for i, (lo, hi) in enumerate(zip(theta.lower, theta.upper)):
-            if (np.isfinite(hi) and z[i] >= hi - tol) or \
-               (np.isfinite(lo) and z[i] <= lo + tol):
-                out.append(i)
-        return tuple(out)
+    """Indices of the constraints active at z = psi.
+
+    Components of z for an orthant or box, components of h for a smooth
+    inequality, and halfspace rows for a linear image.
+    """
+    if isinstance(theta, _IntervalTheta):
+        lo, hi = theta.bounds()
+        return tuple(i for i, (zi, lo_i, hi_i)
+                     in enumerate(zip(z.tolist(), lo.tolist(), hi.tolist()))
+                     if (hi_i < np.inf and zi >= hi_i - tol)
+                     or (lo_i > -np.inf and zi <= lo_i + tol))
     if isinstance(theta, SmoothInequality):
         h = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
         return tuple(i for i in range(theta.l) if h[i] >= -tol)
-    if isinstance(theta, LinearImagePolyhedron):
-        H, d = theta.halfspaces()
-        return tuple(i for i in range(H.shape[0]) if H[i] @ z >= d[i] - tol)
-    raise ConfigurationError("unknown Theta variant")
+    return tuple(_active_rows(*_halfspaces_of(theta), z, tol))
+
+
+def _halfspaces_of(theta: ThetaSet) -> tuple[Array, Array]:
+    hs = theta.halfspaces()
+    if hs is None:
+        raise ConfigurationError("unknown Theta variant")
+    return hs
+
+
+def _active_rows(H: Array, d: Array, z: Array, tol: float) -> list[int]:
+    """Rows of H z <= d that z meets within tol."""
+    return [i for i in range(H.shape[0]) if H[i] @ z >= d[i] - tol]
 
 
 def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
@@ -694,40 +739,22 @@ def normal_cone_distance(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
 
 def _cone_generators(theta: ThetaSet, z: Array, JT: Array,
                      tol: float = 1e-7) -> tuple[Array, list[int]]:
-    """Columns (and sign constraints) generating grad^T N_Theta(z)."""
-    cols: list[Array] = []
-    signs: list[int] = []
-    if isinstance(theta, NonpositiveOrthant):
-        for i in range(theta.s):
-            if z[i] >= -tol:
-                cols.append(JT[:, i])
-                signs.append(1)
-    elif isinstance(theta, Box):
-        for i, (lo, hi) in enumerate(zip(theta.lower, theta.upper)):
-            if np.isfinite(hi) and z[i] >= hi - tol:
-                cols.append(JT[:, i])
-                signs.append(1)
-            if np.isfinite(lo) and z[i] <= lo + tol:
-                cols.append(-JT[:, i])
-                signs.append(1)
-    elif isinstance(theta, SmoothInequality):
+    """Columns (and sign constraints) generating grad^T N_Theta(z).
+
+    One column JT a per active constraint row a: the gradient of each active
+    component of h for a smooth inequality, each active halfspace row
+    otherwise.  Every column carries the sign +1.
+    """
+    if isinstance(theta, SmoothInequality):
         h = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
         Dh = np.atleast_2d(np.asarray(theta.jac(z), dtype=float))
-        for i in range(theta.l):
-            if h[i] >= -tol:
-                cols.append(JT @ Dh[i])
-                signs.append(1)
-    elif isinstance(theta, LinearImagePolyhedron):
-        H, d = theta.halfspaces()
-        for i in range(H.shape[0]):
-            if H[i] @ z >= d[i] - tol:
-                cols.append(JT @ H[i])
-                signs.append(1)
+        rows = [Dh[i] for i in range(theta.l) if h[i] >= -tol]
     else:
-        raise ConfigurationError("unknown Theta variant")
-    if not cols:
+        H, d = _halfspaces_of(theta)
+        rows = [H[i] for i in _active_rows(H, d, z, tol)]
+    if not rows:
         return np.zeros((JT.shape[0], 0)), []
-    return np.column_stack(cols), signs
+    return np.column_stack([JT @ a for a in rows]), [1] * len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +775,7 @@ def coderivative_orthant(w: Array, xi: Array, udir: Array,
                          ) -> tuple[CoderivativeCase, ...] | None:
     """Per-index classification of D*N_{R^s_-}(w, xi)(udir).
 
-    Implements the three-case table exactly:
+    The interval table of :func:`coderivative_theta` on (-inf, 0]:
 
     * ``w_i < 0``                          -> must_be_zero
     * ``w_i = 0, xi_i = 0, udir_i <  0``   -> must_be_zero
@@ -760,124 +787,72 @@ def coderivative_orthant(w: Array, xi: Array, udir: Array,
     map (w outside the orthant, or xi outside N(w)).
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    udir = np.atleast_1d(np.asarray(udir, dtype=float))
-    if not (w.shape == xi.shape == udir.shape):
-        raise ConfigurationError("w, xi, udir must share a shape")
-    cases: list[CoderivativeCase] = []
-    for wi, xii, ui in zip(w, xi, udir):
-        if wi > act_tol:
-            raise DomainError(f"w={wi} outside the nonpositive orthant")
-        if wi < -act_tol:
-            if abs(xii) > pos_tol:
-                raise DomainError("xi must vanish where w is negative")
-            cases.append(CoderivativeCase.MUST_BE_ZERO)
-            continue
-        # active coordinate: w_i = 0
-        if xii < -pos_tol:
-            raise DomainError("xi must be nonnegative where w = 0")
-        if xii <= pos_tol:
-            if ui < -pos_tol:
-                cases.append(CoderivativeCase.MUST_BE_ZERO)
-            else:
-                cases.append(CoderivativeCase.NONNEGATIVE)
-        else:
-            if abs(ui) <= pos_tol:
-                cases.append(CoderivativeCase.FREE)
-            else:
-                return None
-    return tuple(cases)
+    return _interval_coderivative(np.full(w.shape, -np.inf), np.zeros(w.shape),
+                                  w, xi, udir, act_tol, pos_tol)
 
 
 def coderivative_theta(theta: ThetaSet, w: Array, xi: Array, udir: Array,
                        act_tol: float = TOL_FEAS, pos_tol: float = 1e-12,
                        ) -> tuple[CoderivativeCase, ...] | None:
-    """Coderivative classification for the supported decomposable variants.
+    """Per-index classification of D*N_Theta(w, xi)(udir) for box-like Theta.
 
-    Orthant delegates to :func:`coderivative_orthant`.  Box coordinates split
-    into upper-bound (orthant-like), lower-bound (mirrored, giving the
-    NONPOSITIVE case), and interior (must_be_zero).  LinearImagePolyhedron is
-    supported when A is diagonal and Z is axis-aligned, via the reduction
-    D*N_{AZ}(w,xi)(u) = A^{-T} D*N_Z(A^{-1}w, A^T xi)(A^{-1}u) which leaves
-    the per-index interval type unchanged for positive diagonal scaling.
+    Reads ``theta.bounds()``, so an orthant, a box and a linear image with
+    diagonal A and axis-aligned Z (the box it equals) share one table.  Per
+    component, with N = [0, inf) at an upper end and (-inf, 0] at a lower
+    end (an end whose normal cone holds xi_i; a degenerate interval takes
+    its upper end when xi_i >= 0):
+
+    * interior ``w_i``                       -> must_be_zero
+    * at an end, ``xi_i = 0``, ``udir_i`` pointing out of N -> must_be_zero
+    * at an end, ``xi_i = 0``, otherwise     -> nonnegative (upper end) or
+      nonpositive (lower end)
+    * ``xi_i != 0``, ``udir_i = 0``          -> free
+    * ``xi_i != 0``, ``udir_i != 0``         -> empty set (returns None)
+
+    Raises DomainError when w lies outside Theta or xi outside N_Theta(w),
+    and ConfigurationError when Theta has no interval form.
     """
+    bounds = theta.bounds()
+    if bounds is None:
+        raise ConfigurationError(
+            "coderivative classification is only available for orthant/box-like variants")
+    return _interval_coderivative(*bounds, w, xi, udir, act_tol, pos_tol)
+
+
+def _interval_coderivative(lo: Array, hi: Array, w: Array, xi: Array,
+                           udir: Array, act_tol: float, pos_tol: float,
+                           ) -> tuple[CoderivativeCase, ...] | None:
+    """The interval case table (see :func:`coderivative_theta`)."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     udir = np.atleast_1d(np.asarray(udir, dtype=float))
-    if isinstance(theta, NonpositiveOrthant):
-        return coderivative_orthant(w, xi, udir, act_tol, pos_tol)
-    if isinstance(theta, Box):
-        return _coderivative_box(theta, w, xi, udir, act_tol, pos_tol)
-    if isinstance(theta, LinearImagePolyhedron):
-        box = _image_as_box(theta)
-        A = theta._A()
-        diag = np.diag(A)
-        return _coderivative_box(box, w / diag, xi * diag, udir / diag,
-                                 act_tol, pos_tol)
-    raise ConfigurationError(
-        "coderivative classification is only available for orthant/box-like variants")
-
-
-def _coderivative_box(theta: Box, w: Array, xi: Array, udir: Array,
-                      act_tol: float, pos_tol: float,
-                      ) -> tuple[CoderivativeCase, ...] | None:
+    if not (w.shape == xi.shape == udir.shape == lo.shape):
+        raise ConfigurationError("w, xi, udir must share the shape of Theta's bounds")
     cases: list[CoderivativeCase] = []
-    for i, (lo, hi) in enumerate(zip(theta.lower, theta.upper)):
-        wi, xii, ui = w[i], xi[i], udir[i]
-        at_hi = np.isfinite(hi) and wi >= hi - act_tol
-        at_lo = np.isfinite(lo) and wi <= lo + act_tol
-        if not at_hi and not at_lo:
-            if (np.isfinite(hi) and wi > hi + act_tol) or \
-               (np.isfinite(lo) and wi < lo - act_tol):
-                raise DomainError(f"w_{i}={wi} outside [{lo}, {hi}]")
-            if abs(xii) > pos_tol:
-                raise DomainError("xi must vanish at interior coordinates")
+    for i, (lo_i, hi_i, wi, xii, ui) in enumerate(zip(lo, hi, w, xi, udir)):
+        if wi > hi_i + act_tol or wi < lo_i - act_tol:
+            raise DomainError(f"w_{i}={wi} outside [{lo_i}, {hi_i}]")
+        at_hi = np.isfinite(hi_i) and wi >= hi_i - act_tol
+        at_lo = np.isfinite(lo_i) and wi <= lo_i + act_tol
+        if at_hi and xii >= -pos_tol:
+            sign, sided = 1.0, CoderivativeCase.NONNEGATIVE
+        elif at_lo and xii <= pos_tol:
+            sign, sided = -1.0, CoderivativeCase.NONPOSITIVE
+        elif at_hi or at_lo:
+            raise DomainError(f"xi_{i}={xii} not in the interval normal cone at w_{i}={wi}")
+        elif abs(xii) > pos_tol:
+            raise DomainError(f"xi_{i}={xii} must vanish at an interior w_{i}={wi}")
+        else:
             cases.append(CoderivativeCase.MUST_BE_ZERO)
             continue
-        if at_hi and xii >= -pos_tol:
-            if xii <= pos_tol:
-                cases.append(CoderivativeCase.MUST_BE_ZERO if ui < -pos_tol
-                             else CoderivativeCase.NONNEGATIVE)
-            elif abs(ui) <= pos_tol:
-                cases.append(CoderivativeCase.FREE)
-            else:
-                return None
-        elif at_lo and xii <= pos_tol:
-            if xii >= -pos_tol:
-                cases.append(CoderivativeCase.MUST_BE_ZERO if ui > pos_tol
-                             else CoderivativeCase.NONPOSITIVE)
-            elif abs(ui) <= pos_tol:
-                cases.append(CoderivativeCase.FREE)
-            else:
-                return None
+        if abs(xii) <= pos_tol:
+            cases.append(CoderivativeCase.MUST_BE_ZERO if sign * ui < -pos_tol
+                         else sided)
+        elif abs(ui) <= pos_tol:
+            cases.append(CoderivativeCase.FREE)
         else:
-            raise DomainError(f"xi_{i}={xii} not in the interval normal cone at w_{i}={wi}")
+            return None
     return tuple(cases)
-
-
-def _image_as_box(theta: LinearImagePolyhedron) -> Box:
-    """Reduce Theta = A Z to a box when A is diagonal and Z axis-aligned."""
-    A = theta._A()
-    if not np.allclose(A, np.diag(np.diag(A)), atol=1e-12):
-        raise ConfigurationError("coderivative for LinearImagePolyhedron needs diagonal A")
-    G = theta._G()
-    g = np.asarray(theta.g, dtype=float)
-    s = theta.s
-    lower = [-np.inf] * s
-    upper = [np.inf] * s
-    for row, rhs in zip(G, g):
-        nz = np.nonzero(row)[0]
-        if len(nz) != 1:
-            raise ConfigurationError("coderivative needs axis-aligned Z halfspaces")
-        i = nz[0]
-        coef = row[i]
-        if coef > 0:
-            upper[i] = min(upper[i], rhs / coef)
-        else:
-            lower[i] = max(lower[i], rhs / coef)
-    diag = np.diag(A)
-    # Z bounds scaled into AZ bounds happen in the caller via w/diag; keep Z's box here.
-    return Box(lower=tuple(lower), upper=tuple(upper))
 
 
 def coderivative_violation(cases: tuple[CoderivativeCase, ...] | None,

@@ -45,13 +45,9 @@ import numpy as np
 from .dynamics import Mesh, Path, SimulationError, SweepingSystem, simulate
 from .geometry import (
     Array,
-    Box,
     ConfigurationError,
     FieldMap,
-    LinearImagePolyhedron,
-    NonpositiveOrthant,
     NumericalFailureError,
-    ThetaSet,
     psi_eval,
 )
 
@@ -218,39 +214,6 @@ def localization_violation(problem: OcpProblem, z: DiscreteDecision) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _theta_bounds(theta: ThetaSet) -> tuple[Array, Array]:
-    """Represent Theta as componentwise bounds lo <= z <= hi (box-like only)."""
-    if isinstance(theta, NonpositiveOrthant):
-        return np.full(theta.s, -np.inf), np.zeros(theta.s)
-    if isinstance(theta, Box):
-        return np.array(theta.lower, dtype=float), np.array(theta.upper, dtype=float)
-    if isinstance(theta, LinearImagePolyhedron):
-        A = np.array(theta.A, dtype=float)
-        if not np.allclose(A, np.diag(np.diag(A)), atol=1e-12):
-            raise ConfigurationError(
-                "transcription needs a diagonal scaling for image sets")
-        G = np.array(theta.G, dtype=float)
-        g = np.asarray(theta.g, dtype=float)
-        s = theta.s
-        lo = np.full(s, -np.inf)
-        hi = np.full(s, np.inf)
-        for row, rhs in zip(G, g):
-            nz = np.nonzero(row)[0]
-            if len(nz) != 1:
-                raise ConfigurationError(
-                    "transcription needs axis-aligned halfspaces for image sets")
-            i = nz[0]
-            if row[i] > 0:
-                hi[i] = min(hi[i], rhs / row[i])
-            else:
-                lo[i] = max(lo[i], rhs / row[i])
-        d = np.diag(A)
-        # A negative scale swaps the ends of an interval.
-        return np.minimum(lo * d, hi * d), np.maximum(lo * d, hi * d)
-    raise ConfigurationError(
-        "complementarity transcription supports orthant/box-like Theta only")
-
-
 def _signed_selector(lo: Array, hi: Array) -> tuple[Array, Array]:
     """Signed pair selector P and bound vector c for lo <= z <= hi.
 
@@ -306,7 +269,11 @@ class Transcription:
         self.problem = problem
         self.mesh = Mesh(k=k, T=problem.system.T)
         self.field = problem.system.effective_field()
-        self.P, self.c = _signed_selector(*_theta_bounds(problem.system.theta))
+        bounds = problem.system.theta.bounds()
+        if bounds is None:
+            raise ConfigurationError(
+                "complementarity transcription supports orthant/box-like Theta only")
+        self.P, self.c = _signed_selector(*bounds)
         n, m = self.field.n, self.field.m
         k = self.mesh.k
         r = len(self.c)
@@ -992,12 +959,12 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     field = problem.system.effective_field()
     # simulator multipliers satisfy the cone condition at the right node
     psi_next, _ = _psi_stack(field, decision.x[1:], decision.u[1:])
-    try:
-        P, c = _signed_selector(*_theta_bounds(problem.system.theta))
-    except ConfigurationError:  # smooth Theta: report cone violation instead
+    bounds = problem.system.theta.bounds()
+    if bounds is None:  # no interval form: report cone violation instead
         comp = max((problem.system.theta.normal_cone_violation(psi, eta)
                     for psi, eta in zip(psi_next, decision.eta)), default=0.0)
     else:
+        P, c = _signed_selector(*bounds)
         comp = _comp_residual(zip(np.maximum(decision.eta @ P.T, 0.0).ravel(),
                                   (c - psi_next @ P.T).ravel()))
     report = SolveReport(

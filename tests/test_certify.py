@@ -17,18 +17,22 @@ from sweepctl.geometry import (
     NotInConeError,
     SmoothInequality,
     SurjectivityError,
+    _cone_generators,
     coderivative_orthant,
     coderivative_theta,
     coderivative_violation,
 )
 from sweepctl.ocp import DiscreteDecision, OcpProblem
 from sweepctl.certify import (
+    ACT_TOL,
+    TOL_POS,
     Certificate,
     DiscreteCertificate,
     ResidualItem,
     ResidualReport,
     SubgradientSelection,
     VectorMeasure,
+    _interior_margin,
     assemble_certificate,
     check_nondegeneracy,
     conventional_hamiltonian,
@@ -502,6 +506,121 @@ def test_box_lower_face_witness_points_inward():
                                np.array([0.0]))
     assert coderivative_violation(cases, result.witness) == 0.0
     assert box.normal_cone_violation(np.array([0.0]), -result.witness) == 0.0
+
+
+# Per-variant branches that read an orthant or a box field by field, kept as
+# oracles for the code that now reads theta.halfspaces() and theta.bounds().
+
+def _intervals(theta):
+    if isinstance(theta, NonpositiveOrthant):
+        return [(-math.inf, 0.0)] * theta.s
+    return list(zip(theta.lower, theta.upper))
+
+
+def oracle_cone_generators(theta, z, JT, tol=1e-7):
+    cols = []
+    for i, (lo, hi) in enumerate(_intervals(theta)):
+        if np.isfinite(hi) and z[i] >= hi - tol:
+            cols.append(JT[:, i])
+        if np.isfinite(lo) and z[i] <= lo + tol:
+            cols.append(-JT[:, i])
+    if not cols:
+        return np.zeros((JT.shape[0], 0)), []
+    return np.column_stack(cols), [1] * len(cols)
+
+
+def oracle_interior_margin(theta, z):
+    if isinstance(theta, NonpositiveOrthant):
+        return float(-np.max(z))
+    margin = math.inf
+    for i, (lo, hi) in enumerate(_intervals(theta)):
+        if np.isfinite(hi):
+            margin = min(margin, hi - z[i])
+        if np.isfinite(lo):
+            margin = min(margin, z[i] - lo)
+    return float(margin)
+
+
+def oracle_nondegeneracy(theta, z, eta, act_tol=ACT_TOL, pos_tol=TOL_POS):
+    """Witness, None when nondegenerate, or "domain" when eta is rejected."""
+    intervals = _intervals(theta)
+    if any(z[i] < lo - act_tol or z[i] > hi + act_tol
+           for i, (lo, hi) in enumerate(intervals)):
+        return "domain"
+    worst = 0.0
+    for i, (lo, hi) in enumerate(intervals):
+        at_hi = np.isfinite(hi) and z[i] >= hi - act_tol
+        at_lo = np.isfinite(lo) and z[i] <= lo + act_tol
+        if at_hi and at_lo:
+            continue
+        worst = max(worst, max(0.0, -eta[i]) if at_hi else
+                    max(0.0, eta[i]) if at_lo else abs(eta[i]))
+    if worst > act_tol:
+        return "domain"
+    for i, (lo, hi) in enumerate(intervals):
+        if np.isfinite(hi) and z[i] >= hi - act_tol and eta[i] > pos_tol:
+            return -np.eye(len(intervals))[i]
+        if np.isfinite(lo) and z[i] <= lo + act_tol and eta[i] < -pos_tol:
+            return np.eye(len(intervals))[i]
+    return None
+
+
+def random_interval_case(rng):
+    """An orthant or box with points on, near and off its bounds."""
+    s = int(rng.integers(1, 5))
+    if rng.random() < 0.3:
+        theta = NonpositiveOrthant(s)
+    else:
+        lower, upper = [], []
+        for _ in range(s):
+            a, b = sorted(rng.normal(scale=2.0, size=2))
+            # [a, b], lo == hi, one-sided either way, or the whole line
+            kind = int(rng.integers(5))
+            lower.append((a, a, -math.inf, a, -math.inf)[kind])
+            upper.append((b, a, b, math.inf, math.inf)[kind])
+        theta = Box(lower=tuple(lower), upper=tuple(upper))
+    z = np.empty(s)
+    for i, (lo, hi) in enumerate(_intervals(theta)):
+        ends = [e for e in (lo, hi) if np.isfinite(e)]
+        if not ends or rng.random() < 0.15:
+            z[i] = rng.normal()
+            continue
+        e = ends[int(rng.integers(len(ends)))]
+        z[i] = e + rng.choice([0.0, 1e-8, -1e-8, 1e-7, -1e-7, 0.3, -0.3])
+    eta = rng.choice([0.0, 1e-9, -1e-9, 2e-8, -2e-8, 1.0, -1.0], size=s) \
+        * rng.uniform(0.5, 2.0, size=s)
+    JT = rng.normal(size=(int(rng.integers(1, 4)), s))
+    return theta, z, eta, JT
+
+
+def test_interval_helpers_match_the_per_variant_branches():
+    rng = np.random.default_rng(20240518)
+    counts = {"degenerate": 0, "domain": 0, "nondegenerate": 0}
+    for _ in range(4000):
+        theta, z, eta, JT = random_interval_case(rng)
+        for tol in (1e-7, ACT_TOL):
+            cols, signs = _cone_generators(theta, z, JT, tol=tol)
+            want_cols, want_signs = oracle_cone_generators(theta, z, JT, tol)
+            assert np.array_equal(cols, want_cols) and signs == want_signs
+        assert np.array_equal(_interior_margin(theta, z),
+                              oracle_interior_margin(theta, z))
+        s = theta.s
+        field = FieldMap.affine_fixed(np.eye(s), np.zeros((s, 1)), np.zeros(s))
+        want = oracle_nondegeneracy(theta, z, eta)
+        try:
+            got = check_nondegeneracy(field, theta, z, [0.0], eta)
+        except DomainError:
+            assert isinstance(want, str)
+            counts["domain"] += 1
+            continue
+        assert not isinstance(want, str)
+        if want is None:
+            assert got.nondegenerate and got.witness is None
+            counts["nondegenerate"] += 1
+        else:
+            assert not got.nondegenerate and np.array_equal(got.witness, want)
+            counts["degenerate"] += 1
+    assert min(counts.values()) >= 200, counts
 
 
 def test_nondegeneracy_validates_its_inputs():

@@ -288,6 +288,28 @@ def test_certify_explicit_certificate_file(tmp_path):
     assert report["certificate"]["fit_residual"] is None
 
 
+def test_default_q_is_built_from_the_state_mapped_field():
+    # With a state map g every report reads the effective field; the q that
+    # parse_certificate fills in must come from the same field, or a
+    # consistent certificate fails q_gamma.
+    from sweepctl.certify import residual_continuous_EL
+
+    problem = instance("counterexample53").problem
+    system = dataclasses.replace(problem.system,
+                                 g=np.array([[2.0, 0.0], [1.0, 1.0]]))
+    problem = dataclasses.replace(problem, system=system)
+    state, control = solution_on_mesh("counterexample53", 8)
+    field = system.effective_field()
+    k, s = 8, field.s
+    data = {"lam": 1.0, "p": np.zeros((k + 1, field.n + field.m)).tolist(),
+            "eta": np.zeros((k + 1, s)).tolist(),
+            "gamma": {"density": np.ones((k, s)).tolist()}}
+    cert = cli.parse_certificate(data, problem, state, control)
+    report = residual_continuous_EL(problem, state, control, cert)
+    q_gamma = {item.name: item for item in report.items}["q_gamma"]
+    assert q_gamma.residual <= 1e-12
+
+
 def test_certify_flags_suboptimal_pair(tmp_path, capsys):
     # a feasible but suboptimal pair: stationarity alone is fooled because
     # the assembled measure soaks the error on a contact cell, but the

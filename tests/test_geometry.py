@@ -188,10 +188,26 @@ class TestThetaContains:
         H, d = theta.halfspaces()
         again = theta.halfspaces()
         assert again[0] is H and again[1] is d
-        for arr in (H, d):
+        lo, hi = theta.bounds()
+        again = theta.bounds()
+        assert again[0] is lo and again[1] is hi
+        for arr in (H, d, lo, hi):
             with pytest.raises(ValueError):
                 arr[0] = 5.0
         assert all(theta.contains(z) for z in (np.zeros(2), -0.5 * np.ones(2)))
+
+    def test_bounds_exist_only_for_box_like_sets(self):
+        lo, hi = NonpositiveOrthant(2).bounds()
+        np.testing.assert_array_equal(lo, [-np.inf, -np.inf])
+        np.testing.assert_array_equal(hi, [0.0, 0.0])
+        skew = LinearImagePolyhedron(A=((2.0, 1.0), (1.0, 2.0)),
+                                     G=((1.0, 0.0),), g=(1.0,))
+        slanted = LinearImagePolyhedron(A=((1.0, 0.0), (0.0, 1.0)),
+                                        G=((1.0, 1.0),), g=(1.0,))
+        smooth = SmoothInequality(s=1, l=1, h=lambda z: z ** 2 - 1.0,
+                                  jac=lambda z: np.array([[2.0 * z[0]]]))
+        for theta in (skew, slanted, smooth):
+            assert theta.bounds() is None
 
     def test_linear_image_requires_spd(self):
         with pytest.raises(Exception):
@@ -488,24 +504,54 @@ class TestCoderivativeBox:
             (CoderivativeCase.FREE,)
         assert coderivative_theta(theta, [0.0], [-2.0], [1.0]) is None
 
-    @pytest.mark.parametrize("s", [1, 2])
-    def test_exhaustive_against_oracle(self, s):
-        lo, hi = -1.0, 1.0
-        theta = Box(lower=(lo,) * s, upper=(hi,) * s)
-        graph_points = [(0.0, 0.0), (hi, 0.0), (hi, 2.0), (lo, 0.0), (lo, -2.0)]
-        dirs = [-3.0, 0.0, 5.0]
-        per_index = [(w, xi, u) for (w, xi) in graph_points for u in dirs]
-        for combo in itertools.product(per_index, repeat=s):
-            w = np.array([t[0] for t in combo])
-            xi = np.array([t[1] for t in combo])
-            u = np.array([t[2] for t in combo])
-            expected = [box_coderivative_oracle(lo, hi, *t) for t in combo]
+    @pytest.mark.parametrize("theta, lo, hi", [
+        pytest.param(Box(lower=(-1.0,), upper=(1.0,)), (-1.0,), (1.0,), id="1"),
+        pytest.param(Box(lower=(-1.0,) * 2, upper=(1.0,) * 2),
+                     (-1.0,) * 2, (1.0,) * 2, id="2"),
+        # image sets, scored against the box each one equals
+        pytest.param(LinearImagePolyhedron(
+            A=((2.0, 0.0), (0.0, 0.5)),
+            G=((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)),
+            g=(1.0, 1.0, 1.0, 1.0)), (-2.0, -0.5), (2.0, 0.5), id="image-2-0.5"),
+        pytest.param(LinearImagePolyhedron(
+            A=((-1.0, 0.0), (0.0, 3.0)),
+            G=((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)),
+            g=(1.0, 2.0, 1.0, 1.0), require_spd=False),
+            (-1.0, -3.0), (2.0, 3.0), id="image-neg1-3"),
+    ])
+    def test_exhaustive_against_oracle(self, theta, lo, hi):
+        per_component = []
+        for lo_i, hi_i in zip(lo, hi):
+            graph_points = [(0.5 * (lo_i + hi_i), 0.0), (hi_i, 0.0), (hi_i, 2.0),
+                            (lo_i, 0.0), (lo_i, -2.0)]
+            dirs = [-3.0, 0.0, 5.0]
+            per_component.append([(lo_i, hi_i, w, xi, u)
+                                  for (w, xi) in graph_points for u in dirs])
+        for combo in itertools.product(*per_component):
+            w = np.array([t[2] for t in combo])
+            xi = np.array([t[3] for t in combo])
+            u = np.array([t[4] for t in combo])
+            expected = [box_coderivative_oracle(*t) for t in combo]
             got = coderivative_theta(theta, w, xi, u)
             if any(e is None for e in expected):
                 assert got is None
             else:
                 assert got is not None
                 assert [CASE_NAMES[c] for c in got] == expected
+
+    def test_points_outside_the_box_raise(self):
+        theta = Box(lower=(-1.0,), upper=(1.0,))
+        for w in (2.0, -2.0, 1.0 + 1e-6):
+            with pytest.raises(DomainError):
+                coderivative_theta(theta, [w], [0.0], [0.0])
+        # a one-sided box, and an image set outside the box it equals
+        with pytest.raises(DomainError):
+            coderivative_theta(Box(lower=(0.0,), upper=(np.inf,)), [-1.0],
+                               [0.0], [0.0])
+        image = LinearImagePolyhedron(A=((-1.0,),), G=((1.0,), (-1.0,)),
+                                      g=(1.0, 2.0), require_spd=False)
+        with pytest.raises(DomainError):
+            coderivative_theta(image, [2.5], [0.0], [0.0])
 
     def test_linear_image_diagonal_reduction(self):
         theta = LinearImagePolyhedron(

@@ -20,7 +20,6 @@ from sweepctl.ocp import (
     InfeasibleWarmStartError,
     OcpProblem,
     _KktSystem,
-    _theta_bounds,
     cost_eval,
     localization_violation,
     solve_shooting,
@@ -165,14 +164,14 @@ def test_theta_bounds_follow_a_negative_diagonal_scaling():
     # Z = [-2, 1] scaled by A = -1 is Theta = [-1, 2]
     theta = LinearImagePolyhedron(A=((-1.0,),), G=((1.0,), (-1.0,)),
                                   g=(1.0, 2.0), require_spd=False)
-    lo, hi = _theta_bounds(theta)
+    lo, hi = theta.bounds()
     for z in np.linspace(-3.0, 3.0, 25):
         assert bool(lo[0] <= z <= hi[0]) == theta.contains(np.array([z]))
     # a mixed-sign diagonal with one-sided Z rows
     theta = LinearImagePolyhedron(A=((-2.0, 0.0), (0.0, 3.0)),
                                   G=((1.0, 0.0), (0.0, -1.0)),
                                   g=(1.0, 1.0), require_spd=False)
-    lo, hi = _theta_bounds(theta)
+    lo, hi = theta.bounds()
     np.testing.assert_array_equal(lo, [-2.0, -3.0])
     np.testing.assert_array_equal(hi, [np.inf, np.inf])
     for z in itertools.product(np.linspace(-4.0, 4.0, 17), repeat=2):
