@@ -692,6 +692,9 @@ def _cmd_solve(args) -> int:
 
     os.makedirs(out, exist_ok=True)
     _write_solution(out, decision)
+    counters = ({"simulations": report.simulations,
+                 "line_search_trials": report.line_search_trials}
+                if method == "shooting" else {})
     _write_json(os.path.join(out, "report.json"),
                 {"status": "converged", "solver": method, "k": k,
                  "mode": problem.mode, "cost": report.cost,
@@ -699,7 +702,7 @@ def _cmd_solve(args) -> int:
                  "stat_residual": report.stat_residual,
                  "iterations": report.iterations,
                  "sigma_trace": list(report.sigma_trace),
-                 "cost_trace": list(report.cost_trace)})
+                 "cost_trace": list(report.cost_trace), **counters})
     print(f"solved ({method}, k={k}): cost {report.cost:.8g}, "
           f"stationarity {report.stat_residual:.3g}, "
           f"complementarity {report.comp_residual:.3g}, "

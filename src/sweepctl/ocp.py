@@ -29,9 +29,14 @@ continuation schedule.  The KKT residual and Jacobian are assembled from
 stage stacks (the callbacks evaluated once per node, arrays indexed by step)
 through integer index tables into the unknown vector, so the block-banded
 Jacobian is built by einsums and one scatter, not by per-step loops.
-``solve_shooting`` instead optimizes the control
-nodes directly over the catching-up simulator with finite-difference
-gradients and an Armijo line search.
+``solve_shooting`` instead optimizes the control nodes directly over the
+catching-up simulator by gradient descent with an Armijo line search.  When
+every step is the exact projection (an affine-in-x field and a polyhedral
+Theta) the gradient is exact: forward-mode tangents carried along the
+simulated trajectory, each step projecting its tangent onto the critical
+cone of that step's projection, and ``cost_grad`` for the cost.  Nonlinear
+fields and smooth Theta keep forward differences, one simulation per free
+control entry.
 """
 
 from __future__ import annotations
@@ -42,12 +47,21 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Mesh, Path, SimulationError, SweepingSystem, simulate
+from .dynamics import (
+    Mesh,
+    Path,
+    SimulationError,
+    StepRecord,
+    SweepingSystem,
+    simulate,
+)
 from .geometry import (
+    TOL_FEAS,
     Array,
     ConfigurationError,
     FieldMap,
     NumericalFailureError,
+    _project_onto_halfspaces,
     psi_eval,
 )
 
@@ -135,6 +149,10 @@ class SolveReport:
     iterations: int
     sigma_trace: tuple[float, ...]
     cost_trace: tuple[float, ...]
+    #: Work counters of ``solve_shooting`` (0 from ``solve_smoothed``):
+    #: catching-up simulations run, and line-search trials among them.
+    simulations: int = 0
+    line_search_trials: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +213,95 @@ def cost_eval(problem: OcpProblem, z: DiscreteDecision) -> float:
         else:
             total += h * float(problem.ell(t, z.x[j], z.u[j], vx[j]))
     return total + _anchor_cost(problem, z)
+
+
+def _raw_map(problem: OcpProblem, h: float) -> Array:
+    """M with (x_j, u_j, vx_j[, vu_j]) = M (z_j, z_{j+1}): the running cost's
+    raw argument from the node pair of a stage."""
+    n, m = problem.system.field.n, problem.system.field.m
+    E = np.eye(2 * (n + m))
+    V = (E[n + m:] - E[:n + m]) / h
+    return np.vstack([E[:n + m], V if problem.uses_udot else V[:n]])
+
+
+def _raw_args(problem: OcpProblem, z: Array, h: float) -> Array:
+    """The raw arguments (x_j, u_j, vx_j[, vu_j]) of every stage, stacked,
+    from the node values z_j = (x_j, u_j)."""
+    vel = np.diff(z, axis=0) / h
+    n = problem.system.field.n
+    return np.hstack([z[:-1], vel if problem.uses_udot else vel[:, :n]])
+
+
+def _ell_grad(problem: OcpProblem, t: float, raw: Array) -> Array:
+    """``dell`` at one raw argument, concatenated into one vector."""
+    n, m = problem.system.field.n, problem.system.field.m
+    args = (raw[:n], raw[n:n + m], raw[n + m:2 * n + m])
+    if problem.uses_udot:
+        args += (raw[2 * n + m:],)
+    return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float))
+                           for p in problem.dell(t, *args)])
+
+
+def _cost_terms(problem: OcpProblem, mesh: Mesh, M: Array, z: Array, g: Array,
+                gphi: Array, Hraw: Array | None = None,
+                Hphi: Array | None = None, tie_break: bool = False,
+                ) -> tuple[Array, Array | None]:
+    """Node gradient (k+1, n+m) of the discrete cost from the running-cost
+    gradient g in its raw argument (``M`` is ``_raw_map``) and the terminal
+    gradient gphi, and, given their Hessians, the per-stage Hessian blocks
+    (k, 2(n+m), 2(n+m)) over (z_j, z_{j+1}).  Anchor and (with
+    ``tie_break``) tie-break terms are exact quadratics
+    w * ||z_{j+1} - z_j - dref_j||^2 / 2 per stage."""
+    k, h = mesh.k, mesh.h
+    n, d = problem.system.field.n, z.shape[1]
+    gs = h * (g @ M)
+    gz = np.zeros((k + 1, d))
+    gz[1:] += gs[:, d:]
+    gz[:-1] += gs[:, :d]
+    gz[k, :n] += gphi
+    w = np.zeros((k, d))
+    dref = np.zeros((k, d))
+    wnode = np.zeros(d)  # W12xC control-node proximity
+    if problem.rho > 0 and problem.anchor is not None:
+        ref = np.hstack([path.at(mesh.nodes) for path in problem.anchor])
+        if problem.uses_udot:
+            w[:] = 2 * problem.rho
+            dref = np.diff(ref, axis=0)
+        else:
+            w[:, :n] = 2 * problem.rho / h
+            dref[:, :n] = np.diff(ref[:, :n], axis=0)
+            wnode[n:] = 2 * problem.rho
+            gz[:, n:] += 2 * problem.rho * (z[:, n:] - ref[:, n:])
+    if tie_break and not problem.uses_udot:
+        # Terminal-control tie-break: without it u_k only enters the
+        # endpoint constraint and the KKT matrix goes singular along u_k.
+        w[-1, n:] = 2 * UK_TIE_WEIGHT
+    rd = w * (np.diff(z, axis=0) - dref)
+    gz[1:] += rd
+    gz[:-1] -= rd
+    if Hraw is None:
+        return gz, None
+    Hc = h * (M.T @ (0.5 * (Hraw + Hraw.swapaxes(1, 2))) @ M)
+    Hc[-1, d:d + n, d:d + n] += 0.5 * (Hphi + Hphi.T)
+    Hc[:, :d, :d] += np.diag(wnode)
+    Hc[-1, d:, d:] += np.diag(wnode)
+    W = w[:, :, None] * np.eye(d)
+    return gz, Hc + np.block([[W, -W], [-W, W]])
+
+
+def cost_grad(problem: OcpProblem, z: DiscreteDecision) -> tuple[Array, Array]:
+    """Gradient (dX, dU) of :func:`cost_eval` in the state and control nodes.
+
+    Exact: built from ``dphi``, ``dell`` and the anchor quadratics, with no
+    differencing.  dX and dU have the shapes of ``z.x`` and ``z.u``.
+    """
+    mesh, n = z.mesh, z.x.shape[1]
+    Z = np.hstack([z.x, z.u])
+    g = np.array([_ell_grad(problem, float(t), r)
+                  for t, r in zip(mesh.nodes, _raw_args(problem, Z, mesh.h))])
+    gphi = np.atleast_1d(np.asarray(problem.dphi(z.x[-1]), dtype=float))
+    gz, _ = _cost_terms(problem, mesh, _raw_map(problem, mesh.h), Z, g, gphi)
+    return gz[:, :n], gz[:, n:]
 
 
 def localization_violation(problem: OcpProblem, z: DiscreteDecision) -> float:
@@ -373,10 +480,7 @@ class _KktSystem:
         self.it = start + np.arange(r)
         self.N = start + r
         self.n_stat = k * (n + m + r)
-        # The running cost's raw argument (x, u, vx[, vu]) is M (z_j, z_{j+1}).
-        E = np.eye(2 * (n + m))
-        V = (E[n + m:] - E[:n + m]) / h
-        self.M = np.vstack([E[:n + m], V if self.problem.uses_udot else V[:n]])
+        self.M = _raw_map(self.problem, h)
 
     # -- packing ------------------------------------------------------------
 
@@ -401,14 +505,6 @@ class _KktSystem:
 
     # -- stage data -----------------------------------------------------------
 
-    def _ell_grad(self, t: float, raw: Array) -> Array:
-        n, m = self.field.n, self.field.m
-        args = (raw[:n], raw[n:n + m], raw[n + m:2 * n + m])
-        if self.problem.uses_udot:
-            args += (raw[2 * n + m:],)
-        return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float))
-                               for p in self.problem.dell(t, *args)])
-
     def _stages(self, z: Array, want_hess: bool) -> tuple:
         """Every callback once per node, stacked.
 
@@ -416,15 +512,14 @@ class _KktSystem:
         per-row curvature Hz[j, i] = [[Hxx(e_i), Hux(e_i)^T], [Hux(e_i), 0]],
         the drift f and its Jacobian at steps 0..k-1, and the cost's node
         gradient and (with ``want_hess``) per-stage Hessian blocks from
-        ``_cost``.
+        ``_cost_terms``.
         """
         pb, field, mesh = self.problem, self.field, self.mesh
         k, n, h = mesh.k, field.n, mesh.h
         x, u = z[:, :n], z[:, n:]
         psi, Jz = _psi_stack(field, x, u)
         Hz = np.zeros((k + 1, field.s) + 2 * (z.shape[1],))
-        vel = np.diff(z, axis=0) / h
-        raw = np.hstack([z[:-1], vel if pb.uses_udot else vel[:, :n]])
+        raw = _raw_args(pb, z, h)
         f = np.empty((k, n))
         A = np.empty((k, n, n))
         g = np.empty(raw.shape)
@@ -443,59 +538,17 @@ class _KktSystem:
                 return np.atleast_1d(np.asarray(pb.system.f(t, v), dtype=float))
 
             f[j], A[j] = drift(x[j]), _central_jacobian(drift, x[j])
-            g[j] = self._ell_grad(t, raw[j])
+            g[j] = _ell_grad(pb, t, raw[j])
             if want_hess:
-                Hraw[j] = _central_jacobian(lambda v: self._ell_grad(t, v), raw[j])
+                Hraw[j] = _central_jacobian(lambda v: _ell_grad(pb, t, v), raw[j])
         Hz[:, :, :n, n:] = Hz[:, :, n:, :n].swapaxes(2, 3)
 
         def dphi(v: Array) -> Array:
             return np.atleast_1d(np.asarray(pb.dphi(v), dtype=float))
 
         Hphi = _central_jacobian(dphi, x[k]) if want_hess else None
-        return (psi, Jz, Hz, f, A) + self._cost(z, g, Hraw, dphi(x[k]), Hphi)
-
-    def _cost(self, z: Array, g: Array, Hraw: Array | None, gphi: Array,
-              Hphi: Array | None) -> tuple[Array, Array | None]:
-        """Node gradient (k+1, n+m) of the discrete cost from the running-cost
-        gradient g in its raw argument and the terminal gradient gphi, and,
-        given their Hessians, the per-stage Hessian blocks (k, 2(n+m),
-        2(n+m)) over (z_j, z_{j+1}).  Anchor and tie-break terms are exact
-        quadratics w * ||z_{j+1} - z_j - dref_j||^2 / 2 per stage."""
-        pb, k, h = self.problem, self.mesh.k, self.mesh.h
-        n, d = self.field.n, z.shape[1]
-        gs = h * (g @ self.M)
-        gz = np.zeros((k + 1, d))
-        gz[1:] += gs[:, d:]
-        gz[:-1] += gs[:, :d]
-        gz[k, :n] += gphi
-        w = np.zeros((k, d))
-        dref = np.zeros((k, d))
-        wnode = np.zeros(d)  # W12xC control-node proximity
-        if pb.rho > 0 and pb.anchor is not None:
-            ref = np.hstack([path.at(self.mesh.nodes) for path in pb.anchor])
-            if pb.uses_udot:
-                w[:] = 2 * pb.rho
-                dref = np.diff(ref, axis=0)
-            else:
-                w[:, :n] = 2 * pb.rho / h
-                dref[:, :n] = np.diff(ref[:, :n], axis=0)
-                wnode[n:] = 2 * pb.rho
-                gz[:, n:] += 2 * pb.rho * (z[:, n:] - ref[:, n:])
-        if not pb.uses_udot:
-            # Terminal-control tie-break: without it u_k only enters the
-            # endpoint constraint and the KKT matrix goes singular along u_k.
-            w[-1, n:] = 2 * UK_TIE_WEIGHT
-        rd = w * (np.diff(z, axis=0) - dref)
-        gz[1:] += rd
-        gz[:-1] -= rd
-        if Hraw is None:
-            return gz, None
-        Hc = h * (self.M.T @ (0.5 * (Hraw + Hraw.swapaxes(1, 2))) @ self.M)
-        Hc[-1, d:d + n, d:d + n] += 0.5 * (Hphi + Hphi.T)
-        Hc[:, :d, :d] += np.diag(wnode)
-        Hc[-1, d:, d:] += np.diag(wnode)
-        W = w[:, :, None] * np.eye(d)
-        return gz, Hc + np.block([[W, -W], [-W, W]])
+        return (psi, Jz, Hz, f, A) + _cost_terms(pb, mesh, self.M, z, g, dphi(x[k]),
+                                                 Hraw, Hphi, tie_break=True)
 
     # -- residual and Jacobian --------------------------------------------
 
@@ -879,15 +932,101 @@ def solve_smoothed(transcription: Transcription,
 # ---------------------------------------------------------------------------
 
 
+#: Relative size below which a row multiplier counts as zero when deciding
+#: whether a step is strictly active (the critical cone is then a subspace).
+_STRICT_TOL = 1e-9
+
+
+def _has_exact_tangents(system: SweepingSystem) -> bool:
+    """Whether every catching-up step of the system is the exact NNLS
+    projection (an affine-in-x field and a polyhedral Theta), so that shooting
+    gradients come from tangents rather than forward differences."""
+    return (system.effective_field().x_affine is not None
+            and system.theta.halfspaces() is not None)
+
+
+def _shooting_gradient(problem: OcpProblem, z: DiscreteDecision,
+                       records: Sequence[StepRecord],
+                       free_idx: Sequence[tuple[int, int]]) -> Array:
+    """Exact gradient of cost_eval o simulate over the free control entries.
+
+    Forward mode along the simulated trajectory ``z`` and its step records.
+    The tangent T_j = dx_j / dU_free (n x #free) starts at 0.  Step j,
+    y = x_{j+1} = proj_C(u)(x_j + h f(t_j, x_j)) with u = u_{j+1} and step
+    multiplier eta, maps it through
+
+        q = T_j + h Df T_j - hess_ux(y, u, eta)^T E,
+
+    with E = du_{j+1} / dU_free and Df the central-difference Jacobian of the
+    drift (exactly 0 for a zero drift), and T_{j+1} is the projection of q
+    onto the critical cone
+
+        {v : H_A (J v + J_u E) <= 0,  eta^T (J v + J_u E) >= 0},
+
+    H_A the active halfspace rows of Theta, J = dpsi_dx and J_u = dpsi_du at
+    (y, u): the one-sided directional derivative of the projection (Haraux
+    1977).  The cone needs eta alone, so dependent active rows are no
+    obstacle.  When eta is a strictly positive combination of the active
+    rows the cone is the subspace H_A (J v + J_u E) = 0 and every column
+    takes one least-squares correction; at a weakly active step each column
+    outside the cone gets its own least-distance solve.  The gradient is
+    dU + sum_j dX_j T_j with (dX, dU) = cost_grad(problem, z).
+    """
+    system, mesh = problem.system, z.mesh
+    field = system.effective_field()
+    H, d = system.theta.halfspaces()
+    nodes, comps = np.array(free_idx, dtype=int).reshape(-1, 2).T
+    dX, dU = cost_grad(problem, z)
+    grad = dU[nodes, comps]
+    T = np.zeros((field.n, len(nodes)))
+    for j, rec in enumerate(records):
+        t, y, u, eta = float(mesh.nodes[j]), z.x[j + 1], z.u[j + 1], rec.eta
+        cols = np.flatnonzero(nodes == j + 1)  # the columns where du = E != 0
+
+        def drift(v: Array) -> Array:
+            return np.atleast_1d(np.asarray(system.f(t, v), dtype=float))
+
+        q = T + mesh.h * (_central_jacobian(drift, z.x[j]) @ T)
+        if field.hess_ux is not None:
+            q[:, cols] -= np.atleast_2d(field.hess_ux(y, u, eta)).T[:, comps[cols]]
+        J, c = field.x_affine(u)
+        rows = H[H @ (J @ y + c) >= d - TOL_FEAS]
+        if len(rows):
+            G = rows @ J
+            Ju = np.zeros((H.shape[1], len(nodes)))
+            Ju[:, cols] = np.atleast_2d(field.dpsi_du(y, u))[:, comps[cols]]
+            mu = np.linalg.lstsq(rows.T, eta, rcond=None)[0]
+            scale = _STRICT_TOL * float(np.max(np.abs(eta)))
+            if np.min(mu) > scale and np.max(np.abs(rows.T @ mu - eta)) <= scale:
+                q -= np.linalg.pinv(G) @ (G @ q + rows @ Ju)
+            else:
+                cone = np.vstack([G, -(eta @ J)])
+                rhs = np.vstack([-(rows @ Ju), eta @ Ju])
+                outside = np.any(cone @ q - rhs > TOL_FEAS, axis=0)
+                for col in np.flatnonzero(outside):
+                    q[:, col] = _project_onto_halfspaces(cone, rhs[:, col],
+                                                         q[:, col])[0]
+        T = q
+        grad += dX[j + 1] @ T
+    return grad
+
+
 def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
                    tol: float = 1e-12, max_iter: int = 500,
                    free_mask: Array | None = None,
                    ) -> tuple[DiscreteDecision, SolveReport]:
     """Gradient descent over control nodes through the simulator.
 
-    Gradients come from forward differences with step 1e-6 (1 + ||u||); the
-    cost over accepted iterates never increases.  Node 0 is always pinned to
-    the prescribed initial control; ``free_mask`` (length k+1) can pin more.
+    With an affine-in-x field and a polyhedral Theta, where every
+    catching-up step is an exact projection, the gradient is exact: one
+    tangent sweep over the current trajectory (``_shooting_gradient``).
+    Otherwise (a nonlinear field or a smooth Theta) it comes from forward
+    differences with step 1e-6 (1 + ||u||), one simulation per free entry.
+    An Armijo backtracking line search takes the steps, so the cost over
+    accepted iterates never increases; the loop stops when the squared
+    gradient norm drops below ``tol``.  Node 0 is always pinned to the
+    prescribed initial control; ``free_mask`` (length k+1) can pin more.
+    The report counts the simulations and the line-search trials.
     """
     mesh = Mesh(k=k, T=problem.system.T)
     if initial_control.mesh != mesh:
@@ -896,37 +1035,46 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     mask = np.ones(k + 1, dtype=bool) if free_mask is None else \
         np.asarray(free_mask, dtype=bool).copy()
     mask[0] = False
+    simulations = trials = 0
 
-    U = initial_control.values.copy()
-    U[0] = problem.u0
-
-    def build(Uvals: Array) -> DiscreteDecision | None:
+    def run(Uvals: Array) -> tuple[DiscreteDecision, list[StepRecord], float] | None:
+        """Simulate a control: (decision, step records, cost), None on failure."""
+        nonlocal simulations
+        simulations += 1
         try:
             state, records = simulate(problem.system, Path(mesh=mesh, values=Uvals))
         except SimulationError:
             return None
         eta = np.array([r.eta for r in records]) / mesh.h
-        return DiscreteDecision(mesh=mesh, x=state.values, u=Uvals, eta=eta)
+        z = DiscreteDecision(mesh=mesh, x=state.values, u=Uvals, eta=eta)
+        return z, records, cost_eval(problem, z)
 
     def cost_of(Uvals: Array) -> float:
-        z = build(Uvals)
-        return float("inf") if z is None else cost_eval(problem, z)
+        result = run(Uvals)
+        return float("inf") if result is None else result[2]
 
-    current = cost_of(U)
-    if not np.isfinite(current):
+    U = initial_control.values.copy()
+    U[0] = problem.u0
+    base = run(U)
+    if base is None or not np.isfinite(base[2]):
         raise InfeasibleWarmStartError("initial control cannot be simulated")
+    current = base[2]
     cost_trace = [current]
     free_idx = [(j, a) for j in range(k + 1) if mask[j] for a in range(m)]
+    exact = _has_exact_tangents(problem.system)
     iterations = 0
     grad_norm = 0.0
     if free_idx:
         for iterations in range(1, max_iter + 1):
-            delta = 1e-6 * (1.0 + float(np.linalg.norm(U)))
-            g = np.zeros(len(free_idx))
-            for idx, (j, a) in enumerate(free_idx):
-                Up = U.copy()
-                Up[j, a] += delta
-                g[idx] = (cost_of(Up) - current) / delta
+            if exact:
+                g = _shooting_gradient(problem, base[0], base[1], free_idx)
+            else:
+                delta = 1e-6 * (1.0 + float(np.linalg.norm(U)))
+                g = np.zeros(len(free_idx))
+                for idx, (j, a) in enumerate(free_idx):
+                    Up = U.copy()
+                    Up[j, a] += delta
+                    g[idx] = (cost_of(Up) - current) / delta
             grad_norm = float(np.linalg.norm(g))
             if grad_norm ** 2 < tol:
                 break
@@ -937,11 +1085,13 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
                 Un = U.copy()
                 for idx, (j, a) in enumerate(free_idx):
                     Un[j, a] -= alpha * g[idx]
-                trial = cost_of(Un)
+                trials += 1
+                result = run(Un)
+                trial = float("inf") if result is None else result[2]
                 if np.isfinite(trial):
                     any_finite_trial = True
                 if trial <= current - 1e-4 * alpha * grad_norm ** 2:
-                    U, current = Un, trial
+                    U, base, current = Un, result, trial
                     cost_trace.append(current)
                     accepted = True
                     break
@@ -950,12 +1100,10 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
                 if not any_finite_trial:
                     err = NumericalFailureError(
                         "every trial step failed to simulate")
-                    err.partial = build(U)  # last accepted iterate
+                    err.partial = base[0]  # last accepted iterate
                     raise err
                 break  # no descent beyond noise: predicted decrease is spent
-    decision = build(U)
-    if decision is None:
-        raise NumericalFailureError("final control failed to simulate")
+    decision = base[0]
     field = problem.system.effective_field()
     # simulator multipliers satisfy the cone condition at the right node
     psi_next, _ = _psi_stack(field, decision.x[1:], decision.u[1:])
@@ -974,5 +1122,7 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
         iterations=iterations,
         sigma_trace=(),
         cost_trace=tuple(cost_trace),
+        simulations=simulations,
+        line_search_trials=trials,
     )
     return decision, report

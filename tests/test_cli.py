@@ -187,6 +187,17 @@ def test_solve_shooting_converges_monotonically(tmp_path, capsys):
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
+def test_solve_reports_the_shooting_work_counters(tmp_path):
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    out = tmp_path / "run"
+    assert cli.main(["solve", spec_path, "--out-dir", str(out),
+                     "--solver", "shooting"]) == 0
+    report = read_json(str(out / "report.json"))
+    # the exact-gradient route simulates once to start and once per trial
+    assert report["line_search_trials"] >= report["iterations"] - 1
+    assert report["simulations"] == 1 + report["line_search_trials"]
+
+
 def test_solve_rejects_increasing_sigma_schedule(tmp_path):
     spec_path = export_spec(tmp_path, "remark45", 8)
     out = tmp_path / "run"

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sweepctl.dynamics import Mesh, Path
+from sweepctl.dynamics import Mesh, Path, simulate
 from sweepctl.geometry import (
     ConfigurationError,
     FieldMap,
@@ -20,7 +20,10 @@ from sweepctl.ocp import (
     InfeasibleWarmStartError,
     OcpProblem,
     _KktSystem,
+    _has_exact_tangents,
+    _shooting_gradient,
     cost_eval,
+    cost_grad,
     localization_violation,
     solve_shooting,
     solve_smoothed,
@@ -317,6 +320,180 @@ def test_shooting_needs_the_matching_mesh():
     wrong = Path(mesh=Mesh(k=5, T=2.0), values=np.full((6, 1), -2.0))
     with pytest.raises(ConfigurationError):
         solve_shooting(problem, 10, wrong)
+
+
+# ---------------------------------------------------------------------------
+# Exact shooting gradients against forward differences
+# ---------------------------------------------------------------------------
+
+
+def _simulated(problem, U, mesh):
+    state, records = simulate(problem.system, Path(mesh=mesh, values=U))
+    eta = np.array([r.eta for r in records]) / mesh.h
+    return DiscreteDecision(mesh=mesh, x=state.values, u=U, eta=eta), records
+
+
+def _reference(instance_id, k, scale, seed):
+    """A problem instance at its reference control plus seeded noise."""
+    problem = instance(instance_id).problem
+    U = solution_on_mesh(instance_id, k)[1].values.copy()
+    U[1:] += scale * np.random.default_rng(seed).standard_normal(U[1:].shape)
+    return problem, U
+
+
+def _retargeted_remark45():
+    """remark45 at its reference control, but with terminal target 1/2: the
+    rest phase is weakly active (x + u = 0 with a zero multiplier) and the
+    terminal gradient is not zero, so the one-sided tangents there count."""
+    problem, U = _reference("remark45", 16, 0.0, 0)
+    return dataclasses.replace(problem, phi=lambda x: 0.5 * (x[0] - 0.5) ** 2,
+                               dphi=lambda x: np.array([x[0] - 0.5])), U
+
+
+def _moving_polytope(n, s):
+    """Moving polytope {x : U_j x <= b_j} with every row and offset a free
+    control entry, an affine drift pushing out through its first faces,
+    and costs on the state, the control and its rate."""
+    rng = np.random.default_rng([n, s])
+    rows = rng.standard_normal((s, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    push = 3.0 * (rows[0] + 0.5 * rows[1])
+    system = SweepingSystem(f=lambda t, x: -0.5 * x + push,
+                            field=FieldMap.polyhedral(n, s),
+                            theta=NonpositiveOrthant(s), x0=np.zeros(n), T=1.0)
+    u0 = np.concatenate([rows.ravel(), rng.uniform(0.3, 0.8, s)])
+    problem = OcpProblem(
+        system=system, phi=lambda x: 0.5 * x @ x, dphi=lambda x: x.copy(),
+        ell=lambda t, x, u, vx, vu: 0.5 * x @ x + 0.05 * u @ u + 0.5 * vu @ vu,
+        dell=lambda t, x, u, vx, vu: (x.copy(), 0.1 * u, np.zeros_like(vx),
+                                      vu.copy()),
+        mode="W12xW12", u0=u0)
+    U = np.tile(u0, (7, 1))
+    U[1:] += 0.05 * rng.standard_normal(U[1:].shape)
+    return problem, U
+
+
+def _state_mapped():
+    """counterexample53 swept through the state map g = [[2, 0], [1, 1]]."""
+    base = instance("counterexample53").problem
+    problem = dataclasses.replace(
+        base, system=dataclasses.replace(base.system, g=[[2.0, 0.0], [1.0, 1.0]]),
+        u0=np.array([2.5, 2.5]))
+    U = np.linspace(2.5, 1.0, 11)[:, None] * np.ones((1, 2))
+    U[1:] += 0.2 * np.random.default_rng(53).standard_normal((10, 2))
+    return problem, U
+
+
+def _duplicated_rows(scale):
+    """elastoplastic61 with its upper face listed twice (dependent rows)."""
+    problem, U = _reference("elastoplastic61", 20, scale, 61)
+    theta = LinearImagePolyhedron(A=((1.0,),), G=((1.0,), (1.0,), (-1.0,)),
+                                  g=(1.0, 1.0, 1.0))
+    return dataclasses.replace(
+        problem, system=dataclasses.replace(problem.system, theta=theta)), U
+
+
+def _mixed_activity():
+    """counterexample53 with the first face pushing the state and the second
+    resting on it: every step has one strictly and one weakly active row."""
+    problem, U = _reference("counterexample53", 10, 0.0, 0)
+    U[1:, 0] = np.linspace(0.95, 0.5, 10)
+    return problem, U
+
+
+def _anchored_at(instance_id, rho, k, seed):
+    _, U = _reference(instance_id, k, 0.2, seed)
+    return _anchored(instance_id, rho), U
+
+
+GRADIENT_CASES = {
+    "remark45-reference": lambda: _reference("remark45", 16, 0.0, 0),
+    "remark45-retargeted-rest": _retargeted_remark45,
+    "remark45-noisy": lambda: _reference("remark45", 16, 0.2, 45),
+    "elastoplastic61": lambda: _reference("elastoplastic61", 20, 0.2, 61),
+    "counterexample53": lambda: _reference("counterexample53", 10, 0.2, 53),
+    "counterexample53-mixed-activity": _mixed_activity,
+    "polytope-n2-s4": lambda: _moving_polytope(2, 4),
+    "polytope-n2-s8": lambda: _moving_polytope(2, 8),
+    "polytope-n3-s4": lambda: _moving_polytope(3, 4),
+    "polytope-n3-s8": lambda: _moving_polytope(3, 8),
+    "state-map": _state_mapped,
+    "duplicated-rows-reference": lambda: _duplicated_rows(0.0),
+    "duplicated-rows-noisy": lambda: _duplicated_rows(0.2),
+    "anchored-w12c": lambda: _anchored_at("remark45", 0.7, 16, 7),
+    "anchored-w12w12": lambda: _anchored_at("elastoplastic61", 0.4, 20, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_shooting_gradient_matches_forward_differences(case):
+    problem, U = GRADIENT_CASES[case]()
+    k, m = U.shape[0] - 1, U.shape[1]
+    mesh = Mesh(k=k, T=problem.system.T)
+    assert _has_exact_tangents(problem.system)
+    free = [(j, a) for j in range(1, k + 1) for a in range(m)]
+    z, records = _simulated(problem, U, mesh)
+    g = _shooting_gradient(problem, z, records, free)
+    base = cost_eval(problem, z)
+    fd = np.empty(len(free))
+    for i, (j, a) in enumerate(free):
+        Up = U.copy()
+        Up[j, a] += 1e-7
+        fd[i] = (cost_eval(problem, _simulated(problem, Up, mesh)[0]) - base) / 1e-7
+    assert np.max(np.abs(g - fd)) <= 1e-5 * max(1.0, np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("case", ["anchored-w12c", "anchored-w12w12",
+                                  "polytope-n3-s4", "remark45-noisy"])
+def test_cost_grad_matches_forward_differences(case):
+    problem, U = GRADIENT_CASES[case]()
+    z, _ = _simulated(problem, U, Mesh(k=U.shape[0] - 1, T=problem.system.T))
+    dX, dU = cost_grad(problem, z)
+    assert dX.shape == z.x.shape and dU.shape == z.u.shape
+    base = cost_eval(problem, z)
+    for name, grad in (("x", dX), ("u", dU)):
+        for idx in np.ndindex(grad.shape):
+            moved = getattr(z, name).copy()
+            moved[idx] += 1e-7
+            fd = (cost_eval(problem, dataclasses.replace(z, **{name: moved}))
+                  - base) / 1e-7
+            assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, np.max(np.abs(grad)))
+
+
+def test_shooting_reaches_the_default_tolerance():
+    """From the start the benchmark's README cites (remark45, k=16, seed 51)
+    the forward-difference gradients stalled above 1e-12 until the cap."""
+    problem, U = _reference("remark45", 16, 0.2, [51, 1])
+    _, report = solve_shooting(problem, 16, Path(mesh=Mesh(k=16, T=2.0), values=U),
+                               tol=1e-12, max_iter=100)
+    assert report.iterations < 100
+    assert report.stat_residual ** 2 < 1e-12
+
+
+def test_exact_route_simulates_once_per_line_search_trial():
+    problem = remark45_problem()
+    k = 8
+    warm = Path(mesh=Mesh(k=k, T=2.0), values=np.full((k + 1, 1), -2.0))
+    _, report = solve_shooting(problem, k, warm)
+    assert report.iterations >= 2
+    assert report.line_search_trials >= report.iterations - 1
+    assert report.simulations == 1 + report.line_search_trials
+    # forward differences would need k simulations per gradient
+    assert report.simulations < k * report.iterations
+
+
+def test_nonlinear_field_keeps_forward_differences():
+    problem = instance("nonconvex22").problem
+    assert not _has_exact_tangents(problem.system)
+    k = 6
+    u = np.zeros((k + 1, 1))
+    u[1:, 0] = 0.3 * np.linspace(0.0, 1.0, k)
+    _, report = solve_shooting(problem, k, Path(mesh=Mesh(k=k, T=1.0), values=u),
+                               max_iter=10)
+    assert np.all(np.diff(report.cost_trace) <= 0.0)
+    assert report.cost_trace[-1] < report.cost_trace[0]
+    assert report.simulations == (1 + k * report.iterations
+                                  + report.line_search_trials)
 
 
 # ---------------------------------------------------------------------------
