@@ -55,18 +55,21 @@ from .geometry import (
     NonpositiveOrthant,
 )
 from .dynamics import (
+    AffineDrift,
     Mesh,
     Path,
     SimulationError,
     SweepingSystem,
+    convergence_study,
     simulate,
-    w12_distance,
 )
 from .ocp import (
     DiscreteDecision,
     InfeasibleWarmStartError,
     NumericalFailureError,
     OcpProblem,
+    QuadraticStageCost,
+    QuadraticTerminalCost,
     cost_eval,
     solve_shooting,
     solve_smoothed,
@@ -299,19 +302,18 @@ def _build_theta(spec: dict, s: int):
     raise SpecError(f"unknown theta kind {kind!r}")
 
 
-def _build_drift(spec: dict, n: int):
+def _build_drift(spec: dict, n: int) -> AffineDrift:
     dyn = _section(spec, "dynamics")
     kind = dyn.get("kind")
     if kind == "zero":
-        return lambda t, x: np.zeros(n)
+        return AffineDrift.zero(n)
     if kind == "affine":
-        A = _matrix(dyn, "A", n, n, "dynamics")
-        b = _vector(dyn, "b", n, "dynamics")
-        return lambda t, x: A @ x + b
+        return AffineDrift(_matrix(dyn, "A", n, n, "dynamics"),
+                           _vector(dyn, "b", n, "dynamics"))
     raise SpecError(f"unknown dynamics kind {kind!r}")
 
 
-def _build_phi(spec: dict, n: int):
+def _build_phi(spec: dict, n: int) -> QuadraticTerminalCost:
     phi = _section(_section(spec, "cost"), "phi")
     if phi.get("kind") != "quadratic_distance":
         raise SpecError(f"unknown phi kind {phi.get('kind')!r}")
@@ -320,18 +322,10 @@ def _build_phi(spec: dict, n: int):
         weight = float(phi.get("weight", 1.0))
     except (TypeError, ValueError):
         raise SpecError("phi.weight must be a number") from None
-
-    def value(x):
-        d = np.asarray(x, dtype=float) - center
-        return 0.5 * weight * float(d @ d)
-
-    def grad(x):
-        return weight * (np.asarray(x, dtype=float) - center)
-
-    return value, grad
+    return QuadraticTerminalCost(center=center, weight=weight)
 
 
-def _build_ell(spec: dict, n: int, m: int, uses_udot: bool):
+def _build_ell(spec: dict, m: int, uses_udot: bool) -> QuadraticStageCost:
     ell = _section(_section(spec, "cost"), "ell")
     kind = ell.get("kind")
     try:
@@ -342,48 +336,15 @@ def _build_ell(spec: dict, n: int, m: int, uses_udot: bool):
     if kind == "control_energy":
         if not uses_udot:
             raise SpecError("control_energy needs mode w12w12 (it penalizes udot)")
-
-        def value(t, x, u, vx, vu):
-            vu = np.asarray(vu, dtype=float)
-            return 0.5 * weight * float(vu @ vu)
-
-        def grads(t, x, u, vx, vu):
-            return (np.zeros(n), np.zeros(m), np.zeros(n),
-                    weight * np.asarray(vu, dtype=float))
-
-        return value, grads
+        return QuadraticStageCost(energy=weight)
 
     if kind == "control_tracking":
         times = ell.get("times")
-        values = ell.get("values")
-        if not isinstance(times, list) or len(times) < 2:
-            raise SpecError("control_tracking needs at least two breakpoint times")
-        tgrid = np.asarray(times, dtype=float)
-        if np.any(np.diff(tgrid) <= 0):
-            raise SpecError("control_tracking times must be strictly increasing")
-        vgrid = _matrix({"values": values}, "values", len(times), m, "ell")
-
-        def ref(t):
-            return np.array([np.interp(t, tgrid, vgrid[:, a]) for a in range(m)])
-
-        if uses_udot:
-            def value(t, x, u, vx, vu):
-                d = np.asarray(u, dtype=float) - ref(t)
-                return weight * float(d @ d)
-
-            def grads(t, x, u, vx, vu):
-                d = np.asarray(u, dtype=float) - ref(t)
-                return (np.zeros(n), 2.0 * weight * d, np.zeros(n), np.zeros(m))
-        else:
-            def value(t, x, u, vx):
-                d = np.asarray(u, dtype=float) - ref(t)
-                return weight * float(d @ d)
-
-            def grads(t, x, u, vx):
-                d = np.asarray(u, dtype=float) - ref(t)
-                return (np.zeros(n), 2.0 * weight * d, np.zeros(n))
-
-        return value, grads
+        if not isinstance(times, list):
+            raise SpecError("control_tracking needs a list of breakpoint times")
+        ref = (_vector(ell, "times", len(times), "ell"),
+               _matrix(ell, "values", len(times), m, "ell"))
+        return QuadraticStageCost(tracking=weight, ref=ref)
 
     raise SpecError(f"unknown ell kind {kind!r}")
 
@@ -434,8 +395,8 @@ def build_problem(spec: dict, mode_override: str | None = None) -> OcpProblem:
     system = build_system(spec)
     mode = _mode_name(mode_override or spec.get("mode", ""))
     uses_udot = mode == "W12xW12"
-    phi, dphi = _build_phi(spec, n)
-    ell, dell = _build_ell(spec, n, m, uses_udot)
+    phi = _build_phi(spec, n)
+    ell = _build_ell(spec, m, uses_udot)
     initial = _section(spec, "initial")
     u0 = _vector(initial, "u0", m, "initial")
 
@@ -454,9 +415,8 @@ def build_problem(spec: dict, mode_override: str | None = None) -> OcpProblem:
         anchor = (_path_from_obj(anchor_obj, "x", system.T, n, "anchor"),
                   _path_from_obj(anchor_obj, "u", system.T, m, "anchor"))
 
-    return OcpProblem(system=system, phi=phi, dphi=dphi, ell=ell, dell=dell,
-                      mode=mode, u0=u0, anchor=anchor, rho=rho,
-                      epsilon=epsilon)
+    return OcpProblem(system=system, phi=phi, ell=ell, mode=mode, u0=u0,
+                      anchor=anchor, rho=rho, epsilon=epsilon)
 
 
 def _reference_pair(spec: dict, problem: OcpProblem) -> tuple[Path, Path]:
@@ -800,16 +760,6 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if passed else EXIT_CERTIFY
 
 
-def _strictly_decreasing(values: list[float], tie_floor: float) -> bool:
-    for a, b in zip(values, values[1:]):
-        if b < a:
-            continue
-        if a <= tie_floor and b <= tie_floor:
-            continue
-        return False
-    return True
-
-
 def _cmd_converge(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out))
     try:
@@ -828,33 +778,30 @@ def _cmd_converge(args) -> int:
         return _fail(out_dir, e, EXIT_SPEC)
 
     system = problem.system
-    s = system.field.s
 
-    def run_one(k: int):
+    def control_family(k: int) -> Path:
         mesh = Mesh(k=k, T=system.T)
-        control = Path(mesh=mesh, values=ref_u.at(mesh.nodes))
-        state, _ = simulate(system, control)
-        w12_x, _ = w12_distance(state, ref_x)
-        _, sup_u = w12_distance(control, ref_u)
-        eta = np.zeros((k, s))
-        simulated = DiscreteDecision(mesh=mesh, x=state.values,
-                                     u=control.values, eta=eta)
-        reference = DiscreteDecision(mesh=mesh, x=ref_x.at(mesh.nodes),
-                                     u=control.values, eta=eta)
-        gap = cost_eval(problem, simulated) - cost_eval(problem, reference)
-        return [float(k), w12_x, sup_u, gap]
+        return Path(mesh=mesh, values=ref_u.at(mesh.nodes))
 
     try:
-        rows = [run_one(k) for k in ks]
+        table = convergence_study(system, control_family, (ref_x, ref_u), ks)
     except (SimulationError, GeometryError) as e:
         return _fail(out_dir, e, EXIT_SIMULATION)
+
+    rows = []
+    for row in table.rows:
+        mesh, u = row.control.mesh, row.control.values
+        eta = np.zeros((mesh.k, system.field.s))
+        simulated = DiscreteDecision(mesh=mesh, x=row.state.values, u=u, eta=eta)
+        reference = DiscreteDecision(mesh=mesh, x=ref_x.at(mesh.nodes), u=u, eta=eta)
+        gap = cost_eval(problem, simulated) - cost_eval(problem, reference)
+        rows.append([float(row.k), row.state_error_w12, row.control_error_sup, gap])
 
     _write_csv(args.out, ["k", "w12_x", "sup_u", "cost_gap"], rows)
     for row in rows:
         print(f"k={int(row[0]):>6d}  w12_x={row[1]:.6e}  "
               f"sup_u={row[2]:.6e}  cost_gap={row[3]:+.6e}")
-    monotone = _strictly_decreasing([row[1] for row in rows], tie_floor=1e-12)
-    print(f"state error decreasing: {'yes' if monotone else 'no'}")
+    print(f"state error decreasing: {'yes' if table.monotone else 'no'}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

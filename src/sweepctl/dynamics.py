@@ -116,13 +116,43 @@ class Path:
 # ---------------------------------------------------------------------------
 
 
+def _read_only_float(value, ndim: int) -> Array:
+    arr = np.array(value, dtype=float, ndmin=ndim)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class AffineDrift:
+    """The drift f(t, x) = A x + b, stated as data so that solvers read its
+    Jacobian A instead of differencing the callback; zero is A = 0, b = 0."""
+
+    A: Array
+    b: Array
+
+    def __post_init__(self) -> None:
+        A, b = _read_only_float(self.A, 2), _read_only_float(self.b, 1)
+        if A.shape != (len(b), len(b)):
+            raise ConfigurationError("affine drift needs a square A matching b")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+
+    @staticmethod
+    def zero(n: int) -> "AffineDrift":
+        return AffineDrift(np.zeros((n, n)), np.zeros(n))
+
+    def __call__(self, t: float, x: Array) -> Array:
+        return self.A @ x + self.b
+
+
 @dataclass(frozen=True)
 class SweepingSystem:
     """Drift + moving-set data for x' in f(t,x) - N(g(x); C(t,u)).
 
-    ``g`` is either None (identity) or a square matrix; nonlinear state maps
-    are rejected because only the linear case comes with approximation
-    guarantees.  ``L_f`` and ``L_g`` are Lipschitz metadata, not used by the
+    ``f`` is a callable (t, x) -> R^n; an :class:`AffineDrift` gives the
+    solvers its exact Jacobian.  ``g`` is either None (identity) or a square
+    matrix; nonlinear state maps are rejected because only the linear case
+    comes with approximation guarantees.  ``L_f`` and ``L_g`` are Lipschitz metadata, not used by the
     stepper itself.
     """
 
@@ -343,6 +373,9 @@ class ConvergenceRow:
     k: int
     state_error_w12: float
     control_error_sup: float
+    #: The simulated state and the control it came from.
+    state: Path
+    control: Path
 
 
 @dataclass(frozen=True)
@@ -376,7 +409,8 @@ def convergence_study(system: SweepingSystem,
         state, _ = simulate(system, control)
         w12, _ = w12_distance(state, ref_state)
         _, sup_u = w12_distance(control, ref_control)
-        rows.append(ConvergenceRow(k=k, state_error_w12=w12, control_error_sup=sup_u))
+        rows.append(ConvergenceRow(k=k, state_error_w12=w12, control_error_sup=sup_u,
+                                   state=state, control=control))
     monotone = True
     for r1, r2 in zip(rows, rows[1:]):
         if r2.state_error_w12 < r1.state_error_w12:

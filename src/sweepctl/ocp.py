@@ -26,9 +26,9 @@ c - P psi and multipliers mu >= 0 with eta = P^T mu.
 residual a + b - sqrt(a^2 + b^2 + sigma^2) and drives the full KKT system to
 stationarity with a damped Newton iteration while sigma is pushed down the
 continuation schedule.  The KKT residual and Jacobian are assembled from
-stage stacks (the callbacks evaluated once per node, arrays indexed by step)
-through integer index tables into the unknown vector, so the block-banded
-Jacobian is built by einsums and one scatter, not by per-step loops.
+stage stacks (arrays indexed by step) through integer index tables into the
+unknown vector, so the block-banded Jacobian is built by einsums and one
+scatter, not by per-step loops.
 ``solve_shooting`` instead optimizes the control nodes directly over the
 catching-up simulator by gradient descent with an Armijo line search.  When
 every step is the exact projection (an affine-in-x field and a polyhedral
@@ -37,6 +37,17 @@ simulated trajectory, each step projecting its tangent onto the critical
 cone of that step's projection, and ``cost_grad`` for the cost.  Nonlinear
 fields and smooth Theta keep forward differences, one simulation per free
 control entry.
+
+Costs and drifts come in two kinds.  The data forms
+:class:`QuadraticStageCost`, :class:`QuadraticTerminalCost` and
+``dynamics.AffineDrift`` state a quadratic cost or an affine drift once, as
+weights, a reference and matrices; every problem that the command line and
+``problems`` build uses them.  ``OcpProblem`` derives ``ell``, ``dell``,
+``phi`` and ``dphi`` from them, and the KKT stages, ``cost_eval``,
+``cost_grad`` and the shooting tangents read values and exact derivatives
+for all stages in array expressions.  Bare callbacks are called once per
+node; the Hessians of their costs and the Jacobian of their drift come from
+central differences.
 """
 
 from __future__ import annotations
@@ -48,11 +59,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dynamics import (
+    AffineDrift,
     Mesh,
     Path,
     SimulationError,
     StepRecord,
     SweepingSystem,
+    _read_only_float,
     simulate,
 )
 from .geometry import (
@@ -76,24 +89,118 @@ class InfeasibleWarmStartError(Exception):
     """The warm start violates a transcription precondition."""
 
 
+@dataclass(frozen=True, eq=False)
+class QuadraticStageCost:
+    """Running cost  tracking ||u - ref(t)||^2 + energy ||udot||^2 / 2.
+
+    ``ref`` is piecewise linear, given as a Path or as breakpoints
+    (times, values) with strictly increasing times and one row of m values
+    per time, kept as that pair of read-only arrays; it is held constant
+    outside its times, and only a tracking term needs one.  The ``energy``
+    term needs the W12xW12 template.  As an ``OcpProblem.ell`` the form is
+    the running-cost callback itself, and ``cost_eval``, ``cost_grad`` and
+    the smoothed solver read its weights instead of calling it per node.
+    """
+
+    tracking: float = 0.0
+    energy: float = 0.0
+    ref: Path | tuple[Sequence[float], Sequence[Sequence[float]]] | None = None
+
+    def __post_init__(self) -> None:
+        ref = self.ref
+        if ref is not None:
+            times, values = (ref.mesh.nodes, ref.values) if isinstance(ref, Path) else ref
+            times, values = _read_only_float(times, 1), _read_only_float(values, 2)
+            if len(times) < 2 or np.any(np.diff(times) <= 0):
+                raise ConfigurationError(
+                    "reference needs at least two strictly increasing times")
+            if values.shape[0] != len(times):
+                raise ConfigurationError("reference needs one row of values per time")
+            object.__setattr__(self, "ref", (times, values))
+        elif self.tracking:
+            raise ConfigurationError("a tracking term needs a reference")
+        object.__setattr__(self, "tracking", float(self.tracking))
+        object.__setattr__(self, "energy", float(self.energy))
+
+    def ref_at(self, t: float | Array) -> Array:
+        """ref at one time (shape (m,)) or at an array of times (one row each)."""
+        times, values = self.ref
+        return np.array([np.interp(t, times, col) for col in values.T]).T
+
+    def __call__(self, t: float, x: Array, u: Array, vx: Array,
+                 vu: Array | None = None) -> float:
+        total = 0.0
+        if self.tracking:
+            d = u - self.ref_at(t)
+            total += self.tracking * float(d @ d)
+        if self.energy:
+            total += 0.5 * self.energy * float(vu @ vu)
+        return total
+
+    def grad(self, t: float, x: Array, u: Array, vx: Array,
+             vu: Array | None = None) -> tuple:
+        """Partial gradients in (x, u, vx[, vu]), the ``dell`` of the form."""
+        gu = 2.0 * self.tracking * (u - self.ref_at(t)) if self.tracking else np.zeros(len(u))
+        out = (np.zeros(len(x)), gu, np.zeros(len(vx)))
+        return out if vu is None else out + (self.energy * vu,)
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticTerminalCost:
+    """Terminal cost  weight ||x - center||^2 / 2, stated as data.
+
+    As an ``OcpProblem.phi`` the form is the callback itself; its ``grad``
+    is the derived ``dphi`` and its Hessian is weight * I.
+    """
+
+    center: Array
+    weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "center", _read_only_float(self.center, 1))
+        object.__setattr__(self, "weight", float(self.weight))
+
+    def __call__(self, x: Array) -> float:
+        d = x - self.center
+        return 0.5 * self.weight * float(d @ d)
+
+    def grad(self, x: Array) -> Array:
+        return self.weight * (x - self.center)
+
+
+def _derived_grad(value, grad, name: str):
+    """The gradient callback of a cost: derived from a data form, else the
+    given one (which must not be left over from a data form)."""
+    if isinstance(value, (QuadraticStageCost, QuadraticTerminalCost)):
+        return value.grad
+    owner = getattr(grad, "__self__", None)
+    if grad is None or isinstance(owner, (QuadraticStageCost, QuadraticTerminalCost)):
+        raise ConfigurationError(f"a callback {name} needs its own d{name}")
+    return grad
+
+
 @dataclass(frozen=True)
 class OcpProblem:
     """Bolza problem over a sweeping system.
 
     ``ell``/``dell`` take (t, x, u, xdot) in W12xC mode and
     (t, x, u, xdot, udot) in W12xW12 mode; ``dell`` returns the partial
-    gradients in the same order.  ``anchor`` is an optional (state, control)
-    Path pair; ``rho`` scales the proximity terms and ``epsilon`` is the
-    localization radius (infinity disables the tube check).
+    gradients in the same order.  ``phi`` and ``ell`` are either bare
+    callbacks, which then need ``dphi`` and ``dell``, or the data forms
+    :class:`QuadraticTerminalCost` and :class:`QuadraticStageCost`, from
+    which ``dphi`` and ``dell`` are derived.  ``anchor`` is an optional
+    (state, control) Path pair; ``rho`` scales the proximity terms and
+    ``epsilon`` is the localization radius (infinity disables the tube
+    check).
     """
 
     system: SweepingSystem
     phi: Callable[[Array], float]
-    dphi: Callable[[Array], Array]
     ell: Callable[..., float]
-    dell: Callable[..., tuple]
     mode: str
     u0: Array
+    dphi: Callable[[Array], Array] | None = None
+    dell: Callable[..., tuple] | None = None
     anchor: tuple[Path, Path] | None = None
     rho: float = 0.0
     epsilon: float = float("inf")
@@ -105,6 +212,13 @@ class OcpProblem:
         if u0.shape != (self.system.field.m,):
             raise ConfigurationError("u0 dimension mismatch")
         object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "dphi", _derived_grad(self.phi, self.dphi, "phi"))
+        object.__setattr__(self, "dell", _derived_grad(self.ell, self.dell, "ell"))
+        if isinstance(self.ell, QuadraticStageCost):
+            if self.ell.energy and not self.uses_udot:
+                raise ConfigurationError("an energy term needs the W12xW12 mode")
+            if self.ell.ref is not None and self.ell.ref[1].shape[1] != len(u0):
+                raise ConfigurationError("reference dimension differs from the control")
         if self.rho < 0:
             raise ConfigurationError("rho must be nonnegative")
         if self.rho > 0 and self.anchor is None:
@@ -200,18 +314,27 @@ def _anchor_cost(problem: OcpProblem, z: DiscreteDecision) -> float:
 
 
 def cost_eval(problem: OcpProblem, z: DiscreteDecision) -> float:
-    """Discrete cost of a decision under the problem's template."""
+    """Discrete cost of a decision under the problem's template.
+
+    A data-form running cost is evaluated at every stage by one array
+    expression, a bare callback once per stage; the stage terms are summed
+    in stage order either way.
+    """
     mesh = z.mesh
     h = mesh.h
     total = float(problem.phi(z.x[-1]))
-    vx = np.diff(z.x, axis=0) / h
-    vu = np.diff(z.u, axis=0) / h
-    for j in range(mesh.k):
-        t = float(mesh.nodes[j])
+    quad = _quadratic_stage(problem, mesh.nodes[:-1])
+    if quad is not None:
+        R, w = quad
+        d = _raw_args(problem, np.hstack([z.x, z.u]), h) - R
+        stage = (0.5 * (d * d @ w)).tolist()
+    else:
+        vel = [np.diff(z.x, axis=0) / h]
         if problem.uses_udot:
-            total += h * float(problem.ell(t, z.x[j], z.u[j], vx[j], vu[j]))
-        else:
-            total += h * float(problem.ell(t, z.x[j], z.u[j], vx[j]))
+            vel.append(np.diff(z.u, axis=0) / h)
+        stage = [problem.ell(float(t), *a) for t, *a in zip(mesh.nodes, z.x, z.u, *vel)]
+    for value in stage:
+        total += h * float(value)
     return total + _anchor_cost(problem, z)
 
 
@@ -240,6 +363,78 @@ def _ell_grad(problem: OcpProblem, t: float, raw: Array) -> Array:
         args += (raw[2 * n + m:],)
     return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float))
                            for p in problem.dell(t, *args)])
+
+
+def _quadratic_stage(problem: OcpProblem, t: Array) -> tuple[Array, Array] | None:
+    """(R, w) such that a data-form running cost has the gradient
+    (raw_j - R_j) * w and the Hessian diag(w) in the raw argument of the
+    stage at time t_j; None when ``ell`` is a bare callback."""
+    ell = problem.ell
+    if not isinstance(ell, QuadraticStageCost):
+        return None
+    n, m = problem.system.field.n, problem.system.field.m
+    w = np.zeros(2 * (n + m) if problem.uses_udot else 2 * n + m)
+    R = np.zeros((len(t), len(w)))
+    w[n:n + m] = 2.0 * ell.tracking
+    if ell.ref is not None:
+        R[:, n:n + m] = ell.ref_at(t)
+    if problem.uses_udot:
+        w[2 * n + m:] = ell.energy
+    return R, w
+
+
+def _running_grad(problem: OcpProblem, t: Array, raw: Array,
+                  quad: tuple[Array, Array] | None, want_hess: bool,
+                  ) -> tuple[Array, Array | None]:
+    """Running-cost gradient in the raw argument of every stage and, with
+    ``want_hess``, its Hessian: array expressions over all stages for a data
+    form (``quad`` from ``_quadratic_stage``), else ``dell`` per stage and
+    central differences of it."""
+    if quad is not None:
+        R, w = quad
+        H = np.broadcast_to(np.diag(w), (len(raw),) + 2 * w.shape) if want_hess else None
+        return (raw - R) * w, H
+    g = np.array([_ell_grad(problem, float(tj), r) for tj, r in zip(t, raw)])
+    H = np.array([_central_jacobian(lambda v, tj=float(tj): _ell_grad(problem, tj, v), r)
+                  for tj, r in zip(t, raw)]) if want_hess else None
+    return g, H
+
+
+def _terminal_grad(problem: OcpProblem, x: Array, want_hess: bool,
+                   ) -> tuple[Array, Array | None]:
+    """Terminal-cost gradient at x and, with ``want_hess``, its Hessian:
+    exact for a data form, central differences of ``dphi`` otherwise."""
+    phi = problem.phi
+    if isinstance(phi, QuadraticTerminalCost):
+        return (phi.weight * (x - phi.center),
+                phi.weight * np.eye(len(x)) if want_hess else None)
+
+    def dphi(v: Array) -> Array:
+        return np.atleast_1d(np.asarray(problem.dphi(v), dtype=float))
+
+    return dphi(x), _central_jacobian(dphi, x) if want_hess else None
+
+
+def _drift(system: SweepingSystem, t: Array, x: Array) -> Array:
+    """f(t_j, x_j) for every row x_j of x, stacked: one matmul for an
+    AffineDrift, one callback per row otherwise."""
+    f = system.f
+    if isinstance(f, AffineDrift):
+        return x @ f.A.T + f.b
+    return np.array([np.atleast_1d(np.asarray(f(float(tj), xj), dtype=float))
+                     for tj, xj in zip(t, x)])
+
+
+def _drift_jacobian(system: SweepingSystem, t: Array, x: Array) -> Array:
+    """Df(t_j, x_j) for every row x_j of x, stacked (len(x), n, n): A itself
+    for an AffineDrift, central differences of the callback otherwise."""
+    f = system.f
+    if isinstance(f, AffineDrift):
+        return np.broadcast_to(f.A, (len(x),) + f.A.shape)
+    return np.array([
+        _central_jacobian(lambda v, tj=float(tj):
+                          np.atleast_1d(np.asarray(f(tj, v), dtype=float)), xj)
+        for tj, xj in zip(t, x)])
 
 
 def _cost_terms(problem: OcpProblem, mesh: Mesh, M: Array, z: Array, g: Array,
@@ -292,14 +487,16 @@ def _cost_terms(problem: OcpProblem, mesh: Mesh, M: Array, z: Array, g: Array,
 def cost_grad(problem: OcpProblem, z: DiscreteDecision) -> tuple[Array, Array]:
     """Gradient (dX, dU) of :func:`cost_eval` in the state and control nodes.
 
-    Exact: built from ``dphi``, ``dell`` and the anchor quadratics, with no
-    differencing.  dX and dU have the shapes of ``z.x`` and ``z.u``.
+    Exact: built from the data forms (or ``dphi`` and ``dell``) and the
+    anchor quadratics, with no differencing.  dX and dU have the shapes of
+    ``z.x`` and ``z.u``.
     """
     mesh, n = z.mesh, z.x.shape[1]
     Z = np.hstack([z.x, z.u])
-    g = np.array([_ell_grad(problem, float(t), r)
-                  for t, r in zip(mesh.nodes, _raw_args(problem, Z, mesh.h))])
-    gphi = np.atleast_1d(np.asarray(problem.dphi(z.x[-1]), dtype=float))
+    t = mesh.nodes[:-1]
+    g, _ = _running_grad(problem, t, _raw_args(problem, Z, mesh.h),
+                         _quadratic_stage(problem, t), want_hess=False)
+    gphi, _ = _terminal_grad(problem, z.x[-1], want_hess=False)
     gz, _ = _cost_terms(problem, mesh, _raw_map(problem, mesh.h), Z, g, gphi)
     return gz[:, :n], gz[:, n:]
 
@@ -403,9 +600,7 @@ class Transcription:
 
     def dynamics_residual(self, z: DiscreteDecision) -> float:
         h = self.mesh.h
-        f = np.array([np.atleast_1d(np.asarray(self.problem.system.f(float(t), x),
-                                               dtype=float))
-                      for t, x in zip(self.mesh.nodes, z.x[:-1])])
+        f = _drift(self.problem.system, self.mesh.nodes[:-1], z.x[:-1])
         _, Jz = _psi_stack(self.field, z.x[:-1], z.u[:-1])
         r = (z.x[1:] - z.x[:-1] - h * f
              + h * np.einsum("jsn,js->jn", Jz[:, :, :self.field.n], z.eta))
@@ -450,15 +645,18 @@ class _KktSystem:
     multiplier eta_j = P^T mu_j, so upper and lower bounds share every
     formula.
 
-    ``residual`` calls the problem's callbacks once per node and stacks the
-    stage data.  F is a handful of gathers and einsums.  J is the sum of
-    dense blocks: one symmetric block per step over (z_j, mu_j, gamma_j,
-    p_{j+1}), one cost block per stage over (z_j, z_{j+1}) (running cost by
-    central differences of ``dell``, anchor, tie-break and terminal cost),
-    the identity couplings of p_{j+1} with x_{j+1} and one terminal block,
-    all scattered by one ``np.bincount`` that adds entries sharing a
-    position.  Second derivatives of f and third derivatives of psi are
-    left out of J.
+    ``residual`` stacks the stage data.  A data-form cost and drift
+    (:class:`QuadraticStageCost`, :class:`QuadraticTerminalCost`,
+    :class:`AffineDrift`) give their gradients, constant Hessians and drift
+    Jacobian as array expressions over all stages, exactly; bare callbacks
+    are called once per node and differenced centrally.  The field's
+    callbacks are called once per node.  F is a handful of gathers and
+    einsums.  J is the sum of dense blocks: one symmetric block per step
+    over (z_j, mu_j, gamma_j, p_{j+1}), one cost block per stage over
+    (z_j, z_{j+1}) (running cost, anchor, tie-break and terminal cost), the
+    identity couplings of p_{j+1} with x_{j+1} and one terminal block, all
+    scattered by one ``np.bincount`` that adds entries sharing a position.
+    Second derivatives of f and third derivatives of psi are left out of J.
     """
 
     def __init__(self, tr: Transcription):
@@ -481,6 +679,7 @@ class _KktSystem:
         self.N = start + r
         self.n_stat = k * (n + m + r)
         self.M = _raw_map(self.problem, h)
+        self.quad = _quadratic_stage(self.problem, self.mesh.nodes[:k])
 
     # -- packing ------------------------------------------------------------
 
@@ -506,7 +705,7 @@ class _KktSystem:
     # -- stage data -----------------------------------------------------------
 
     def _stages(self, z: Array, want_hess: bool) -> tuple:
-        """Every callback once per node, stacked.
+        """Stage data at the node values z, stacked.
 
         Returns psi and its Jacobian [dpsi_dx | dpsi_du] at nodes 0..k, the
         per-row curvature Hz[j, i] = [[Hxx(e_i), Hux(e_i)^T], [Hux(e_i), 0]],
@@ -515,39 +714,23 @@ class _KktSystem:
         ``_cost_terms``.
         """
         pb, field, mesh = self.problem, self.field, self.mesh
-        k, n, h = mesh.k, field.n, mesh.h
+        k, n = mesh.k, field.n
         x, u = z[:, :n], z[:, n:]
         psi, Jz = _psi_stack(field, x, u)
         Hz = np.zeros((k + 1, field.s) + 2 * (z.shape[1],))
-        raw = _raw_args(pb, z, h)
-        f = np.empty((k, n))
-        A = np.empty((k, n, n))
-        g = np.empty(raw.shape)
-        Hraw = np.empty((k,) + 2 * raw.shape[1:]) if want_hess else None
+        rows = np.eye(field.s)
         for j in range(k + 1):
-            for i, e in enumerate(np.eye(field.s)):
+            for i, e in enumerate(rows):
                 if field.hess_xx is not None:
                     Hz[j, i, :n, :n] = field.hess_xx(x[j], u[j], e)
                 if field.hess_ux is not None:
                     Hz[j, i, n:, :n] = field.hess_ux(x[j], u[j], e)
-            if j == k:
-                break
-            t = float(mesh.nodes[j])
-
-            def drift(v: Array) -> Array:
-                return np.atleast_1d(np.asarray(pb.system.f(t, v), dtype=float))
-
-            f[j], A[j] = drift(x[j]), _central_jacobian(drift, x[j])
-            g[j] = _ell_grad(pb, t, raw[j])
-            if want_hess:
-                Hraw[j] = _central_jacobian(lambda v: _ell_grad(pb, t, v), raw[j])
         Hz[:, :, :n, n:] = Hz[:, :, n:, :n].swapaxes(2, 3)
-
-        def dphi(v: Array) -> Array:
-            return np.atleast_1d(np.asarray(pb.dphi(v), dtype=float))
-
-        Hphi = _central_jacobian(dphi, x[k]) if want_hess else None
-        return (psi, Jz, Hz, f, A) + _cost_terms(pb, mesh, self.M, z, g, dphi(x[k]),
+        t = mesh.nodes[:k]
+        f, A = _drift(pb.system, t, x[:k]), _drift_jacobian(pb.system, t, x[:k])
+        g, Hraw = _running_grad(pb, t, _raw_args(pb, z, mesh.h), self.quad, want_hess)
+        gphi, Hphi = _terminal_grad(pb, x[k], want_hess)
+        return (psi, Jz, Hz, f, A) + _cost_terms(pb, mesh, self.M, z, g, gphi,
                                                  Hraw, Hphi, tie_break=True)
 
     # -- residual and Jacobian --------------------------------------------
@@ -957,8 +1140,9 @@ def _shooting_gradient(problem: OcpProblem, z: DiscreteDecision,
 
         q = T_j + h Df T_j - hess_ux(y, u, eta)^T E,
 
-    with E = du_{j+1} / dU_free and Df the central-difference Jacobian of the
-    drift (exactly 0 for a zero drift), and T_{j+1} is the projection of q
+    with E = du_{j+1} / dU_free and Df the drift Jacobian (A for an
+    AffineDrift, central differences of a bare callback), and T_{j+1} is
+    the projection of q
     onto the critical cone
 
         {v : H_A (J v + J_u E) <= 0,  eta^T (J v + J_u E) >= 0},
@@ -979,14 +1163,11 @@ def _shooting_gradient(problem: OcpProblem, z: DiscreteDecision,
     dX, dU = cost_grad(problem, z)
     grad = dU[nodes, comps]
     T = np.zeros((field.n, len(nodes)))
+    Df = _drift_jacobian(system, mesh.nodes[:-1], z.x[:-1])
     for j, rec in enumerate(records):
-        t, y, u, eta = float(mesh.nodes[j]), z.x[j + 1], z.u[j + 1], rec.eta
+        y, u, eta = z.x[j + 1], z.u[j + 1], rec.eta
         cols = np.flatnonzero(nodes == j + 1)  # the columns where du = E != 0
-
-        def drift(v: Array) -> Array:
-            return np.atleast_1d(np.asarray(system.f(t, v), dtype=float))
-
-        q = T + mesh.h * (_central_jacobian(drift, z.x[j]) @ T)
+        q = T + mesh.h * (Df[j] @ T)
         if field.hess_ux is not None:
             q[:, cols] -= np.atleast_2d(field.hess_ux(y, u, eta)).T[:, comps[cols]]
         J, c = field.x_affine(u)

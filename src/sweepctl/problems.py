@@ -58,8 +58,8 @@ from .geometry import (
     LinearImagePolyhedron,
     NonpositiveOrthant,
 )
-from .dynamics import Mesh, Path, SweepingSystem
-from .ocp import OcpProblem
+from .dynamics import AffineDrift, Mesh, Path, SweepingSystem
+from .ocp import OcpProblem, QuadraticStageCost, QuadraticTerminalCost
 from .certify import Certificate, SubgradientSelection, VectorMeasure, recover_eta
 
 Array = np.ndarray
@@ -84,17 +84,14 @@ class NamedInstance:
     notes: str
 
 
-def _zero_drift(t: float, x: Array) -> Array:
-    return np.zeros_like(x)
-
-
 # ---------------------------------------------------------------------------
 # remark45
 # ---------------------------------------------------------------------------
 
 
-def _remark45_uref(t: float) -> Array:
-    return np.array([-2.0 + t if t < 1.0 else -1.0])
+#: The tracked control: a ramp from -2 to -1 on [0, 1], then a hold.
+_REMARK45_COST = QuadraticStageCost(
+    tracking=1.0, ref=((0.0, 1.0, 2.0), ((-2.0,), (-1.0,), (-1.0,))))
 
 
 def _remark45_xbar(t: float) -> Array:
@@ -107,22 +104,10 @@ def _remark45_xbar(t: float) -> Array:
 
 def _remark45_problem() -> OcpProblem:
     field = FieldMap.affine_fixed([[1.0]], [[1.0]], [0.0])
-    system = SweepingSystem(f=_zero_drift, field=field,
+    system = SweepingSystem(f=AffineDrift.zero(1), field=field,
                             theta=NonpositiveOrthant(1), x0=[1.5], T=2.0)
-
-    def ell(t, x, u, vx):
-        return (u[0] - _remark45_uref(t)[0]) ** 2
-
-    def dell(t, x, u, vx):
-        return (np.zeros(1),
-                np.array([2.0 * (u[0] - _remark45_uref(t)[0])]),
-                np.zeros(1))
-
-    return OcpProblem(
-        system=system,
-        phi=lambda x: 0.5 * (x[0] - 1.0) ** 2,
-        dphi=lambda x: np.array([x[0] - 1.0]),
-        ell=ell, dell=dell, mode="W12xC", u0=[-2.0])
+    return OcpProblem(system=system, phi=QuadraticTerminalCost(center=[1.0]),
+                      ell=_REMARK45_COST, mode="W12xC", u0=[-2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +117,11 @@ def _remark45_problem() -> OcpProblem:
 
 def _counterexample53_problem() -> OcpProblem:
     field = FieldMap.affine_fixed(np.eye(2), -np.eye(2), np.zeros(2))
-    system = SweepingSystem(f=_zero_drift, field=field,
+    system = SweepingSystem(f=AffineDrift.zero(2), field=field,
                             theta=NonpositiveOrthant(2), x0=[1.0, 1.0], T=1.0)
-
-    def ell(t, x, u, vx, vu):
-        return 0.5 * float(vu @ vu)
-
-    def dell(t, x, u, vx, vu):
-        return (np.zeros(2), np.zeros(2), np.zeros(2), np.asarray(vu, dtype=float))
-
-    return OcpProblem(
-        system=system,
-        phi=lambda x: 0.5 * float(np.asarray(x) @ np.asarray(x)),
-        dphi=lambda x: np.asarray(x, dtype=float).copy(),
-        ell=ell, dell=dell, mode="W12xW12", u0=[1.0, 1.0])
+    return OcpProblem(system=system, phi=QuadraticTerminalCost(center=np.zeros(2)),
+                      ell=QuadraticStageCost(energy=1.0), mode="W12xW12",
+                      u0=[1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +133,11 @@ def _elastoplastic_problem(zeta1: float) -> OcpProblem:
     field = FieldMap.affine_fixed([[1.0]], [[1.0]], [0.0])
     theta = LinearImagePolyhedron(A=((1.0,),), G=((1.0,), (-1.0,)),
                                   g=(1.0, 1.0))
-    system = SweepingSystem(f=_zero_drift, field=field, theta=theta,
+    system = SweepingSystem(f=AffineDrift.zero(1), field=field, theta=theta,
                             x0=[0.5], T=1.0)
-
-    def ell(t, x, u, vx, vu):
-        return 0.5 * vu[0] ** 2
-
-    def dell(t, x, u, vx, vu):
-        return (np.zeros(1), np.zeros(1), np.zeros(1),
-                np.asarray(vu, dtype=float))
-
-    return OcpProblem(
-        system=system,
-        phi=lambda x: 0.5 * (x[0] - zeta1) ** 2,
-        dphi=lambda x: np.array([x[0] - zeta1]),
-        ell=ell, dell=dell, mode="W12xW12", u0=[0.0])
+    return OcpProblem(system=system, phi=QuadraticTerminalCost(center=[zeta1]),
+                      ell=QuadraticStageCost(energy=1.0), mode="W12xW12",
+                      u0=[0.0])
 
 
 def _elastoplastic_xbar(t: float) -> Array:
@@ -224,21 +190,11 @@ def _nonconvex22_problem() -> OcpProblem:
         hess_ux=lambda x, u, p: np.array([[0.0]]),
     )
     theta = Box(lower=(0.0,), upper=(np.inf,))
-    system = SweepingSystem(f=_zero_drift, field=field, theta=theta,
+    system = SweepingSystem(f=AffineDrift.zero(1), field=field, theta=theta,
                             x0=[1.0], T=1.0)
-
-    def ell(t, x, u, vx, vu):
-        return 0.5 * vu[0] ** 2
-
-    def dell(t, x, u, vx, vu):
-        return (np.zeros(1), np.zeros(1), np.zeros(1),
-                np.asarray(vu, dtype=float))
-
-    return OcpProblem(
-        system=system,
-        phi=lambda x: 0.5 * x[0] ** 2,
-        dphi=lambda x: np.asarray(x, dtype=float).copy(),
-        ell=ell, dell=dell, mode="W12xW12", u0=[0.0])
+    return OcpProblem(system=system, phi=QuadraticTerminalCost(center=[0.0]),
+                      ell=QuadraticStageCost(energy=1.0), mode="W12xW12",
+                      u0=[0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +216,7 @@ def solution_on_mesh(instance_id: str, k: int) -> tuple[Path, Path]:
                 "and t = 1 are nodes")
         mesh = Mesh(k=k, T=2.0)
         return (Path.sample(mesh, _remark45_xbar),
-                Path.sample(mesh, _remark45_uref))
+                Path(mesh=mesh, values=_REMARK45_COST.ref_at(mesh.nodes)))
     if instance_id == "counterexample53":
         mesh = Mesh(k=k, T=1.0)
         return (Path(mesh=mesh, values=np.ones((k + 1, 2))),
@@ -369,6 +325,25 @@ def instance(instance_id: str) -> NamedInstance:
 # ---------------------------------------------------------------------------
 
 
+def _drift_spec(f: AffineDrift) -> dict:
+    if not (f.A.any() or f.b.any()):
+        return {"kind": "zero"}
+    return {"kind": "affine", "A": f.A.tolist(), "b": f.b.tolist()}
+
+
+def _phi_spec(phi: QuadraticTerminalCost) -> dict:
+    return {"kind": "quadratic_distance", "center": phi.center.tolist(),
+            "weight": phi.weight}
+
+
+def _ell_spec(ell: QuadraticStageCost) -> dict:
+    if not ell.tracking:
+        return {"kind": "control_energy", "weight": ell.energy}
+    times, values = ell.ref
+    return {"kind": "control_tracking", "weight": ell.tracking,
+            "times": times.tolist(), "values": values.tolist()}
+
+
 def instance_spec(instance_id: str, k: int = 50) -> dict:
     """Instance as a problem-spec dictionary (the CLI file format).
 
@@ -377,23 +352,14 @@ def instance_spec(instance_id: str, k: int = 50) -> dict:
     work straight from the exported file.
     """
     inst = instance(instance_id)
-    T = inst.problem.system.T
-    n = inst.problem.system.field.n
-    m = inst.problem.system.field.m
-    s = inst.problem.system.field.s
+    problem = inst.problem
+    field = problem.system.field
 
     if instance_id == "remark45":
         moving_set = {
             "psi": {"kind": "affine", "Ax": [[1.0]], "Au": [[1.0]], "c": [0.0]},
             "theta": {"kind": "orthant", "s": 1},
         }
-        cost = {
-            "phi": {"kind": "quadratic_distance", "center": [1.0], "weight": 1.0},
-            "ell": {"kind": "control_tracking", "weight": 1.0,
-                    "times": [0.0, 1.0, 2.0],
-                    "values": [[-2.0], [-1.0], [-1.0]]},
-        }
-        mode = "w12c"
     elif instance_id == "counterexample53":
         moving_set = {
             "psi": {"kind": "affine",
@@ -402,45 +368,30 @@ def instance_spec(instance_id: str, k: int = 50) -> dict:
                     "c": [0.0, 0.0]},
             "theta": {"kind": "orthant", "s": 2},
         }
-        cost = {
-            "phi": {"kind": "quadratic_distance", "center": [0.0, 0.0], "weight": 1.0},
-            "ell": {"kind": "control_energy", "weight": 1.0},
-        }
-        mode = "w12w12"
     elif instance_id == "elastoplastic61":
         moving_set = {
             "psi": {"kind": "affine", "Ax": [[1.0]], "Au": [[1.0]], "c": [0.0]},
             "theta": {"kind": "image", "A": [[1.0]],
                       "G": [[1.0], [-1.0]], "g": [1.0, 1.0]},
         }
-        cost = {
-            "phi": {"kind": "quadratic_distance", "center": [0.0], "weight": 1.0},
-            "ell": {"kind": "control_energy", "weight": 1.0},
-        }
-        mode = "w12w12"
     elif instance_id == "nonconvex22":
         moving_set = {
             "psi": {"kind": "quadratic_scalar", "a": 1.0, "b": 1.0, "c": -1.0},
             "theta": {"kind": "box", "lower": [0.0], "upper": [None]},
         }
-        cost = {
-            "phi": {"kind": "quadratic_distance", "center": [0.0], "weight": 1.0},
-            "ell": {"kind": "control_energy", "weight": 1.0},
-        }
-        mode = "w12w12"
     else:  # pragma: no cover - instance() already validated the id
         raise ConfigurationError(f"unknown instance {instance_id!r}")
 
     spec = {
         "schema": 1,
-        "dims": {"n": n, "m": m, "s": s},
-        "horizon": T,
-        "dynamics": {"kind": "zero"},
+        "dims": {"n": field.n, "m": field.m, "s": field.s},
+        "horizon": problem.system.T,
+        "dynamics": _drift_spec(problem.system.f),
         "moving_set": moving_set,
-        "cost": cost,
-        "initial": {"x0": np.atleast_1d(inst.problem.system.x0).tolist(),
-                    "u0": np.atleast_1d(inst.problem.u0).tolist()},
-        "mode": mode,
+        "cost": {"phi": _phi_spec(problem.phi), "ell": _ell_spec(problem.ell)},
+        "initial": {"x0": np.atleast_1d(problem.system.x0).tolist(),
+                    "u0": np.atleast_1d(problem.u0).tolist()},
+        "mode": {"W12xC": "w12c", "W12xW12": "w12w12"}[problem.mode],
         "solver": {"k": k},
     }
     if inst.known_solution is not None:

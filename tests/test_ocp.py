@@ -14,11 +14,13 @@ from sweepctl.geometry import (
     NonpositiveOrthant,
     SmoothInequality,
 )
-from sweepctl.dynamics import SweepingSystem
+from sweepctl.dynamics import AffineDrift, SweepingSystem
 from sweepctl.ocp import (
     DiscreteDecision,
     InfeasibleWarmStartError,
     OcpProblem,
+    QuadraticStageCost,
+    QuadraticTerminalCost,
     _KktSystem,
     _has_exact_tangents,
     _shooting_gradient,
@@ -115,6 +117,21 @@ def test_rho_without_anchor_is_rejected():
     problem = remark45_problem()
     with pytest.raises(ConfigurationError):
         dataclasses.replace(problem, rho=1.0)
+
+
+def test_cost_forms_and_callbacks_are_validated():
+    problem = remark45_problem()
+    with pytest.raises(ConfigurationError):  # a callback needs its gradient
+        dataclasses.replace(problem, phi=lambda x: 0.0)
+    with pytest.raises(ConfigurationError):
+        OcpProblem(system=problem.system, phi=problem.phi,
+                   ell=lambda t, x, u, vx: 0.0, mode="W12xC", u0=[-2.0])
+    with pytest.raises(ConfigurationError):  # udot is not a W12xC argument
+        dataclasses.replace(problem, ell=QuadraticStageCost(energy=1.0))
+    with pytest.raises(ConfigurationError):
+        QuadraticStageCost(tracking=1.0)
+    with pytest.raises(ConfigurationError):
+        QuadraticStageCost(tracking=1.0, ref=([0.0, 1.0, 1.0], [[0.0]] * 3))
 
 
 def test_localization_violation_measures_tube_exit():
@@ -556,6 +573,30 @@ def _anchored(instance_id, rho):
                                anchor=solution_on_mesh(instance_id, 8))
 
 
+#: A tracked control whose interior breakpoints fall between the nodes of
+#: the meshes below (k = 6 on [0, 2] puts nodes at multiples of 1/3).
+OFF_MESH_TIMES = [0.0, 0.45, 1.3, 2.0]
+OFF_MESH_VALUES = [[-2.0], [-1.4], [-0.9], [-1.1]]
+
+
+def _off_mesh_tracking_problem():
+    """remark45 from its spec, tracking a reference with off-mesh kinks
+    toward a reweighted terminal target."""
+    spec = instance_spec("remark45", k=6)
+    spec["cost"]["ell"].update(weight=0.8, times=OFF_MESH_TIMES,
+                               values=OFF_MESH_VALUES)
+    spec["cost"]["phi"].update(weight=1.7, center=[0.8])
+    return build_problem(spec)
+
+
+def _tracking_and_energy_problem():
+    """remark45 in W12xW12 with a stage cost carrying both weights."""
+    return dataclasses.replace(
+        remark45_problem(), mode="W12xW12",
+        ell=QuadraticStageCost(tracking=0.8, energy=0.3,
+                               ref=(OFF_MESH_TIMES, OFF_MESH_VALUES)))
+
+
 KKT_CASES = {
     "remark45": remark45_problem,
     "counterexample53": lambda: instance("counterexample53").problem,
@@ -564,6 +605,8 @@ KKT_CASES = {
     "remark45_anchored_w12c": lambda: _anchored("remark45", 0.7),
     "elastoplastic61_anchored_w12w12": lambda: _anchored("elastoplastic61", 0.4),
     "spec_affine_drift": _affine_drift_problem,
+    "spec_tracking_off_mesh": _off_mesh_tracking_problem,
+    "tracking_and_energy_w12w12": _tracking_and_energy_problem,
 }
 
 
@@ -589,3 +632,91 @@ def test_kkt_jacobian_matches_central_differences(case, sigma):
         (8 * (shifted(i, 1) - shifted(i, -1)) - (shifted(i, 2) - shifted(i, -2)))
         / (12 * 3e-5 * (1.0 + abs(X[i]))) for i in range(X.size)])
     assert np.max(np.abs(J - fd)) <= 1e-7 * max(1.0, np.max(np.abs(J)))
+
+
+# ---------------------------------------------------------------------------
+# Exact stage derivatives of the data forms against the callback path
+# ---------------------------------------------------------------------------
+
+
+def _as_callbacks(problem):
+    """The same problem with its cost and drift hidden behind bare callbacks,
+    so the solvers fall back to central differences."""
+    f, phi, dphi, ell, dell = (problem.system.f, problem.phi, problem.dphi,
+                               problem.ell, problem.dell)
+    return dataclasses.replace(
+        problem, system=dataclasses.replace(problem.system, f=lambda t, x: f(t, x)),
+        phi=lambda x: phi(x), dphi=lambda x: dphi(x),
+        ell=lambda *a: ell(*a), dell=lambda *a: dell(*a))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1e-3])
+@pytest.mark.parametrize("case", sorted(KKT_CASES))
+def test_exact_stage_derivatives_match_the_callback_path(case, sigma):
+    problem = KKT_CASES[case]()
+    assert isinstance(problem.ell, QuadraticStageCost)
+    assert isinstance(problem.phi, QuadraticTerminalCost)
+    assert isinstance(problem.system.f, AffineDrift)
+    exact = _KktSystem(transcribe(problem, 6))
+    fd = _KktSystem(transcribe(_as_callbacks(problem), 6))
+    assert exact.quad is not None and fd.quad is None
+    rng = np.random.default_rng([sum(map(ord, case)), round(1 / sigma), 2])
+    X = exact.pack_primal(exact.tr.initial_decision())
+    X = X + rng.normal(scale=0.2, size=X.shape)
+    F, J = exact.residual(X, sigma, with_jacobian=True)
+    F_fd, J_fd = fd.residual(X, sigma, with_jacobian=True)
+    # F carries the drift Jacobian too, so both share the differencing bound.
+    assert np.max(np.abs(F - F_fd)) <= 1e-7 * max(1.0, np.max(np.abs(F)))
+    assert np.max(np.abs(J - J_fd)) <= 1e-7 * max(1.0, np.max(np.abs(J)))
+    z = exact.unpack(X)
+    assert cost_eval(problem, z) == pytest.approx(
+        cost_eval(_as_callbacks(problem), z), rel=1e-14, abs=1e-14)
+    for g, g_fd in zip(cost_grad(problem, z), cost_grad(_as_callbacks(problem), z)):
+        assert np.max(np.abs(g - g_fd)) <= 1e-14 * max(1.0, np.max(np.abs(g)))
+
+
+def test_tracking_reference_interpolates_between_breakpoints():
+    cost = QuadraticStageCost(tracking=1.0, ref=(OFF_MESH_TIMES, OFF_MESH_VALUES))
+    t = np.array([-1.0, 0.0, 0.3, 0.45, 1.0, 1.9, 2.0, 3.0])
+    expected = [-2.0, -2.0, -2.0 + 0.6 * 0.3 / 0.45, -1.4,
+                -1.4 + 0.5 * 0.55 / 0.85, -0.9 - 0.2 * 0.6 / 0.7, -1.1, -1.1]
+    assert np.allclose(cost.ref_at(t)[:, 0], expected, rtol=0, atol=1e-15)
+    for tj, e in zip(t, expected):
+        assert cost.ref_at(float(tj)) == pytest.approx([e], abs=1e-15)
+        assert cost(float(tj), [0.0], np.array([0.5]), [0.0]) == pytest.approx(
+            (0.5 - e) ** 2, abs=1e-14)
+
+
+def test_data_forms_are_read_not_called(monkeypatch):
+    """The smoothed KKT stages, cost_grad and cost_eval read a data-form
+    problem's weights and drift matrix: no per-node callback calls."""
+    calls = {}
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[cls.__name__ + "." + name] = calls.get(cls.__name__ + "." + name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((QuadraticStageCost, "__call__"), (QuadraticStageCost, "grad"),
+                      (QuadraticTerminalCost, "grad"), (AffineDrift, "__call__")):
+        counting(cls, name)
+    for case in ("remark45_anchored_w12c", "elastoplastic61", "spec_affine_drift",
+                 "tracking_and_energy_w12w12"):
+        problem = KKT_CASES[case]()
+        kkt = _KktSystem(transcribe(problem, 6))
+        decision = kkt.tr.initial_decision()  # the simulation steps the drift
+        z = kkt.nodes(kkt.pack_primal(decision))
+        calls.clear()
+        kkt._stages(z, want_hess=True)
+        kkt._stages(z, want_hess=False)
+        cost_grad(problem, decision)
+        cost_eval(problem, decision)
+        assert calls == {}, (case, calls)
+        # The wrappers are live: the callback route is counted.
+        _KktSystem(transcribe(_as_callbacks(problem), 6))._stages(z, want_hess=True)
+        assert set(calls) == {"QuadraticStageCost.grad", "QuadraticTerminalCost.grad",
+                              "AffineDrift.__call__"}, (case, calls)

@@ -127,11 +127,16 @@ def test_spec_reference_matches_the_closed_form():
 
 
 def test_rebuilt_costs_match_the_catalog():
-    # Evaluate phi and ell through both routes at a handful of points.
+    # Both routes carry equal data forms; phi and ell also agree at a
+    # handful of points.
     rng = np.random.default_rng(20240822)
     for iid in INSTANCE_IDS:
         original = instance(iid).problem
         rebuilt = build_problem(instance_spec(iid))
+        for a, b in ((rebuilt.phi, original.phi), (rebuilt.ell, original.ell),
+                     (rebuilt.system.f, original.system.f)):
+            assert type(a) is type(b)
+            np.testing.assert_equal(vars(a), vars(b))
         n = original.system.field.n
         m = original.system.field.m
         for _ in range(5):
