@@ -21,6 +21,13 @@ Conventions used throughout:
   one pass (a suffix sum over the cells) serves every query time, so the
   tails at all nodes or midpoints cost O(k), not O(k^2).
 
+:func:`assemble_certificate` fits multipliers in O(k) as well: the measure
+tails join the fit as unknowns, which makes the condition matrix banded, and
+one sparse factorization of the augmented least-squares system plus a tiny
+NNLS over the endpoint cone coefficients solve it.  Its results match the
+dense bounded least-squares fit of the same problem to about 1e-10, not bit
+for bit.
+
 Residual reports never hide a failed subproblem: conditions that cannot be
 met at all (an empty coderivative, an infeasible point) surface as infinite
 residuals rather than exceptions, so a report is always produced for
@@ -55,7 +62,8 @@ from .geometry import (
     surjectivity_check,
 )
 from .dynamics import Mesh, Path, SweepingSystem
-from .ocp import DiscreteDecision, OcpProblem
+from .ocp import (DiscreteDecision, OcpProblem, _quadratic_stage, _raw_args,
+                  _running_grad)
 
 Array = np.ndarray
 
@@ -1020,30 +1028,82 @@ def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
 
 def _running_subgradients(problem: OcpProblem, state: Path, control: Path,
                           ) -> SubgradientSelection:
-    """Cost gradients along a pair, evaluated at left nodes."""
+    """Cost gradients along a pair, evaluated at left nodes.
+
+    A data-form running cost gives every cell's four partials in one array
+    expression; a bare ``dell`` callback is called once per cell.
+    """
     mesh = state.mesh
-    k, h = mesh.k, mesh.h
-    n = problem.system.field.n
-    m = problem.system.field.m
-    w_x = np.zeros((k, n))
-    w_u = np.zeros((k, m))
-    v_x = np.zeros((k, n))
-    v_u = np.zeros((k, m)) if problem.uses_udot else None
-    for j in range(k):
-        t_j = float(mesh.nodes[j])
-        x_j = state.values[j]
-        u_j = control.values[j]
-        xd = (state.values[j + 1] - x_j) / h
-        if problem.uses_udot:
-            ud = (control.values[j + 1] - u_j) / h
-            parts = problem.dell(t_j, x_j, u_j, xd, ud)
-            v_u[j] = np.atleast_1d(np.asarray(parts[3], dtype=float))
-        else:
-            parts = problem.dell(t_j, x_j, u_j, xd)
-        w_x[j] = np.atleast_1d(np.asarray(parts[0], dtype=float))
-        w_u[j] = np.atleast_1d(np.asarray(parts[1], dtype=float))
-        v_x[j] = np.atleast_1d(np.asarray(parts[2], dtype=float))
-    return SubgradientSelection(w_x=w_x, w_u=w_u, v_x=v_x, v_u=v_u)
+    n, m = problem.system.field.n, problem.system.field.m
+    t = mesh.nodes[:-1]
+    raw = _raw_args(problem, np.hstack([state.values, control.values]), mesh.h)
+    g, _ = _running_grad(problem, t, raw, _quadratic_stage(problem, t),
+                         want_hess=False)
+    return SubgradientSelection(
+        w_x=g[:, :n], w_u=g[:, n:n + m], v_x=g[:, n + m:2 * n + m],
+        v_u=g[:, 2 * n + m:] if problem.uses_udot else None)
+
+
+def _coo(shape: tuple[int, int], blocks: list[tuple[Array, Array, Array]]):
+    """Sparse matrix from stacks of dense blocks.
+
+    Each (rows, cols, B) puts B[j] at rows[j] x cols[j]; entries sharing a
+    position add up, and entries with a negative index (a density cell
+    outside the contact set) are dropped.
+    """
+    from scipy import sparse
+    r = np.concatenate([np.broadcast_to(i[:, :, None], B.shape).ravel()
+                        for i, _, B in blocks])
+    c = np.concatenate([np.broadcast_to(j[:, None, :], B.shape).ravel()
+                        for _, j, B in blocks])
+    v = np.concatenate([B.ravel() for _, _, B in blocks])
+    keep = (r >= 0) & (c >= 0)
+    return sparse.coo_array((v[keep], (r[keep], c[keep])), shape=shape)
+
+
+def _kkt_lu(K, C):
+    """splu of the augmented system [[I, K, 0], [K^T, 0, C^T], [0, C, 0]].
+
+    Its solution with right-hand side [d; 0; 0] is (d - K y, y, .) for the y
+    minimizing ||K y - d|| subject to C y = 0 (Bjorck's augmented form of
+    least squares: no normal equations, so K's condition is not squared).
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+    R = sparse.eye_array(K.shape[0])
+    M = sparse.block_array([[R, K, None], [K.T, None, C.T], [None, C, None]],
+                           format="csc")
+    return splu(M)
+
+
+def _rank_deficient(A, C, free: Array) -> bool:
+    """Whether the condition matrix A Z has dependent columns.
+
+    Z maps the original unknowns (the columns ``free`` of A) to the tail
+    form, the other columns being fixed by C y = 0.  Two steps of inverse
+    iteration on (A Z)^T (A Z) through the unregularized augmented system
+    find a vector x with ||A Z x|| <= sigma ||x||, sigma no smaller than the
+    least singular value; the columns count as dependent when sigma falls
+    under numpy's ``matrix_rank`` tolerance, max(shape) * eps * ||A||, with
+    sqrt(||A||_1 ||A||_inf) for ||A||.  A pivot that vanishes exactly also
+    means dependence.
+    """
+    from scipy.sparse.linalg import norm
+    try:
+        lu = _kkt_lu(A, C)
+    except RuntimeError:  # exactly singular
+        return True
+    rows, N = A.shape
+    rhs = np.zeros(rows + N + C.shape[0])
+    y = np.zeros(N)
+    y[free] = np.random.default_rng(0).standard_normal(len(free))
+    for _ in range(2):
+        rhs[rows:rows + N][free] = y[free] / np.linalg.norm(y[free])
+        y = lu.solve(rhs)[rows:rows + N]
+    sigma = np.linalg.norm(A @ y) / np.linalg.norm(y[free])
+    tol = max(rows, len(free)) * np.finfo(float).eps \
+        * math.sqrt(norm(A, 1) * norm(A, np.inf))
+    return not sigma > tol
 
 
 def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
@@ -1054,12 +1114,13 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     density, one atom at the final time, and nonnegative coefficients on the
     endpoint cone generators.  The fitted conditions are the cellwise
     adjoint equation, the control-adjoint pinning, and the endpoint
-    inclusion as an equality on the generators; a small Tikhonov term picks
-    the minimum-norm representative, and ``non_unique`` flags a rank
-    deficiency of the condition matrix (the usual situation, since the
-    multiplier set is a cone).  ``fit_residual`` is the worst condition
-    violation at the fitted point; it does not bound the items a subsequent
-    residual report checks beyond the fitted ones.
+    inclusion as an equality on the generators; a small Tikhonov term,
+    min ||A x - b||^2 + (1e-6)^2 ||x||^2, picks the minimum-norm
+    representative, and ``non_unique`` flags a rank deficiency of the
+    condition matrix A (the usual situation, since the multiplier set is a
+    cone).  ``fit_residual`` is the worst condition violation at the fitted
+    point; it does not bound the items a subsequent residual report checks
+    beyond the fitted ones.
 
     Velocity multipliers are recovered from the pair first, so candidates
     violating the velocity inclusion raise before any fitting happens.
@@ -1067,9 +1128,25 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     the target set are fixed to zero up front: measure mass cannot live
     there, and dropping those variables removes sampling nullspaces that
     would otherwise smear an endpoint atom into oscillating densities.
+
+    The solve is O(k).  The measure tails S_j = sum_{c >= j} h G_c dens_c +
+    G_T atom (j = 1..k) join as unregularized unknowns tied by S_j - S_{j+1}
+    = h G_j dens_j and S_k = G_T atom, so the tail at the midpoint of cell j
+    is S_{j+1} plus its own half cell, and every condition row touches O(1)
+    cells: the matrix is banded and assembled from stage stacks.  One
+    sparse LU of the augmented system (see :func:`_kkt_lu`) solves for the
+    free unknowns, with the cone coefficients' columns as extra right-hand
+    sides; the residual is affine in them, so a tiny NNLS over those few
+    coefficients enforces their bounds before back-substitution.  Results
+    match a dense bounded least-squares solve of the same problem to about
+    1e-10, not bit for bit.  When A has fewer rows than unknowns
+    ``non_unique`` holds by counting; otherwise :func:`_rank_deficient`
+    decides it with a second, unregularized factorization.
     """
     if lam < 0:
         raise ConfigurationError("the cost multiplier must be nonnegative")
+    from scipy import sparse
+    from scipy.optimize import nnls
     system = problem.system
     field = system.effective_field()
     theta = system.theta
@@ -1078,6 +1155,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
         raise ConfigurationError("state and control must share a mesh")
     k, h = mesh.k, mesh.h
     n, m, s = field.n, field.m, field.s
+    d = n + m
     nodes = mesh.nodes
 
     eta_path = recover_eta(system, state, control)
@@ -1099,103 +1177,90 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
                if min(_interior_margin(theta, psis[j]),
                       _interior_margin(theta, psis[j + 1])) <= 1e-6]
 
-    npv = (k + 1) * (n + m)
-    ndv = len(contact) * s
-    i_atom = npv + ndv
-    i_beta = i_atom + s
-    nvars = i_beta + n_beta
+    # Unknowns, in order: p_0..p_k, the contact cells' densities, the atom
+    # (these carry the Tikhonov term), the tails S_1..S_k, the cone
+    # coefficients beta.  Absent density cells have index -1.
+    ip = np.arange((k + 1) * d).reshape(k + 1, d)
+    idens = np.full((k, s), -1)
+    idens[contact] = ip.size + np.arange(len(contact) * s).reshape(-1, s)
+    n_reg = ip.size + len(contact) * s + s
+    iatom = np.arange(n_reg - s, n_reg)
+    iS = n_reg + np.arange(k * d).reshape(k, d)  # row j holds S_{j+1}
+    i_beta = n_reg + k * d
+    N = i_beta + n_beta
+    nvars = n_reg + n_beta
 
-    def p_slice(j: int) -> slice:
-        return slice(j * (n + m), (j + 1) * (n + m))
-
-    def px_slice(j: int) -> slice:
-        return slice(j * (n + m), j * (n + m) + n)
-
-    # Length of each contact cell inside [t_mid, T], for every midpoint: the
-    # cells the tail at that midpoint integrates, as VectorMeasure.tail
-    # counts them.
-    t_mid = 0.5 * (nodes[:-1] + nodes[1:])
-    full, cut, length = _tail_cells(mesh, t_mid)
-    weights = np.where(np.arange(k) >= full[:, np.newaxis], h, 0.0)
-    at = cut >= 0
-    weights[at, cut[at]] = length[at]
-    weights = weights[:, contact, np.newaxis, np.newaxis]
-    grads_u = grads[contact, n:, :]
-    dens_cols = slice(npv, i_atom)
-
-    def dens_block(blocks: Array) -> Array:
-        """(cells, rows, s) blocks side by side as the density columns."""
-        return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], ndv)
-
-    rows: list[Array] = []
-    rhs: list[Array] = []
-
-    for j in range(k):
-        x_j = state.values[j]
-        u_j = control.values[j]
-        eta_j = eta_path.values[j]
-        hxx = _hess_xx(field, x_j, u_j, eta_j)
-        hux = _hess_ux(field, x_j, u_j, eta_j)
-        Hmat = np.vstack([hxx, hux])  # (n+m, n)
-
-        # Adjoint equation: dp/h - Hmat (p_mid^x - tail^x(mid) - lam v^x) = lam w.
-        M = np.zeros((n + m, nvars))
-        eye = np.eye(n + m)
-        M[:, p_slice(j)] -= eye / h
-        M[:, p_slice(j + 1)] += eye / h
-        M[:, px_slice(j)] -= 0.5 * Hmat
-        M[:, px_slice(j + 1)] -= 0.5 * Hmat
-        M[:, dens_cols] += dens_block(
-            weights[j] * (Hmat @ grads[:, :n, :])[contact])
-        M[:, i_atom:i_atom + s] += Hmat @ grad_T_end[:n, :]
-        b = lam * np.concatenate([sg.w_x[j], sg.w_u[j]]) \
-            - Hmat @ (lam * sg.v_x[j])
-        rows.append(M)
-        rhs.append(b)
-
-        # Control adjoint: p_mid^u - tail^u(mid) = lam v^u (or zero).
-        M = np.zeros((m, nvars))
-        sl_j = p_slice(j)
-        sl_j1 = p_slice(j + 1)
-        M[:, sl_j.start + n:sl_j.stop] += 0.5 * np.eye(m)
-        M[:, sl_j1.start + n:sl_j1.stop] += 0.5 * np.eye(m)
-        M[:, dens_cols] -= dens_block(weights[j] * grads_u)
-        M[:, i_atom:i_atom + s] -= grad_T_end[n:, :]
-        rows.append(M)
-        rhs.append(lam * sg.v_u[j] if problem.uses_udot else np.zeros(m))
-
-    # Endpoint inclusion as an equality over the cone generators.
-    M = np.zeros((n + m, nvars))
-    M[:, p_slice(k)] = -np.eye(n + m)
-    for i in range(n_beta):
-        M[:, i_beta + i] = -signs_T[i] * cols_T[:, i]
+    # Condition rows, one block per cell over (p_j, p_{j+1}, S, cut cell):
+    # the adjoint equation  dp/h - H (p_mid^x - tail^x(mid) - lam v^x) =
+    # lam w  over the control adjoint  p_mid^u - tail^u(mid) = lam v^u (or
+    # zero).  The midpoint tail is S_full plus the cut cell's length times
+    # its integrand (_tail_cells, as VectorMeasure.tail counts cells).  Last
+    # come the endpoint inclusion rows, an equality over the cone generators.
+    H = np.stack([np.vstack([_hess_xx(field, x, u, e), _hess_ux(field, x, u, e)])
+                  for x, u, e in zip(state.values[:k], control.values[:k],
+                                      eta_path.values[:k])]).reshape(k, d, n)
+    HE = np.concatenate([H, np.zeros((k, d, m))], axis=2)  # H on the x part
+    full, cut, length = _tail_cells(mesh, 0.5 * (nodes[:-1] + nodes[1:]))
+    Gcut = length[:, None, None] * grads[cut]
+    B = np.zeros((k, d + m, 3 * d + s))
+    B[:, :d, :d] = -np.eye(d) / h - 0.5 * HE
+    B[:, :d, d:2 * d] = np.eye(d) / h - 0.5 * HE
+    B[:, :d, 2 * d:3 * d] = HE
+    B[:, :d, 3 * d:] = H @ Gcut[:, :n]
+    B[:, d:, n:d] = B[:, d:, d + n:2 * d] = 0.5 * np.eye(m)
+    B[:, d:, 2 * d + n:3 * d] = -np.eye(m)
+    B[:, d:, 3 * d:] = -Gcut[:, n:]
+    icut = np.where((cut >= 0)[:, None], idens[cut], -1)
+    n_rows = k * (d + m) + d
+    i_end = n_rows - d + np.arange(d)[None]
+    A = _coo((n_rows, N), [
+        (np.arange(k * (d + m)).reshape(k, d + m),
+         np.hstack([ip[:-1], ip[1:], iS[full - 1], icut]), B),
+        (i_end, ip[k:], -np.eye(d)[None]),
+        (i_end, i_beta + np.arange(n_beta)[None], -(signs_T * cols_T)[None]),
+    ]).tocsr()
     gphi = np.atleast_1d(np.asarray(problem.dphi(x_T), dtype=float))
-    rows.append(M)
-    rhs.append(lam * np.concatenate([gphi, np.zeros(m)]))
+    b = np.zeros((k + 1, d + m))
+    b[:k, :d] = lam * np.hstack([sg.w_x, sg.w_u]) - (H @ (lam * sg.v_x)[:, :, None])[:, :, 0]
+    if problem.uses_udot:
+        b[:k, d:] = lam * sg.v_u
+    b[k, :d] = lam * np.concatenate([gphi, np.zeros(m)])
+    b = b.ravel()[:n_rows]
 
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    non_unique = int(np.linalg.matrix_rank(A)) < nvars
+    # Tail equalities: S_j - S_{j+1} - h G_j dens_j = 0 for j < k and
+    # S_k - G_T atom = 0.
+    rS = iS - n_reg
+    C = _coo((k * d, N), [
+        (rS, iS, np.broadcast_to(np.eye(d), (k, d, d))),
+        (rS[:-1], iS[1:], np.broadcast_to(-np.eye(d), (k - 1, d, d))),
+        (rS[:-1], idens[1:], -h * grads[1:]),
+        (rS[-1:], iatom[None], -grad_T_end[None]),
+    ]).tocsr()
 
+    # Free unknowns through one factorization; beta's columns ride along as
+    # right-hand sides, and NNLS on the affine residual fixes beta >= 0.
     reg = 1e-6
-    A_aug = np.vstack([A, reg * np.eye(nvars)])
-    b_aug = np.concatenate([b, np.zeros(nvars)])
-    lb = np.full(nvars, -np.inf)
-    lb[i_beta:] = 0.0
-    ub = np.full(nvars, np.inf)
-    from scipy.optimize import lsq_linear
-    # The augmented system keeps rows >= columns, which the active-set
-    # method needs; it finds the bounded minimum exactly on dense problems
-    # of this size where the default trust-region solver can stall early.
-    sol = lsq_linear(A_aug, b_aug, bounds=(lb, ub), method="bvls",
-                     tol=1e-14)
-    X = sol.x
-    fit_residual = float(np.max(np.abs(A @ X - b))) if A.size else 0.0
+    K = sparse.vstack([A[:, :i_beta],
+                       sparse.eye_array(n_reg, i_beta) * reg]).tocsc()
+    rows = K.shape[0]
+    rhs = np.zeros((rows + i_beta + k * d, 1 + n_beta))
+    rhs[:n_rows, 0] = b
+    rhs[:n_rows, 1:] = A[:, i_beta:].toarray()
+    sol = _kkt_lu(K, C[:, :i_beta]).solve(rhs)
+    beta = np.zeros(n_beta)
+    if n_beta:
+        Rb = np.vstack([sol[:rows, 1:], reg * np.eye(n_beta)])
+        beta = nnls(Rb, np.concatenate([sol[:rows, 0], np.zeros(n_beta)]))[0]
+    X = np.concatenate([sol[rows:rows + i_beta, 0] - sol[rows:rows + i_beta, 1:] @ beta,
+                        beta])
+    fit_residual = float(np.max(np.abs(A @ X - b)))
+    free = np.r_[:n_reg, i_beta:N]
+    non_unique = n_rows < nvars or _rank_deficient(A, C, free)
 
-    p_arr = X[:npv].reshape(k + 1, n + m)
+    p_arr = X[ip]
     dens = np.zeros((k, s))
-    dens[contact] = X[dens_cols].reshape(-1, s)
-    w_atom = X[i_atom:i_atom + s]
+    dens[contact] = X[idens[contact]]
+    w_atom = X[iatom]
     atoms: tuple[tuple[float, Array], ...] = ()
     if float(np.linalg.norm(w_atom)) > 1e-9:
         atoms = ((float(mesh.T), w_atom),)

@@ -22,7 +22,7 @@ from sweepctl.geometry import (
     coderivative_theta,
     coderivative_violation,
 )
-from sweepctl.ocp import DiscreteDecision, OcpProblem
+from sweepctl.ocp import DiscreteDecision, OcpProblem, QuadraticStageCost
 from sweepctl.certify import (
     ACT_TOL,
     TOL_POS,
@@ -33,6 +33,7 @@ from sweepctl.certify import (
     SubgradientSelection,
     VectorMeasure,
     _interior_margin,
+    _running_subgradients,
     assemble_certificate,
     check_nondegeneracy,
     conventional_hamiltonian,
@@ -417,6 +418,38 @@ def test_measure_slack_cannot_fool_the_pointwise_condition():
     assert not report.passed
     assert report.get("measured_coderivative").residual == pytest.approx(
         0.1, abs=1e-6)
+
+
+def test_running_subgradients_read_data_forms(monkeypatch):
+    """A data-form running cost gives every cell's partials without one
+    ``dell`` call; as a bare callback it is called once per cell, and both
+    routes give equal blocks (a zero partial may differ in sign only)."""
+    calls = []
+    grad = QuadraticStageCost.grad
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return grad(self, *args)
+
+    monkeypatch.setattr(QuadraticStageCost, "grad", counting)
+    mesh = Mesh(k=20, T=1.0)
+    t = mesh.nodes[:, None]
+    curved = (Path(mesh=mesh, values=1.0 - 0.5 * t),
+              Path(mesh=mesh, values=np.sin(3.0 * t)))
+    for iid in ("remark45", "counterexample53", "elastoplastic61", "nonconvex22"):
+        problem = instance(iid).problem  # dell is the counting grad
+        state, control = curved if iid == "nonconvex22" else solution_on_mesh(iid, 20)
+        calls.clear()
+        sg = _running_subgradients(problem, state, control)
+        assert calls == [], iid
+        data_form = problem.ell
+        bare = dataclasses.replace(problem, ell=lambda *a: data_form(*a),
+                                   dell=lambda *a: data_form.grad(*a))
+        by_cell = _running_subgradients(bare, state, control)
+        assert len(calls) == state.mesh.k, iid
+        for name in ("w_x", "w_u", "v_x", "v_u"):
+            a, b = getattr(sg, name), getattr(by_cell, name)
+            assert (a is None and b is None) or np.array_equal(a, b), (iid, name)
 
 
 # ---------------------------------------------------------------------------
