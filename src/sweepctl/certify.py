@@ -28,6 +28,13 @@ NNLS over the endpoint cone coefficients solve it.  Its results match the
 dense bounded least-squares fit of the same problem to about 1e-10, not bit
 for bit.
 
+The field enters through one table per public function
+(:func:`geometry.field_at_nodes`): psi and its Jacobians at every node of
+the pair, one callback call each per node, with the Hessian contractions
+against the velocity multipliers taken from the same table.  The measure
+tails inside a function read that table too, so a certify run evaluates the
+field a fixed number of times per node.
+
 Residual reports never hide a failed subproblem: conditions that cannot be
 met at all (an empty coderivative, an infeasible point) surface as infinite
 residuals rather than exceptions, so a report is always produced for
@@ -46,24 +53,26 @@ from .geometry import (
     ConfigurationError,
     DomainError,
     FieldMap,
+    NodeTable,
     NonpositiveOrthant,
     NotInConeError,
     SmoothInequality,
     SurjectivityError,
     ThetaSet,
     _cone_generators,
+    _decompose,
     _halfspaces_of,
     _signed_cone_distance,
     coderivative_orthant,
     coderivative_theta,
     coderivative_violation,
-    normal_cone_decompose,
+    field_at_nodes,
     psi_eval,
     surjectivity_check,
 )
 from .dynamics import Mesh, Path, SweepingSystem
-from .ocp import (DiscreteDecision, OcpProblem, _quadratic_stage, _raw_args,
-                  _running_grad)
+from .ocp import (DiscreteDecision, OcpProblem, _drift, _quadratic_stage,
+                  _raw_args, _running_grad)
 
 Array = np.ndarray
 
@@ -219,7 +228,7 @@ class VectorMeasure:
             if w.shape != (dens.shape[1],):
                 raise ConfigurationError("atom weight dimension mismatch")
             t = float(t)
-            if t < -1e-12 or t > self.mesh.T + 1e-12:
+            if not -1e-12 <= t <= self.mesh.T + 1e-12:
                 raise ConfigurationError(f"atom time {t} outside [0, T]")
             cleaned.append((t, w))
         self.atoms = tuple(cleaned)
@@ -248,20 +257,28 @@ class VectorMeasure:
         in total (see :func:`_tail_cells` for which cells count).
         """
         k = self.mesh.k
+        return self._tail(field_at_nodes(field, state.values[:k], control.values[:k]),
+                          state, control, t)
+
+    def _tail(self, tab: NodeTable, state: Path, control: Path,
+              t: float | Array) -> Array:
+        """:meth:`tail` with the cell gradients read from the first k rows of
+        a table of the field along the pair; each atom costs one more
+        evaluation, at its own time."""
+        k = self.mesh.k
         ts = np.asarray(t, dtype=float)
         tq = np.atleast_1d(ts)
-        grads = _grads_T(field, state.values[:k], control.values[:k])
-        g = (grads @ self.density[:, :, np.newaxis])[:, :, 0]
-        suffix = np.zeros((k + 1, field.n + field.m))
+        g = _rows(tab.J[:k].swapaxes(1, 2), self.density)
+        suffix = np.zeros((k + 1, g.shape[1]))
         suffix[:k] = np.cumsum((self.mesh.h * g)[::-1], axis=0)[::-1]
         full, cut, length = _tail_cells(self.mesh, tq)
         out = suffix[full]
         at = cut >= 0
         out[at] += length[at, np.newaxis] * g[cut[at]]
         for tau, w in self.atoms:
-            atom = _grad_T(field, state.at(tau), control.at(tau)) @ w
-            out[tau >= tq - 1e-14] += atom
-        return out.reshape(ts.shape + (field.n + field.m,))
+            J = field_at_nodes(tab.field, state.at(tau)[None], control.at(tau)[None]).J
+            out[tau >= tq - 1e-14] += J[0].T @ w
+        return out.reshape(ts.shape + g.shape[1:])
 
 
 def _tail_cells(mesh: Mesh, t: Array) -> tuple[Array, Array, Array]:
@@ -281,35 +298,6 @@ def _tail_cells(mesh: Mesh, t: Array) -> tuple[Array, Array, Array]:
     cut = np.where(has_cut, first_full - 1, -1)
     length = np.where(has_cut, nodes[np.minimum(first_full, k)] - t, 0.0)
     return full, cut, length
-
-
-def _grad_T(field: FieldMap, x: Array, u: Array) -> Array:
-    """Transposed full constraint Jacobian at (x, u): shape (n + m, s)."""
-    Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x, u), dtype=float))
-    Ju = np.atleast_2d(np.asarray(field.dpsi_du(x, u), dtype=float))
-    return np.hstack([Jx, Ju]).T
-
-
-def _grads_T(field: FieldMap, xs: Array, us: Array) -> Array:
-    """:func:`_grad_T` at each row pair of (xs, us): shape (rows, n + m, s).
-
-    Each slice is a transposed view laid out exactly as ``_grad_T`` returns
-    it, so products with it round as the per-point ones do.
-    """
-    J = np.stack([_grad_T(field, x, u).T for x, u in zip(xs, us)])
-    return J.transpose(0, 2, 1)
-
-
-def _hess_xx(field: FieldMap, x: Array, u: Array, w: Array) -> Array:
-    if field.hess_xx is None:
-        return np.zeros((field.n, field.n))
-    return np.atleast_2d(np.asarray(field.hess_xx(x, u, w), dtype=float))
-
-
-def _hess_ux(field: FieldMap, x: Array, u: Array, w: Array) -> Array:
-    if field.hess_ux is None:
-        return np.zeros((field.m, field.n))
-    return np.atleast_2d(np.asarray(field.hess_ux(x, u, w), dtype=float))
 
 
 @dataclass
@@ -338,8 +326,8 @@ class Certificate:
 
     def __post_init__(self) -> None:
         self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        if self.lam < 0:
-            raise ConfigurationError("the cost multiplier must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigurationError("the cost multiplier must be finite and nonnegative")
 
 
 @dataclass
@@ -362,8 +350,8 @@ class DiscreteCertificate:
     def __post_init__(self) -> None:
         self.p = np.atleast_2d(np.asarray(self.p, dtype=float))
         self.gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
-        if self.lam < 0:
-            raise ConfigurationError("the cost multiplier must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigurationError("the cost multiplier must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -382,25 +370,27 @@ def recover_eta(system: SweepingSystem, state: Path, control: Path,
     """Velocity multipliers of a candidate pair, cell by cell.
 
     Solves grad_x psi(x_j, u_j)^T eta_j = f(t_j, x_j) - dx_j/h on each cell
-    and certifies eta_j against the normal cone; decomposition errors
-    propagate.  The returned path uses the cell convention (node j stores
+    and certifies eta_j against the normal cone; a decomposition error
+    propagates with the cell index j and its time t_j prefixed to its
+    message.  The returned path uses the cell convention (node j stores
     the multiplier of cell j, node k repeats the last cell).
     """
     if state.mesh != control.mesh:
         raise ConfigurationError("state and control must share a mesh")
     mesh = state.mesh
-    eff = system.effective_field()
-    h = mesh.h
-    vals = np.zeros((mesh.k + 1, eff.s))
-    for j in range(mesh.k):
-        x_j = state.values[j]
-        f_j = np.atleast_1d(np.asarray(
-            system.f(float(mesh.nodes[j]), x_j), dtype=float))
+    k, h = mesh.k, mesh.h
+    tab = field_at_nodes(system.effective_field(), state.values[:k],
+                         control.values[:k])
+    vals = np.zeros((k + 1, tab.field.s))
+    for j in range(k):
+        t_j, x_j = float(mesh.nodes[j]), state.values[j]
+        f_j = np.atleast_1d(np.asarray(system.f(t_j, x_j), dtype=float))
         v = f_j - (state.values[j + 1] - x_j) / h
-        dec = normal_cone_decompose(eff, system.theta, x_j, control.values[j],
-                                    v, tol=tol)
-        vals[j] = dec.eta
-    vals[mesh.k] = vals[mesh.k - 1]
+        try:
+            vals[j] = _decompose(system.theta, tab.psi[j], tab.Jx[j], v, tol).eta
+        except (NotInConeError, DomainError, SurjectivityError) as e:
+            raise type(e)(f"cell {j} (t = {t_j:g}): {e}") from e
+    vals[k] = vals[k - 1]
     return Path(mesh=mesh, values=vals)
 
 
@@ -434,24 +424,31 @@ def theta_quantities(problem: OcpProblem, z: DiscreteDecision,
     return th_x, th_u
 
 
-def _interior_margin(theta: ThetaSet, z: Array) -> float:
-    """How strictly z sits inside Theta (negative outside, 0 on the boundary)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+def _interior_margin(theta: ThetaSet, z: Array) -> Array:
+    """How strictly z sits inside Theta (negative outside, 0 on the
+    boundary); one margin per row when z stacks points."""
+    z = np.asarray(z, dtype=float)
     if isinstance(theta, SmoothInequality):
-        hv = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
-        return float(-np.max(hv))
+        return -np.array([np.max(theta.h(zj)) for zj in z.reshape(-1, theta.s)]
+                         ).reshape(z.shape[:-1])
     H, d = _halfspaces_of(theta)
-    return float(np.min(d - H @ z, initial=math.inf))
+    return np.min(d - _rows(H, z), axis=-1, initial=math.inf)
 
 
-def _midpoint_q(cert: Certificate, field: FieldMap, state: Path,
+def _rows(A: Array, v: Array) -> Array:
+    """A[j] @ v[j] over the leading axes (A may be one matrix for all),
+    rounded exactly as the one-at-a-time products are."""
+    return (A @ v[..., np.newaxis])[..., 0]
+
+
+def _midpoint_q(cert: Certificate, tab: NodeTable, state: Path,
                 control: Path) -> Array:
     """q at cell midpoints: interpolated adjoint minus the measure tail."""
     nodes = state.mesh.nodes
     pvals = cert.p.values
     t_mid = 0.5 * (nodes[:-1] + nodes[1:])
     p_mid = 0.5 * (pvals[:-1] + pvals[1:])
-    return p_mid - cert.gamma.tail(field, state, control, t_mid)
+    return p_mid - cert.gamma._tail(tab, state, control, t_mid)
 
 
 # ---------------------------------------------------------------------------
@@ -490,40 +487,35 @@ def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
     lam = cert.lam
     px = cert.p[:, :n]
     pu = cert.p[:, n:]
+    tab = field_at_nodes(field, z.x, z.u)
+    Hxx, Hux = tab.hess(z.eta)
+    Jx, Ju, gam = tab.Jx[:k], tab.Ju[:k], cert.gamma
 
-    adj = 0.0
-    qu = 0.0
+    # The backward difference system, all cells at once.
+    ufrak = px[1:] - lam * (sg.v_x + th_x[:k] / h)
+    dp = np.diff(cert.p, axis=0) / h
+    res_x = dp[:, :n] - lam * sg.w_x - _rows(Hxx, ufrak) - _rows(Jx.swapaxes(1, 2), gam)
+    if problem.uses_udot:
+        w_u, pinned = sg.w_u, pu[1:] - lam * (sg.v_u + th_u[:k] / h)
+    else:
+        w_u, pinned = sg.w_u + th_u[:k], pu[1:]
+    res_u = dp[:, n:] - lam * w_u - _rows(Hux, ufrak) - _rows(Ju.swapaxes(1, 2), gam)
+    adj = float(max(np.max(np.linalg.norm(res_x, axis=1)),
+                    np.max(np.linalg.norm(res_u, axis=1))))
+    qu = float(np.max(np.linalg.norm(pinned, axis=1)))
+
     code = 0.0
+    dirs = _rows(Jx, ufrak)
     for j in range(k):
-        x_j, u_j, eta_j = z.x[j], z.u[j], z.eta[j]
-        psi_j = psi_eval(field, x_j, u_j)
-        Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x_j, u_j), dtype=float))
-        Ju = np.atleast_2d(np.asarray(field.dpsi_du(x_j, u_j), dtype=float))
-        ufrak = px[j + 1] - lam * (sg.v_x[j] + th_x[j] / h)
-        res_x = (px[j + 1] - px[j]) / h - lam * sg.w_x[j] \
-            - _hess_xx(field, x_j, u_j, eta_j) @ ufrak - Jx.T @ cert.gamma[j]
-        if problem.uses_udot:
-            res_u = (pu[j + 1] - pu[j]) / h - lam * sg.w_u[j] \
-                - _hess_ux(field, x_j, u_j, eta_j) @ ufrak \
-                - Ju.T @ cert.gamma[j]
-            qu = max(qu, float(np.linalg.norm(
-                pu[j + 1] - lam * (sg.v_u[j] + th_u[j] / h))))
-        else:
-            res_u = (pu[j + 1] - pu[j]) / h - lam * (sg.w_u[j] + th_u[j]) \
-                - _hess_ux(field, x_j, u_j, eta_j) @ ufrak \
-                - Ju.T @ cert.gamma[j]
-            qu = max(qu, float(np.linalg.norm(pu[j + 1])))
-        adj = max(adj, float(np.linalg.norm(res_x)),
-                  float(np.linalg.norm(res_u)))
         try:
-            cases = coderivative_theta(theta, psi_j, eta_j, Jx @ ufrak,
+            cases = coderivative_theta(theta, tab.psi[j], z.eta[j], dirs[j],
                                        act_tol=ACT_TOL, pos_tol=TOL_POS)
-            code = max(code, coderivative_violation(cases, cert.gamma[j]))
+            code = max(code, coderivative_violation(cases, gam[j]))
         except DomainError:
             code = math.inf
 
-    x_k, u_k = z.x[k], z.u[k]
-    psi_k = psi_eval(field, x_k, u_k)
+    x_k = z.x[k]
+    psi_k = tab.psi[k]
     p_end = cert.p[k].copy()
     if not problem.uses_udot:
         # The control-adjoint endpoint does not enter the inclusion here.
@@ -531,8 +523,7 @@ def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
     gphi = np.atleast_1d(np.asarray(problem.dphi(x_k), dtype=float))
     target = -p_end - lam * np.concatenate([gphi, np.zeros(m)])
     if theta.contains(psi_k, tol=ACT_TOL):
-        cols, signs = _cone_generators(theta, psi_k,
-                                       _grad_T(field, x_k, u_k), tol=ACT_TOL)
+        cols, signs = _cone_generators(theta, psi_k, tab.J[k].T, tol=ACT_TOL)
         trans = _signed_cone_distance(cols, target, signs)
     else:
         trans = math.inf
@@ -593,55 +584,39 @@ def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
     lam = cert.lam
     nodes = mesh.nodes
     pvals = cert.p.values
+    tab = field_at_nodes(field, state.values, control.values)
+    psis = tab.psi
 
     # Velocity inclusion at the stored multipliers.
-    eta_res = 0.0
-    for j in range(k):
-        x_j = state.values[j]
-        u_j = control.values[j]
-        eta_j = cert.eta.values[j]
-        psi_j = psi_eval(field, x_j, u_j)
-        if not theta.contains(psi_j, tol=ACT_TOL):
-            eta_res = math.inf
-            continue
-        Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x_j, u_j), dtype=float))
-        xdot = (state.values[j + 1] - x_j) / h
-        f_j = np.atleast_1d(np.asarray(
-            system.f(float(nodes[j]), x_j), dtype=float))
-        dyn = float(np.linalg.norm(xdot - f_j + Jx.T @ eta_j))
-        cone = theta.normal_cone_violation(psi_j, eta_j, tol=ACT_TOL)
-        eta_res = max(eta_res, dyn, cone)
+    eta = cert.eta.values
+    dyn = (np.diff(state.values, axis=0) / h - _drift(system, nodes[:k], state.values[:k])
+           + _rows(tab.Jx[:k].swapaxes(1, 2), eta[:k]))
+    eta_res = max(max(float(np.linalg.norm(dyn[j])),
+                      theta.normal_cone_violation(psis[j], eta[j], tol=ACT_TOL))
+                  if theta.contains(psis[j], tol=ACT_TOL) else math.inf
+                  for j in range(k))
 
-    q_mid = _midpoint_q(cert, field, state, control)
+    # The adjoint equation and the control pinning, all cells at once.
+    q_mid = _midpoint_q(cert, tab, state, control)
+    Hxx, Hux = tab.hess(eta[:k])
+    pdot = np.diff(pvals, axis=0) / h
+    r = q_mid[:, :n] - lam * sg.v_x
+    rhs_x = lam * sg.w_x + _rows(Hxx, r)
+    rhs_u = lam * sg.w_u + _rows(Hux, r)
+    adj = float(max(np.max(np.linalg.norm(pdot[:, :n] - rhs_x, axis=1)),
+                    np.max(np.linalg.norm(pdot[:, n:] - rhs_u, axis=1))))
+    pinned = q_mid[:, n:] - lam * sg.v_u if problem.uses_udot else q_mid[:, n:]
+    qu = float(np.max(np.linalg.norm(pinned, axis=1)))
 
-    adj = 0.0
-    qu = 0.0
-    for j in range(k):
-        x_j = state.values[j]
-        u_j = control.values[j]
-        eta_j = cert.eta.values[j]
-        pdot = (pvals[j + 1] - pvals[j]) / h
-        r_j = q_mid[j, :n] - lam * sg.v_x[j]
-        rhs_x = lam * sg.w_x[j] + _hess_xx(field, x_j, u_j, eta_j) @ r_j
-        rhs_u = lam * sg.w_u[j] + _hess_ux(field, x_j, u_j, eta_j) @ r_j
-        adj = max(adj, float(np.linalg.norm(pdot[:n] - rhs_x)),
-                  float(np.linalg.norm(pdot[n:] - rhs_u)))
-        if problem.uses_udot:
-            qu = max(qu, float(np.linalg.norm(q_mid[j, n:] - lam * sg.v_u[j])))
-        else:
-            qu = max(qu, float(np.linalg.norm(q_mid[j, n:])))
-
-    tails = cert.gamma.tail(field, state, control, nodes)
+    tails = cert.gamma._tail(tab, state, control, nodes)
     qg = float(np.max(np.linalg.norm(cert.q - (pvals - tails), axis=1)))
 
     x_T = state.values[k]
-    u_T = control.values[k]
-    psi_T = psi_eval(field, x_T, u_T)
+    psi_T = psis[k]
     gphi = np.atleast_1d(np.asarray(problem.dphi(x_T), dtype=float))
     target = -pvals[k] - lam * np.concatenate([gphi, np.zeros(m)])
     if theta.contains(psi_T, tol=ACT_TOL):
-        cols, signs = _cone_generators(theta, psi_T,
-                                       _grad_T(field, x_T, u_T), tol=ACT_TOL)
+        cols, signs = _cone_generators(theta, psi_T, tab.J[k].T, tol=ACT_TOL)
         trans = _signed_cone_distance(cols, target, signs)
     else:
         trans = math.inf
@@ -650,14 +625,10 @@ def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
     margin += cert.gamma.total_variation()
 
     # Mass sitting strictly inside the target set violates nonatomicity.
-    interior_mass = 0.0
-    psis = [psi_eval(field, state.values[j], control.values[j])
-            for j in range(k + 1)]
-    for j in range(k):
-        cell_margin = min(_interior_margin(theta, psis[j]),
-                          _interior_margin(theta, psis[j + 1]))
-        if cell_margin > tol_interior:
-            interior_mass += h * float(np.linalg.norm(cert.gamma.density[j]))
+    inner = _interior_margin(theta, psis)
+    inside = np.minimum(inner[:-1], inner[1:]) > tol_interior
+    interior_mass = sum((h * float(np.linalg.norm(w))
+                         for w in cert.gamma.density[inside]), 0.0)
     for tau, w in cert.gamma.atoms:
         z_tau = psi_eval(field, state.at(tau), control.at(tau))
         if _interior_margin(theta, z_tau) > tol_interior:
@@ -693,20 +664,19 @@ def modified_hamiltonian(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
     """
     if not isinstance(theta, NonpositiveOrthant):
         raise ConfigurationError("the modified Hamiltonian needs an orthant target")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
+    return _modified_hamiltonian(theta, tab.psi[0], tab.Jx[0], p, nu)
+
+
+def _modified_hamiltonian(theta: ThetaSet, z: Array, Jx: Array, p: Array,
+                          nu: Array) -> float:
+    """:func:`modified_hamiltonian` at psi = z with grad_x psi = Jx."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    z = psi_eval(field, x, u)
     if not theta.contains(z, tol=ACT_TOL):
         raise DomainError(f"psi(x,u)={z} is not in Theta")
-    Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x, u), dtype=float))
-    for i in range(theta.s):
-        if z[i] < -ACT_TOL:
-            continue
-        if nu[i] * float(Jx[i] @ p) < -TOL_POS:
-            return math.inf
-    return 0.0
+    products = nu * (np.atleast_2d(np.asarray(Jx, dtype=float)) @ p)
+    return math.inf if np.any((z >= -ACT_TOL) & (products < -TOL_POS)) else 0.0
 
 
 def conventional_hamiltonian(field: FieldMap, theta: ThetaSet, x: Array,
@@ -717,18 +687,19 @@ def conventional_hamiltonian(field: FieldMap, theta: ThetaSet, x: Array,
     with every active generator; a single negative product lets the supremum
     run away, so the value is +inf there.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
+    return _conventional_hamiltonian(theta, tab.psi[0], tab.Jx[0], p)
+
+
+def _conventional_hamiltonian(theta: ThetaSet, z: Array, Jx: Array,
+                              p: Array) -> float:
+    """:func:`conventional_hamiltonian` at psi = z with grad_x psi = Jx."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    z = psi_eval(field, x, u)
     if not theta.contains(z, tol=ACT_TOL):
         raise DomainError(f"psi(x,u)={z} is not in Theta")
-    Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x, u), dtype=float))
+    Jx = np.atleast_2d(np.asarray(Jx, dtype=float))
     cols, signs = _cone_generators(theta, z, Jx.T, tol=ACT_TOL)
-    for i in range(cols.shape[1]):
-        if signs[i] * float(p @ cols[:, i]) < -TOL_POS:
-            return math.inf
-    return 0.0
+    return math.inf if np.any(np.multiply(signs, p @ cols) < -TOL_POS) else 0.0
 
 
 def max_condition_check(problem: OcpProblem, state: Path, control: Path,
@@ -753,23 +724,15 @@ def max_condition_check(problem: OcpProblem, state: Path, control: Path,
     mesh = state.mesh
     if control.mesh != mesh or cert.nu.mesh != mesh or cert.eta.mesh != mesh:
         raise ConfigurationError("paths must share the decision mesh")
-    k, h = mesh.k, mesh.h
-    n = field.n
-    lam = cert.lam
-    sg = cert.subgrad
-    q_mid = _midpoint_q(cert, field, state, control)
+    k = mesh.k
+    tab = field_at_nodes(field, state.values[:k], control.values[:k])
+    r = _midpoint_q(cert, tab, state, control)[:, :field.n] - cert.lam * cert.subgrad.v_x
 
     code = 0.0
     maxc = 0.0
     ham = 0.0
-    for j in range(k):
-        x_j = state.values[j]
-        u_j = control.values[j]
-        eta_j = cert.eta.values[j]
-        nu_j = cert.nu.values[j]
-        psi_j = psi_eval(field, x_j, u_j)
-        Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x_j, u_j), dtype=float))
-        r_j = q_mid[j, :n] - lam * sg.v_x[j]
+    for psi_j, Jx, r_j, eta_j, nu_j in zip(tab.psi, tab.Jx, r, cert.eta.values,
+                                           cert.nu.values):
         try:
             cases = coderivative_orthant(psi_j, eta_j, Jx @ r_j,
                                          act_tol=ACT_TOL, pos_tol=TOL_POS)
@@ -777,21 +740,16 @@ def max_condition_check(problem: OcpProblem, state: Path, control: Path,
         except DomainError:
             code = math.inf
         try:
-            ham = max(ham, modified_hamiltonian(field, theta, x_j, u_j,
-                                                r_j, nu_j))
+            ham = max(ham, _modified_hamiltonian(theta, psi_j, Jx, r_j, nu_j))
         except DomainError:
             ham = math.inf
         if math.isinf(ham):
             maxc = math.inf
             continue
-        bracket = np.zeros(n)
-        for i in range(theta.s):
-            if psi_j[i] >= -ACT_TOL:
-                bracket -= nu_j[i] * eta_j[i] * Jx[i]
-        maxc = max(maxc, abs(float(bracket @ r_j)))
-        for i in range(theta.s):
-            if psi_j[i] >= -ACT_TOL and eta_j[i] > TOL_POS:
-                maxc = max(maxc, abs(float(Jx[i] @ r_j)))
+        active = psi_j >= -ACT_TOL
+        bracket = -np.sum((active * nu_j * eta_j)[:, None] * Jx, axis=0)
+        maxc = max(maxc, abs(float(bracket @ r_j)),
+                   *(abs(float(g @ r_j)) for g in Jx[active & (eta_j > TOL_POS)]))
 
     items = (
         ResidualItem("measured_coderivative", code, tol),
@@ -819,57 +777,33 @@ def conventional_sufficiency_check(problem: OcpProblem, state: Path,
     mesh = state.mesh
     if control.mesh != mesh or cert.eta.mesh != mesh:
         raise ConfigurationError("paths must share the decision mesh")
+    bounds = theta.bounds()
+    if bounds is None:
+        raise ConfigurationError("componentwise activity needs a box-like target")
     k, h = mesh.k, mesh.h
-    n = field.n
     lam = cert.lam
-    sg = cert.subgrad
-    q_mid = _midpoint_q(cert, field, state, control)
+    tab = field_at_nodes(field, state.values[:k], control.values[:k])
+    r = _midpoint_q(cert, tab, state, control)[:, :field.n] - lam * cert.subgrad.v_x
 
-    checked = 0
-    skipped = 0
-    identity = 0.0
-    ham_all = 0.0
+    ham = []
     for j in range(k):
-        x_j = state.values[j]
-        u_j = control.values[j]
-        eta_j = cert.eta.values[j]
-        psi_j = psi_eval(field, x_j, u_j)
-        r_j = q_mid[j, :n] - lam * sg.v_x[j]
         try:
-            ham_j = conventional_hamiltonian(field, theta, x_j, u_j, r_j)
+            ham.append(_conventional_hamiltonian(theta, tab.psi[j], tab.Jx[j], r[j]))
         except DomainError:
-            ham_j = math.inf
-        ham_all = max(ham_all, ham_j)
-        active = [i for i in range(theta.s)
-                  if _interior_margin_component(theta, psi_j, i) <= ACT_TOL]
-        if not active or any(eta_j[i] <= TOL_POS for i in active):
-            skipped += 1
-            continue
-        checked += 1
-        xdot = (state.values[j + 1] - x_j) / h
-        identity = max(identity, abs(float(xdot @ r_j)))
-        if math.isinf(ham_j):
-            identity = math.inf
+            ham.append(math.inf)
+    # Active components: within ACT_TOL of a finite end of their interval.
+    active = np.minimum(bounds[1] - tab.psi, tab.psi - bounds[0]) <= ACT_TOL
+    qualifies = active.any(axis=1) & ~np.any(active & (cert.eta.values[:k] <= TOL_POS), axis=1)
+    xdot_r = np.abs(_rows(np.diff(state.values, axis=0)[:, None, :] / h, r)[:, 0])
+    identity = float(np.max(np.where(np.isinf(ham), math.inf, xdot_r)[qualifies],
+                            initial=0.0))
+    checked = int(np.sum(qualifies))
 
     items = (ResidualItem("hamilton_identity", identity, tol),)
     return ResidualReport(items=items,
                           details={"cells_checked": checked,
-                                   "cells_skipped": skipped,
-                                   "conventional_hamiltonian": ham_all})
-
-
-def _interior_margin_component(theta: ThetaSet, z: Array, i: int) -> float:
-    """Margin of one component of z to its nearest boundary in Theta."""
-    bounds = theta.bounds()
-    if bounds is None:
-        raise ConfigurationError("componentwise activity needs a box-like target")
-    lo, hi = bounds[0][i], bounds[1][i]
-    margin = math.inf
-    if np.isfinite(hi):
-        margin = min(margin, hi - z[i])
-    if np.isfinite(lo):
-        margin = min(margin, z[i] - lo)
-    return float(margin)
+                                   "cells_skipped": k - checked,
+                                   "conventional_hamiltonian": max([0.0, *ham])})
 
 
 # ---------------------------------------------------------------------------
@@ -892,14 +826,12 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
     smooth inequality target is judged through its lifted multiplier.
     Requires the full constraint Jacobian at the endpoint to be surjective.
     """
-    x_T = np.atleast_1d(np.asarray(x_T, dtype=float))
-    u_T = np.atleast_1d(np.asarray(u_T, dtype=float))
     eta_T = np.atleast_1d(np.asarray(eta_T, dtype=float))
-    z = psi_eval(field, x_T, u_T)
+    tab = field_at_nodes(field, np.reshape(x_T, (1, -1)), np.reshape(u_T, (1, -1)))
+    z = tab.psi[0]
     if not theta.contains(z, tol=act_tol):
         raise DomainError(f"psi(x,u)={z} is not in Theta")
-    J_full = _grad_T(field, x_T, u_T).T
-    ok, sigma_min = surjectivity_check(J_full)
+    ok, sigma_min = surjectivity_check(tab.J[0])
     if not ok:
         raise SurjectivityError(
             f"endpoint constraint Jacobian is rank deficient (sigma_min={sigma_min:.3e})")
@@ -960,21 +892,17 @@ def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
     mesh = state.mesh
     if control.mesh != mesh or cert.nu.mesh != mesh or cert.eta.mesh != mesh:
         raise ConfigurationError("paths must share the decision mesh")
-    k, h = mesh.k, mesh.h
-    n = field.n
-    lam = cert.lam
-    sg = cert.subgrad
-    q_mid = _midpoint_q(cert, field, state, control)
+    k = mesh.k
+    tab = field_at_nodes(field, state.values[:k], control.values[:k])
+    r = _midpoint_q(cert, tab, state, control)[:, :field.n] - cert.lam * cert.subgrad.v_x
 
     mu_vals = np.zeros((k + 1, theta.l))
     res_mu = 0.0
     res_nu = 0.0
     code = 0.0
     maxc = 0.0
-    for j in range(k):
-        x_j = state.values[j]
-        u_j = control.values[j]
-        z_j = psi_eval(field, x_j, u_j)
+    for j, (z_j, Jx, r_j, eta_j, nu_j) in enumerate(zip(tab.psi, tab.Jx, r, cert.eta.values,
+                                                         cert.nu.values)):
         h_j = np.atleast_1d(np.asarray(theta.h(z_j), dtype=float))
         Dh = np.atleast_2d(np.asarray(theta.jac(z_j), dtype=float))
         ok, sigma_min = surjectivity_check(Dh)
@@ -982,19 +910,15 @@ def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
             raise SurjectivityError(
                 f"inequality Jacobian at cell {j} is rank deficient "
                 f"(sigma_min={sigma_min:.3e})")
-        eta_j = cert.eta.values[j]
         mu_j, *_ = np.linalg.lstsq(Dh.T, eta_j, rcond=None)
         mu_vals[j] = mu_j
         res_mu = max(res_mu, float(np.linalg.norm(Dh.T @ mu_j - eta_j)))
 
-        Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x_j, u_j), dtype=float))
-        r_j = q_mid[j, :n] - lam * sg.v_x[j]
         dir_j = Jx @ r_j
         hess_term = np.zeros(theta.s)
         if theta.hess is not None:
             hess_term = np.atleast_2d(np.asarray(
                 theta.hess(z_j, mu_j), dtype=float)) @ dir_j
-        nu_j = cert.nu.values[j]
         nu_lift, *_ = np.linalg.lstsq(Dh.T, nu_j - hess_term, rcond=None)
         res_nu = max(res_nu, float(np.linalg.norm(
             Dh.T @ nu_lift + hess_term - nu_j)))
@@ -1004,11 +928,8 @@ def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
             code = max(code, coderivative_violation(cases, nu_lift))
         except DomainError:
             code = math.inf
-        bracket = np.zeros(n)
-        grads = Dh @ Jx  # lifted constraint gradients in state space
-        for i in range(theta.l):
-            if h_j[i] >= -ACT_TOL:
-                bracket -= nu_lift[i] * mu_j[i] * grads[i]
+        # The bracket over the lifted constraint gradients Dh Jx in state space.
+        bracket = -np.where(h_j >= -ACT_TOL, nu_lift * mu_j, 0.0) @ (Dh @ Jx)
         maxc = max(maxc, abs(float(bracket @ r_j)))
     mu_vals[k] = mu_vals[k - 1]
 
@@ -1143,8 +1064,8 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     ``non_unique`` holds by counting; otherwise :func:`_rank_deficient`
     decides it with a second, unregularized factorization.
     """
-    if lam < 0:
-        raise ConfigurationError("the cost multiplier must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise ConfigurationError("the cost multiplier must be finite and nonnegative")
     from scipy import sparse
     from scipy.optimize import nnls
     system = problem.system
@@ -1161,21 +1082,18 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     eta_path = recover_eta(system, state, control)
     sg = _running_subgradients(problem, state, control)
 
-    grads = _grads_T(field, state.values[:k], control.values[:k])
+    tab = field_at_nodes(field, state.values, control.values)
+    grads = tab.J[:k].transpose(0, 2, 1)
     x_T = state.values[k]
-    u_T = control.values[k]
-    grad_T_end = _grad_T(field, x_T, u_T)
-    psi_T = psi_eval(field, x_T, u_T)
-    if not theta.contains(psi_T, tol=ACT_TOL):
-        raise DomainError(f"psi at the endpoint is not in Theta: {psi_T}")
-    cols_T, signs_T = _cone_generators(theta, psi_T, grad_T_end, tol=ACT_TOL)
+    grad_T_end = tab.J[k].T
+    psis = tab.psi
+    if not theta.contains(psis[k], tol=ACT_TOL):
+        raise DomainError(f"psi at the endpoint is not in Theta: {psis[k]}")
+    cols_T, signs_T = _cone_generators(theta, psis[k], grad_T_end, tol=ACT_TOL)
     n_beta = cols_T.shape[1]
 
-    psis = [psi_eval(field, state.values[j], control.values[j])
-            for j in range(k + 1)]
-    contact = [j for j in range(k)
-               if min(_interior_margin(theta, psis[j]),
-                      _interior_margin(theta, psis[j + 1])) <= 1e-6]
+    inner = _interior_margin(theta, psis)
+    contact = np.flatnonzero(np.minimum(inner[:-1], inner[1:]) <= 1e-6)
 
     # Unknowns, in order: p_0..p_k, the contact cells' densities, the atom
     # (these carry the Tikhonov term), the tails S_1..S_k, the cone
@@ -1196,9 +1114,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     # zero).  The midpoint tail is S_full plus the cut cell's length times
     # its integrand (_tail_cells, as VectorMeasure.tail counts cells).  Last
     # come the endpoint inclusion rows, an equality over the cone generators.
-    H = np.stack([np.vstack([_hess_xx(field, x, u, e), _hess_ux(field, x, u, e)])
-                  for x, u, e in zip(state.values[:k], control.values[:k],
-                                      eta_path.values[:k])]).reshape(k, d, n)
+    H = np.concatenate(tab.hess(eta_path.values[:k]), axis=1)
     HE = np.concatenate([H, np.zeros((k, d, m))], axis=2)  # H on the x part
     full, cut, length = _tail_cells(mesh, 0.5 * (nodes[:-1] + nodes[1:]))
     Gcut = length[:, None, None] * grads[cut]
@@ -1266,7 +1182,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
         atoms = ((float(mesh.T), w_atom),)
     gamma = VectorMeasure(mesh=mesh, density=dens, atoms=atoms)
     p_path = Path(mesh=mesh, values=p_arr)
-    q = p_arr - gamma.tail(field, state, control, nodes)
+    q = p_arr - gamma._tail(tab, state, control, nodes)
     nu_vals = np.vstack([dens, dens[-1:]]) if k else np.zeros((1, s))
     return Certificate(lam=lam, p=p_path, q=q, eta=eta_path, gamma=gamma,
                        subgrad=sg, nu=Path(mesh=mesh, values=nu_vals),

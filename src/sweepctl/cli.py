@@ -138,9 +138,13 @@ def _read_csv(path: str) -> tuple[list[str], Array]:
             raise SpecError(f"{path}:{lineno}: expected {len(header)} "
                             f"columns, got {len(cells)}")
         try:
-            data.append([float(cell) for cell in cells])
+            row = [float(cell) for cell in cells]
         except ValueError:
             raise SpecError(f"{path}:{lineno}: non-numeric cell") from None
+        for name, value in zip(header, row):
+            if not math.isfinite(value):
+                raise SpecError(f"{path}:{lineno}: column {name} is {value}, not finite")
+        data.append(row)
     return header, np.asarray(data, dtype=float)
 
 
@@ -193,7 +197,7 @@ def _vector(obj: dict, key: str, length: int, where: str) -> Array:
         raise SpecError(f"{where}.{key} must be a numeric array") from None
     if v.shape != (length,):
         raise SpecError(f"{where}.{key} must have length {length}")
-    return v
+    return _finite(v, f"{where}.{key}")
 
 
 def _matrix(obj: dict, key: str, rows: int, cols: int, where: str) -> Array:
@@ -205,7 +209,26 @@ def _matrix(obj: dict, key: str, rows: int, cols: int, where: str) -> Array:
         raise SpecError(f"{where}.{key} must be a numeric matrix") from None
     if mat.shape != (rows, cols):
         raise SpecError(f"{where}.{key} must be {rows} x {cols}")
-    return mat
+    return _finite(mat, f"{where}.{key}")
+
+
+def _number(obj: dict, key: str, where: str, default=None) -> float:
+    """A finite number entry; SpecError when it is missing, not a number,
+    NaN or infinite."""
+    try:
+        value = float(obj.get(key, default))
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise SpecError(f"{where}.{key} must be a finite number")
+    return value
+
+
+def _finite(arr: Array, what: str) -> Array:
+    """arr, unless an entry is NaN or infinite (JSON and numpy parse both)."""
+    if not np.all(np.isfinite(arr)):
+        raise SpecError(f"{what} must be finite, got {arr[~np.isfinite(arr)][0]}")
+    return arr
 
 
 def _dims(spec: dict) -> tuple[int, int, int]:
@@ -220,19 +243,14 @@ def _dims(spec: dict) -> tuple[int, int, int]:
 
 
 def _horizon(spec: dict) -> float:
-    try:
-        T = float(spec["horizon"])
-    except KeyError:
-        raise SpecError("spec is missing 'horizon'") from None
-    except (TypeError, ValueError):
-        raise SpecError("'horizon' must be a number") from None
+    T = _number(spec, "horizon", "spec")
     if not T > 0:
         raise SpecError("'horizon' must be positive")
     return T
 
 
 def _bound_entry(value, side: str) -> float:
-    """Box bound entry: numbers pass through, null/'inf' mean unbounded."""
+    """Box bound entry: finite numbers pass through, null/'inf' mean unbounded."""
     if value is None:
         return -math.inf if side == "lower" else math.inf
     if isinstance(value, str):
@@ -242,9 +260,12 @@ def _bound_entry(value, side: str) -> float:
             return -math.inf
         raise SpecError(f"bad box bound {value!r}")
     try:
-        return float(value)
+        bound = float(value)
     except (TypeError, ValueError):
-        raise SpecError(f"bad box bound {value!r}") from None
+        bound = math.nan
+    if not math.isfinite(bound):
+        raise SpecError(f"bad box bound {value!r}")
+    return bound
 
 
 def _build_field(spec: dict, n: int, m: int, s: int) -> FieldMap:
@@ -258,12 +279,7 @@ def _build_field(spec: dict, n: int, m: int, s: int) -> FieldMap:
     if kind == "quadratic_scalar":
         if (n, m, s) != (1, 1, 1):
             raise SpecError("quadratic_scalar psi needs n = m = s = 1")
-        try:
-            a = float(psi["a"])
-            b = float(psi["b"])
-            c = float(psi["c"])
-        except (KeyError, TypeError, ValueError):
-            raise SpecError("quadratic_scalar psi needs numbers a, b, c") from None
+        a, b, c = (_number(psi, key, "psi") for key in "abc")
         return FieldMap.nonlinear(
             n=1, m=1, s=1,
             psi=lambda x, u: np.array([a * x[0] ** 2 + b * u[0] + c]),
@@ -317,21 +333,14 @@ def _build_phi(spec: dict, n: int) -> QuadraticTerminalCost:
     phi = _section(_section(spec, "cost"), "phi")
     if phi.get("kind") != "quadratic_distance":
         raise SpecError(f"unknown phi kind {phi.get('kind')!r}")
-    center = _vector(phi, "center", n, "phi")
-    try:
-        weight = float(phi.get("weight", 1.0))
-    except (TypeError, ValueError):
-        raise SpecError("phi.weight must be a number") from None
-    return QuadraticTerminalCost(center=center, weight=weight)
+    return QuadraticTerminalCost(center=_vector(phi, "center", n, "phi"),
+                                 weight=_number(phi, "weight", "phi", 1.0))
 
 
 def _build_ell(spec: dict, m: int, uses_udot: bool) -> QuadraticStageCost:
     ell = _section(_section(spec, "cost"), "ell")
     kind = ell.get("kind")
-    try:
-        weight = float(ell.get("weight", 1.0))
-    except (TypeError, ValueError):
-        raise SpecError("ell.weight must be a number") from None
+    weight = _number(ell, "weight", "ell", 1.0)
 
     if kind == "control_energy":
         if not uses_udot:
@@ -356,7 +365,7 @@ def _path_from_obj(obj: dict, key: str, T: float, dim: int, what: str) -> Path:
     times = entry.get("times")
     if not isinstance(times, list) or len(times) < 2:
         raise SpecError(f"{what}.{key}.times must list at least two node times")
-    tarr = np.asarray(times, dtype=float)
+    tarr = _vector(entry, "times", len(times), f"{what}.{key}")
     values = _matrix(entry, "values", len(times), dim, f"{what}.{key}")
     return _uniform_path(tarr, values, T, f"{what}.{key}")
 
@@ -401,12 +410,9 @@ def build_problem(spec: dict, mode_override: str | None = None) -> OcpProblem:
     u0 = _vector(initial, "u0", m, "initial")
 
     cost = _section(spec, "cost")
-    try:
-        rho = float(cost.get("rho", 0.0))
-    except (TypeError, ValueError):
-        raise SpecError("cost.rho must be a number") from None
-    eps_raw = cost.get("epsilon", "inf")
-    epsilon = math.inf if eps_raw in ("inf", None) else float(eps_raw)
+    rho = _number(cost, "rho", "cost", 0.0)
+    epsilon = (math.inf if cost.get("epsilon", "inf") in ("inf", None)
+               else _number(cost, "epsilon", "cost"))
     anchor = None
     if "anchor" in cost:
         anchor_obj = cost["anchor"]
@@ -475,7 +481,7 @@ def _cert_array(data: dict, key: str, rows: int, cols: int, optional=False):
         raise SpecError(f"certificate entry {key!r} must be numeric") from None
     if arr.shape != (rows, cols):
         raise SpecError(f"certificate entry {key!r} must be {rows} x {cols}")
-    return arr
+    return _finite(arr, f"certificate entry {key!r}")
 
 
 def parse_certificate(data: dict, problem: OcpProblem, state: Path,
@@ -492,10 +498,7 @@ def parse_certificate(data: dict, problem: OcpProblem, state: Path,
     k = mesh.k
     field = problem.system.effective_field()
     n, m, s = field.n, field.m, field.s
-    try:
-        lam = float(data.get("lam", 1.0))
-    except (TypeError, ValueError):
-        raise SpecError("certificate entry 'lam' must be a number") from None
+    lam = _number(data, "lam", "certificate", 1.0)
 
     p = _cert_array(data, "p", k + 1, n + m)
     q = _cert_array(data, "q", k + 1, n + m, optional=True)

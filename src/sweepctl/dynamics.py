@@ -29,7 +29,8 @@ from .geometry import (
     SmoothInequality,
     ThetaSet,
     TOL_FEAS,
-    normal_cone_distance,
+    _cone_distance,
+    field_at_nodes,
     project_onto_moving_set,
     psi_eval,
 )
@@ -302,18 +303,16 @@ def inclusion_residual(system: SweepingSystem, state: Path, control: Path,
     if convention not in ("implicit", "explicit"):
         raise ConfigurationError(f"unknown convention {convention!r}")
     mesh = state.mesh
-    h = mesh.h
-    eff = system.effective_field()
-    out = np.zeros(mesh.k)
-    for j in range(mesh.k):
+    k, h = mesh.k, mesh.h
+    at = slice(1, k + 1) if convention == "implicit" else slice(0, k)
+    tab = field_at_nodes(system.effective_field(), state.values[at],
+                         control.values[at])
+    out = np.zeros(k)
+    for j in range(k):
         x_j = state.values[j]
         v = -(state.values[j + 1] - x_j) / h + np.atleast_1d(
             np.asarray(system.f(float(mesh.nodes[j]), x_j), dtype=float))
-        if convention == "implicit":
-            pt, ctrl = state.values[j + 1], control.values[j + 1]
-        else:
-            pt, ctrl = x_j, control.values[j]
-        out[j] = normal_cone_distance(eff, system.theta, pt, ctrl, v)
+        out[j] = _cone_distance(system.theta, tab.psi[j], tab.Jx[j], v, TOL_FEAS)
     return out
 
 

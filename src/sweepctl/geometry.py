@@ -6,6 +6,10 @@ This module owns the two geometric ingredients of a controlled moving set
 
 namely the target set ``Theta`` (orthant, box, smooth-inequality, or linear
 image of a polyhedron) and the field ``psi`` together with its derivatives.
+Code that needs the field along a pair of paths reads one
+:class:`NodeTable` from :func:`field_at_nodes`: psi and its Jacobians at
+every node from one call of each callback, shapes checked once, and the
+Hessian contractions on demand.
 It owns both descriptions of ``Theta`` the rest of the package reads, each
 built once per set: ``halfspaces()``, the rows {z : H z <= d} of a polyhedral
 Theta, and ``bounds()``, the intervals lo <= z <= hi of a box-like Theta
@@ -461,6 +465,74 @@ def psi_eval(field: FieldMap, x: Array, u: Array) -> Array:
     return z
 
 
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """The field at K nodes, built by :func:`field_at_nodes`: ``psi`` (K, s),
+    ``Jx`` (K, s, n), ``Ju`` (K, s, m) and J = [Jx | Ju], all read-only."""
+
+    field: FieldMap
+    x: Array
+    u: Array
+    psi: Array
+    Jx: Array
+    Ju: Array
+    J: Array
+
+    def hess(self, W: Array) -> tuple[Array, Array]:
+        """(Hxx, Hux) at the first len(W) nodes: ``hess_xx(x_j, u_j, W[j])``
+        and ``hess_ux(x_j, u_j, W[j])``, one call each per node (zeros for
+        an absent callback)."""
+        f, args = self.field, list(zip(self.x, self.u, W))
+        return (_stacked(f, "hess_xx", args, (f.n, f.n)),
+                _stacked(f, "hess_ux", args, (f.m, f.n)))
+
+
+def _stacked(field: FieldMap, name: str, args: list, shape: tuple) -> Array:
+    """The callback ``name`` of the field at every argument tuple, as one
+    read-only (K,) + shape array, its shape checked once.  A value may drop
+    a leading axis of length 1 (s = 1), as :func:`psi_eval` allows."""
+    fn = getattr(field, name)
+    if fn is None or not args:
+        arr = np.zeros((len(args),) + shape)
+    else:
+        values = [fn(*a) for a in args]
+        try:
+            arr = np.array(values, dtype=float)
+        except ValueError:  # ragged: the nodes disagree on the shape
+            arr = np.empty(0)
+        if arr.shape[1:] not in (shape, shape[1:] if shape[0] == 1 else shape):
+            got = sorted({np.shape(v) for v in values})
+            raise ConfigurationError(
+                f"{name} returned shape {got[0] if len(got) == 1 else got}, "
+                f"expected {shape}")
+        arr = arr.reshape((len(values),) + shape)
+    arr.flags.writeable = False
+    return arr
+
+
+def field_at_nodes(field: FieldMap, x: Array, u: Array) -> NodeTable:
+    """The field along a pair: psi and its Jacobians at the nodes (x_j, u_j),
+    the rows of x and u.
+
+    One call of ``psi``, ``dpsi_dx`` and ``dpsi_du`` per node; the shapes
+    are checked once on the stacked values, and a mismatch raises the
+    ConfigurationError that :func:`psi_eval` raises.  The Hessian
+    contractions are evaluated only when :meth:`NodeTable.hess` asks.
+    """
+    x, u = np.array(x, dtype=float), np.array(u, dtype=float)
+    if x.shape != (len(x), field.n) or u.shape != (len(x), field.m):
+        raise ConfigurationError(
+            f"expected shapes (K, {field.n}), (K, {field.m}); got {x.shape}, {u.shape}")
+    x.flags.writeable = u.flags.writeable = False
+    args, s = list(zip(x, u)), field.s
+    Jx = _stacked(field, "dpsi_dx", args, (s, field.n))
+    Ju = _stacked(field, "dpsi_du", args, (s, field.m))
+    J = np.concatenate([Jx, Ju], axis=2)
+    J.flags.writeable = False
+    return NodeTable(field=field, x=x, u=u, psi=_stacked(field, "psi", args, (s,)),
+                     Jx=Jx, Ju=Ju, J=J)
+
+
 @dataclass(frozen=True)
 class ConeDecomposition:
     """Multiplier eta in N_Theta(psi(x,u)) with grad_x psi^T eta = v.
@@ -683,19 +755,22 @@ def normal_cone_decompose(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
     is then injective); membership of v in N(x; C(u)) is certified by the
     residual and the cone check, otherwise NotInConeError is raised.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
+    return _decompose(theta, tab.psi[0], tab.Jx[0], v, tol)
+
+
+def _decompose(theta: ThetaSet, z: Array, J: Array, v: Array,
+               tol: float) -> ConeDecomposition:
+    """:func:`normal_cone_decompose` at psi = z with grad_x psi = J."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    z = psi_eval(field, x, u)
     if not theta.contains(z, tol=max(TOL_FEAS, tol)):
         raise DomainError(f"psi(x,u)={z} is not in Theta")
-    J = np.atleast_2d(np.asarray(field.dpsi_dx(x, u), dtype=float))
+    J = np.atleast_2d(np.asarray(J, dtype=float))
     ok, sigma_min = surjectivity_check(J)
     if not ok:
         raise SurjectivityError(f"grad_x psi is rank deficient (sigma_min={sigma_min:.3e})")
     eta, *_ = np.linalg.lstsq(J.T, v, rcond=None)
     active = _active_indices(theta, z)
-    eta = eta.copy()
     if isinstance(theta, NonpositiveOrthant):
         # Clean least-squares noise off the inactive components before judging.
         eta[[i for i in range(theta.s) if i not in active]] = 0.0
@@ -726,13 +801,17 @@ def normal_cone_distance(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
 
     Infinity when psi(x,u) is outside Theta (the cone is then empty).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
+    return _cone_distance(theta, tab.psi[0], tab.Jx[0], v, tol)
+
+
+def _cone_distance(theta: ThetaSet, z: Array, J: Array, v: Array,
+                   tol: float) -> float:
+    """:func:`normal_cone_distance` at psi = z with grad_x psi = J."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    z = psi_eval(field, x, u)
     if not theta.contains(z, tol=max(tol, 1e-7)):
         return float("inf")
-    J = np.atleast_2d(np.asarray(field.dpsi_dx(x, u), dtype=float))
+    J = np.atleast_2d(np.asarray(J, dtype=float))
     cols, signs = _cone_generators(theta, z, J.T)
     return _signed_cone_distance(cols, v, signs)
 

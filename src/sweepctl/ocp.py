@@ -72,9 +72,9 @@ from .geometry import (
     TOL_FEAS,
     Array,
     ConfigurationError,
-    FieldMap,
     NumericalFailureError,
     _project_onto_halfspaces,
+    field_at_nodes,
     psi_eval,
 )
 
@@ -530,18 +530,6 @@ def _signed_selector(lo: Array, hi: Array) -> tuple[Array, Array]:
     return np.vstack([eye[ups], -eye[los]]), np.concatenate([hi[ups], -lo[los]])
 
 
-def _psi_stack(field: FieldMap, x: Array, u: Array) -> tuple[Array, Array]:
-    """psi and its Jacobian [dpsi_dx | dpsi_du] at every node, stacked."""
-    n = field.n
-    psi = np.empty((len(x), field.s))
-    Jz = np.empty((len(x), field.s, n + field.m))
-    for j, (xj, uj) in enumerate(zip(x, u)):
-        psi[j] = psi_eval(field, xj, uj)
-        Jz[j, :, :n] = field.dpsi_dx(xj, uj)
-        Jz[j, :, n:] = field.dpsi_du(xj, uj)
-    return psi, Jz
-
-
 def _fb(a: Array, b: Array, sigma: float) -> Array:
     return a + b - np.sqrt(a * a + b * b + sigma * sigma)
 
@@ -593,7 +581,7 @@ class Transcription:
     def pair_values(self, z: DiscreteDecision) -> list[tuple[float, float]]:
         """All (multiplier, slack) pairs at a decision (terminal pair omitted:
         the terminal multiplier is not part of the decision data)."""
-        psi, _ = _psi_stack(self.field, z.x[:-1], z.u[:-1])
+        psi = field_at_nodes(self.field, z.x[:-1], z.u[:-1]).psi
         mu = np.maximum(z.eta @ self.P.T, 0.0)
         slack = self.c - psi @ self.P.T
         return list(zip(mu.ravel().tolist(), slack.ravel().tolist()))
@@ -601,9 +589,8 @@ class Transcription:
     def dynamics_residual(self, z: DiscreteDecision) -> float:
         h = self.mesh.h
         f = _drift(self.problem.system, self.mesh.nodes[:-1], z.x[:-1])
-        _, Jz = _psi_stack(self.field, z.x[:-1], z.u[:-1])
-        r = (z.x[1:] - z.x[:-1] - h * f
-             + h * np.einsum("jsn,js->jn", Jz[:, :, :self.field.n], z.eta))
+        Jx = field_at_nodes(self.field, z.x[:-1], z.u[:-1]).Jx
+        r = z.x[1:] - z.x[:-1] - h * f + h * np.einsum("jsn,js->jn", Jx, z.eta)
         return float(np.max(np.abs(r)))
 
     def initial_decision(self) -> DiscreteDecision:
@@ -649,13 +636,15 @@ class _KktSystem:
     (:class:`QuadraticStageCost`, :class:`QuadraticTerminalCost`,
     :class:`AffineDrift`) give their gradients, constant Hessians and drift
     Jacobian as array expressions over all stages, exactly; bare callbacks
-    are called once per node and differenced centrally.  The field's
-    callbacks are called once per node.  F is a handful of gathers and
-    einsums.  J is the sum of dense blocks: one symmetric block per step
-    over (z_j, mu_j, gamma_j, p_{j+1}), one cost block per stage over
-    (z_j, z_{j+1}) (running cost, anchor, tie-break and terminal cost), the
-    identity couplings of p_{j+1} with x_{j+1} and one terminal block, all
-    scattered by one ``np.bincount`` that adds entries sharing a position.
+    are called once per node and differenced centrally.  The field comes
+    from one node table (``geometry.field_at_nodes``): one call of each
+    callback per node, and s Hessian contractions per node for the
+    curvature.  F is a handful of gathers and einsums.  J is the sum of
+    dense blocks: one symmetric block per step over (z_j, mu_j, gamma_j,
+    p_{j+1}), one cost block per stage over (z_j, z_{j+1}) (running cost,
+    anchor, tie-break and terminal cost), the identity couplings of p_{j+1}
+    with x_{j+1} and one terminal block, all scattered by one
+    ``np.bincount`` that adds entries sharing a position.
     Second derivatives of f and third derivatives of psi are left out of J.
     """
 
@@ -715,23 +704,19 @@ class _KktSystem:
         """
         pb, field, mesh = self.problem, self.field, self.mesh
         k, n = mesh.k, field.n
-        x, u = z[:, :n], z[:, n:]
-        psi, Jz = _psi_stack(field, x, u)
+        x = z[:, :n]
+        tab = field_at_nodes(field, x, z[:, n:])
         Hz = np.zeros((k + 1, field.s) + 2 * (z.shape[1],))
-        rows = np.eye(field.s)
-        for j in range(k + 1):
-            for i, e in enumerate(rows):
-                if field.hess_xx is not None:
-                    Hz[j, i, :n, :n] = field.hess_xx(x[j], u[j], e)
-                if field.hess_ux is not None:
-                    Hz[j, i, n:, :n] = field.hess_ux(x[j], u[j], e)
+        for i, e in enumerate(np.eye(field.s)):
+            Hz[:, i, :n, :n], Hz[:, i, n:, :n] = tab.hess(
+                np.broadcast_to(e, (k + 1, field.s)))
         Hz[:, :, :n, n:] = Hz[:, :, n:, :n].swapaxes(2, 3)
         t = mesh.nodes[:k]
         f, A = _drift(pb.system, t, x[:k]), _drift_jacobian(pb.system, t, x[:k])
         g, Hraw = _running_grad(pb, t, _raw_args(pb, z, mesh.h), self.quad, want_hess)
         gphi, Hphi = _terminal_grad(pb, x[k], want_hess)
-        return (psi, Jz, Hz, f, A) + _cost_terms(pb, mesh, self.M, z, g, gphi,
-                                                 Hraw, Hphi, tie_break=True)
+        return (tab.psi, tab.J, Hz, f, A) + _cost_terms(
+            pb, mesh, self.M, z, g, gphi, Hraw, Hphi, tie_break=True)
 
     # -- residual and Jacobian --------------------------------------------
 
@@ -1096,9 +1081,10 @@ def solve_smoothed(transcription: Transcription,
 
     decision = kkt.unpack(X)
     F, _ = kkt.residual(X, sig[-1])
-    pairs = transcription.pair_values(decision)
-    psik = psi_eval(transcription.field, decision.x[-1], decision.u[-1])
-    pairs += zip(X[kkt.it].tolist(), (kkt.c - kkt.P @ psik).tolist())
+    # The step pairs and the terminal pair, from one table over the nodes.
+    psi = field_at_nodes(transcription.field, decision.x, decision.u).psi
+    mu = np.vstack([np.maximum(decision.eta @ kkt.P.T, 0.0), X[kkt.it]])
+    pairs = zip(mu.ravel().tolist(), (kkt.c - psi @ kkt.P.T).ravel().tolist())
     report = SolveReport(
         cost=cost_eval(problem, decision),
         comp_residual=_comp_residual(pairs),
@@ -1287,7 +1273,7 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     decision = base[0]
     field = problem.system.effective_field()
     # simulator multipliers satisfy the cone condition at the right node
-    psi_next, _ = _psi_stack(field, decision.x[1:], decision.u[1:])
+    psi_next = field_at_nodes(field, decision.x[1:], decision.u[1:]).psi
     bounds = problem.system.theta.bounds()
     if bounds is None:  # no interval form: report cone violation instead
         comp = max((problem.system.theta.normal_cone_violation(psi, eta)

@@ -4,7 +4,8 @@
 banded tail form: one row block per cell written into a dense
 rows x unknowns matrix, ``matrix_rank`` for the rank test and
 ``lsq_linear(method="bvls")`` for the bounded regularized fit.  It is the
-oracle for ``assemble_certificate``.
+oracle for ``assemble_certificate``, and it evaluates the field point by
+point through the FieldMap callbacks rather than through a node table.
 """
 
 import dataclasses
@@ -14,10 +15,6 @@ import pytest
 
 from sweepctl.certify import (
     ACT_TOL,
-    _grad_T,
-    _grads_T,
-    _hess_ux,
-    _hess_xx,
     _interior_margin,
     _running_subgradients,
     _tail_cells,
@@ -33,6 +30,21 @@ from sweepctl.problems import instance, solution_on_mesh
 REG = 1e-6
 
 
+def _grad_T(field, x, u):
+    """Transposed full constraint Jacobian at one point: (n + m, s)."""
+    Jx = np.atleast_2d(np.asarray(field.dpsi_dx(x, u), dtype=float))
+    Ju = np.atleast_2d(np.asarray(field.dpsi_du(x, u), dtype=float))
+    return np.hstack([Jx, Ju]).T
+
+
+def _hess(field, x, u, w):
+    """[hess_xx; hess_ux] contracted with w at one point: (n + m, n)."""
+    n, m = field.n, field.m
+    hxx = np.zeros((n, n)) if field.hess_xx is None else field.hess_xx(x, u, w)
+    hux = np.zeros((m, n)) if field.hess_ux is None else field.hess_ux(x, u, w)
+    return np.vstack([np.atleast_2d(hxx), np.atleast_2d(hux)])
+
+
 def _dense_fit(problem, state, control, lam=1.0):
     """(A, b, lower bounds, fitted x, non_unique, layout) of the dense fit."""
     from scipy.optimize import lsq_linear
@@ -45,7 +57,8 @@ def _dense_fit(problem, state, control, lam=1.0):
     nodes = mesh.nodes
     eta_path = recover_eta(system, state, control)
     sg = _running_subgradients(problem, state, control)
-    grads = _grads_T(field, state.values[:k], control.values[:k])
+    grads = np.stack([_grad_T(field, x, u)
+                      for x, u in zip(state.values[:k], control.values[:k])])
     x_T, u_T = state.values[k], control.values[k]
     grad_T_end = _grad_T(field, x_T, u_T)
     psi_T = psi_eval(field, x_T, u_T)
@@ -77,8 +90,7 @@ def _dense_fit(problem, state, control, lam=1.0):
     rows, rhs = [], []
     for j in range(k):
         x_j, u_j, eta_j = state.values[j], control.values[j], eta_path.values[j]
-        Hmat = np.vstack([_hess_xx(field, x_j, u_j, eta_j),
-                          _hess_ux(field, x_j, u_j, eta_j)])
+        Hmat = _hess(field, x_j, u_j, eta_j)
         M = np.zeros((d, nvars))
         M[:, j * d:(j + 1) * d] -= np.eye(d) / h
         M[:, (j + 1) * d:(j + 2) * d] += np.eye(d) / h

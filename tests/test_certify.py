@@ -772,6 +772,20 @@ def test_multiplier_recovery_spots_an_off_node_kink():
         recover_eta(problem.system, state, control)
 
 
+def test_recovery_failures_name_their_cell():
+    problem = instance("remark45").problem
+    mesh = Mesh(k=50, T=2.0)
+    with pytest.raises(NotInConeError, match=r"^cell 12 \(t = 0\.48\): "):
+        recover_eta(problem.system, Path.sample(mesh, ramp_state),
+                    Path.sample(mesh, ramp_control))
+    # a control that lets the state stick out of the set at node 5 only
+    state, control = solution_on_mesh("remark45", 8)
+    lifted = control.values.copy()
+    lifted[5] += 10.0
+    with pytest.raises(DomainError, match=r"^cell 5 \(t = 1\.25\): psi"):
+        recover_eta(problem.system, state, Path(mesh=control.mesh, values=lifted))
+
+
 def test_recovery_needs_matching_meshes():
     problem = instance("remark45").problem
     state, _ = solution_on_mesh("remark45", 8)

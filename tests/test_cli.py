@@ -369,6 +369,119 @@ def test_certify_constraint_gradients_scale_linearly_in_k(tmp_path,
     assert 0 < calls[0] <= 20 * k
 
 
+@pytest.mark.parametrize("instance_id", ["remark45", "counterexample53",
+                                         "elastoplastic61"])
+def test_certify_evaluates_the_field_once_per_node_and_report(
+        tmp_path, monkeypatch, instance_id):
+    # Each public certify function builds one table of the field along the
+    # pair and reads every node value from it: the assembler (recovering
+    # eta first), the stationarity report, and for the orthant targets the
+    # maximum-condition and sufficiency reports.  Only an atom off the table
+    # costs one more evaluation per tail.
+    k = 200
+    calls = dict.fromkeys(["psi", "dpsi_dx", "dpsi_du", "hess_xx", "hess_ux"], 0)
+    build_field = cli._build_field
+
+    def counting_field(*args):
+        field = build_field(*args)
+
+        def counted(name):
+            fn = getattr(field, name)
+
+            def wrapper(*a):
+                calls[name] += 1
+                return fn(*a)
+            return wrapper
+        return dataclasses.replace(field, **{name: counted(name) for name in calls})
+
+    spec_path = export_spec(tmp_path, instance_id, k)
+    sol = write_pair(tmp_path, *solution_on_mesh(instance_id, k))
+    monkeypatch.setattr(cli, "_build_field", counting_field)
+    rc = cli.main(["certify", spec_path, "--solution", sol,
+                   "--out-dir", str(tmp_path / "cert")])
+    assert rc == 0
+    reports = 3 if instance_id == "elastoplastic61" else 5
+    for name in ("psi", "dpsi_dx", "dpsi_du"):
+        assert 0 < calls[name] <= reports * (k + 1) + 10, (name, calls)
+    for name in ("hess_xx", "hess_ux"):
+        assert 0 < calls[name] <= 2 * k + 10, (name, calls)
+
+
+def test_certify_inconsistent_pair_names_the_cell(tmp_path):
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    xbar, ubar = solution_on_mesh("remark45", 8)
+    sol = write_pair(tmp_path, xbar, Path(mesh=ubar.mesh, values=ubar.values - 1.0))
+    out = tmp_path / "cert"
+    assert cli.main(["certify", spec_path, "--solution", sol,
+                     "--out-dir", str(out)]) == 5
+    message = read_json(str(out / "error.json"))["message"]
+    assert message.startswith("cell ") and "(t = " in message
+
+
+def _with_nan_cell(path, line, column):
+    """Rewrite one cell of a CSV file (1-based line, 0-based column) as nan."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = "nan"
+    lines[line - 1] = ",".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_certify_rejects_a_nan_csv_cell(tmp_path):
+    spec_path = export_spec(tmp_path, "elastoplastic61", 8)
+    sol = write_pair(tmp_path, *solution_on_mesh("elastoplastic61", 8))
+    _with_nan_cell(os.path.join(sol, "x.csv"), 5, 1)
+    out = tmp_path / "cert"
+    rc = cli.main(["certify", spec_path, "--solution", sol,
+                   "--out-dir", str(out)])
+    assert rc == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "SpecError"
+    assert "x.csv:5: column x_1 is nan, not finite" in error["message"]
+
+
+def test_simulate_rejects_a_nan_csv_cell(tmp_path):
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    control_csv = str(tmp_path / "control.csv")
+    cli._write_csv(control_csv, ["t", "u_1"],
+                   np.column_stack([np.linspace(0.0, 2.0, 9), np.full(9, -2.0)]))
+    _with_nan_cell(control_csv, 3, 1)
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", spec_path, "--control", control_csv,
+                   "--out-dir", str(out)])
+    assert rc == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "SpecError"
+    assert "control.csv:3: column u_1 is nan, not finite" in error["message"]
+
+
+@pytest.mark.parametrize("where, value, entry", [
+    (("moving_set", "psi", "Ax", 0, 0), float("nan"), "psi.Ax"),
+    (("cost", "phi", "weight"), float("nan"), "phi.weight"),
+    (("cost", "ell", "weight"), float("inf"), "ell.weight"),
+    (("horizon",), float("inf"), "spec.horizon"),
+])
+def test_spec_with_a_non_finite_entry_is_rejected(tmp_path, where, value, entry):
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    spec = read_json(spec_path)
+    parent = spec
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with open(spec_path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)  # writes the non-standard NaN / Infinity tokens
+    sol = write_pair(tmp_path, *solution_on_mesh("remark45", 8))
+    out = tmp_path / "cert"
+    rc = cli.main(["certify", spec_path, "--solution", sol,
+                   "--out-dir", str(out)])
+    assert rc == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "SpecError"
+    assert entry in error["message"]
+
+
 def test_certify_inconsistent_pair_exits_5_without_report(tmp_path):
     # control detached from the boundary while the state keeps its kink, so
     # no multiplier can explain the step and assembly itself gives up

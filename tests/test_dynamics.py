@@ -20,6 +20,7 @@ from sweepctl.geometry import (
     FieldMap,
     LinearImagePolyhedron,
     NonpositiveOrthant,
+    normal_cone_distance,
     psi_eval,
 )
 
@@ -159,6 +160,27 @@ class TestInclusionResidual:
         for convention in ("implicit", "explicit"):
             res = inclusion_residual(sys_, state, control, convention=convention)
             assert np.max(res) <= 1e-8
+
+    def test_matches_the_per_step_cone_distance(self):
+        # one node table over the k steps: nodes 1..k for the implicit
+        # reading, 0..k-1 for the explicit one
+        rng = np.random.default_rng(11)
+        n, s, k = 2, 3, 12
+        U = rng.normal(size=(s, n))
+        b = rng.uniform(0.5, 1.5, size=(k + 1, s))
+        mesh = Mesh(k=k, T=1.0)
+        control = Path(mesh=mesh, values=np.hstack([np.tile(U.ravel(), (k + 1, 1)), b]))
+        sys_ = SweepingSystem(f=lambda t, x: 2.0 - x, field=FieldMap.polyhedral(n, s),
+                              theta=NonpositiveOrthant(s), x0=np.zeros(n), T=1.0)
+        state, _ = simulate(sys_, control)
+        for convention, at in (("implicit", 1), ("explicit", 0)):
+            res = inclusion_residual(sys_, state, control, convention=convention)
+            for j in range(k):
+                v = -(state.values[j + 1] - state.values[j]) / mesh.h \
+                    + sys_.f(0.0, state.values[j])
+                assert res[j] == normal_cone_distance(
+                    sys_.field, sys_.theta, state.values[j + at],
+                    control.values[j + at], v)
 
 
 # ---------------------------------------------------------------------------

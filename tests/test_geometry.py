@@ -1,14 +1,17 @@
 """Geometry layer: projections, cone decomposition, coderivative table."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from sweepctl import cli
 from sweepctl.geometry import (
     Box,
     ConeDecomposition,
     CoderivativeCase,
+    ConfigurationError,
     DomainError,
     FieldMap,
     LinearImagePolyhedron,
@@ -18,6 +21,7 @@ from sweepctl.geometry import (
     SmoothInequality,
     coderivative_orthant,
     coderivative_theta,
+    field_at_nodes,
     h4_shift,
     normal_cone_decompose,
     normal_cone_distance,
@@ -26,7 +30,9 @@ from sweepctl.geometry import (
     surjectivity_check,
     theta_contains,
 )
-from sweepctl.dynamics import Mesh, Path, SimulationError, SweepingSystem, simulate
+from sweepctl.dynamics import (AffineDrift, Mesh, Path, SimulationError, SweepingSystem,
+                               simulate)
+from sweepctl.problems import instance
 
 # ---------------------------------------------------------------------------
 # Independent oracles (kept deliberately dumb and separate from the library)
@@ -598,3 +604,100 @@ class TestH4Shift:
             u = h4_shift("quadratic_example", x=x, xbar=xbar, ubar=ubar)
             np.testing.assert_allclose(psi_eval(field, x, u),
                                        psi_eval(field, xbar, ubar), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The field along a pair: one node table
+# ---------------------------------------------------------------------------
+
+
+def _bent_field():
+    """A 2-D field with nonzero Hessians in both blocks."""
+    return FieldMap.nonlinear(
+        n=2, m=1, s=2,
+        psi=lambda x, u: np.array([x[0] ** 2 + x[1] * u[0], x[0] * x[1] - u[0] ** 2]),
+        dpsi_dx=lambda x, u: np.array([[2.0 * x[0], u[0]], [x[1], x[0]]]),
+        dpsi_du=lambda x, u: np.array([[x[1]], [-2.0 * u[0]]]),
+        hess_xx=lambda x, u, p: np.array([[2.0 * p[0], p[1]], [p[1], 0.0]]),
+        hess_ux=lambda x, u, p: np.array([[0.0, p[0]]]),
+    )
+
+
+def _table_fields():
+    rng = np.random.default_rng(7)
+    quad_spec = {"moving_set": {"psi": {"kind": "quadratic_scalar",
+                                        "a": 0.7, "b": -1.3, "c": 0.4}}}
+    mapped = SweepingSystem(f=AffineDrift.zero(2), field=_bent_field(),
+                            theta=NonpositiveOrthant(2), x0=np.zeros(2), T=1.0,
+                            g=rng.normal(size=(2, 2)))
+    return {
+        "affine_fixed": FieldMap.affine_fixed(rng.normal(size=(3, 2)),
+                                              rng.normal(size=(3, 2)),
+                                              rng.normal(size=3)),
+        "polyhedral": FieldMap.polyhedral(n=2, s=3),
+        "nonconvex22": instance("nonconvex22").problem.system.field,
+        "quadratic_scalar": cli._build_field(quad_spec, 1, 1, 1),
+        "effective_field": mapped.effective_field(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_table_fields()))
+def test_node_table_equals_the_per_point_callbacks(name):
+    field = _table_fields()[name]
+    rng = np.random.default_rng([len(name), 3])
+    K = 6
+    x = rng.normal(size=(K, field.n))
+    u = rng.normal(size=(K, field.m))
+    W = rng.normal(size=(K, field.s))
+    tab = field_at_nodes(field, x, u)
+    Hxx, Hux = tab.hess(W)
+    assert tab.psi.shape == (K, field.s)
+    assert tab.J.shape == (K, field.s, field.n + field.m)
+    for j in range(K):
+        assert np.array_equal(tab.psi[j], psi_eval(field, x[j], u[j]))
+        assert np.array_equal(tab.Jx[j], field.dpsi_dx(x[j], u[j]))
+        assert np.array_equal(tab.Ju[j], field.dpsi_du(x[j], u[j]))
+        assert np.array_equal(tab.J[j], np.hstack([tab.Jx[j], tab.Ju[j]]))
+        assert np.array_equal(Hxx[j], field.hess_xx(x[j], u[j], W[j]))
+        assert np.array_equal(Hux[j], field.hess_ux(x[j], u[j], W[j]))
+    if name == "polyhedral":
+        assert np.any(Hux != 0.0)
+    # contractions at the first nodes only, and a read-only table
+    assert np.array_equal(tab.hess(W[:2])[0], Hxx[:2])
+    for arr in (tab.x, tab.u, tab.psi, tab.Jx, tab.Ju, tab.J):
+        assert not arr.flags.writeable
+
+
+def test_node_table_without_hessian_callbacks_reads_zeros():
+    field = FieldMap.nonlinear(n=2, m=1, s=1,
+                               psi=lambda x, u: np.array([x @ x + u[0]]),
+                               dpsi_dx=lambda x, u: 2.0 * x[None],
+                               dpsi_du=lambda x, u: np.ones((1, 1)))
+    tab = field_at_nodes(field, np.ones((3, 2)), np.zeros((3, 1)))
+    Hxx, Hux = tab.hess(np.ones((3, 1)))
+    assert Hxx.shape == (3, 2, 2) and Hux.shape == (3, 1, 2)
+    assert not Hxx.any() and not Hux.any()
+
+
+@pytest.mark.parametrize("wrong", ["psi", "dpsi_dx", "dpsi_du", "ragged",
+                                   "hess_xx", "hess_ux", "x", "u"])
+def test_node_table_rejects_wrong_shapes(wrong):
+    field = _bent_field()
+    bad = {
+        "psi": lambda x, u: np.zeros(3),
+        "dpsi_dx": lambda x, u: np.zeros((2, 3)),
+        "dpsi_du": lambda x, u: np.zeros((1, 2)),
+        "ragged": lambda x, u: np.zeros(2 if x[0] > 0 else 3),
+        "hess_xx": lambda x, u, p: np.zeros((2, 1)),
+        "hess_ux": lambda x, u, p: np.zeros((2, 2)),
+    }
+    x, u = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros((2, 1))
+    if wrong in ("x", "u"):
+        with pytest.raises(ConfigurationError):
+            field_at_nodes(field, x[:, :1] if wrong == "x" else x,
+                           u if wrong == "x" else np.zeros((3, 1)))
+        return
+    name = "psi" if wrong == "ragged" else wrong
+    field = dataclasses.replace(field, **{name: bad[wrong]})
+    with pytest.raises(ConfigurationError, match=name):
+        field_at_nodes(field, x, u).hess(np.ones((2, 2)))
