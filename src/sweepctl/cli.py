@@ -629,12 +629,11 @@ def _cmd_solve(args) -> int:
                 transcription, sigma_schedule=schedule,
                 tol_stat=args.tol if args.tol is not None else 1e-9)
         else:
+            tol = args.tol if args.tol is not None else 1e-12
             mesh = Mesh(k=k, T=problem.system.T)
             u0 = np.atleast_1d(np.asarray(problem.u0, dtype=float))
             warm = Path(mesh=mesh, values=np.tile(u0, (k + 1, 1)))
-            decision, report = solve_shooting(
-                problem, k, warm,
-                tol=args.tol if args.tol is not None else 1e-12)
+            decision, report = solve_shooting(problem, k, warm, tol=tol)
     except (InfeasibleWarmStartError, ConfigurationError) as e:
         return _fail(out, e, EXIT_SPEC)
     except SimulationError as e:
@@ -655,17 +654,25 @@ def _cmd_solve(args) -> int:
 
     os.makedirs(out, exist_ok=True)
     _write_solution(out, decision)
-    counters = ({"simulations": report.simulations,
-                 "line_search_trials": report.line_search_trials}
+    shooting = ({"simulations": report.simulations,
+                 "line_search_trials": report.line_search_trials,
+                 "stop_reason": report.stop_reason}
                 if method == "shooting" else {})
+    converged = method != "shooting" or report.stop_reason == "tolerance"
     _write_json(os.path.join(out, "report.json"),
-                {"status": "converged", "solver": method, "k": k,
+                {"status": "converged" if converged else "nonconverged",
+                 "solver": method, "k": k,
                  "mode": problem.mode, "cost": report.cost,
                  "comp_residual": report.comp_residual,
                  "stat_residual": report.stat_residual,
                  "iterations": report.iterations,
                  "sigma_trace": list(report.sigma_trace),
-                 "cost_trace": list(report.cost_trace), **counters})
+                 "cost_trace": list(report.cost_trace), **shooting})
+    if not converged:
+        return _fail(out, NumericalFailureError(
+            f"shooting stopped by {report.stop_reason} after "
+            f"{report.iterations} iterations with squared gradient norm "
+            f"{report.stat_residual ** 2:.3g} above tol {tol:.3g}"), EXIT_SOLVER)
     print(f"solved ({method}, k={k}): cost {report.cost:.8g}, "
           f"stationarity {report.stat_residual:.3g}, "
           f"complementarity {report.comp_residual:.3g}, "

@@ -30,7 +30,7 @@ stage stacks (arrays indexed by step) through integer index tables into the
 unknown vector, so the block-banded Jacobian is built by einsums and one
 scatter, not by per-step loops.
 ``solve_shooting`` instead optimizes the control nodes directly over the
-catching-up simulator by gradient descent with an Armijo line search.  When
+catching-up simulator with L-BFGS directions and an Armijo line search.  When
 every step is the exact projection (an affine-in-x field and a polyhedral
 Theta) the gradient is exact: forward-mode tangents carried along the
 simulated trajectory, each step projecting its tangent onto the critical
@@ -53,6 +53,7 @@ central differences.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -267,6 +268,9 @@ class SolveReport:
     #: catching-up simulations run, and line-search trials among them.
     simulations: int = 0
     line_search_trials: int = 0
+    #: Why ``solve_shooting`` stopped: "tolerance", "iteration_budget" or
+    #: "line_search" (empty from ``solve_smoothed``, which converges or raises).
+    stop_reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -1178,22 +1182,63 @@ def _shooting_gradient(problem: OcpProblem, z: DiscreteDecision,
     return grad
 
 
+#: Curvature pairs the L-BFGS direction keeps (Liu & Nocedal 1989).
+_LBFGS_MEMORY = 8
+
+#: An accepted step shorter than this means the quasi-Newton model has
+#: stopped fitting the cost (at a nonsmooth optimum, say), so the pairs are
+#: dropped and the next direction is -g again.
+_LBFGS_RESET_ALPHA = 2.0 ** -10
+
+
+def _lbfgs_direction(g: Array, pairs: Sequence[tuple[Array, Array]]) -> Array:
+    """Two-loop recursion: -H g for the L-BFGS inverse-Hessian estimate built
+    from the curvature pairs (s, y), oldest first, each with y.s > 0, and
+    scaled by s.y / y.y of the newest pair.  Without pairs it is -g."""
+    q = np.array(g, dtype=float)
+    coeffs = []
+    for s, y in reversed(pairs):
+        coeffs.append(s @ q / (y @ s))
+        q -= coeffs[-1] * y
+    if pairs:
+        s, y = pairs[-1]
+        q *= s @ y / (y @ y)
+    for (s, y), a in zip(pairs, reversed(coeffs)):
+        q += (a - y @ q / (y @ s)) * s
+    return -q
+
+
 def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
                    tol: float = 1e-12, max_iter: int = 500,
                    free_mask: Array | None = None,
                    ) -> tuple[DiscreteDecision, SolveReport]:
-    """Gradient descent over control nodes through the simulator.
+    """L-BFGS directions with an Armijo search over control nodes through the
+    simulator.
 
     With an affine-in-x field and a polyhedral Theta, where every
     catching-up step is an exact projection, the gradient is exact: one
     tangent sweep over the current trajectory (``_shooting_gradient``).
     Otherwise (a nonlinear field or a smooth Theta) it comes from forward
     differences with step 1e-6 (1 + ||u||), one simulation per free entry.
-    An Armijo backtracking line search takes the steps, so the cost over
-    accepted iterates never increases; the loop stops when the squared
-    gradient norm drops below ``tol``.  Node 0 is always pinned to the
-    prescribed initial control; ``free_mask`` (length k+1) can pin more.
-    The report counts the simulations and the line-search trials.
+    The direction d is the two-loop L-BFGS direction over the last
+    ``_LBFGS_MEMORY`` accepted steps (pairs with y.s <= 0 are skipped); it
+    falls back to -g, dropping the pairs, whenever g.d >= 0 and after an
+    accepted step shorter than ``_LBFGS_RESET_ALPHA``.  Armijo backtracking
+    from alpha = 1 on the slope g.d takes the steps and accepts only a
+    strict decrease, so the cost over accepted iterates never increases and
+    a step lost in rounding counts as no step.  Node 0 is always pinned to
+    the prescribed initial control; ``free_mask`` (length k+1) can pin more.
+
+    The loop stops when the squared gradient norm drops below ``tol``
+    (``stop_reason`` "tolerance"), when ``max_iter`` gradients have been
+    taken ("iteration_budget", or "tolerance" if the exact gradient of the
+    returned decision meets ``tol``), or when no trial step decreases the
+    cost ("line_search").  ``stat_residual`` is the gradient norm of the
+    returned decision, except after a spent budget on the forward-difference
+    route, where it belongs to the iterate before the last accepted step
+    (the gradient of the returned one would cost a simulation per free
+    entry).
+    The report counts the simulations and the line-search trials among them.
     """
     mesh = Mesh(k=k, T=problem.system.T)
     if initial_control.mesh != mesh:
@@ -1228,36 +1273,53 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     current = base[2]
     cost_trace = [current]
     free_idx = [(j, a) for j in range(k + 1) if mask[j] for a in range(m)]
+    free_nodes, free_comps = np.array(free_idx, dtype=int).reshape(-1, 2).T
     exact = _has_exact_tangents(problem.system)
+
+    def gradient() -> Array:
+        if exact:
+            return _shooting_gradient(problem, base[0], base[1], free_idx)
+        delta = 1e-6 * (1.0 + float(np.linalg.norm(U)))
+        g = np.zeros(len(free_idx))
+        for idx, (j, a) in enumerate(free_idx):
+            Up = U.copy()
+            Up[j, a] += delta
+            g[idx] = (cost_of(Up) - current) / delta
+        return g
+
     iterations = 0
     grad_norm = 0.0
+    stop_reason = "iteration_budget" if free_idx else "tolerance"
+    pairs: deque[tuple[Array, Array]] = deque(maxlen=_LBFGS_MEMORY)
+    step = g_prev = None  # the last accepted step and the gradient it began at
     if free_idx:
         for iterations in range(1, max_iter + 1):
-            if exact:
-                g = _shooting_gradient(problem, base[0], base[1], free_idx)
-            else:
-                delta = 1e-6 * (1.0 + float(np.linalg.norm(U)))
-                g = np.zeros(len(free_idx))
-                for idx, (j, a) in enumerate(free_idx):
-                    Up = U.copy()
-                    Up[j, a] += delta
-                    g[idx] = (cost_of(Up) - current) / delta
+            g = gradient()
             grad_norm = float(np.linalg.norm(g))
             if grad_norm ** 2 < tol:
+                stop_reason = "tolerance"
                 break
+            if step is not None:
+                y = g - g_prev
+                if float(y @ step) > 0.0:
+                    pairs.append((step, y))
+            d = _lbfgs_direction(g, pairs)
+            slope = float(g @ d)
+            if slope >= 0.0:
+                pairs.clear()
+                d, slope = -g, -grad_norm ** 2
             alpha = 1.0
             accepted = False
             any_finite_trial = False
             while alpha >= 1e-12:
                 Un = U.copy()
-                for idx, (j, a) in enumerate(free_idx):
-                    Un[j, a] -= alpha * g[idx]
+                Un[free_nodes, free_comps] += alpha * d
                 trials += 1
                 result = run(Un)
                 trial = float("inf") if result is None else result[2]
                 if np.isfinite(trial):
                     any_finite_trial = True
-                if trial <= current - 1e-4 * alpha * grad_norm ** 2:
+                if trial < current + 1e-4 * alpha * slope:
                     U, base, current = Un, result, trial
                     cost_trace.append(current)
                     accepted = True
@@ -1269,7 +1331,18 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
                         "every trial step failed to simulate")
                     err.partial = base[0]  # last accepted iterate
                     raise err
-                break  # no descent beyond noise: predicted decrease is spent
+                stop_reason = "line_search"  # predicted decrease is spent
+                break
+            if alpha < _LBFGS_RESET_ALPHA:
+                pairs.clear()
+                step = None
+            else:
+                step, g_prev = alpha * d, g
+        else:
+            if exact:  # the gradient of the returned decision, no simulation
+                grad_norm = float(np.linalg.norm(gradient()))
+                if grad_norm ** 2 < tol:
+                    stop_reason = "tolerance"
     decision = base[0]
     field = problem.system.effective_field()
     # simulator multipliers satisfy the cone condition at the right node
@@ -1291,5 +1364,6 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
         cost_trace=tuple(cost_trace),
         simulations=simulations,
         line_search_trials=trials,
+        stop_reason=stop_reason,
     )
     return decision, report

@@ -181,6 +181,8 @@ def test_solve_shooting_converges_monotonically(tmp_path, capsys):
     assert "solved (shooting, k=8)" in capsys.readouterr().out
     report = read_json(str(out / "report.json"))
     assert report["solver"] == "shooting"
+    assert report["status"] == "converged"
+    assert report["stop_reason"] == "tolerance"
     assert report["cost"] <= 1e-6
     trace = report["cost_trace"]
     assert len(trace) >= 2
@@ -196,6 +198,25 @@ def test_solve_reports_the_shooting_work_counters(tmp_path):
     # the exact-gradient route simulates once to start and once per trial
     assert report["line_search_trials"] >= report["iterations"] - 1
     assert report["simulations"] == 1 + report["line_search_trials"]
+
+
+def test_shooting_stopped_short_exits_nonconverged(tmp_path, capsys):
+    """From its resting control nonconvex22 sits at the kink of its optimum,
+    where forward-difference gradients stay above the default tolerance and
+    no trial step decreases the cost: the run must not claim success."""
+    spec_path = export_spec(tmp_path, "nonconvex22", 6)
+    out = tmp_path / "run"
+    rc = cli.main(["solve", spec_path, "--out-dir", str(out),
+                   "--solver", "shooting"])
+    assert rc == cli.EXIT_SOLVER
+    assert "solved" not in capsys.readouterr().out
+    report = read_json(str(out / "report.json"))
+    assert report["status"] == "nonconverged"
+    assert report["stop_reason"] == "line_search"
+    assert report["stat_residual"] ** 2 >= 1e-12
+    assert read_json(str(out / "error.json"))["error"] == "NumericalFailureError"
+    for name in ("x.csv", "u.csv", "eta.csv"):
+        assert (out / name).exists()
 
 
 def test_solve_rejects_increasing_sigma_schedule(tmp_path):

@@ -23,6 +23,7 @@ from sweepctl.ocp import (
     QuadraticTerminalCost,
     _KktSystem,
     _has_exact_tangents,
+    _lbfgs_direction,
     _shooting_gradient,
     cost_eval,
     cost_grad,
@@ -511,6 +512,83 @@ def test_nonlinear_field_keeps_forward_differences():
     assert report.cost_trace[-1] < report.cost_trace[0]
     assert report.simulations == (1 + k * report.iterations
                                   + report.line_search_trials)
+
+
+@pytest.mark.parametrize("max_iter, simulations, cost",
+                         [(40, 417, 0.5021), (60, 626, 0.50048)])
+def test_forward_differences_reach_the_nonsmooth_optimum(max_iter, simulations,
+                                                         cost):
+    """On nonconvex22 the optimum is a kink.  The L-BFGS memory is dropped
+    after a line search that needs a step below 2^-10, and a trial whose
+    decrease is lost in rounding is rejected, so the forward-difference route
+    stays within what steepest descent spent and gets further (the bounds are
+    its simulations and cost at the same max_iter)."""
+    problem = instance("nonconvex22").problem
+    k = 6
+    u = np.zeros((k + 1, 1))
+    u[1:, 0] = 0.3 * np.linspace(0.0, 1.0, k)
+    _, report = solve_shooting(problem, k, Path(mesh=Mesh(k=k, T=1.0), values=u),
+                               max_iter=max_iter)
+    assert np.all(np.diff(report.cost_trace) <= 0.0)
+    assert report.simulations <= simulations
+    assert report.cost <= cost
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_remark45_shooting_converges_in_few_iterations(k):
+    for seed in range(3):
+        problem, U = _reference("remark45", k, 0.2, seed)
+        _, report = solve_shooting(problem, k, Path(mesh=Mesh(k=k, T=2.0), values=U),
+                                   tol=1e-10)
+        assert report.stop_reason == "tolerance"
+        assert report.iterations <= 35
+        assert report.stat_residual ** 2 < 1e-10
+
+
+def _elastoplastic_budget(seed):
+    """elastoplastic61 at k=20 from a seeded noisy resting control, with a
+    40-iteration budget; returns the problem, the result and the mesh."""
+    problem = instance("elastoplastic61").problem
+    k = 20
+    u = np.zeros((k + 1, 1))
+    u[1:] = 0.03 * np.random.default_rng(seed).standard_normal((k, 1))
+    mesh = Mesh(k=k, T=1.0)
+    return problem, solve_shooting(problem, k, Path(mesh=mesh, values=u),
+                                   max_iter=40), mesh
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_elastoplastic_budget_reaches_the_optimum(seed):
+    _, (_, report), _ = _elastoplastic_budget(seed)
+    assert report.stop_reason == "iteration_budget"
+    assert abs(report.cost - 0.125) <= 1e-6
+    assert report.simulations <= 60
+    assert report.simulations == 1 + report.line_search_trials
+    assert np.all(np.diff(report.cost_trace) <= 0.0)
+
+
+def test_budget_end_residual_belongs_to_the_returned_decision():
+    problem, (z, report), mesh = _elastoplastic_budget(1)
+    assert report.iterations == 40
+    _, records = simulate(problem.system, Path(mesh=mesh, values=z.u))
+    free = [(j, 0) for j in range(1, mesh.k + 1)]
+    g = _shooting_gradient(problem, z, records, free)
+    assert report.stat_residual == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+
+def test_lbfgs_direction_descends_on_curvature_pairs():
+    rng = np.random.default_rng(3)
+    assert np.array_equal(_lbfgs_direction(np.array([1.0, -2.0]), []),
+                          np.array([-1.0, 2.0]))
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        pairs = []
+        while len(pairs) < int(rng.integers(1, 9)):
+            s, y = rng.standard_normal(n), rng.standard_normal(n)
+            if y @ s > 0.0:
+                pairs.append((s, y))
+        g = rng.standard_normal(n)
+        assert g @ _lbfgs_direction(g, pairs) < 0.0
 
 
 # ---------------------------------------------------------------------------
