@@ -6,6 +6,12 @@ The simulator realizes the catching-up selection of the discrete inclusion
 
 so each step is an exact projection onto the moving set at the incoming
 control, and the projection multiplier certifies the discrete inclusion.
+A step of :func:`simulate` is the drift and that projection alone: one
+least-distance solve for an affine-in-x field with a polyhedral Theta, else
+a local SQP whose multiplier comes from its last linearization, with no
+closing re-solve.  The step records (psi, active set, feasibility and KKT
+residual) come after the loop from one node table over nodes 1..k;
+:func:`step_catching_up` is one such step with its record.
 Residual checks against both the implicit (cone at the new point, next
 control) and explicit (cone at the old point, old control) readings live in
 :func:`inclusion_residual`.  The module also carries the polyhedral
@@ -30,8 +36,10 @@ from .geometry import (
     ThetaSet,
     TOL_FEAS,
     _cone_distance,
+    _project_step,
+    _projection_diagnostics,
     field_at_nodes,
-    project_onto_moving_set,
+    project_onto_moving_set,  # noqa: F401  (perfbench/layers.py wraps this name)
     psi_eval,
 )
 
@@ -213,16 +221,23 @@ class SweepingSystem:
 
 def feasibility_violation(theta: ThetaSet, z: Array) -> float:
     """Max constraint violation of z against Theta (0 when inside)."""
+    return float(_feasibility(theta, np.reshape(z, (1, -1)))[0])
+
+
+def _feasibility(theta: ThetaSet, Z: Array) -> Array:
+    """:func:`feasibility_violation` at every row of Z."""
     hs = theta.halfspaces()
     if hs is not None:
         H, d = hs
         if H.shape[0] == 0:
-            return 0.0
-        return float(max(0.0, np.max(H @ z - d)))
-    if isinstance(theta, SmoothInequality):
-        h = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
-        return float(max(0.0, np.max(h)))
-    raise ConfigurationError("unknown Theta variant")
+            return np.zeros(len(Z))
+        slack = np.matmul(H, Z[:, :, np.newaxis])[:, :, 0] - d
+    elif isinstance(theta, SmoothInequality):
+        slack = np.array([np.atleast_1d(np.asarray(theta.h(z), dtype=float))
+                          for z in Z]).reshape(len(Z), theta.l)
+    else:
+        raise ConfigurationError("unknown Theta variant")
+    return np.maximum(0.0, slack.max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -235,6 +250,20 @@ class StepRecord:
     active_indices: tuple[int, ...] = ()
 
 
+def _step_records(system: SweepingSystem, field: FieldMap, drifted: Array,
+                  u: Array, y: Array, eta: Array) -> list[StepRecord]:
+    """The records of steps that took the rows of ``drifted`` to the rows of
+    ``y`` at the controls ``u`` with multipliers ``eta``, from one node
+    table over (y, u)."""
+    psi, residual, active = _projection_diagnostics(field, system.theta,
+                                                    drifted, u, y, eta)
+    feasibility = _feasibility(system.theta, psi)
+    return [StepRecord(eta=e, projection_residual=r, feasibility=f,
+                       active_indices=a)
+            for e, r, f, a in zip(eta, residual.tolist(), feasibility.tolist(),
+                                  active)]
+
+
 def step_catching_up(system: SweepingSystem, x_j: Array, u_next: Array,
                      t_j: float, h: float,
                      warm_start: Array | None = None,
@@ -244,20 +273,16 @@ def step_catching_up(system: SweepingSystem, x_j: Array, u_next: Array,
     The returned multiplier satisfies
     x_j + h f(t_j, x_j) - x_{j+1} = grad_x psi(x_{j+1}, u_next)^T eta
     with eta in N_Theta, so eta / h is the discrete inclusion multiplier.
+    This is one step of :func:`simulate`, with its record.
     """
     x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
     u_next = np.atleast_1d(np.asarray(u_next, dtype=float))
+    field = system.effective_field()
     drifted = x_j + h * np.atleast_1d(np.asarray(system.f(t_j, x_j), dtype=float))
-    eff = system.effective_field()
-    y, dec = project_onto_moving_set(
-        eff, system.theta, u_next, drifted,
-        warm_start=x_j if warm_start is None else warm_start)
-    record = StepRecord(
-        eta=dec.eta,
-        projection_residual=dec.residual,
-        feasibility=feasibility_violation(system.theta, dec.psi),
-        active_indices=dec.active_indices,
-    )
+    y, eta = _project_step(field, system.theta, u_next, drifted,
+                           x_j if warm_start is None else warm_start)
+    [record] = _step_records(system, field, drifted[np.newaxis],
+                             u_next[np.newaxis], y[np.newaxis], eta[np.newaxis])
     return y, record
 
 
@@ -266,7 +291,9 @@ def simulate(system: SweepingSystem, control: Path,
     """Run catching-up along the control path's mesh.
 
     The initial state must lie in the moving set at the initial control;
-    a failing step aborts with that step's index.
+    a failing step aborts with that step's index.  Each step is the drift
+    and the projection alone; the step records come afterwards from one
+    node table over nodes 1..k.
     """
     mesh = control.mesh
     if abs(mesh.T - system.T) > 1e-12:
@@ -275,18 +302,21 @@ def simulate(system: SweepingSystem, control: Path,
     z0 = psi_eval(eff, system.x0, control.values[0])
     if not system.theta.contains(z0, tol=TOL_FEAS):
         raise SimulationError(0, f"initial state infeasible: psi(x0,u0)={z0}")
-    h = mesh.h
-    xs = np.zeros((mesh.k + 1, system.field.n))
+    h, k, U = mesh.h, mesh.k, control.values
+    xs = np.zeros((k + 1, system.field.n))
     xs[0] = system.x0
-    records: list[StepRecord] = []
-    for j in range(mesh.k):
+    drifted = np.empty((k, system.field.n))
+    etas = np.empty((k, system.field.s))
+    for j, t_j in enumerate(mesh.nodes[:-1].tolist()):
+        x_j = xs[j]
+        drifted[j] = x_j + h * np.atleast_1d(np.asarray(system.f(t_j, x_j), dtype=float))
         try:
-            xs[j + 1], rec = step_catching_up(
-                system, xs[j], control.values[j + 1], float(mesh.nodes[j]), h)
+            xs[j + 1], etas[j] = _project_step(eff, system.theta, U[j + 1],
+                                               drifted[j], x_j)
         except GeometryError as e:
             raise SimulationError(j, str(e)) from e
-        records.append(rec)
-    return Path(mesh=mesh, values=xs), records
+    return Path(mesh=mesh, values=xs), _step_records(system, eff, drifted,
+                                                    U[1:], xs[1:], etas)
 
 
 def inclusion_residual(system: SweepingSystem, state: Path, control: Path,

@@ -563,56 +563,59 @@ def _project_onto_halfspaces(G: Array, g: Array,
     and w = argmin_{w >= 0} ||E w - e||, the residual res = E w - e has
     res[-1] = -||res||^2.  It vanishes exactly when the set is empty;
     otherwise mu = w / -res[-1].  Raises ProjectionFailureError for an empty
-    set and NumericalFailureError when the NNLS iteration limit is hit.
+    set, and NumericalFailureError when the NNLS iteration limit is hit or
+    when x, G or g is not finite.
     """
     # Imported here: importing scipy would double the package's import time.
     from scipy.optimize import nnls
 
-    r = G.shape[0]
-    if r == 0 or np.all(G @ x <= g + TOL_FEAS):
+    r, n = G.shape
+    Gx = G @ x
+    if r == 0 or (Gx <= g + TOL_FEAS).all():
         return x.copy(), np.zeros(r)
-    E = -np.vstack([G.T, g - G @ x])
-    e = np.zeros(E.shape[0])
-    e[-1] = 1.0
+    # Column-major like G^T, which fixes how E @ w below rounds.
+    E = np.empty((n + 1, r), order="F")
+    np.negative(G.T, out=E[:n])
+    np.subtract(Gx, g, out=E[n])
+    e = np.zeros(n + 1)
+    e[n] = 1.0
     try:
         w, _ = nnls(E, e)
     except RuntimeError as err:
         raise NumericalFailureError(f"least-distance NNLS: {err}") from err
+    except ValueError as err:  # nnls rejects infinite and NaN entries
+        raise NumericalFailureError(
+            f"least-distance program has a non-finite point or row: {err}") from err
     res = E @ w - e
     if not res[-1] < 0.0:
         raise ProjectionFailureError("least-distance program is infeasible: "
                                      "the moving set is empty")
     mu = w / -res[-1]
     y = x - G.T @ mu
-    if np.any(G @ y > g + 1e-9 * (1.0 + np.abs(g))):
+    if (G @ y > g + 1e-9 * (1.0 + np.abs(g))).any():
         raise ProjectionFailureError("projection finished infeasible; set may be empty")
     return y, mu
 
 
 def _sqp_local_projection(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
                           warm: Array, tol: float, max_iter: int = 100,
-                          ) -> tuple[Array, Array, tuple[int, ...], Array]:
+                          ) -> tuple[Array, Array]:
     """Local projection for nonlinear psi (or smooth Theta) from a warm start.
 
-    Sequentially projects onto the linearized constraint system at the
-    current iterate; returns (y, eta, active_indices, psi(y, u)).
+    Sequentially projects x onto the linearized constraint system at the
+    current iterate until the iterate moves by at most ``tol``; returns
+    (y, eta) with eta from the last linearization, the one whose projection
+    is y (no closing re-solve at y).
     """
     y = np.asarray(warm, dtype=float).copy()
     for _ in range(max_iter):
-        rows, rhs, _ = _constraint_rows(field, theta, y, u)
-        y_new, _ = _project_onto_halfspaces(rows, rhs, x)
+        rows, rhs, lift = _constraint_rows(field, theta, y, u)
+        y_new, mu = _project_onto_halfspaces(rows, rhs, x)
         step = np.linalg.norm(y_new - y)
         y = y_new
         if step <= tol:
-            break
-    else:
-        raise NumericalFailureError("projection SQP did not converge")
-    rows, rhs, lift = _constraint_rows(field, theta, y, u)
-    _, mu = _project_onto_halfspaces(rows, rhs, x)
-    eta = lift(mu)
-    z = psi_eval(field, y, u)
-    active = _active_indices(theta, z)
-    return y, eta, active, z
+            return y, lift(mu)
+    raise NumericalFailureError("projection SQP did not converge")
 
 
 def _constraint_rows(field: FieldMap, theta: ThetaSet, y: Array, u: Array,
@@ -639,22 +642,25 @@ def _constraint_rows(field: FieldMap, theta: ThetaSet, y: Array, u: Array,
     return R, e, lambda mu: H.T @ mu
 
 
-def _active_indices(theta: ThetaSet, z: Array, tol: float = 1e-7) -> tuple[int, ...]:
-    """Indices of the constraints active at z = psi.
+def _active_sets(theta: ThetaSet, Z: Array, tol: float = 1e-7,
+                 ) -> list[tuple[int, ...]]:
+    """Indices of the constraints active at each row z = psi of Z.
 
     Components of z for an orthant or box, components of h for a smooth
     inequality, and halfspace rows for a linear image.
     """
     if isinstance(theta, _IntervalTheta):
         lo, hi = theta.bounds()
-        return tuple(i for i, (zi, lo_i, hi_i)
-                     in enumerate(zip(z.tolist(), lo.tolist(), hi.tolist()))
-                     if (hi_i < np.inf and zi >= hi_i - tol)
-                     or (lo_i > -np.inf and zi <= lo_i + tol))
-    if isinstance(theta, SmoothInequality):
-        h = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
-        return tuple(i for i in range(theta.l) if h[i] >= -tol)
-    return tuple(_active_rows(*_halfspaces_of(theta), z, tol))
+        mask = (((hi < np.inf) & (Z >= hi - tol))
+                | ((lo > -np.inf) & (Z <= lo + tol)))
+    elif isinstance(theta, SmoothInequality):
+        mask = np.array([np.atleast_1d(np.asarray(theta.h(z), dtype=float))
+                         for z in Z]).reshape(len(Z), theta.l) >= -tol
+    else:
+        H, d = _halfspaces_of(theta)
+        mask = np.matmul(H, Z[:, :, np.newaxis])[:, :, 0] >= d - tol
+    return [tuple(i for i, active in enumerate(row) if active)
+            for row in mask.tolist()]
 
 
 def _halfspaces_of(theta: ThetaSet) -> tuple[Array, Array]:
@@ -669,6 +675,38 @@ def _active_rows(H: Array, d: Array, z: Array, tol: float) -> list[int]:
     return [i for i in range(H.shape[0]) if H[i] @ z >= d[i] - tol]
 
 
+def _project_step(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
+                  warm: Array | None, tol: float = 1e-10) -> tuple[Array, Array]:
+    """The projection of one catching-up step and nothing else: (y, eta) with
+    y the projection of x onto C(u) and x - y = grad_x psi(y, u)^T eta.
+
+    One exact least-distance solve for an affine-in-x field with a
+    polyhedral Theta, else the local SQP projection from ``warm``.
+    """
+    hs = theta.halfspaces()
+    if field.x_affine is not None and hs is not None:
+        A, c = field.x_affine(u)
+        H, d = hs
+        y, mu = _project_onto_halfspaces(H @ A, d - H @ c, x)
+        return y, H.T @ mu
+    if warm is None:
+        raise ConfigurationError("nonlinear projection requires a feasible warm start")
+    return _sqp_local_projection(field, theta, u, x, warm, tol)
+
+
+def _projection_diagnostics(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
+                            y: Array, eta: Array,
+                            ) -> tuple[Array, Array, list[tuple[int, ...]]]:
+    """For projections y_j of x_j onto C(u_j) with multipliers eta_j (the
+    rows of each argument): psi(y_j, u_j), the KKT residual
+    ||x_j - y_j - grad_x psi(y_j, u_j)^T eta_j|| and the active set, from one
+    :func:`field_at_nodes` table over the pairs (y_j, u_j)."""
+    tab = field_at_nodes(field, y, u)
+    v = (x - y) - np.matmul(tab.Jx.transpose(0, 2, 1), eta[:, :, np.newaxis])[:, :, 0]
+    residual = np.sqrt(np.matmul(v[:, np.newaxis, :], v[:, :, np.newaxis])[:, 0, 0])
+    return tab.psi, residual, _active_sets(theta, tab.psi)
+
+
 def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
                             tol: float = 1e-10, warm_start: Array | None = None,
                             extra_starts: Sequence[Array] = (),
@@ -677,49 +715,37 @@ def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array
 
     For affine-in-x fields with polyhedral Theta this is an exact convex QP.
     For nonlinear fields it is a local projection by sequential quadratic
-    stepping from ``warm_start`` (required); when several candidates tie in
-    distance the one with lexicographically largest coordinates wins, so
-    callers can pass ``extra_starts`` to explore set-valued projections
-    deterministically.
+    stepping from ``warm_start`` (required), whose multiplier comes from the
+    last linearization, with no closing re-solve at the converged point.
+    When several candidates tie in distance the one with lexicographically
+    largest coordinates wins, so callers can pass ``extra_starts`` to
+    explore set-valued projections deterministically.
 
     Returns the projected point and the ConeDecomposition carrying the KKT
     multiplier eta with x - y* = grad_x psi(y*, u)^T eta.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    hs = theta.halfspaces()
-    if field.x_affine is not None and hs is not None:
-        A, c = field.x_affine(u)
-        H, d = hs
-        y, mu = _project_onto_halfspaces(H @ A, d - H @ c, x)
-        eta = H.T @ mu
-        z = psi_eval(field, y, u)
-        active = _active_indices(theta, z)
-        J = np.atleast_2d(np.asarray(field.dpsi_dx(y, u), dtype=float))
-        residual = float(np.linalg.norm((x - y) - J.T @ eta))
-        return y, ConeDecomposition(eta=eta, active_indices=active,
-                                    residual=residual, psi=z)
-
-    if warm_start is None:
-        raise ConfigurationError("nonlinear projection requires a feasible warm start")
-    candidates: list[tuple[Array, Array, tuple[int, ...], Array]] = []
-    for start in [warm_start, *extra_starts]:
-        try:
-            candidates.append(_sqp_local_projection(field, theta, u, x,
-                                                    np.asarray(start, dtype=float), tol))
-        except (NumericalFailureError, ProjectionFailureError):
-            continue
-    if not candidates:
-        raise ProjectionFailureError("no projection candidate converged")
-    dists = [np.linalg.norm(cand[0] - x) for cand in candidates]
-    dmin = min(dists)
-    tied = [cand for cand, dist in zip(candidates, dists) if dist <= dmin + 1e-9]
-    # Deterministic tie-break: lexicographically largest coordinates win.
-    y, eta, active, z = max(tied, key=lambda cand: tuple(cand[0]))
-    J = np.atleast_2d(np.asarray(field.dpsi_dx(y, u), dtype=float))
-    residual = float(np.linalg.norm((x - y) - J.T @ eta))
-    return y, ConeDecomposition(eta=eta, active_indices=active,
-                                residual=residual, psi=z)
+    if field.x_affine is not None and theta.halfspaces() is not None:
+        y, eta = _project_step(field, theta, u, x, None)
+    else:
+        candidates: list[tuple[Array, Array]] = []
+        for start in [warm_start, *extra_starts]:
+            try:
+                candidates.append(_project_step(field, theta, u, x, start, tol))
+            except (NumericalFailureError, ProjectionFailureError):
+                continue
+        if not candidates:
+            raise ProjectionFailureError("no projection candidate converged")
+        dists = [np.linalg.norm(cand[0] - x) for cand in candidates]
+        dmin = min(dists)
+        tied = [cand for cand, dist in zip(candidates, dists) if dist <= dmin + 1e-9]
+        # Deterministic tie-break: lexicographically largest coordinates win.
+        y, eta = max(tied, key=lambda cand: tuple(cand[0]))
+    psi, residual, active = _projection_diagnostics(
+        field, theta, x[np.newaxis], u[np.newaxis], y[np.newaxis], eta[np.newaxis])
+    return y, ConeDecomposition(eta=eta, active_indices=active[0],
+                                residual=float(residual[0]), psi=psi[0])
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +796,7 @@ def _decompose(theta: ThetaSet, z: Array, J: Array, v: Array,
     if not ok:
         raise SurjectivityError(f"grad_x psi is rank deficient (sigma_min={sigma_min:.3e})")
     eta, *_ = np.linalg.lstsq(J.T, v, rcond=None)
-    active = _active_indices(theta, z)
+    [active] = _active_sets(theta, z[np.newaxis])
     if isinstance(theta, NonpositiveOrthant):
         # Clean least-squares noise off the inactive components before judging.
         eta[[i for i in range(theta.s) if i not in active]] = 0.0

@@ -1226,7 +1226,9 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     accepted step shorter than ``_LBFGS_RESET_ALPHA``.  Armijo backtracking
     from alpha = 1 on the slope g.d takes the steps and accepts only a
     strict decrease, so the cost over accepted iterates never increases and
-    a step lost in rounding counts as no step.  Node 0 is always pinned to
+    a step lost in rounding counts as no step; the search ends once
+    alpha |g.d| <= eps max(1, |cost|), where the predicted decrease is below
+    the cost's rounding unit.  Node 0 is always pinned to
     the prescribed initial control; ``free_mask`` (length k+1) can pin more.
 
     The loop stops when the squared gradient norm drops below ``tol``
@@ -1308,10 +1310,13 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
             if slope >= 0.0:
                 pairs.clear()
                 d, slope = -g, -grad_norm ** 2
+            # Past alpha |g.d| <= eps max(1, |cost|) the predicted decrease is
+            # below the cost's rounding unit, so no trial could show it.
+            spent = np.finfo(float).eps * max(1.0, abs(current))
             alpha = 1.0
             accepted = False
             any_finite_trial = False
-            while alpha >= 1e-12:
+            while alpha >= 1e-12 and alpha * -slope > spent:
                 Un = U.copy()
                 Un[free_nodes, free_comps] += alpha * d
                 trials += 1
@@ -1326,7 +1331,7 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
                     break
                 alpha /= 2
             if not accepted:
-                if not any_finite_trial:
+                if alpha < 1.0 and not any_finite_trial:  # trials ran, all failed
                     err = NumericalFailureError(
                         "every trial step failed to simulate")
                     err.partial = base[0]  # last accepted iterate

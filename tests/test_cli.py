@@ -219,6 +219,20 @@ def test_shooting_stopped_short_exits_nonconverged(tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_stopped_short_search_ends_at_the_rounding_unit(tmp_path):
+    """The line search that ends the nonconvex22 run stops once the predicted
+    decrease alpha |g.d| is below the cost's rounding unit, instead of
+    halving alpha down to 1e-12."""
+    spec_path = export_spec(tmp_path, "nonconvex22", 6)
+    out = tmp_path / "run"
+    rc = cli.main(["solve", spec_path, "--out-dir", str(out),
+                   "--solver", "shooting"])
+    assert rc == cli.EXIT_SOLVER
+    report = read_json(str(out / "report.json"))
+    assert report["stop_reason"] == "line_search"
+    assert report["simulations"] <= 30
+
+
 def test_solve_rejects_increasing_sigma_schedule(tmp_path):
     spec_path = export_spec(tmp_path, "remark45", 8)
     out = tmp_path / "run"

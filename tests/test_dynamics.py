@@ -251,22 +251,23 @@ def test_effective_field_is_built_once_per_system():
     assert plain.effective_field() is field
 
 
-def test_simulate_evaluates_psi_once_per_step(monkeypatch):
-    # The projection already evaluates psi at the projected point; the step
-    # reads feasibility from that value instead of evaluating psi again.
-    from sweepctl import dynamics, geometry
+def test_simulate_evaluates_psi_once_per_step():
+    # psi is evaluated once at the initial node and once per step, where the
+    # node table of the step records reads it; feasibility comes from that
+    # value instead of evaluating psi again.
+    from dataclasses import replace
+    from sweepctl import dynamics
     from sweepctl.problems import instance, solution_on_mesh
     system = instance("elastoplastic61").problem.system
     _, control = solution_on_mesh("elastoplastic61", 40)
     seen = []
 
-    def counting_psi(field, x, u):
-        z = psi_eval(field, x, u)
+    def counting_psi(x, u):
+        z = system.field.psi(x, u)
         seen.append(z)
         return z
-    monkeypatch.setattr(geometry, "psi_eval", counting_psi)
-    monkeypatch.setattr(dynamics, "psi_eval", counting_psi)
-    state, records = simulate(system, control)
+    counted = replace(system, field=replace(system.field, psi=counting_psi))
+    state, records = simulate(counted, control)
     assert len(seen) == 1 + control.mesh.k
     for j, rec in enumerate(records):
         z = psi_eval(system.field, state.values[j + 1], control.values[j + 1])
