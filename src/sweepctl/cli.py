@@ -654,10 +654,11 @@ def _cmd_solve(args) -> int:
 
     os.makedirs(out, exist_ok=True)
     _write_solution(out, decision)
-    shooting = ({"simulations": report.simulations,
+    counters = ({"simulations": report.simulations,
                  "line_search_trials": report.line_search_trials,
                  "stop_reason": report.stop_reason}
-                if method == "shooting" else {})
+                if method == "shooting" else
+                {"line_search_trials": report.line_search_trials})
     converged = method != "shooting" or report.stop_reason == "tolerance"
     _write_json(os.path.join(out, "report.json"),
                 {"status": "converged" if converged else "nonconverged",
@@ -667,7 +668,7 @@ def _cmd_solve(args) -> int:
                  "stat_residual": report.stat_residual,
                  "iterations": report.iterations,
                  "sigma_trace": list(report.sigma_trace),
-                 "cost_trace": list(report.cost_trace), **shooting})
+                 "cost_trace": list(report.cost_trace), **counters})
     if not converged:
         return _fail(out, NumericalFailureError(
             f"shooting stopped by {report.stop_reason} after "

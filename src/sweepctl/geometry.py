@@ -8,8 +8,9 @@ namely the target set ``Theta`` (orthant, box, smooth-inequality, or linear
 image of a polyhedron) and the field ``psi`` together with its derivatives.
 Code that needs the field along a pair of paths reads one
 :class:`NodeTable` from :func:`field_at_nodes`: psi and its Jacobians at
-every node from one call of each callback, shapes checked once, and the
-Hessian contractions on demand.
+every node from one call of each callback per node (one stacked array
+expression for the callbacks of an affine field), shapes checked once, and
+the Hessian contractions on demand.
 It owns both descriptions of ``Theta`` the rest of the package reads, each
 built once per set: ``halfspaces()``, the rows {z : H z <= d} of a polyhedral
 Theta, and ``bounds()``, the intervals lo <= z <= hi of a box-like Theta
@@ -338,6 +339,37 @@ def theta_contains(theta: ThetaSet, z: Array, tol: float = TOL_FEAS) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _ConstantCallback:
+    """A field callback whose value is one read-only array at every
+    argument; ``at_nodes`` gives it at a stack of K nodes as one view."""
+
+    def __init__(self, value: Array):
+        self.value = value
+        value.flags.writeable = False
+
+    def __call__(self, *args: Array) -> Array:
+        return self.value
+
+    def at_nodes(self, x: Array, *stacks: Array) -> Array:
+        return np.broadcast_to(self.value, (len(x),) + self.value.shape)
+
+
+class _AffineCallback:
+    """The field callback (x, u) -> A x + B u + c; ``at_nodes`` evaluates it
+    at a stack of nodes by the same products, one ``np.matmul`` over the
+    stack, so each row equals the per-node call bit for bit."""
+
+    def __init__(self, A: Array, B: Array, c: Array):
+        self.A, self.B, self.c = A, B, c
+
+    def __call__(self, x: Array, u: Array) -> Array:
+        return self.A @ x + self.B @ u + self.c
+
+    def at_nodes(self, x: Array, u: Array) -> Array:
+        return (np.matmul(self.A, x[:, :, np.newaxis])
+                + np.matmul(self.B, u[:, :, np.newaxis]))[:, :, 0] + self.c
+
+
 @dataclass(frozen=True)
 class FieldMap:
     """The field psi(x, u) in R^s with its partial derivatives.
@@ -379,21 +411,24 @@ class FieldMap:
     @staticmethod
     def affine_fixed(Ax: Sequence[Sequence[float]], Au: Sequence[Sequence[float]],
                      c: Sequence[float]) -> "FieldMap":
-        """psi(x, u) = Ax x + Au u + c with constant matrices."""
-        Ax_ = np.array(Ax, dtype=float)
-        Au_ = np.array(Au, dtype=float)
-        c_ = np.array(c, dtype=float)
+        """psi(x, u) = Ax x + Au u + c with constant matrices.
+
+        Each callback is a small object that also evaluates at a whole stack
+        of nodes (see :func:`field_at_nodes`): ``psi`` an affine map, the
+        Jacobians and the zero Hessian contractions constants.
+        """
+        Ax_, Au_, c_ = (np.array(v, dtype=float) for v in (Ax, Au, c))
         s, n = Ax_.shape
         m = Au_.shape[1]
         if Au_.shape[0] != s or c_.shape != (s,):
             raise ConfigurationError("inconsistent affine field shapes")
         return FieldMap(
             n=n, m=m, s=s,
-            psi=lambda x, u: Ax_ @ x + Au_ @ u + c_,
-            dpsi_dx=lambda x, u: Ax_,
-            dpsi_du=lambda x, u: Au_,
-            hess_xx=lambda x, u, p: np.zeros((n, n)),
-            hess_ux=lambda x, u, p: np.zeros((m, n)),
+            psi=_AffineCallback(Ax_, Au_, c_),
+            dpsi_dx=_ConstantCallback(Ax_),
+            dpsi_du=_ConstantCallback(Au_),
+            hess_xx=_ConstantCallback(np.zeros((n, n))),
+            hess_ux=_ConstantCallback(np.zeros((m, n))),
             x_affine=lambda u: (Ax_, Au_ @ u + c_),
         )
 
@@ -405,6 +440,10 @@ class FieldMap:
         by the s offsets b.
         """
         m = s * n + s
+        # Entry (i, i n + a) of dpsi_du is x_a; entry (i, s n + i) is -1.
+        row_of, col_of = np.repeat(np.arange(s), n), np.arange(s * n)
+        entry_of = np.tile(np.arange(n), s)
+        offsets = (np.arange(s), s * n + np.arange(s))
 
         def rows(u: Array) -> tuple[Array, Array]:
             U = np.asarray(u[: s * n], dtype=float).reshape(s, n)
@@ -417,17 +456,20 @@ class FieldMap:
 
         def dpsi_du(x: Array, u: Array) -> Array:
             J = np.zeros((s, m))
-            for i in range(s):
-                J[i, i * n:(i + 1) * n] = x
-                J[i, s * n + i] = -1.0
+            J[row_of, col_of] = np.asarray(x, dtype=float)[entry_of]
+            J[offsets] = -1.0
             return J
 
         def hess_ux(x: Array, u: Array, p: Array) -> Array:
             # d/du of (U^T p): the u_i block contributes p_i * I_n.
             H = np.zeros((m, n))
-            for i in range(s):
-                H[i * n:(i + 1) * n, :] = p[i] * np.eye(n)
+            H[:s * n] = (np.asarray(p, dtype=float)[:, None, None]
+                         * np.eye(n)).reshape(s * n, n)
             return H
+
+        def x_affine(u: Array) -> tuple[Array, Array]:
+            U, b = rows(u)
+            return U, -b
 
         return FieldMap(
             n=n, m=m, s=s,
@@ -436,7 +478,7 @@ class FieldMap:
             dpsi_du=dpsi_du,
             hess_xx=lambda x, u, p: np.zeros((n, n)),
             hess_ux=hess_ux,
-            x_affine=lambda u: (rows(u)[0], -rows(u)[1]),
+            x_affine=x_affine,
         )
 
     @staticmethod
@@ -480,24 +522,29 @@ class NodeTable:
 
     def hess(self, W: Array) -> tuple[Array, Array]:
         """(Hxx, Hux) at the first len(W) nodes: ``hess_xx(x_j, u_j, W[j])``
-        and ``hess_ux(x_j, u_j, W[j])``, one call each per node (zeros for
-        an absent callback)."""
-        f, args = self.field, list(zip(self.x, self.u, W))
-        return (_stacked(f, "hess_xx", args, (f.n, f.n)),
-                _stacked(f, "hess_ux", args, (f.m, f.n)))
+        and ``hess_ux(x_j, u_j, W[j])``, evaluated as :func:`field_at_nodes`
+        evaluates its callbacks (zeros for an absent callback)."""
+        f, K = self.field, len(W)
+        stacks = (self.x[:K], self.u[:K], W)
+        return (_stacked(f, "hess_xx", stacks, (f.n, f.n)),
+                _stacked(f, "hess_ux", stacks, (f.m, f.n)))
 
 
-def _stacked(field: FieldMap, name: str, args: list, shape: tuple) -> Array:
-    """The callback ``name`` of the field at every argument tuple, as one
-    read-only (K,) + shape array, its shape checked once.  A value may drop
-    a leading axis of length 1 (s = 1), as :func:`psi_eval` allows."""
-    fn = getattr(field, name)
-    if fn is None or not args:
-        arr = np.zeros((len(args),) + shape)
+def _stacked(field: FieldMap, name: str, stacks: tuple, shape: tuple) -> Array:
+    """The callback ``name`` of the field at the K nodes whose arguments are
+    the rows of ``stacks``, as one read-only (K,) + shape array, its shape
+    checked once: one array expression for a callback with ``at_nodes``
+    (those of ``FieldMap.affine_fixed``), else one call per node.  A value
+    may drop a leading axis of length 1 (s = 1), as :func:`psi_eval`
+    allows."""
+    fn, K = getattr(field, name), len(stacks[0])
+    if fn is None or not K:
+        arr = np.zeros((K,) + shape)
     else:
-        values = [fn(*a) for a in args]
+        at_nodes = getattr(fn, "at_nodes", None)
+        values = at_nodes(*stacks) if at_nodes else [fn(*a) for a in zip(*stacks)]
         try:
-            arr = np.array(values, dtype=float)
+            arr = np.asarray(values, dtype=float)
         except ValueError:  # ragged: the nodes disagree on the shape
             arr = np.empty(0)
         if arr.shape[1:] not in (shape, shape[1:] if shape[0] == 1 else shape):
@@ -505,7 +552,7 @@ def _stacked(field: FieldMap, name: str, args: list, shape: tuple) -> Array:
             raise ConfigurationError(
                 f"{name} returned shape {got[0] if len(got) == 1 else got}, "
                 f"expected {shape}")
-        arr = arr.reshape((len(values),) + shape)
+        arr = arr.reshape((K,) + shape)
     arr.flags.writeable = False
     return arr
 
@@ -514,22 +561,26 @@ def field_at_nodes(field: FieldMap, x: Array, u: Array) -> NodeTable:
     """The field along a pair: psi and its Jacobians at the nodes (x_j, u_j),
     the rows of x and u.
 
-    One call of ``psi``, ``dpsi_dx`` and ``dpsi_du`` per node; the shapes
-    are checked once on the stacked values, and a mismatch raises the
-    ConfigurationError that :func:`psi_eval` raises.  The Hessian
-    contractions are evaluated only when :meth:`NodeTable.hess` asks.
+    A callback of ``FieldMap.affine_fixed`` is evaluated at all nodes as one
+    stacked array expression (an affine map or a constant); any other
+    callback is called once per node, so a field whose callback is replaced
+    (``dataclasses.replace``) falls back to per-node calls for that callback
+    alone.  The shapes are checked once on the stacked values, and a
+    mismatch raises the ConfigurationError that :func:`psi_eval` raises.
+    The Hessian contractions are evaluated only when :meth:`NodeTable.hess`
+    asks.
     """
     x, u = np.array(x, dtype=float), np.array(u, dtype=float)
     if x.shape != (len(x), field.n) or u.shape != (len(x), field.m):
         raise ConfigurationError(
             f"expected shapes (K, {field.n}), (K, {field.m}); got {x.shape}, {u.shape}")
     x.flags.writeable = u.flags.writeable = False
-    args, s = list(zip(x, u)), field.s
-    Jx = _stacked(field, "dpsi_dx", args, (s, field.n))
-    Ju = _stacked(field, "dpsi_du", args, (s, field.m))
+    s = field.s
+    Jx = _stacked(field, "dpsi_dx", (x, u), (s, field.n))
+    Ju = _stacked(field, "dpsi_du", (x, u), (s, field.m))
     J = np.concatenate([Jx, Ju], axis=2)
     J.flags.writeable = False
-    return NodeTable(field=field, x=x, u=u, psi=_stacked(field, "psi", args, (s,)),
+    return NodeTable(field=field, x=x, u=u, psi=_stacked(field, "psi", (x, u), (s,)),
                      Jx=Jx, Ju=Ju, J=J)
 
 

@@ -24,11 +24,12 @@ lower bound) with bounds c = [hi; -lo] gives every pair at once: slacks
 c - P psi and multipliers mu >= 0 with eta = P^T mu.
 ``solve_smoothed`` replaces every pair (a, b) by the Fischer-Burmeister
 residual a + b - sqrt(a^2 + b^2 + sigma^2) and drives the full KKT system to
-stationarity with a damped Newton iteration while sigma is pushed down the
-continuation schedule.  The KKT residual and Jacobian are assembled from
+stationarity with a Levenberg-Marquardt iteration while sigma is pushed down
+the continuation schedule.  The KKT residual and Jacobian are assembled from
 stage stacks (arrays indexed by step) through integer index tables into the
 unknown vector, so the block-banded Jacobian is built by einsums and one
-scatter, not by per-step loops.
+sparse scatter, not by per-step loops, and each damped step is one sparse
+LU factorization of an augmented least-squares system.
 ``solve_shooting`` instead optimizes the control nodes directly over the
 catching-up simulator with L-BFGS directions and an Armijo line search.  When
 every step is the exact projection (an affine-in-x field and a polyhedral
@@ -52,10 +53,9 @@ central differences.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,8 +264,11 @@ class SolveReport:
     iterations: int
     sigma_trace: tuple[float, ...]
     cost_trace: tuple[float, ...]
-    #: Work counters of ``solve_shooting`` (0 from ``solve_smoothed``):
-    #: catching-up simulations run, and line-search trials among them.
+    #: Work counters.  ``simulations``: catching-up simulations run by
+    #: ``solve_shooting`` (0 from ``solve_smoothed``).  ``line_search_trials``:
+    #: the shooting line-search trials among those simulations, or the
+    #: damped Levenberg-Marquardt trials of ``solve_smoothed``, each one
+    #: sparse factorization and one evaluation of the KKT residual.
     simulations: int = 0
     line_search_trials: int = 0
     #: Why ``solve_shooting`` stopped: "tolerance", "iteration_budget" or
@@ -621,6 +624,28 @@ def transcribe(problem: OcpProblem, k: int) -> Transcription:
 # ---------------------------------------------------------------------------
 
 
+class _KktPoint(NamedTuple):
+    """The stage data of one KKT evaluation that its Jacobian is built from:
+    pair rows P [Jx | Ju] and row curvatures Hz at the nodes, the drift
+    Jacobian A, the cost's stage Hessians Hc, the multipliers, adjoints and
+    slacks, and the smoothed-pair partials."""
+
+    sigma: float
+    PJz: Array
+    Hz: Array
+    A: Array
+    Hc: Array
+    mu: Array
+    gam: Array
+    p: Array
+    tk: Array
+    b: Array
+    fa: Array
+    fb: Array
+    Heta: Array
+    lift: Array
+
+
 class _KktSystem:
     """Layout and evaluation of the smoothed KKT residual and its Jacobian.
 
@@ -636,19 +661,25 @@ class _KktSystem:
     multiplier eta_j = P^T mu_j, so upper and lower bounds share every
     formula.
 
-    ``residual`` stacks the stage data.  A data-form cost and drift
-    (:class:`QuadraticStageCost`, :class:`QuadraticTerminalCost`,
-    :class:`AffineDrift`) give their gradients, constant Hessians and drift
-    Jacobian as array expressions over all stages, exactly; bare callbacks
-    are called once per node and differenced centrally.  The field comes
-    from one node table (``geometry.field_at_nodes``): one call of each
-    callback per node, and s Hessian contractions per node for the
-    curvature.  F is a handful of gathers and einsums.  J is the sum of
-    dense blocks: one symmetric block per step over (z_j, mu_j, gamma_j,
-    p_{j+1}), one cost block per stage over (z_j, z_{j+1}) (running cost,
-    anchor, tie-break and terminal cost), the identity couplings of p_{j+1}
-    with x_{j+1} and one terminal block, all scattered by one
-    ``np.bincount`` that adds entries sharing a position.
+    ``evaluate`` stacks the stage data and returns F with the data J is
+    built from (a :class:`_KktPoint`), so a trial point the Newton iteration
+    accepts is not evaluated again; ``jacobian`` builds J from it.  A
+    data-form cost and drift (:class:`QuadraticStageCost`,
+    :class:`QuadraticTerminalCost`, :class:`AffineDrift`) give their
+    gradients, constant Hessians and drift Jacobian as array expressions
+    over all stages, exactly; bare callbacks are called once per node and
+    differenced centrally.  The field comes from one node table
+    (``geometry.field_at_nodes``): array expressions over all nodes for an
+    affine field, else one call of each callback per node, and s Hessian
+    contractions for the curvature.  F is a handful of gathers and einsums.
+    J is sparse (CSC), the sum of stacks of dense blocks
+    (``jacobian_blocks``, placed at ``block_positions``): one symmetric
+    block per step over (z_j, mu_j, gamma_j, p_{j+1}), one cost block per
+    stage over (z_j, z_{j+1}) (running cost, anchor, tie-break and terminal
+    cost), the identity couplings of p_{j+1} with x_{j+1} and one terminal
+    block.  Their positions are sorted into CSC order once per system
+    (:func:`_assembler`), and entries sharing a position add up in block
+    order.
     Second derivatives of f and third derivatives of psi are left out of J.
     """
 
@@ -673,6 +704,16 @@ class _KktSystem:
         self.n_stat = k * (n + m + r)
         self.M = _raw_map(self.problem, h)
         self.quad = _quadratic_stage(self.problem, self.mesh.nodes[:k])
+        # Where the Jacobian blocks go: one symmetric block per step, one
+        # cost block per stage, the identity couplings of p_{j+1} with
+        # x_{j+1} both ways, and the terminal block.
+        step = np.hstack([self.iz[:k], self.imu, self.igam, self.ip])
+        stage = np.hstack([self.iz[:-1], self.iz[1:]])
+        term = np.concatenate([self.iz[k], self.it])[None]
+        self.block_positions = [(step, step), (stage, stage),
+                                (self.ip, self.iz[1:, :n]), (self.iz[1:, :n], self.ip),
+                                (term, term)]
+        self._assemble = _assembler(self.N, self.block_positions)
 
     # -- packing ------------------------------------------------------------
 
@@ -724,19 +765,18 @@ class _KktSystem:
 
     # -- residual and Jacobian --------------------------------------------
 
-    def residual(self, X: Array, sigma: float,
-                 with_jacobian: bool = False) -> tuple[Array, Array | None]:
+    def evaluate(self, X: Array, sigma: float) -> tuple[Array, _KktPoint]:
+        """F(X, sigma) and the stage data that :meth:`jacobian` builds J from,
+        so that a point is evaluated once whether or not J is needed."""
         P, k, n, h = self.P, self.mesh.k, self.field.n, self.mesh.h
         z = self.nodes(X)
-        psi, Jz, Hz, f, A, gz, Hc = self._stages(z, with_jacobian)
+        psi, Jz, Hz, f, A, gz, Hc = self._stages(z, want_hess=True)
         mu, gam, p, tk = X[self.imu], X[self.igam], X[self.ip], X[self.it]
         eta = mu @ P
         PJz = P @ Jz
         b = self.c - psi @ P.T  # slacks: one row per step, then the terminal one
         fa, fb = _fb_partials(mu, b[:k], sigma)
         Heta = np.einsum("js,jsab->jab", eta, Hz[:k])
-        # Q[j, i] = d/dz_j of h^-1 (P Jx_j p_{j+1})_i: row curvature times p.
-        Q = P @ np.einsum("jsab,jb->jsa", Hz[:k, :, :, :n], p)
         lift = -(gam * fb) @ P
 
         F = np.zeros(self.N)
@@ -752,13 +792,25 @@ class _KktSystem:
                       + h * np.einsum("jsn,js->jn", Jz[:k, :, :n], eta))
         F[self.igam] = _fb(mu, b[:k], sigma)
         F[self.it] = _fb(tk, b[k], sigma)
-        if not with_jacobian:
-            return F, None
+        return F, _KktPoint(sigma=sigma, PJz=PJz, Hz=Hz, A=A, Hc=Hc, mu=mu,
+                            gam=gam, p=p, tk=tk, b=b, fa=fa, fb=fb, Heta=Heta,
+                            lift=lift)
 
-        d, r = z.shape[1], len(self.c)
+    def jacobian(self, pt: _KktPoint):
+        """The sparse (CSC) N x N Jacobian of F at an evaluated point."""
+        return self._assemble(self.jacobian_blocks(pt))
+
+    def jacobian_blocks(self, pt: _KktPoint) -> list[Array]:
+        """The stacks of dense Jacobian blocks at an evaluated point, one per
+        entry of ``block_positions``."""
+        P, k, n, h = self.P, self.mesh.k, self.field.n, self.mesh.h
+        PJz, Hz, sigma, gam, fa, fb = pt.PJz, pt.Hz, pt.sigma, pt.gam, pt.fa, pt.fb
+        d, r = self.iz.shape[1], len(self.c)
         Z, M, G, D = (slice(0, d), slice(d, d + r), slice(d + r, d + 2 * r),
                       slice(d + 2 * r, None))
-        faa, fab, fbb = _fb_second(mu, b[:k], sigma)
+        faa, fab, fbb = _fb_second(pt.mu, pt.b[:k], sigma)
+        # Q[j, i] = d/dz_j of h^-1 (P Jx_j p_{j+1})_i: row curvature times p.
+        Q = P @ np.einsum("jsab,jb->jsa", Hz[:k, :, :, :n], pt.p)
         Ex = np.eye(d)[:n]
         # Step block over (z_j, mu_j, gamma_j, p_{j+1}).  It is a Lagrangian
         # Hessian, so symmetric: the lower half is mirrored, then the
@@ -767,25 +819,35 @@ class _KktSystem:
         L[:, M, Z] = h * Q - (gam * fab)[:, :, None] * PJz[:k]
         L[:, G, Z] = -fb[:, :, None] * PJz[:k]
         L[:, G, M] = fa[:, :, None] * np.eye(r)
-        L[:, D, Z] = -Ex - h * A @ Ex + h * Heta[:, :n]
+        L[:, D, Z] = -Ex - h * pt.A @ Ex + h * pt.Heta[:, :n]
         L[:, D, M] = h * PJz[:k, :, :n].swapaxes(1, 2)
         L += L.swapaxes(1, 2)
         L[:, Z, Z] = (np.einsum("jra,jr,jrb->jab", PJz[:k], gam * fbb, PJz[:k])
-                      + np.einsum("js,jsab->jab", lift, Hz[:k]))
+                      + np.einsum("js,jsab->jab", pt.lift, Hz[:k]))
         L[:, M, M] = (gam * faa)[:, :, None] * np.eye(r)
         # Terminal block over (z_k, thetap, thetam).
-        fat, fbt = _fb_partials(tk, b[k], sigma)
-        T = np.block([[np.einsum("s,sab->ab", tk @ P, Hz[k]), PJz[k].T],
+        fat, fbt = _fb_partials(pt.tk, pt.b[k], sigma)
+        T = np.block([[np.einsum("s,sab->ab", pt.tk @ P, Hz[k]), PJz[k].T],
                       [-fbt[:, None] * PJz[k], np.diag(fat)]])
-        step = np.hstack([self.iz[:k], self.imu, self.igam, self.ip])
-        stage = np.hstack([self.iz[:-1], self.iz[1:]])
-        term = np.concatenate([self.iz[k], self.it])[None]
         eye = np.broadcast_to(np.eye(n), (k, n, n))
-        J = _assemble(self.N, [(step, step, L), (stage, stage, Hc),
-                               (self.ip, self.iz[1:, :n], eye),
-                               (self.iz[1:, :n], self.ip, eye),
-                               (term, term, T[None])])
-        return F, J
+        return [L, pt.Hc, eye, eye, T[None]]
+
+    def residual(self, X: Array, sigma: float, with_jacobian: bool = False):
+        """F(X, sigma) and, with ``with_jacobian``, its sparse Jacobian."""
+        F, pt = self.evaluate(X, sigma)
+        return F, self.jacobian(pt) if with_jacobian else None
+
+    def locate(self, i: int) -> tuple[str, int]:
+        """The kind of residual row i and the step it belongs to: a
+        "stationarity" row of node j, a "mu", "gamma" or "adjoint"
+        (dynamics) row of step j, or the "terminal" pair (step k)."""
+        for kind, table, first in (("stationarity", self.iz[1:], 1),
+                                   ("mu", self.imu, 0), ("gamma", self.igam, 0),
+                                   ("adjoint", self.ip, 0)):
+            hit = np.flatnonzero((table == i).any(axis=1))
+            if hit.size:
+                return kind, int(hit[0]) + first
+        return "terminal", self.mesh.k
 
     def stationarity_norm(self, F: Array) -> float:
         return float(np.max(np.abs(F[:self.n_stat])))
@@ -803,21 +865,61 @@ def _central_jacobian(fn: Callable[[Array], Array], v: Array) -> Array:
     return np.column_stack(cols)
 
 
-def _assemble(N: int, blocks: Sequence[tuple[Array, Array, Array]]) -> Array:
-    """Dense N x N matrix from stacks of dense blocks.
+def _assembler(N: int, positions: Sequence[tuple[Array, Array]]):
+    """Assembly of stacks of dense blocks into one sparse (CSC) N x N matrix.
 
-    Each (rows, cols, B) puts B[j] at rows[j] x cols[j]; entries sharing a
-    position add up, and entries with a negative index (the pinned node)
-    are dropped.
+    ``positions`` lists (rows, cols) index stacks, sorted into CSC order once
+    here; the returned function takes the matching stacks of blocks and puts
+    B[j] at rows[j] x cols[j].  Entries sharing a position add up in the
+    order the blocks list them (as ``np.bincount`` sums), and entries with a
+    negative index (the pinned node) are dropped.
     """
-    r = np.concatenate([np.broadcast_to(i[:, :, None], B.shape).ravel()
-                        for i, _, B in blocks])
-    c = np.concatenate([np.broadcast_to(j[:, None, :], B.shape).ravel()
-                        for _, j, B in blocks])
-    v = np.concatenate([B.ravel() for _, _, B in blocks])
+    from scipy.sparse import csc_array
+
+    shapes = [(len(i), i.shape[1], j.shape[1]) for i, j in positions]
+    r = np.concatenate([np.broadcast_to(i[:, :, None], shape).ravel()
+                        for (i, _), shape in zip(positions, shapes)])
+    c = np.concatenate([np.broadcast_to(j[:, None, :], shape).ravel()
+                        for (_, j), shape in zip(positions, shapes)])
     keep = (r >= 0) & (c >= 0)
-    return np.bincount(r[keep] * N + c[keep], v[keep],
-                       minlength=N * N).reshape(N, N)
+    # Column-major keys: the sorted unique positions are already CSC order.
+    key, slot = np.unique(c[keep] * N + r[keep], return_inverse=True)
+    cols, rows = np.divmod(key, N)
+    indptr = np.searchsorted(cols, np.arange(N + 1))
+    for arr in (rows, indptr):  # shared by every matrix assembled below
+        arr.flags.writeable = False
+
+    def assemble(blocks: Sequence[Array]):
+        v = np.concatenate([B.ravel() for B in blocks])[keep]
+        return csc_array((np.bincount(slot, v, minlength=len(key)), rows, indptr),
+                         shape=(N, N))
+
+    return assemble
+
+
+def _entry_columns(J) -> Array:
+    """The column of every stored entry of a CSC matrix, in storage order."""
+    return np.repeat(np.arange(J.shape[1]), np.diff(J.indptr))
+
+
+def _damped_step(J, F: Array, lam: float, D: Array) -> Array:
+    """The Levenberg-Marquardt step d minimizing ||J d + F||^2 + lam d^T D d
+    for a CSC array J and D > 0.
+
+    One ``splu`` of Bjorck's augmented system [[I, J], [J^T, -lam D]] with
+    right-hand side [-F; 0], whose solution is (-F - J d, d): no normal
+    equations, so J's condition number is not squared.  The matrix is built
+    in one sparse call from J's entries.
+    """
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
+    (m, n), row, col = J.shape, J.indices, _entry_columns(J)
+    rows = np.concatenate([np.arange(m), row, m + col, m + np.arange(n)])
+    cols = np.concatenate([np.arange(m), m + col, row, m + np.arange(n)])
+    data = np.concatenate([np.ones(m), J.data, J.data, -lam * D])
+    lu = splu(csc_array((data, (rows, cols)), shape=(m + n, m + n)))
+    return lu.solve(np.concatenate([-F, np.zeros(n)]))[m:]
 
 
 def _comp_residual(pairs: Iterable[tuple[float, float]]) -> float:
@@ -836,62 +938,39 @@ def _default_schedule(start: float = 0.3) -> tuple[float, ...]:
 
 
 def _lm_stage(kkt: _KktSystem, X: Array, sigma: float, tol: float,
-              max_iter: int) -> tuple[Array, int, float]:
-    """Drive ||F(., sigma)||_inf below tol by Levenberg-damped Newton.
+              max_iter: int) -> tuple[Array, int, float, int]:
+    """Drive ||F(., sigma)||_inf below tol by Levenberg-Marquardt.
 
-    Steps normally solve the damped normal equations, which squares the
-    Jacobian's condition number; near the sigma floor that noise can stall
-    progress above the target.  When the residual stagnates (or a step is
-    rejected outright) the stage switches to an equivalent QR least-squares
-    step and stays there, trading speed for full precision.
+    Each damped trial is one sparse factorization (:func:`_damped_step`,
+    scaled by the squared column norms of J) and one evaluation of F at the
+    trial point; an accepted trial's evaluation also gives the next J.  The
+    damping falls by 5 after an accepted trial and rises by 10 after a
+    rejected one; the stage stops when 40 trials in a row fail to lower
+    ||F||^2.  Returns (X, iterations, ||F||_inf, trials).
     """
     lam = 1e-8
-    F, J = kkt.residual(X, sigma, with_jacobian=True)
-    use_qr = False
-    stagnant = 0
-    prev_norm = math.inf
+    F, pt = kkt.evaluate(X, sigma)
+    J = kkt.jacobian(pt)
+    trials = 0
     for it in range(max_iter):
         norm = float(np.max(np.abs(F)))
         if norm <= tol:
-            return X, it, norm
-        if norm > 0.9 * prev_norm:
-            stagnant += 1
-            if stagnant >= 5:
-                use_qr = True
-        else:
-            stagnant = 0
-        prev_norm = norm
+            return X, it, norm, trials
         merit = 0.5 * float(F @ F)
-        g = J.T @ F
-        A = J.T @ J
-        diag = np.maximum(np.diag(A), 1e-8)
-        accepted = False
+        D = np.maximum(np.bincount(_entry_columns(J), J.data * J.data,
+                                   minlength=len(X)), 1e-8)
         for _ in range(40):
-            if use_qr:
-                aug = np.vstack([J, np.sqrt(lam) * np.diag(np.sqrt(diag))])
-                rhs = np.concatenate([-F, np.zeros(J.shape[1])])
-                d = np.linalg.lstsq(aug, rhs, rcond=None)[0]
-            else:
-                try:
-                    d = np.linalg.solve(A + lam * np.diag(diag), -g)
-                except np.linalg.LinAlgError:
-                    lam *= 10
-                    continue
-            Fn, _ = kkt.residual(X + d, sigma)
+            d = _damped_step(J, F, lam, D)
+            trials += 1
+            Fn, pt = kkt.evaluate(X + d, sigma)
             if 0.5 * float(Fn @ Fn) < merit:
-                X = X + d
-                F, J = kkt.residual(X, sigma, with_jacobian=True)
+                X, F, J = X + d, Fn, kkt.jacobian(pt)
                 lam = max(lam / 5, 1e-12)
-                accepted = True
                 break
             lam *= 10
-        if not accepted:
-            if not use_qr:
-                use_qr = True
-                lam = 1e-8
-                continue
-            return X, it + 1, float(np.max(np.abs(F)))
-    return X, max_iter, float(np.max(np.abs(F)))
+        else:  # no trial lowered ||F||^2
+            return X, it + 1, norm, trials
+    return X, max_iter, float(np.max(np.abs(F))), trials
 
 
 def _centered_start(kkt: _KktSystem, warm: DiscreteDecision,
@@ -957,29 +1036,30 @@ def _prolong(problem: OcpProblem, z: DiscreteDecision,
 
 def _run_schedule(kkt: _KktSystem, X: Array, sched: Sequence[float],
                   tol_stat: float, max_iter_per_stage: int,
-                  ) -> tuple[Array, int, float, list[float]]:
+                  ) -> tuple[Array, int, int, float, list[float]]:
     """One continuation pass.  Intermediate stages are solved inexactly
-    (tolerance scales with sigma); only the last stage must reach tol_stat."""
-    total = 0
+    (tolerance scales with sigma); only the last stage must reach tol_stat.
+    Returns (X, iterations, damped trials, final ||F||_inf, stage costs)."""
+    total = trials = 0
     costs = []
     norm = np.inf
     for i, sigma in enumerate(sched):
         last = i == len(sched) - 1
         tol = tol_stat if last else max(tol_stat, 0.02 * sigma)
         cap = max(300, max_iter_per_stage) if last else max_iter_per_stage
-        X, its, norm = _lm_stage(kkt, X, sigma, tol, cap)
-        total += its
+        X, its, norm, tried = _lm_stage(kkt, X, sigma, tol, cap)
+        total, trials = total + its, trials + tried
         costs.append(cost_eval(kkt.problem, kkt.unpack(X)))
         if last and norm > tol_stat and len(sched) > 1:
             # Refine the last continuation gap geometrically and retry.
             ladder = np.geomspace(sched[-2], sigma, 6)[1:-1]
             for s_mid in ladder:
-                X, its, _ = _lm_stage(kkt, X, float(s_mid), 0.02 * s_mid, cap)
-                total += its
-            X, its, norm = _lm_stage(kkt, X, sigma, tol_stat, cap)
-            total += its
+                X, its, _, tried = _lm_stage(kkt, X, float(s_mid), 0.02 * s_mid, cap)
+                total, trials = total + its, trials + tried
+            X, its, norm, tried = _lm_stage(kkt, X, sigma, tol_stat, cap)
+            total, trials = total + its, trials + tried
             costs[-1] = cost_eval(kkt.problem, kkt.unpack(X))
-    return X, total, norm, costs
+    return X, total, trials, norm, costs
 
 
 def solve_smoothed(transcription: Transcription,
@@ -997,7 +1077,11 @@ def solve_smoothed(transcription: Transcription,
     finer mesh re-running the schedule's tail.  A warm start that already
     satisfies the final-stage system is returned unchanged after the
     tolerance check.  The final sigma must be at most 1e-8 so the reported
-    complementarity is meaningful.
+    complementarity is meaningful.  ``line_search_trials`` of the report
+    counts the damped trials (:func:`_lm_stage`).  A stall raises
+    NumericalFailureError naming the mesh level, the sigma stage and the
+    kind and step of the worst residual row, with the last iterate as
+    ``partial``.
     """
     if sigma_schedule is None:
         sigma_schedule = _default_schedule()
@@ -1021,13 +1105,13 @@ def solve_smoothed(transcription: Transcription,
             raise InfeasibleWarmStartError("warm start must pin (x_0, u_0)")
 
     kkt = _KktSystem(transcription)
-    total_iters = 0
+    total_iters = total_trials = 0
     cost_trace = [cost_eval(problem, warm)]
 
     # Tolerance check first: an already-stationary warm start is returned
     # without any Newton step.
     X = kkt.pack_primal(warm)
-    F0, _ = kkt.residual(X, sig[-1])
+    F0, _ = kkt.evaluate(X, sig[-1])
     if float(np.max(np.abs(F0))) > tol_stat:
         k_target = transcription.mesh.k
         levels = [k_target]
@@ -1035,56 +1119,43 @@ def solve_smoothed(transcription: Transcription,
             levels.append(-(-levels[-1] // 2))
         levels.reverse()
 
+        # The coarsest mesh gets the full schedule; refined meshes rerun its
+        # tail from sigma <= 1e-2 (the prolongation error scale).
+        tail = [s for s in sig if s <= 1e-2] or [sig[-1]]
         if len(levels) == 1:
-            X_centered = _centered_start(kkt, warm, sig[0])
-            Fc, _ = kkt.residual(X_centered, sig[0])
-            Fp, _ = kkt.residual(X, sig[0])
-            if float(np.max(np.abs(Fc))) < float(np.max(np.abs(Fp))):
-                X = X_centered
-            X, its, norm, costs = _run_schedule(kkt, X, sig, tol_stat,
-                                                max_iter_per_stage)
-            total_iters += its
-            cost_trace.extend(costs)
+            kkt_l, z = kkt, warm
         else:
-            # Coarse solve gets the full schedule; refined meshes rerun its
-            # tail from sigma <= 1e-2 (the prolongation error scale).
-            tail = [s for s in sig if s <= 1e-2] or [sig[-1]]
+            kkt_l = _KktSystem(transcribe(problem, levels[0]))
             z = _restrict_warm(problem, warm, levels[0])
-            tr_c = transcribe(problem, levels[0])
-            kkt_c = _KktSystem(tr_c)
-            Xc = kkt_c.pack_primal(z)
-            X_centered = _centered_start(kkt_c, z, sig[0])
-            Fc, _ = kkt_c.residual(X_centered, sig[0])
-            Fp, _ = kkt_c.residual(Xc, sig[0])
-            if float(np.max(np.abs(Fc))) < float(np.max(np.abs(Fp))):
-                Xc = X_centered
-            Xc, its, norm, _ = _run_schedule(kkt_c, Xc, sig, tol_stat,
-                                             max_iter_per_stage)
-            total_iters += its
-            z = kkt_c.unpack(Xc)
-            for k_f in levels[1:]:
-                z_f = _prolong(problem, z, k_f)
-                if k_f == k_target:
-                    kkt_f = kkt
-                else:
-                    kkt_f = _KktSystem(transcribe(problem, k_f))
-                Xf = kkt_f.pack_primal(z_f)
-                Xf, its, norm, costs = _run_schedule(kkt_f, Xf, tail, tol_stat,
-                                                     max_iter_per_stage)
-                total_iters += its
-                z = kkt_f.unpack(Xf)
-            X = Xf
-            cost_trace.extend(costs)
+        X = kkt_l.pack_primal(z)
+        X_centered = _centered_start(kkt_l, z, sig[0])
+        Fc, _ = kkt_l.evaluate(X_centered, sig[0])
+        Fp, _ = kkt_l.evaluate(X, sig[0])
+        if float(np.max(np.abs(Fc))) < float(np.max(np.abs(Fp))):
+            X = X_centered
+        X, total_iters, total_trials, norm, costs = _run_schedule(
+            kkt_l, X, sig, tol_stat, max_iter_per_stage)
+        for k_l in levels[1:]:
+            z = _prolong(problem, kkt_l.unpack(X), k_l)
+            kkt_l = kkt if k_l == k_target else _KktSystem(transcribe(problem, k_l))
+            X, its, tried, norm, costs = _run_schedule(
+                kkt_l, kkt_l.pack_primal(z), tail, tol_stat, max_iter_per_stage)
+            total_iters, total_trials = total_iters + its, total_trials + tried
+        cost_trace.extend(costs)
         if norm > tol_stat:
+            F, _ = kkt.evaluate(X, sig[-1])
+            kind, step = kkt.locate(int(np.argmax(np.abs(F))))
             err = NumericalFailureError(
-                f"continuation stalled at residual {norm:.3e} with final "
-                f"sigma {sig[-1]:g} after {total_iters} iterations")
+                f"continuation stalled on the k={k_target} mesh in the sigma "
+                f"{sig[-1]:g} stage at residual {norm:.3e} (tolerance "
+                f"{tol_stat:g}) after {total_iters} iterations; worst row: "
+                f"{kind} at step {step}")
             # The last iterate is still useful for postmortems.
             err.partial = kkt.unpack(X)
             raise err
 
     decision = kkt.unpack(X)
-    F, _ = kkt.residual(X, sig[-1])
+    F, _ = kkt.evaluate(X, sig[-1])
     # The step pairs and the terminal pair, from one table over the nodes.
     psi = field_at_nodes(transcription.field, decision.x, decision.u).psi
     mu = np.vstack([np.maximum(decision.eta @ kkt.P.T, 0.0), X[kkt.it]])
@@ -1096,6 +1167,7 @@ def solve_smoothed(transcription: Transcription,
         iterations=total_iters,
         sigma_trace=tuple(sig),
         cost_trace=tuple(cost_trace),
+        line_search_trials=total_trials,
     )
     return decision, report
 

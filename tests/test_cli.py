@@ -163,6 +163,7 @@ def test_solve_smoothed_writes_solution_and_report(tmp_path):
     assert abs(report["cost"] - 0.125) <= 1e-6
     assert len(report["sigma_trace"]) >= 1
     assert len(report["cost_trace"]) == len(report["sigma_trace"]) + 1
+    assert report["line_search_trials"] >= report["iterations"] > 0
 
     header, x = cli._read_csv(str(out / "x.csv"))
     assert header == ["t", "x_1"] and x.shape == (21, 2)

@@ -701,3 +701,32 @@ def test_node_table_rejects_wrong_shapes(wrong):
     field = dataclasses.replace(field, **{name: bad[wrong]})
     with pytest.raises(ConfigurationError, match=name):
         field_at_nodes(field, x, u).hess(np.ones((2, 2)))
+
+
+def _loop_polyhedral_derivatives(n, s, x, u, p):
+    """``FieldMap.polyhedral``'s dpsi_du, hess_ux and x_affine written row by
+    row, as the constructor first built them."""
+    m = s * n + s
+    J = np.zeros((s, m))
+    H = np.zeros((m, n))
+    for i in range(s):
+        J[i, i * n:(i + 1) * n] = x
+        J[i, s * n + i] = -1.0
+        H[i * n:(i + 1) * n, :] = p[i] * np.eye(n)
+    U = np.asarray(u[: s * n], dtype=float).reshape(s, n)
+    return J, H, (U, -np.asarray(u[s * n:], dtype=float))
+
+
+@pytest.mark.parametrize("n,s", [(1, 1), (2, 4), (3, 8), (3, 12)])
+def test_polyhedral_derivatives_equal_the_row_loops(n, s):
+    field = FieldMap.polyhedral(n, s)
+    rng = np.random.default_rng([n, s])
+    for _ in range(3):
+        x, u, p = rng.normal(size=n), rng.normal(size=field.m), rng.normal(size=s)
+        J, H, (A, c) = _loop_polyhedral_derivatives(n, s, x, u, p)
+        got_A, got_c = field.x_affine(u)
+        for got, want in ((field.dpsi_du(x, u), J), (field.hess_ux(x, u, p), H),
+                          (got_A, A), (got_c, c)):
+            assert got.shape == want.shape
+            # bit for bit, the sign of every zero included
+            assert got.tobytes() == want.tobytes()

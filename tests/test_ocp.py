@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from sweepctl.geometry import (
     FieldMap,
     LinearImagePolyhedron,
     NonpositiveOrthant,
+    NumericalFailureError,
     SmoothInequality,
+    field_at_nodes,
 )
 from sweepctl.dynamics import AffineDrift, SweepingSystem
 from sweepctl.ocp import (
@@ -22,6 +25,7 @@ from sweepctl.ocp import (
     QuadraticStageCost,
     QuadraticTerminalCost,
     _KktSystem,
+    _damped_step,
     _has_exact_tangents,
     _lbfgs_direction,
     _shooting_gradient,
@@ -798,3 +802,201 @@ def test_data_forms_are_read_not_called(monkeypatch):
         _KktSystem(transcribe(_as_callbacks(problem), 6))._stages(z, want_hess=True)
         assert set(calls) == {"QuadraticStageCost.grad", "QuadraticTerminalCost.grad",
                               "AffineDrift.__call__"}, (case, calls)
+
+
+# ---------------------------------------------------------------------------
+# Sparse KKT iteration against its dense oracles
+# ---------------------------------------------------------------------------
+
+
+def _dense_assemble(N, blocks):
+    """Dense N x N matrix from stacks of dense blocks: each (rows, cols, B)
+    puts B[j] at rows[j] x cols[j]; entries sharing a position add up in
+    input order, entries with a negative index are dropped."""
+    r = np.concatenate([np.broadcast_to(i[:, :, None], B.shape).ravel()
+                        for i, _, B in blocks])
+    c = np.concatenate([np.broadcast_to(j[:, None, :], B.shape).ravel()
+                        for _, j, B in blocks])
+    v = np.concatenate([B.ravel() for _, _, B in blocks])
+    keep = (r >= 0) & (c >= 0)
+    return np.bincount(r[keep] * N + c[keep], v[keep],
+                       minlength=N * N).reshape(N, N)
+
+
+def _dense_damped_step(J, F, lam, D):
+    """The damped least-squares step by dense QR least squares on
+    [J; sqrt(lam) D^(1/2)] d = [-F; 0]."""
+    aug = np.vstack([J, np.sqrt(lam) * np.diag(np.sqrt(D))])
+    return np.linalg.lstsq(aug, np.concatenate([-F, np.zeros(J.shape[1])]),
+                           rcond=None)[0]
+
+
+def _kkt_point(case, sigma, k=6):
+    kkt = _KktSystem(transcribe(KKT_CASES[case](), k))
+    rng = np.random.default_rng([sum(map(ord, case)), round(1 / sigma), 3])
+    X = kkt.pack_primal(kkt.tr.initial_decision())
+    return kkt, X + rng.normal(scale=0.2, size=X.shape)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1e-3])
+@pytest.mark.parametrize("case", sorted(KKT_CASES))
+def test_sparse_jacobian_equals_the_dense_assembly(case, sigma):
+    kkt, X = _kkt_point(case, sigma)
+    F, pt = kkt.evaluate(X, sigma)
+    J = kkt.jacobian(pt)
+    assert J.format == "csc" and J.shape == (kkt.N, kkt.N)
+    assert J.has_canonical_format
+    blocks = [(i, j, B) for (i, j), B in zip(kkt.block_positions, kkt.jacobian_blocks(pt))]
+    assert np.array_equal(J.toarray(), _dense_assemble(kkt.N, blocks))
+    # The convenience wrapper evaluates the same point the same way.
+    F2, J2 = kkt.residual(X, sigma, with_jacobian=True)
+    assert np.array_equal(F2, F) and np.array_equal(J2.toarray(), J.toarray())
+
+
+def _step_inputs(case):
+    """F and three Jacobians at a perturbed KKT point: J itself, J with two
+    equal columns (J^T J singular) and J with a repeated column appended
+    (rectangular)."""
+    kkt, X = _kkt_point(case, 1e-3)
+    F, pt = kkt.evaluate(X, 1e-3)
+    J = kkt.jacobian(pt).toarray()
+    dup = J.copy()
+    dup[:, 1] = dup[:, 0]
+    return F, (J, dup, np.hstack([J, J[:, :1]]))
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0])
+@pytest.mark.parametrize("case", ["remark45", "elastoplastic61_anchored_w12w12"])
+def test_augmented_step_matches_dense_least_squares(case, lam):
+    from scipy.sparse import csc_array
+
+    F, jacobians = _step_inputs(case)
+    for A in jacobians:
+        D = np.maximum(np.sum(A * A, axis=0), 1e-8)
+        # well enough conditioned that both steps are accurate to 1e-10
+        assert np.linalg.cond(A.T @ A + lam * np.diag(D)) <= 1e7
+        d = _damped_step(csc_array(A), F, lam, D)
+        want = _dense_damped_step(A, F, lam, D)
+        assert np.linalg.norm(d - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-4, 1.0])
+@pytest.mark.parametrize("case", ["remark45", "counterexample53",
+                                  "elastoplastic61_anchored_w12w12"])
+def test_augmented_step_solves_the_damped_normal_equations(case, lam):
+    """Where J^T J + lam D is near singular (counterexample53, small lam)
+    the two steps part by its condition number times the rounding unit;
+    the augmented step still satisfies its optimality condition
+    J^T (J d + F) + lam D d = 0 to the rounding level."""
+    from scipy.sparse import csc_array
+
+    F, jacobians = _step_inputs(case)
+    for A in jacobians:
+        D = np.maximum(np.sum(A * A, axis=0), 1e-8)
+        d = _damped_step(csc_array(A), F, lam, D)
+        gap = A.T @ (A @ d + F) + lam * D * d
+        assert np.linalg.norm(gap) <= 1e-12 * max(1.0, np.linalg.norm(A.T @ F))
+
+
+@pytest.mark.parametrize("name", ["remark45", "counterexample53", "elastoplastic61"])
+def test_stacked_affine_table_equals_per_node_calls(name):
+    field = instance(name).problem.system.effective_field()
+    assert all(hasattr(getattr(field, cb), "at_nodes")
+               for cb in ("psi", "dpsi_dx", "dpsi_du", "hess_xx", "hess_ux"))
+    calls = []
+
+    def per_node(fn):
+        def call(*args):
+            calls.append(1)
+            return fn(*args)
+        return call
+
+    plain = dataclasses.replace(field, **{cb: per_node(getattr(field, cb)) for cb in
+                                          ("psi", "dpsi_dx", "dpsi_du", "hess_xx", "hess_ux")})
+    rng = np.random.default_rng(sum(map(ord, name)))
+    K = 9
+    x, u = rng.normal(size=(K, field.n)), rng.normal(size=(K, field.m))
+    W = rng.normal(size=(K, field.s))
+    stacked, node = field_at_nodes(field, x, u), field_at_nodes(plain, x, u)
+    assert len(calls) == 3 * K
+    for attr in ("psi", "Jx", "Ju", "J"):
+        assert getattr(stacked, attr).tobytes() == getattr(node, attr).tobytes(), attr
+    for got, want in zip(stacked.hess(W), node.hess(W)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(calls) == 5 * K
+
+
+#: The smoothed workload of the benchmark: (instance, k) -> (iterations, cost).
+#: The costs are those of the dense normal-equation iteration this sparse
+#: augmented one replaced, which it repeats bit for bit.
+BENCHMARK_SMOOTHED = {
+    ("remark45", 25): (58, "0x1.0c6f7a0b5ff19p-15"),
+    ("remark45", 50): (87, "0x1.0c6f7a0b610b7p-16"),
+    ("elastoplastic61", 40): (10, "0x1.fffffffffcdaap-4"),
+    ("elastoplastic61", 100): (14, "0x1.fffffffffcca5p-4"),
+}
+
+
+@pytest.mark.parametrize("name,k", sorted(BENCHMARK_SMOOTHED))
+def test_benchmark_smoothed_solves_repeat_iterations_and_costs(name, k):
+    problem = (remark45_problem() if name == "remark45"
+               else elastoplastic_instance(0.0).problem)
+    _, report = solve_smoothed(transcribe(problem, k))
+    iterations, cost = BENCHMARK_SMOOTHED[name, k]
+    assert report.iterations == iterations
+    assert report.cost == float.fromhex(cost)
+    assert report.stat_residual <= 1e-9
+
+
+def test_smoothed_reports_one_factorization_per_damped_trial(monkeypatch):
+    import scipy.sparse.linalg
+
+    factorizations = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        factorizations.append(1)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    problem = remark45_problem()
+    _, first = solve_smoothed(transcribe(problem, 8))
+    assert len(factorizations) == first.line_search_trials
+    _, second = solve_smoothed(transcribe(problem, 8))
+    assert second.line_search_trials == first.line_search_trials
+    assert len(factorizations) == 2 * first.line_search_trials
+    # every iteration accepts one trial; rejected trials come on top
+    assert first.line_search_trials >= first.iterations > 0
+    assert first.simulations == 0
+
+
+def test_kkt_rows_are_located_by_kind_and_step():
+    kkt = _KktSystem(transcribe(KKT_CASES["counterexample53"](), 5))
+    tables = {"stationarity": (kkt.iz[1:], 1), "mu": (kkt.imu, 0),
+              "gamma": (kkt.igam, 0), "adjoint": (kkt.ip, 0),
+              "terminal": (kkt.it[None], kkt.mesh.k)}
+    seen = 0
+    for kind, (table, first) in tables.items():
+        for j, row in enumerate(table):
+            for i in row:
+                assert kkt.locate(int(i)) == (kind, j + first)
+                seen += 1
+    assert seen == kkt.N
+
+
+def test_smoothed_failure_names_the_mesh_stage_and_worst_row():
+    # Below the rounding floor of the residual (about 1e-16) the last
+    # stage stops when no damped trial lowers ||F||: a stall in well
+    # under a second.
+    tr = transcribe(remark45_problem(), 6)
+    with pytest.raises(NumericalFailureError) as info:
+        solve_smoothed(tr, sigma_schedule=[1e-8], tol_stat=1e-17)
+    err = info.value
+    message = str(err)
+    assert "k=6 mesh" in message and "sigma 1e-08 stage" in message
+    match = re.search(r"worst row: (\w+) at step (\d+)", message)
+    assert match and match.group(1) in ("stationarity", "mu", "gamma", "adjoint",
+                                        "terminal")
+    assert 0 <= int(match.group(2)) <= 6
+    assert err.partial.x.shape == (7, 1) and err.partial.u.shape == (7, 1)
