@@ -14,15 +14,7 @@ Five subcommands over JSON problem specs and CSV trajectory files:
 ``export``
     Write one of the named instances as a problem-spec file.
 
-The spec is a JSON object with ``schema: 1`` and sections ``dims`` (n, m, s),
-``horizon``, ``dynamics`` (kind ``zero`` or ``affine`` with A, b),
-``moving_set`` (``psi``: ``affine`` with Ax, Au, c or ``quadratic_scalar``
-with a, b, c meaning a x^2 + b u + c; ``theta``: ``orthant``, ``box`` with
-null/"inf" entries for unbounded sides, or ``image`` with A, G, g),
-``cost`` (``phi``: ``quadratic_distance``; ``ell``: ``control_tracking`` or
-``control_energy``; optional ``rho``, ``epsilon``, ``anchor``), ``initial``
-(x0, u0), ``mode`` ("w12w12" or "w12c"), optional ``solver`` defaults and an
-optional ``reference`` pair used by ``converge``.
+The spec format and its reader live in :mod:`sweepctl.spec`.
 
 CSV files carry one header line and ``%.17g`` floats, so values survive a
 write/read round trip bit for bit.  State and control files are node-indexed
@@ -49,17 +41,13 @@ import numpy as np
 from .geometry import (
     Box,
     ConfigurationError,
-    FieldMap,
     GeometryError,
-    LinearImagePolyhedron,
     NonpositiveOrthant,
 )
 from .dynamics import (
-    AffineDrift,
     Mesh,
     Path,
     SimulationError,
-    SweepingSystem,
     convergence_study,
     simulate,
 )
@@ -68,8 +56,6 @@ from .ocp import (
     InfeasibleWarmStartError,
     NumericalFailureError,
     OcpProblem,
-    QuadraticStageCost,
-    QuadraticTerminalCost,
     cost_eval,
     solve_shooting,
     solve_smoothed,
@@ -87,6 +73,16 @@ from .certify import (
     residual_continuous_EL,
 )
 from .problems import INSTANCE_IDS, instance_spec
+from .spec import (
+    SpecError,
+    _finite,
+    _load_spec,
+    _number,
+    _reference_pair,
+    _uniform_path,
+    build_problem,
+    build_system,
+)
 
 Array = np.ndarray
 
@@ -95,10 +91,6 @@ EXIT_SPEC = 2
 EXIT_SIMULATION = 3
 EXIT_SOLVER = 4
 EXIT_CERTIFY = 5
-
-
-class SpecError(Exception):
-    """The problem spec or an input file violates the documented schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -159,280 +151,6 @@ def _fail(out_dir: str | None, exc: Exception, code: int) -> int:
         except OSError:
             pass
     return code
-
-
-# ---------------------------------------------------------------------------
-# Spec parsing
-# ---------------------------------------------------------------------------
-
-
-def _load_spec(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except OSError as e:
-        raise SpecError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise SpecError(f"{path} is not valid JSON: {e}") from None
-    if not isinstance(spec, dict):
-        raise SpecError("problem spec must be a JSON object")
-    if spec.get("schema") != 1:
-        raise SpecError("spec must declare schema: 1")
-    return spec
-
-
-def _section(spec: dict, key: str) -> dict:
-    value = spec.get(key)
-    if not isinstance(value, dict):
-        raise SpecError(f"spec needs an object section {key!r}")
-    return value
-
-
-def _vector(obj: dict, key: str, length: int, where: str) -> Array:
-    try:
-        v = np.asarray(obj[key], dtype=float)
-    except KeyError:
-        raise SpecError(f"{where} is missing {key!r}") from None
-    except (TypeError, ValueError):
-        raise SpecError(f"{where}.{key} must be a numeric array") from None
-    if v.shape != (length,):
-        raise SpecError(f"{where}.{key} must have length {length}")
-    return _finite(v, f"{where}.{key}")
-
-
-def _matrix(obj: dict, key: str, rows: int, cols: int, where: str) -> Array:
-    try:
-        mat = np.asarray(obj[key], dtype=float)
-    except KeyError:
-        raise SpecError(f"{where} is missing {key!r}") from None
-    except (TypeError, ValueError):
-        raise SpecError(f"{where}.{key} must be a numeric matrix") from None
-    if mat.shape != (rows, cols):
-        raise SpecError(f"{where}.{key} must be {rows} x {cols}")
-    return _finite(mat, f"{where}.{key}")
-
-
-def _number(obj: dict, key: str, where: str, default=None) -> float:
-    """A finite number entry; SpecError when it is missing, not a number,
-    NaN or infinite."""
-    try:
-        value = float(obj.get(key, default))
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise SpecError(f"{where}.{key} must be a finite number")
-    return value
-
-
-def _finite(arr: Array, what: str) -> Array:
-    """arr, unless an entry is NaN or infinite (JSON and numpy parse both)."""
-    if not np.all(np.isfinite(arr)):
-        raise SpecError(f"{what} must be finite, got {arr[~np.isfinite(arr)][0]}")
-    return arr
-
-
-def _dims(spec: dict) -> tuple[int, int, int]:
-    d = _section(spec, "dims")
-    out = []
-    for key in ("n", "m", "s"):
-        value = d.get(key)
-        if not isinstance(value, int) or value < 1:
-            raise SpecError(f"dims.{key} must be a positive integer")
-        out.append(value)
-    return tuple(out)
-
-
-def _horizon(spec: dict) -> float:
-    T = _number(spec, "horizon", "spec")
-    if not T > 0:
-        raise SpecError("'horizon' must be positive")
-    return T
-
-
-def _bound_entry(value, side: str) -> float:
-    """Box bound entry: finite numbers pass through, null/'inf' mean unbounded."""
-    if value is None:
-        return -math.inf if side == "lower" else math.inf
-    if isinstance(value, str):
-        if value in ("inf", "+inf"):
-            return math.inf
-        if value == "-inf":
-            return -math.inf
-        raise SpecError(f"bad box bound {value!r}")
-    try:
-        bound = float(value)
-    except (TypeError, ValueError):
-        bound = math.nan
-    if not math.isfinite(bound):
-        raise SpecError(f"bad box bound {value!r}")
-    return bound
-
-
-def _build_field(spec: dict, n: int, m: int, s: int) -> FieldMap:
-    psi = _section(_section(spec, "moving_set"), "psi")
-    kind = psi.get("kind")
-    if kind == "affine":
-        Ax = _matrix(psi, "Ax", s, n, "psi")
-        Au = _matrix(psi, "Au", s, m, "psi")
-        c = _vector(psi, "c", s, "psi")
-        return FieldMap.affine_fixed(Ax, Au, c)
-    if kind == "quadratic_scalar":
-        if (n, m, s) != (1, 1, 1):
-            raise SpecError("quadratic_scalar psi needs n = m = s = 1")
-        a, b, c = (_number(psi, key, "psi") for key in "abc")
-        return FieldMap.nonlinear(
-            n=1, m=1, s=1,
-            psi=lambda x, u: np.array([a * x[0] ** 2 + b * u[0] + c]),
-            dpsi_dx=lambda x, u: np.array([[2.0 * a * x[0]]]),
-            dpsi_du=lambda x, u: np.array([[b]]),
-            hess_xx=lambda x, u, p: np.array([[2.0 * a * p[0]]]),
-            hess_ux=lambda x, u, p: np.array([[0.0]]),
-        )
-    raise SpecError(f"unknown psi kind {kind!r}")
-
-
-def _build_theta(spec: dict, s: int):
-    theta = _section(_section(spec, "moving_set"), "theta")
-    kind = theta.get("kind")
-    if kind == "orthant":
-        if theta.get("s", s) != s:
-            raise SpecError("theta.s disagrees with dims.s")
-        return NonpositiveOrthant(s)
-    if kind == "box":
-        lower = theta.get("lower")
-        upper = theta.get("upper")
-        if not isinstance(lower, list) or not isinstance(upper, list) \
-                or len(lower) != s or len(upper) != s:
-            raise SpecError(f"box theta needs 'lower' and 'upper' lists of length {s}")
-        return Box(lower=tuple(_bound_entry(v, "lower") for v in lower),
-                   upper=tuple(_bound_entry(v, "upper") for v in upper))
-    if kind == "image":
-        A = _matrix(theta, "A", s, s, "theta")
-        G_raw = theta.get("G")
-        if not isinstance(G_raw, list) or not G_raw:
-            raise SpecError("image theta needs a nonempty matrix 'G'")
-        r = len(G_raw)
-        G = _matrix(theta, "G", r, s, "theta")
-        g = _vector(theta, "g", r, "theta")
-        return LinearImagePolyhedron(A=A, G=G, g=g)
-    raise SpecError(f"unknown theta kind {kind!r}")
-
-
-def _build_drift(spec: dict, n: int) -> AffineDrift:
-    dyn = _section(spec, "dynamics")
-    kind = dyn.get("kind")
-    if kind == "zero":
-        return AffineDrift.zero(n)
-    if kind == "affine":
-        return AffineDrift(_matrix(dyn, "A", n, n, "dynamics"),
-                           _vector(dyn, "b", n, "dynamics"))
-    raise SpecError(f"unknown dynamics kind {kind!r}")
-
-
-def _build_phi(spec: dict, n: int) -> QuadraticTerminalCost:
-    phi = _section(_section(spec, "cost"), "phi")
-    if phi.get("kind") != "quadratic_distance":
-        raise SpecError(f"unknown phi kind {phi.get('kind')!r}")
-    return QuadraticTerminalCost(center=_vector(phi, "center", n, "phi"),
-                                 weight=_number(phi, "weight", "phi", 1.0))
-
-
-def _build_ell(spec: dict, m: int, uses_udot: bool) -> QuadraticStageCost:
-    ell = _section(_section(spec, "cost"), "ell")
-    kind = ell.get("kind")
-    weight = _number(ell, "weight", "ell", 1.0)
-
-    if kind == "control_energy":
-        if not uses_udot:
-            raise SpecError("control_energy needs mode w12w12 (it penalizes udot)")
-        return QuadraticStageCost(energy=weight)
-
-    if kind == "control_tracking":
-        times = ell.get("times")
-        if not isinstance(times, list):
-            raise SpecError("control_tracking needs a list of breakpoint times")
-        ref = (_vector(ell, "times", len(times), "ell"),
-               _matrix(ell, "values", len(times), m, "ell"))
-        return QuadraticStageCost(tracking=weight, ref=ref)
-
-    raise SpecError(f"unknown ell kind {kind!r}")
-
-
-def _path_from_obj(obj: dict, key: str, T: float, dim: int, what: str) -> Path:
-    entry = obj.get(key)
-    if not isinstance(entry, dict):
-        raise SpecError(f"{what} needs an object {key!r} with times and values")
-    times = entry.get("times")
-    if not isinstance(times, list) or len(times) < 2:
-        raise SpecError(f"{what}.{key}.times must list at least two node times")
-    tarr = _vector(entry, "times", len(times), f"{what}.{key}")
-    values = _matrix(entry, "values", len(times), dim, f"{what}.{key}")
-    return _uniform_path(tarr, values, T, f"{what}.{key}")
-
-
-def _uniform_path(times: Array, values: Array, T: float, what: str) -> Path:
-    """Validate a uniform node grid on [0, T] and wrap the values."""
-    k = len(times) - 1
-    expected = np.linspace(0.0, T, k + 1)
-    if np.max(np.abs(times - expected)) > 1e-9 * max(1.0, T):
-        raise SpecError(f"{what} must be sampled on the uniform grid over [0, {T:g}]")
-    return Path(mesh=Mesh(k=k, T=T), values=values)
-
-
-def _mode_name(label: str) -> str:
-    table = {"w12w12": "W12xW12", "w12c": "W12xC"}
-    if label not in table:
-        raise SpecError("mode must be 'w12w12' or 'w12c'")
-    return table[label]
-
-
-def build_system(spec: dict) -> SweepingSystem:
-    """Sweeping system from a problem spec (cost sections are ignored)."""
-    n, m, s = _dims(spec)
-    T = _horizon(spec)
-    field = _build_field(spec, n, m, s)
-    theta = _build_theta(spec, s)
-    initial = _section(spec, "initial")
-    x0 = _vector(initial, "x0", n, "initial")
-    return SweepingSystem(f=_build_drift(spec, n), field=field, theta=theta,
-                          x0=x0, T=T)
-
-
-def build_problem(spec: dict, mode_override: str | None = None) -> OcpProblem:
-    """Optimal control problem from a problem spec."""
-    n, m, s = _dims(spec)
-    system = build_system(spec)
-    mode = _mode_name(mode_override or spec.get("mode", ""))
-    uses_udot = mode == "W12xW12"
-    phi = _build_phi(spec, n)
-    ell = _build_ell(spec, m, uses_udot)
-    initial = _section(spec, "initial")
-    u0 = _vector(initial, "u0", m, "initial")
-
-    cost = _section(spec, "cost")
-    rho = _number(cost, "rho", "cost", 0.0)
-    epsilon = (math.inf if cost.get("epsilon", "inf") in ("inf", None)
-               else _number(cost, "epsilon", "cost"))
-    anchor = None
-    if "anchor" in cost:
-        anchor_obj = cost["anchor"]
-        if not isinstance(anchor_obj, dict):
-            raise SpecError("cost.anchor must be an object with x and u entries")
-        anchor = (_path_from_obj(anchor_obj, "x", system.T, n, "anchor"),
-                  _path_from_obj(anchor_obj, "u", system.T, m, "anchor"))
-
-    return OcpProblem(system=system, phi=phi, ell=ell, mode=mode, u0=u0,
-                      anchor=anchor, rho=rho, epsilon=epsilon)
-
-
-def _reference_pair(spec: dict, problem: OcpProblem) -> tuple[Path, Path]:
-    ref = spec.get("reference")
-    if not isinstance(ref, dict):
-        raise SpecError("spec has no reference section (converge needs one)")
-    n = problem.system.field.n
-    m = problem.system.field.m
-    return (_path_from_obj(ref, "x", problem.system.T, n, "reference"),
-            _path_from_obj(ref, "u", problem.system.T, m, "reference"))
 
 
 # ---------------------------------------------------------------------------

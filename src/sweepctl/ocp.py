@@ -1050,15 +1050,6 @@ def _run_schedule(kkt: _KktSystem, X: Array, sched: Sequence[float],
         X, its, norm, tried = _lm_stage(kkt, X, sigma, tol, cap)
         total, trials = total + its, trials + tried
         costs.append(cost_eval(kkt.problem, kkt.unpack(X)))
-        if last and norm > tol_stat and len(sched) > 1:
-            # Refine the last continuation gap geometrically and retry.
-            ladder = np.geomspace(sched[-2], sigma, 6)[1:-1]
-            for s_mid in ladder:
-                X, its, _, tried = _lm_stage(kkt, X, float(s_mid), 0.02 * s_mid, cap)
-                total, trials = total + its, trials + tried
-            X, its, norm, tried = _lm_stage(kkt, X, sigma, tol_stat, cap)
-            total, trials = total + its, trials + tried
-            costs[-1] = cost_eval(kkt.problem, kkt.unpack(X))
     return X, total, trials, norm, costs
 
 

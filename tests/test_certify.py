@@ -669,6 +669,41 @@ def test_nondegeneracy_validates_its_inputs():
         check_nondegeneracy(field, theta, [1.0], [-2.0], [1.0])
 
 
+def test_smooth_inequality_endpoint_qualification():
+    disk = SmoothInequality(s=2, l=1, h=lambda z: np.array([z @ z - 1.0]),
+                            jac=lambda z: 2.0 * z[np.newaxis, :])
+    field = FieldMap.affine_fixed(np.eye(2), np.zeros((2, 1)), np.zeros(2))
+    for x in ([1.0, 0.0], [0.3, 0.4]):
+        result = check_nondegeneracy(field, disk, x, [0.0], [0.0, 0.0])
+        assert result.nondegenerate and result.witness is None
+    # eta = Dh^T mu with mu = 1 on the active component
+    result = check_nondegeneracy(field, disk, [0.6, 0.8], [0.0], [1.2, 1.6])
+    assert not result.nondegenerate
+    np.testing.assert_array_equal(result.witness, -2.0 * np.array([0.6, 0.8]))
+    with pytest.raises(SurjectivityError):
+        # Dh vanishes at the center of the disk
+        check_nondegeneracy(field, disk, [0.0, 0.0], [0.0], [0.0, 0.0])
+    with pytest.raises(DomainError):
+        # the tangent direction is not generated by the gradient
+        check_nondegeneracy(field, disk, [1.0, 0.0], [0.0], [0.0, 1.0])
+
+
+def test_smooth_cone_generators_take_the_active_gradients():
+    # the unit disk cut by the halfplane z_1 <= 0.6
+    theta = SmoothInequality(
+        s=2, l=2, h=lambda z: np.array([z @ z - 1.0, z[0] - 0.6]),
+        jac=lambda z: np.array([2.0 * z, [1.0, 0.0]]))
+    JT = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
+    for z, active in (([0.6, 0.8], [0, 1]), ([0.6, 0.5], [1]),
+                      ([0.0, 1.0], [0]), ([0.3, 0.4], [])):
+        z = np.array(z)
+        cols, signs = _cone_generators(theta, z, JT)
+        Dh = theta.jac(z)
+        assert cols.shape == (3, len(active)) and signs == [1] * len(active)
+        for col, i in zip(cols.T, active):
+            np.testing.assert_array_equal(col, JT @ Dh[i])
+
+
 # ---------------------------------------------------------------------------
 # Inequality lifting
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import sweepctl.spec
 from sweepctl import cli
 from sweepctl.dynamics import Path, simulate
 from sweepctl.ocp import NumericalFailureError
@@ -386,7 +387,7 @@ def test_certify_constraint_gradients_scale_linearly_in_k(tmp_path,
     # per-point tail loop would make this O(k^2).
     k = 200
     calls = [0]
-    build_field = cli._build_field
+    build_field = sweepctl.spec._build_field
 
     def counting_field(*args):
         field = build_field(*args)
@@ -398,7 +399,7 @@ def test_certify_constraint_gradients_scale_linearly_in_k(tmp_path,
 
     spec_path = export_spec(tmp_path, "elastoplastic61", k)
     sol = write_pair(tmp_path, *solution_on_mesh("elastoplastic61", k))
-    monkeypatch.setattr(cli, "_build_field", counting_field)
+    monkeypatch.setattr("sweepctl.spec._build_field", counting_field)
     rc = cli.main(["certify", spec_path, "--solution", sol,
                    "--out-dir", str(tmp_path / "cert")])
     assert rc == 0
@@ -416,7 +417,7 @@ def test_certify_evaluates_the_field_once_per_node_and_report(
     # costs one more evaluation per tail.
     k = 200
     calls = dict.fromkeys(["psi", "dpsi_dx", "dpsi_du", "hess_xx", "hess_ux"], 0)
-    build_field = cli._build_field
+    build_field = sweepctl.spec._build_field
 
     def counting_field(*args):
         field = build_field(*args)
@@ -432,7 +433,7 @@ def test_certify_evaluates_the_field_once_per_node_and_report(
 
     spec_path = export_spec(tmp_path, instance_id, k)
     sol = write_pair(tmp_path, *solution_on_mesh(instance_id, k))
-    monkeypatch.setattr(cli, "_build_field", counting_field)
+    monkeypatch.setattr("sweepctl.spec._build_field", counting_field)
     rc = cli.main(["certify", spec_path, "--solution", sol,
                    "--out-dir", str(tmp_path / "cert")])
     assert rc == 0

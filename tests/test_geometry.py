@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sweepctl import cli
+from sweepctl import spec
 from sweepctl.geometry import (
     Box,
     ConeDecomposition,
@@ -636,7 +636,7 @@ def _table_fields():
                                               rng.normal(size=3)),
         "polyhedral": FieldMap.polyhedral(n=2, s=3),
         "nonconvex22": instance("nonconvex22").problem.system.field,
-        "quadratic_scalar": cli._build_field(quad_spec, 1, 1, 1),
+        "quadratic_scalar": spec._build_field(quad_spec, 1, 1, 1),
         "effective_field": mapped.effective_field(),
     }
 

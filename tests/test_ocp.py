@@ -28,6 +28,7 @@ from sweepctl.ocp import (
     _damped_step,
     _has_exact_tangents,
     _lbfgs_direction,
+    _lm_stage,
     _shooting_gradient,
     cost_eval,
     cost_grad,
@@ -1000,3 +1001,19 @@ def test_smoothed_failure_names_the_mesh_stage_and_worst_row():
                                         "terminal")
     assert 0 <= int(match.group(2)) <= 6
     assert err.partial.x.shape == (7, 1) and err.partial.u.shape == (7, 1)
+
+
+def test_a_stalled_last_stage_is_not_retried(monkeypatch):
+    # A stall of the last stage ends the solve: each schedule stage runs
+    # one Levenberg-Marquardt stage, with no refined sigma ladder after it.
+    sigmas = []
+
+    def counting(kkt, X, sigma, *args):
+        sigmas.append(sigma)
+        return _lm_stage(kkt, X, sigma, *args)
+
+    monkeypatch.setattr("sweepctl.ocp._lm_stage", counting)
+    with pytest.raises(NumericalFailureError):
+        solve_smoothed(transcribe(remark45_problem(), 6),
+                       sigma_schedule=[1e-2, 1e-8], tol_stat=1e-17)
+    assert sigmas == [1e-2, 1e-8]

@@ -9,7 +9,7 @@ import pytest
 from sweepctl.cli import build_problem, build_system
 from sweepctl.certify import residual_continuous_EL
 from sweepctl.dynamics import Mesh, Path, simulate
-from sweepctl.geometry import ConfigurationError
+from sweepctl.geometry import ConfigurationError, LinearImagePolyhedron
 from sweepctl.problems import (
     INSTANCE_IDS,
     certificate_on_mesh,
@@ -137,6 +137,7 @@ def test_rebuilt_costs_match_the_catalog():
                      (rebuilt.system.f, original.system.f)):
             assert type(a) is type(b)
             np.testing.assert_equal(vars(a), vars(b))
+        assert rebuilt.system.theta == original.system.theta
         n = original.system.field.n
         m = original.system.field.m
         for _ in range(5):
@@ -151,6 +152,14 @@ def test_rebuilt_costs_match_the_catalog():
             else:
                 assert rebuilt.ell(0.3, x, u, vx) == pytest.approx(
                     original.ell(0.3, x, u, vx))
+
+
+def test_image_theta_from_a_spec_is_hashable():
+    theta = build_system(instance_spec("elastoplastic61", 8)).theta
+    stated = LinearImagePolyhedron(A=((1.0,),), G=((1.0,), (-1.0,)),
+                                   g=(1.0, 1.0))
+    assert theta == stated
+    assert hash(theta) == hash(stated)
 
 
 def test_curved_boundary_ride():
