@@ -59,10 +59,9 @@ from .geometry import (
     SmoothInequality,
     SurjectivityError,
     ThetaSet,
+    _cone_distance_of,
     _cone_generators,
     _decompose,
-    _halfspaces_of,
-    _signed_cone_distance,
     coderivative_orthant,
     coderivative_theta,
     coderivative_violation,
@@ -427,12 +426,8 @@ def theta_quantities(problem: OcpProblem, z: DiscreteDecision,
 def _interior_margin(theta: ThetaSet, z: Array) -> Array:
     """How strictly z sits inside Theta (negative outside, 0 on the
     boundary); one margin per row when z stacks points."""
-    z = np.asarray(z, dtype=float)
-    if isinstance(theta, SmoothInequality):
-        return -np.array([np.max(theta.h(zj)) for zj in z.reshape(-1, theta.s)]
-                         ).reshape(z.shape[:-1])
-    H, d = _halfspaces_of(theta)
-    return np.min(d - _rows(H, z), axis=-1, initial=math.inf)
+    g, _, d = theta.constraint(z)
+    return np.min(d - g, axis=-1, initial=math.inf)
 
 
 def _rows(A: Array, v: Array) -> Array:
@@ -523,8 +518,8 @@ def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
     gphi = np.atleast_1d(np.asarray(problem.dphi(x_k), dtype=float))
     target = -p_end - lam * np.concatenate([gphi, np.zeros(m)])
     if theta.contains(psi_k, tol=ACT_TOL):
-        cols, signs = _cone_generators(theta, psi_k, tab.J[k].T, tol=ACT_TOL)
-        trans = _signed_cone_distance(cols, target, signs)
+        trans = _cone_distance_of(
+            _cone_generators(theta, psi_k, tab.J[k].T, tol=ACT_TOL), target)
     else:
         trans = math.inf
 
@@ -616,8 +611,8 @@ def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
     gphi = np.atleast_1d(np.asarray(problem.dphi(x_T), dtype=float))
     target = -pvals[k] - lam * np.concatenate([gphi, np.zeros(m)])
     if theta.contains(psi_T, tol=ACT_TOL):
-        cols, signs = _cone_generators(theta, psi_T, tab.J[k].T, tol=ACT_TOL)
-        trans = _signed_cone_distance(cols, target, signs)
+        trans = _cone_distance_of(
+            _cone_generators(theta, psi_T, tab.J[k].T, tol=ACT_TOL), target)
     else:
         trans = math.inf
 
@@ -698,8 +693,8 @@ def _conventional_hamiltonian(theta: ThetaSet, z: Array, Jx: Array,
     if not theta.contains(z, tol=ACT_TOL):
         raise DomainError(f"psi(x,u)={z} is not in Theta")
     Jx = np.atleast_2d(np.asarray(Jx, dtype=float))
-    cols, signs = _cone_generators(theta, z, Jx.T, tol=ACT_TOL)
-    return math.inf if np.any(np.multiply(signs, p @ cols) < -TOL_POS) else 0.0
+    cols = _cone_generators(theta, z, Jx.T, tol=ACT_TOL)
+    return math.inf if np.any(p @ cols < -TOL_POS) else 0.0
 
 
 def max_condition_check(problem: OcpProblem, state: Path, control: Path,
@@ -852,15 +847,13 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
             return NondegeneracyResult(nondegenerate=False, witness=witness)
         return NondegeneracyResult(nondegenerate=True)
     if isinstance(theta, SmoothInequality):
-        hv = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
-        Dh = np.atleast_2d(np.asarray(theta.jac(z), dtype=float))
+        hv, Dh, _ = theta.constraint(z)
         ok, sigma_min = surjectivity_check(Dh)
         if not ok:
             raise SurjectivityError(
                 f"inequality Jacobian is rank deficient (sigma_min={sigma_min:.3e})")
+        # eta_T passed the cone test above, so the gradients generate it.
         mu, *_ = np.linalg.lstsq(Dh.T, eta_T, rcond=None)
-        if float(np.linalg.norm(Dh.T @ mu - eta_T)) > act_tol * (1.0 + float(np.linalg.norm(eta_T))):
-            raise NotInConeError("eta_T is not generated by the inequality gradients")
         for i in range(theta.l):
             if hv[i] >= -act_tol and mu[i] > pos_tol:
                 return NondegeneracyResult(nondegenerate=False, witness=-Dh[i])
@@ -901,10 +894,9 @@ def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
     res_nu = 0.0
     code = 0.0
     maxc = 0.0
-    for j, (z_j, Jx, r_j, eta_j, nu_j) in enumerate(zip(tab.psi, tab.Jx, r, cert.eta.values,
-                                                         cert.nu.values)):
-        h_j = np.atleast_1d(np.asarray(theta.h(z_j), dtype=float))
-        Dh = np.atleast_2d(np.asarray(theta.jac(z_j), dtype=float))
+    hs, Dhs, _ = theta.constraint(tab.psi)
+    for j, (z_j, h_j, Dh, Jx, r_j, eta_j, nu_j) in enumerate(zip(
+            tab.psi, hs, Dhs, tab.Jx, r, cert.eta.values, cert.nu.values)):
         ok, sigma_min = surjectivity_check(Dh)
         if not ok:
             raise SurjectivityError(
@@ -1089,7 +1081,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     psis = tab.psi
     if not theta.contains(psis[k], tol=ACT_TOL):
         raise DomainError(f"psi at the endpoint is not in Theta: {psis[k]}")
-    cols_T, signs_T = _cone_generators(theta, psis[k], grad_T_end, tol=ACT_TOL)
+    cols_T = _cone_generators(theta, psis[k], grad_T_end, tol=ACT_TOL)
     n_beta = cols_T.shape[1]
 
     inner = _interior_margin(theta, psis)
@@ -1133,7 +1125,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
         (np.arange(k * (d + m)).reshape(k, d + m),
          np.hstack([ip[:-1], ip[1:], iS[full - 1], icut]), B),
         (i_end, ip[k:], -np.eye(d)[None]),
-        (i_end, i_beta + np.arange(n_beta)[None], -(signs_T * cols_T)[None]),
+        (i_end, i_beta + np.arange(n_beta)[None], -cols_T[None]),
     ]).tocsr()
     gphi = np.atleast_1d(np.asarray(problem.dphi(x_T), dtype=float))
     b = np.zeros((k + 1, d + m))

@@ -32,7 +32,6 @@ from .geometry import (
     ConfigurationError,
     FieldMap,
     GeometryError,
-    SmoothInequality,
     ThetaSet,
     TOL_FEAS,
     _cone_distance,
@@ -225,19 +224,9 @@ def feasibility_violation(theta: ThetaSet, z: Array) -> float:
 
 
 def _feasibility(theta: ThetaSet, Z: Array) -> Array:
-    """:func:`feasibility_violation` at every row of Z."""
-    hs = theta.halfspaces()
-    if hs is not None:
-        H, d = hs
-        if H.shape[0] == 0:
-            return np.zeros(len(Z))
-        slack = np.matmul(H, Z[:, :, np.newaxis])[:, :, 0] - d
-    elif isinstance(theta, SmoothInequality):
-        slack = np.array([np.atleast_1d(np.asarray(theta.h(z), dtype=float))
-                          for z in Z]).reshape(len(Z), theta.l)
-    else:
-        raise ConfigurationError("unknown Theta variant")
-    return np.maximum(0.0, slack.max(axis=1))
+    """:func:`feasibility_violation` at every row of Z: max(0, max(g - d))."""
+    g, _, d = theta.constraint(Z)
+    return np.max(g - d, axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True)

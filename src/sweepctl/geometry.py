@@ -11,13 +11,14 @@ Code that needs the field along a pair of paths reads one
 every node from one call of each callback per node (one stacked array
 expression for the callbacks of an affine field), shapes checked once, and
 the Hessian contractions on demand.
-It owns both descriptions of ``Theta`` the rest of the package reads, each
-built once per set: ``halfspaces()``, the rows {z : H z <= d} of a polyhedral
-Theta, and ``bounds()``, the intervals lo <= z <= hi of a box-like Theta
-(orthant, box, or a linear image with diagonal A and axis-aligned Z).  Code
-that works row by row reads the first, code that works component by
-component reads the second; no other module decides how a Theta variant
-is written as bounds.
+It owns the three descriptions of ``Theta`` the rest of the package reads:
+``constraint(z)``, the rows g(z) <= d of every variant with their Jacobian
+(g = H z for a polyhedron, g = h and d = 0 for smooth inequalities), for
+row-wise code; ``halfspaces()``, the rows {z : H z <= d} of a polyhedral
+Theta, for the exact projection; and ``bounds()``, the intervals
+lo <= z <= hi of a box-like Theta (orthant, box, or a linear image with
+diagonal A and axis-aligned Z), for componentwise code.  No other module
+decides how a Theta variant is written as rows or bounds.
 On top of those it provides the operations the rest of the package leans on:
 Euclidean projection onto ``C(u)`` with KKT multiplier recovery, the
 decomposition of a normal-cone element through ``grad_x psi`` into a
@@ -86,18 +87,32 @@ class ThetaSet:
     """Base class for the supported Theta variants.
 
     A variant must know its ambient dimension ``s``, decide membership, and
-    describe itself in up to two forms, each built once per set:
-    ``halfspaces()`` gives the rows ``{z : H z <= d}`` of a polyhedral set
-    (so projections and cone tests share one QP path), and ``bounds()``
-    gives the componentwise interval form ``lo <= z <= hi`` of a box-like
-    set (so complementarity pairs, coderivatives and componentwise activity
-    read one description).
+    describe itself in up to three forms: ``constraint(z)``, the rows
+    ``g(z) <= d`` of every variant, for row-wise code (linearization,
+    activity, normal cones, feasibility, margins); ``halfspaces()``, the
+    rows ``{z : H z <= d}`` of a polyhedral set, for the exact projection;
+    and ``bounds()``, the interval form ``lo <= z <= hi`` of a box-like set,
+    for componentwise code (complementarity pairs, coderivatives).  The
+    last two are built once per set.
     """
 
     s: int
 
     def contains(self, z: Array, tol: float = TOL_FEAS) -> bool:
         raise NotImplementedError
+
+    def constraint(self, z: Array) -> tuple[Array, Array, Array]:
+        """Return (g, Dg, d) with Theta = {z : g(z) <= d} at points z (..., s).
+
+        g has shape (..., l), the Jacobian Dg broadcasts to (..., l, s) and
+        d holds the l bounds.  Built here from ``halfspaces()`` as g = H z,
+        Dg = H; raises ConfigurationError for a variant with neither form.
+        """
+        hs = self.halfspaces()
+        if hs is None:
+            raise ConfigurationError(f"{type(self).__name__} has no constraint rows")
+        H, d = hs
+        return np.matmul(H, np.asarray(z, dtype=float)[..., np.newaxis])[..., 0], H, d
 
     def halfspaces(self) -> tuple[Array, Array] | None:
         """Return (H, d) with Theta = {z : H z <= d}, or None if not polyhedral.
@@ -131,8 +146,10 @@ class ThetaSet:
         return None
 
     def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
-        """How far ``eta`` is from N_Theta(z), as a nonnegative number."""
-        raise NotImplementedError
+        """How far ``eta`` is from N_Theta(z), as a nonnegative number: its
+        distance to the cone of the rows of Dg(z) active within tol."""
+        return _cone_distance_of(_active_gradients(self, z, tol).T,
+                                 np.asarray(eta, dtype=float))
 
 
 def _read_only(pair: tuple[Array, Array] | None) -> tuple[Array, Array] | None:
@@ -234,15 +251,15 @@ class SmoothInequality(ThetaSet):
         val = np.atleast_1d(np.asarray(self.h(z), dtype=float))
         return bool(np.all(val <= tol))
 
-    def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
-        # eta must be grad h(z)^T mu with mu >= 0 supported on active components.
+    def constraint(self, z: Array) -> tuple[Array, Array, Array]:
+        """(h(z), Dh(z), 0), one ``h`` and one ``jac`` call per point."""
         z = np.asarray(z, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        val = np.atleast_1d(np.asarray(self.h(z), dtype=float))
-        J = np.atleast_2d(np.asarray(self.jac(z), dtype=float))
-        active = [i for i in range(self.l) if val[i] >= -tol]
-        return _signed_cone_distance(J[active].T if active else np.zeros((self.s, 0)),
-                                     eta, [1] * len(active))
+        lead, points = z.shape[:-1], z.reshape(-1, self.s)
+        g = np.array([np.atleast_1d(np.asarray(self.h(p), dtype=float))
+                      for p in points]).reshape(lead + (self.l,))
+        Dg = np.array([np.atleast_2d(np.asarray(self.jac(p), dtype=float))
+                       for p in points]).reshape(lead + (self.l, self.s))
+        return g, Dg, np.zeros(self.l)
 
 
 @dataclass(frozen=True)
@@ -313,14 +330,6 @@ class LinearImagePolyhedron(ThetaSet):
             raise ConfigurationError(f"expected point in R^{self.s}, got shape {z.shape}")
         # Polyhedral (Euclidean) distance, per the membership metric contract.
         return polyhedron_distance(*self.halfspaces(), z) <= tol
-
-    def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
-        H, d = self.halfspaces()
-        z = np.asarray(z, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        active = _active_rows(H, d, z, tol)
-        return _signed_cone_distance(H[active].T if active else np.zeros((self.s, 0)),
-                                     eta, [1] * len(active))
 
 
 def polyhedron_distance(H: Array, d: Array, z: Array) -> float:
@@ -678,52 +687,33 @@ def _constraint_rows(field: FieldMap, theta: ThetaSet, y: Array, u: Array,
     """
     z = psi_eval(field, y, u)
     J = np.atleast_2d(np.asarray(field.dpsi_dx(y, u), dtype=float))
-    if isinstance(theta, SmoothInequality):
-        h = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
-        Dh = np.atleast_2d(np.asarray(theta.jac(z), dtype=float))
-        R = Dh @ J
-        e = Dh @ J @ y - h
-        return R, e, lambda mu: Dh.T @ mu
-    hs = theta.halfspaces()
-    if hs is None:
-        raise ConfigurationError("unsupported Theta variant for projection")
-    H, d = hs
-    R = H @ J
-    e = H @ (J @ y - z) + d
-    return R, e, lambda mu: H.T @ mu
+    g, Dg, d = theta.constraint(z)
+    R = Dg @ J
+    return R, R @ y - g + d, lambda mu: Dg.T @ mu
 
 
 def _active_sets(theta: ThetaSet, Z: Array, tol: float = 1e-7,
                  ) -> list[tuple[int, ...]]:
     """Indices of the constraints active at each row z = psi of Z.
 
-    Components of z for an orthant or box, components of h for a smooth
-    inequality, and halfspace rows for a linear image.
+    Components of z for an orthant or box, rows of ``theta.constraint``
+    otherwise.
     """
     if isinstance(theta, _IntervalTheta):
         lo, hi = theta.bounds()
         mask = (((hi < np.inf) & (Z >= hi - tol))
                 | ((lo > -np.inf) & (Z <= lo + tol)))
-    elif isinstance(theta, SmoothInequality):
-        mask = np.array([np.atleast_1d(np.asarray(theta.h(z), dtype=float))
-                         for z in Z]).reshape(len(Z), theta.l) >= -tol
     else:
-        H, d = _halfspaces_of(theta)
-        mask = np.matmul(H, Z[:, :, np.newaxis])[:, :, 0] >= d - tol
+        g, _, d = theta.constraint(Z)
+        mask = g >= d - tol
     return [tuple(i for i, active in enumerate(row) if active)
             for row in mask.tolist()]
 
 
-def _halfspaces_of(theta: ThetaSet) -> tuple[Array, Array]:
-    hs = theta.halfspaces()
-    if hs is None:
-        raise ConfigurationError("unknown Theta variant")
-    return hs
-
-
-def _active_rows(H: Array, d: Array, z: Array, tol: float) -> list[int]:
-    """Rows of H z <= d that z meets within tol."""
-    return [i for i in range(H.shape[0]) if H[i] @ z >= d[i] - tol]
+def _active_gradients(theta: ThetaSet, z: Array, tol: float) -> Array:
+    """The rows of Dg(z), at one point z, whose constraints z meets within tol."""
+    g, Dg, d = theta.constraint(z)
+    return Dg[g >= d - tol]
 
 
 def _project_step(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
@@ -861,14 +851,13 @@ def _decompose(theta: ThetaSet, z: Array, J: Array, v: Array,
                              psi=z)
 
 
-def _signed_cone_distance(cols: Array, v: Array, signs: Sequence[int]) -> float:
-    """Distance from v to { cols @ mu : sign_i * mu_i >= 0 }."""
+def _cone_distance_of(cols: Array, v: Array) -> float:
+    """Distance from v to the cone { cols @ mu : mu >= 0 }."""
     from scipy.optimize import nnls
 
     if cols.size == 0:
         return float(np.linalg.norm(v))
-    flipped = cols * np.asarray(signs, dtype=float)[np.newaxis, :]
-    _, res = nnls(flipped, v)
+    _, res = nnls(cols, v)
     return float(res)
 
 
@@ -889,28 +878,17 @@ def _cone_distance(theta: ThetaSet, z: Array, J: Array, v: Array,
     if not theta.contains(z, tol=max(tol, 1e-7)):
         return float("inf")
     J = np.atleast_2d(np.asarray(J, dtype=float))
-    cols, signs = _cone_generators(theta, z, J.T)
-    return _signed_cone_distance(cols, v, signs)
+    return _cone_distance_of(_cone_generators(theta, z, J.T), v)
 
 
 def _cone_generators(theta: ThetaSet, z: Array, JT: Array,
-                     tol: float = 1e-7) -> tuple[Array, list[int]]:
-    """Columns (and sign constraints) generating grad^T N_Theta(z).
-
-    One column JT a per active constraint row a: the gradient of each active
-    component of h for a smooth inequality, each active halfspace row
-    otherwise.  Every column carries the sign +1.
-    """
-    if isinstance(theta, SmoothInequality):
-        h = np.atleast_1d(np.asarray(theta.h(z), dtype=float))
-        Dh = np.atleast_2d(np.asarray(theta.jac(z), dtype=float))
-        rows = [Dh[i] for i in range(theta.l) if h[i] >= -tol]
-    else:
-        H, d = _halfspaces_of(theta)
-        rows = [H[i] for i in _active_rows(H, d, z, tol)]
-    if not rows:
-        return np.zeros((JT.shape[0], 0)), []
-    return np.column_stack([JT @ a for a in rows]), [1] * len(rows)
+                     tol: float = 1e-7) -> Array:
+    """Columns generating grad^T N_Theta(z) with nonnegative coefficients:
+    one column JT a per active constraint row a of ``theta.constraint``."""
+    rows = _active_gradients(theta, z, tol)
+    if not len(rows):
+        return np.zeros((JT.shape[0], 0))
+    return np.column_stack([JT @ a for a in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -589,8 +589,7 @@ class Transcription:
         """All (multiplier, slack) pairs at a decision (terminal pair omitted:
         the terminal multiplier is not part of the decision data)."""
         psi = field_at_nodes(self.field, z.x[:-1], z.u[:-1]).psi
-        mu = np.maximum(z.eta @ self.P.T, 0.0)
-        slack = self.c - psi @ self.P.T
+        mu, slack = _comp_pairs(z.eta, psi, self.P, self.c)
         return list(zip(mu.ravel().tolist(), slack.ravel().tolist()))
 
     def dynamics_residual(self, z: DiscreteDecision) -> float:
@@ -922,8 +921,15 @@ def _damped_step(J, F: Array, lam: float, D: Array) -> Array:
     return lu.solve(np.concatenate([-F, np.zeros(n)]))[m:]
 
 
-def _comp_residual(pairs: Iterable[tuple[float, float]]) -> float:
-    return float(max((abs(min(a, b)) for a, b in pairs), default=0.0))
+def _comp_pairs(eta: Array, psi: Array, P: Array, c: Array) -> tuple[Array, Array]:
+    """The complementarity pairs at multipliers eta and field values psi
+    (one row per node): mu = max(eta P^T, 0) and slack = c - psi P^T."""
+    return np.maximum(eta @ P.T, 0.0), c - psi @ P.T
+
+
+def _comp_residual(mu: Array, slack: Array) -> float:
+    """The worst pair: max |min(mu, slack)| (0 when there is none)."""
+    return float(np.max(np.abs(np.minimum(mu, slack)), initial=0.0))
 
 
 def _default_schedule(start: float = 0.3) -> tuple[float, ...]:
@@ -1149,11 +1155,10 @@ def solve_smoothed(transcription: Transcription,
     F, _ = kkt.evaluate(X, sig[-1])
     # The step pairs and the terminal pair, from one table over the nodes.
     psi = field_at_nodes(transcription.field, decision.x, decision.u).psi
-    mu = np.vstack([np.maximum(decision.eta @ kkt.P.T, 0.0), X[kkt.it]])
-    pairs = zip(mu.ravel().tolist(), (kkt.c - psi @ kkt.P.T).ravel().tolist())
+    mu, slack = _comp_pairs(decision.eta, psi, kkt.P, kkt.c)
     report = SolveReport(
         cost=cost_eval(problem, decision),
-        comp_residual=_comp_residual(pairs),
+        comp_residual=_comp_residual(np.vstack([mu, X[kkt.it]]), slack),
         stat_residual=kkt.stationarity_norm(F),
         iterations=total_iters,
         sigma_trace=tuple(sig),
@@ -1420,9 +1425,8 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
         comp = max((problem.system.theta.normal_cone_violation(psi, eta)
                     for psi, eta in zip(psi_next, decision.eta)), default=0.0)
     else:
-        P, c = _signed_selector(*bounds)
-        comp = _comp_residual(zip(np.maximum(decision.eta @ P.T, 0.0).ravel(),
-                                  (c - psi_next @ P.T).ravel()))
+        comp = _comp_residual(*_comp_pairs(decision.eta, psi_next,
+                                           *_signed_selector(*bounds)))
     report = SolveReport(
         cost=current,
         comp_residual=comp,

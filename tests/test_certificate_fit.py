@@ -62,7 +62,7 @@ def _dense_fit(problem, state, control, lam=1.0):
     x_T, u_T = state.values[k], control.values[k]
     grad_T_end = _grad_T(field, x_T, u_T)
     psi_T = psi_eval(field, x_T, u_T)
-    cols_T, signs_T = _cone_generators(theta, psi_T, grad_T_end, tol=ACT_TOL)
+    cols_T = _cone_generators(theta, psi_T, grad_T_end, tol=ACT_TOL)
     n_beta = cols_T.shape[1]
     psis = [psi_eval(field, state.values[j], control.values[j])
             for j in range(k + 1)]
@@ -112,7 +112,7 @@ def _dense_fit(problem, state, control, lam=1.0):
     M = np.zeros((d, nvars))
     M[:, k * d:(k + 1) * d] = -np.eye(d)
     for i in range(n_beta):
-        M[:, i_beta + i] = -signs_T[i] * cols_T[:, i]
+        M[:, i_beta + i] = -cols_T[:, i]
     gphi = np.atleast_1d(np.asarray(problem.dphi(x_T), dtype=float))
     rows.append(M)
     rhs.append(lam * np.concatenate([gphi, np.zeros(m)]))

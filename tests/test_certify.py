@@ -558,8 +558,8 @@ def oracle_cone_generators(theta, z, JT, tol=1e-7):
         if np.isfinite(lo) and z[i] <= lo + tol:
             cols.append(-JT[:, i])
     if not cols:
-        return np.zeros((JT.shape[0], 0)), []
-    return np.column_stack(cols), [1] * len(cols)
+        return np.zeros((JT.shape[0], 0))
+    return np.column_stack(cols)
 
 
 def oracle_interior_margin(theta, z):
@@ -632,9 +632,9 @@ def test_interval_helpers_match_the_per_variant_branches():
     for _ in range(4000):
         theta, z, eta, JT = random_interval_case(rng)
         for tol in (1e-7, ACT_TOL):
-            cols, signs = _cone_generators(theta, z, JT, tol=tol)
-            want_cols, want_signs = oracle_cone_generators(theta, z, JT, tol)
-            assert np.array_equal(cols, want_cols) and signs == want_signs
+            cols = _cone_generators(theta, z, JT, tol=tol)
+            want_cols = oracle_cone_generators(theta, z, JT, tol)
+            assert np.array_equal(cols, want_cols)
         assert np.array_equal(_interior_margin(theta, z),
                               oracle_interior_margin(theta, z))
         s = theta.s
@@ -697,9 +697,9 @@ def test_smooth_cone_generators_take_the_active_gradients():
     for z, active in (([0.6, 0.8], [0, 1]), ([0.6, 0.5], [1]),
                       ([0.0, 1.0], [0]), ([0.3, 0.4], [])):
         z = np.array(z)
-        cols, signs = _cone_generators(theta, z, JT)
+        cols = _cone_generators(theta, z, JT)
         Dh = theta.jac(z)
-        assert cols.shape == (3, len(active)) and signs == [1] * len(active)
+        assert cols.shape == (3, len(active))
         for col, i in zip(cols.T, active):
             np.testing.assert_array_equal(col, JT @ Dh[i])
 
