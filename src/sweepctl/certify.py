@@ -33,7 +33,9 @@ The field enters through one table per public function
 the pair, one callback call each per node, with the Hessian contractions
 against the velocity multipliers taken from the same table.  The measure
 tails inside a function read that table too, so a certify run evaluates the
-field a fixed number of times per node.
+field a fixed number of times per node.  The per-cell checks (multiplier
+recovery, cone membership, coderivative cases, Hamiltonians) run over the
+whole table at once; where a cell fails, the first failing cell is named.
 
 Residual reports never hide a failed subproblem: conditions that cannot be
 met at all (an empty coderivative, an infeasible point) surface as infinite
@@ -55,16 +57,17 @@ from .geometry import (
     FieldMap,
     NodeTable,
     NonpositiveOrthant,
-    NotInConeError,
     SmoothInequality,
     SurjectivityError,
     ThetaSet,
     _cone_distance_of,
     _cone_generators,
-    _decompose,
-    coderivative_orthant,
-    coderivative_theta,
-    coderivative_violation,
+    _interval_bounds,
+    _rows,
+    _transpose_solver,
+    coderivative_codes,
+    coderivative_violations,
+    decompose_nodes,
     field_at_nodes,
     psi_eval,
     surjectivity_check,
@@ -366,13 +369,14 @@ class NondegeneracyResult:
 
 def recover_eta(system: SweepingSystem, state: Path, control: Path,
                 tol: float = 1e-8) -> Path:
-    """Velocity multipliers of a candidate pair, cell by cell.
+    """Velocity multipliers of a candidate pair, all cells in one pass.
 
-    Solves grad_x psi(x_j, u_j)^T eta_j = f(t_j, x_j) - dx_j/h on each cell
-    and certifies eta_j against the normal cone; a decomposition error
-    propagates with the cell index j and its time t_j prefixed to its
-    message.  The returned path uses the cell convention (node j stores
-    the multiplier of cell j, node k repeats the last cell).
+    Solves grad_x psi(x_j, u_j)^T eta_j = f(t_j, x_j) - dx_j/h on every
+    cell and certifies eta_j against the normal cone, in one stacked
+    :func:`geometry.decompose_nodes`; the first failing cell raises its
+    error with the cell index j and its time t_j prefixed to the message.
+    The returned path uses the cell convention (node j stores the
+    multiplier of cell j, node k repeats the last cell).
     """
     if state.mesh != control.mesh:
         raise ConfigurationError("state and control must share a mesh")
@@ -380,17 +384,12 @@ def recover_eta(system: SweepingSystem, state: Path, control: Path,
     k, h = mesh.k, mesh.h
     tab = field_at_nodes(system.effective_field(), state.values[:k],
                          control.values[:k])
-    vals = np.zeros((k + 1, tab.field.s))
-    for j in range(k):
-        t_j, x_j = float(mesh.nodes[j]), state.values[j]
-        f_j = np.atleast_1d(np.asarray(system.f(t_j, x_j), dtype=float))
-        v = f_j - (state.values[j + 1] - x_j) / h
-        try:
-            vals[j] = _decompose(system.theta, tab.psi[j], tab.Jx[j], v, tol).eta
-        except (NotInConeError, DomainError, SurjectivityError) as e:
-            raise type(e)(f"cell {j} (t = {t_j:g}): {e}") from e
-    vals[k] = vals[k - 1]
-    return Path(mesh=mesh, values=vals)
+    v = _drift(system, mesh.nodes[:k], state.values[:k]) - np.diff(state.values, axis=0) / h
+    eta, _, failure = decompose_nodes(system.theta, tab.psi, tab.Jx, v, tol)
+    if failure is not None:
+        j, e = failure
+        raise type(e)(f"cell {j} (t = {float(mesh.nodes[j]):g}): {e}") from e
+    return Path(mesh=mesh, values=np.vstack([eta, eta[-1:]]))
 
 
 def theta_quantities(problem: OcpProblem, z: DiscreteDecision,
@@ -428,12 +427,6 @@ def _interior_margin(theta: ThetaSet, z: Array) -> Array:
     boundary); one margin per row when z stacks points."""
     g, _, d = theta.constraint(z)
     return np.min(d - g, axis=-1, initial=math.inf)
-
-
-def _rows(A: Array, v: Array) -> Array:
-    """A[j] @ v[j] over the leading axes (A may be one matrix for all),
-    rounded exactly as the one-at-a-time products are."""
-    return (A @ v[..., np.newaxis])[..., 0]
 
 
 def _midpoint_q(cert: Certificate, tab: NodeTable, state: Path,
@@ -499,15 +492,9 @@ def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
                     np.max(np.linalg.norm(res_u, axis=1))))
     qu = float(np.max(np.linalg.norm(pinned, axis=1)))
 
-    code = 0.0
-    dirs = _rows(Jx, ufrak)
-    for j in range(k):
-        try:
-            cases = coderivative_theta(theta, tab.psi[j], z.eta[j], dirs[j],
-                                       act_tol=ACT_TOL, pos_tol=TOL_POS)
-            code = max(code, coderivative_violation(cases, gam[j]))
-        except DomainError:
-            code = math.inf
+    codes = coderivative_codes(*_interval_bounds(theta), tab.psi[:k], z.eta[:k],
+                               _rows(Jx, ufrak), act_tol=ACT_TOL, pos_tol=TOL_POS)
+    code = float(np.max(coderivative_violations(codes, gam), initial=0.0))
 
     x_k = z.x[k]
     psi_k = tab.psi[k]
@@ -586,10 +573,10 @@ def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
     eta = cert.eta.values
     dyn = (np.diff(state.values, axis=0) / h - _drift(system, nodes[:k], state.values[:k])
            + _rows(tab.Jx[:k].swapaxes(1, 2), eta[:k]))
-    eta_res = max(max(float(np.linalg.norm(dyn[j])),
-                      theta.normal_cone_violation(psis[j], eta[j], tol=ACT_TOL))
-                  if theta.contains(psis[j], tol=ACT_TOL) else math.inf
-                  for j in range(k))
+    cone = theta.normal_cone_violation_stack(psis[:k], eta[:k], tol=ACT_TOL)
+    eta_res = float(np.max(np.where(theta.contains_stack(psis[:k], tol=ACT_TOL),
+                                    np.maximum(np.linalg.norm(dyn, axis=1), cone),
+                                    math.inf)))
 
     # The adjoint equation and the control pinning, all cells at once.
     q_mid = _midpoint_q(cert, tab, state, control)
@@ -622,8 +609,7 @@ def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
     # Mass sitting strictly inside the target set violates nonatomicity.
     inner = _interior_margin(theta, psis)
     inside = np.minimum(inner[:-1], inner[1:]) > tol_interior
-    interior_mass = sum((h * float(np.linalg.norm(w))
-                         for w in cert.gamma.density[inside]), 0.0)
+    interior_mass = float(np.sum(h * np.linalg.norm(cert.gamma.density[inside], axis=1)))
     for tau, w in cert.gamma.atoms:
         z_tau = psi_eval(field, state.at(tau), control.at(tau))
         if _interior_margin(theta, z_tau) > tol_interior:
@@ -655,23 +641,25 @@ def modified_hamiltonian(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
     The bracket pairs the coderivative element nu with velocities generated
     by the active constraint gradients at nonpositive rates; the supremum is
     0 when every active product nu_i <grad_i, p> is nonnegative and +inf
-    otherwise.  Only orthant targets are supported.
+    otherwise.  Only orthant targets are supported.  One node of
+    :func:`_modified_hamiltonians`.
     """
     if not isinstance(theta, NonpositiveOrthant):
         raise ConfigurationError("the modified Hamiltonian needs an orthant target")
     tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
-    return _modified_hamiltonian(theta, tab.psi[0], tab.Jx[0], p, nu)
+    if not theta.contains(tab.psi[0], tol=ACT_TOL):
+        raise DomainError(f"psi(x,u)={tab.psi[0]} is not in Theta")
+    return float(_modified_hamiltonians(theta, tab.psi, tab.Jx, np.reshape(p, (1, -1)),
+                                        np.reshape(nu, (1, -1)))[0])
 
 
-def _modified_hamiltonian(theta: ThetaSet, z: Array, Jx: Array, p: Array,
-                          nu: Array) -> float:
-    """:func:`modified_hamiltonian` at psi = z with grad_x psi = Jx."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if not theta.contains(z, tol=ACT_TOL):
-        raise DomainError(f"psi(x,u)={z} is not in Theta")
-    products = nu * (np.atleast_2d(np.asarray(Jx, dtype=float)) @ p)
-    return math.inf if np.any((z >= -ACT_TOL) & (products < -TOL_POS)) else 0.0
+def _modified_hamiltonians(theta: ThetaSet, Z: Array, Jx: Array, P: Array,
+                           NU: Array) -> Array:
+    """:func:`modified_hamiltonian` at K nodes, psi = Z[j] with grad_x psi
+    = Jx[j], p = P[j] and nu = NU[j]; +inf where psi is outside Theta."""
+    products = NU * _rows(Jx, P)
+    unbounded = np.any((Z >= -ACT_TOL) & (products < -TOL_POS), axis=1)
+    return np.where(theta.contains_stack(Z, tol=ACT_TOL) & ~unbounded, 0.0, math.inf)
 
 
 def conventional_hamiltonian(field: FieldMap, theta: ThetaSet, x: Array,
@@ -680,21 +668,25 @@ def conventional_hamiltonian(field: FieldMap, theta: ThetaSet, x: Array,
 
     Finite (and equal to zero) exactly when p makes a nonnegative product
     with every active generator; a single negative product lets the supremum
-    run away, so the value is +inf there.
+    run away, so the value is +inf there.  One node of
+    :func:`_conventional_hamiltonians`.
     """
     tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
-    return _conventional_hamiltonian(theta, tab.psi[0], tab.Jx[0], p)
+    if not theta.contains(tab.psi[0], tol=ACT_TOL):
+        raise DomainError(f"psi(x,u)={tab.psi[0]} is not in Theta")
+    return float(_conventional_hamiltonians(theta, tab.psi, tab.Jx,
+                                            np.reshape(p, (1, -1)))[0])
 
 
-def _conventional_hamiltonian(theta: ThetaSet, z: Array, Jx: Array,
-                              p: Array) -> float:
-    """:func:`conventional_hamiltonian` at psi = z with grad_x psi = Jx."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if not theta.contains(z, tol=ACT_TOL):
-        raise DomainError(f"psi(x,u)={z} is not in Theta")
-    Jx = np.atleast_2d(np.asarray(Jx, dtype=float))
-    cols = _cone_generators(theta, z, Jx.T, tol=ACT_TOL)
-    return math.inf if np.any(p @ cols < -TOL_POS) else 0.0
+def _conventional_hamiltonians(theta: ThetaSet, Z: Array, Jx: Array,
+                               P: Array) -> Array:
+    """:func:`conventional_hamiltonian` at K nodes, psi = Z[j] with grad_x psi
+    = Jx[j] and p = P[j]; +inf where psi is outside Theta.  The product of
+    p with the generator grad_x psi^T a of an active row a is <a, grad_x psi p>."""
+    g, Dg, d = theta.constraint(Z)
+    products = _rows(Dg, _rows(Jx, P))
+    unbounded = np.any((g >= d - ACT_TOL) & (products < -TOL_POS), axis=1)
+    return np.where(theta.contains_stack(Z, tol=ACT_TOL) & ~unbounded, 0.0, math.inf)
 
 
 def max_condition_check(problem: OcpProblem, state: Path, control: Path,
@@ -707,7 +699,9 @@ def max_condition_check(problem: OcpProblem, state: Path, control: Path,
     grad_x psi r (item ``measured_coderivative``), the bracket of (nu, xdot)
     must annihilate r while the modified Hamiltonian stays zero, and active
     components with positive velocity multiplier must make grad_i orthogonal
-    to r (all folded into item ``max_condition``).
+    to r (all folded into item ``max_condition``, which is +inf once the
+    modified Hamiltonian is).  All cells are checked at once, as stage
+    expressions over the table of the field at the left nodes.
     """
     system = problem.system
     field = system.effective_field()
@@ -722,29 +716,21 @@ def max_condition_check(problem: OcpProblem, state: Path, control: Path,
     k = mesh.k
     tab = field_at_nodes(field, state.values[:k], control.values[:k])
     r = _midpoint_q(cert, tab, state, control)[:, :field.n] - cert.lam * cert.subgrad.v_x
+    eta, nu = cert.eta.values[:k], cert.nu.values[:k]
 
-    code = 0.0
-    maxc = 0.0
-    ham = 0.0
-    for psi_j, Jx, r_j, eta_j, nu_j in zip(tab.psi, tab.Jx, r, cert.eta.values,
-                                           cert.nu.values):
-        try:
-            cases = coderivative_orthant(psi_j, eta_j, Jx @ r_j,
-                                         act_tol=ACT_TOL, pos_tol=TOL_POS)
-            code = max(code, coderivative_violation(cases, nu_j))
-        except DomainError:
-            code = math.inf
-        try:
-            ham = max(ham, _modified_hamiltonian(theta, psi_j, Jx, r_j, nu_j))
-        except DomainError:
-            ham = math.inf
-        if math.isinf(ham):
-            maxc = math.inf
-            continue
-        active = psi_j >= -ACT_TOL
-        bracket = -np.sum((active * nu_j * eta_j)[:, None] * Jx, axis=0)
-        maxc = max(maxc, abs(float(bracket @ r_j)),
-                   *(abs(float(g @ r_j)) for g in Jx[active & (eta_j > TOL_POS)]))
+    dirs = _rows(tab.Jx, r)  # <grad_i, r> per component
+    codes = coderivative_codes(*theta.bounds(), tab.psi, eta, dirs,
+                               act_tol=ACT_TOL, pos_tol=TOL_POS)
+    code = float(np.max(coderivative_violations(codes, nu), initial=0.0))
+    ham = float(np.max(_modified_hamiltonians(theta, tab.psi, tab.Jx, r, nu), initial=0.0))
+    if math.isinf(ham):
+        maxc = math.inf
+    else:
+        active = tab.psi >= -ACT_TOL
+        bracket = -_rows(tab.Jx.swapaxes(1, 2), active * nu * eta)
+        along = np.where(active & (eta > TOL_POS), np.abs(dirs), 0.0)
+        maxc = float(max(np.max(np.abs(np.sum(bracket * r, axis=1)), initial=0.0),
+                         np.max(along, initial=0.0)))
 
     items = (
         ResidualItem("measured_coderivative", code, tol),
@@ -765,6 +751,8 @@ def conventional_sufficiency_check(problem: OcpProblem, state: Path,
     as vacuous.  The worst conventional Hamiltonian value over all cells
     (skipped ones included) is recorded in the details, since +inf there is
     exactly the situation the refined condition is designed to survive.
+    All cells are checked at once, as stage expressions over the table of
+    the field at the left nodes.
     """
     system = problem.system
     field = system.effective_field()
@@ -780,12 +768,7 @@ def conventional_sufficiency_check(problem: OcpProblem, state: Path,
     tab = field_at_nodes(field, state.values[:k], control.values[:k])
     r = _midpoint_q(cert, tab, state, control)[:, :field.n] - lam * cert.subgrad.v_x
 
-    ham = []
-    for j in range(k):
-        try:
-            ham.append(_conventional_hamiltonian(theta, tab.psi[j], tab.Jx[j], r[j]))
-        except DomainError:
-            ham.append(math.inf)
+    ham = _conventional_hamiltonians(theta, tab.psi, tab.Jx, r)
     # Active components: within ACT_TOL of a finite end of their interval.
     active = np.minimum(bounds[1] - tab.psi, tab.psi - bounds[0]) <= ACT_TOL
     qualifies = active.any(axis=1) & ~np.any(active & (cert.eta.values[:k] <= TOL_POS), axis=1)
@@ -798,7 +781,8 @@ def conventional_sufficiency_check(problem: OcpProblem, state: Path,
     return ResidualReport(items=items,
                           details={"cells_checked": checked,
                                    "cells_skipped": k - checked,
-                                   "conventional_hamiltonian": max([0.0, *ham])})
+                                   "conventional_hamiltonian":
+                                       float(np.max(ham, initial=0.0))})
 
 
 # ---------------------------------------------------------------------------
@@ -889,41 +873,35 @@ def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
     tab = field_at_nodes(field, state.values[:k], control.values[:k])
     r = _midpoint_q(cert, tab, state, control)[:, :field.n] - cert.lam * cert.subgrad.v_x
 
-    mu_vals = np.zeros((k + 1, theta.l))
-    res_mu = 0.0
-    res_nu = 0.0
-    code = 0.0
-    maxc = 0.0
     hs, Dhs, _ = theta.constraint(tab.psi)
-    for j, (z_j, h_j, Dh, Jx, r_j, eta_j, nu_j) in enumerate(zip(
-            tab.psi, hs, Dhs, tab.Jx, r, cert.eta.values, cert.nu.values)):
-        ok, sigma_min = surjectivity_check(Dh)
-        if not ok:
-            raise SurjectivityError(
-                f"inequality Jacobian at cell {j} is rank deficient "
-                f"(sigma_min={sigma_min:.3e})")
-        mu_j, *_ = np.linalg.lstsq(Dh.T, eta_j, rcond=None)
-        mu_vals[j] = mu_j
-        res_mu = max(res_mu, float(np.linalg.norm(Dh.T @ mu_j - eta_j)))
+    solve, ok, sigma_min = _transpose_solver(Dhs)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise SurjectivityError(
+            f"inequality Jacobian at cell {j} is rank deficient "
+            f"(sigma_min={sigma_min[j]:.3e})")
+    eta, nu = cert.eta.values[:k], cert.nu.values[:k]
+    DhT = Dhs.swapaxes(1, 2)
+    mu = solve(eta)
+    res_mu = float(np.max(np.linalg.norm(_rows(DhT, mu) - eta, axis=1), initial=0.0))
 
-        dir_j = Jx @ r_j
-        hess_term = np.zeros(theta.s)
-        if theta.hess is not None:
-            hess_term = np.atleast_2d(np.asarray(
-                theta.hess(z_j, mu_j), dtype=float)) @ dir_j
-        nu_lift, *_ = np.linalg.lstsq(Dh.T, nu_j - hess_term, rcond=None)
-        res_nu = max(res_nu, float(np.linalg.norm(
-            Dh.T @ nu_lift + hess_term - nu_j)))
-        try:
-            cases = coderivative_orthant(h_j, mu_j, Dh @ dir_j,
-                                         act_tol=ACT_TOL, pos_tol=TOL_POS)
-            code = max(code, coderivative_violation(cases, nu_lift))
-        except DomainError:
-            code = math.inf
-        # The bracket over the lifted constraint gradients Dh Jx in state space.
-        bracket = -np.where(h_j >= -ACT_TOL, nu_lift * mu_j, 0.0) @ (Dh @ Jx)
-        maxc = max(maxc, abs(float(bracket @ r_j)))
-    mu_vals[k] = mu_vals[k - 1]
+    dirs = _rows(tab.Jx, r)
+    hess_term = np.zeros_like(dirs)
+    if theta.hess is not None:
+        hess = np.array([np.atleast_2d(np.asarray(theta.hess(z_j, mu_j), dtype=float))
+                         for z_j, mu_j in zip(tab.psi, mu)])
+        hess_term = _rows(hess, dirs)
+    nu_lift = solve(nu - hess_term)
+    res_nu = float(np.max(np.linalg.norm(_rows(DhT, nu_lift) + hess_term - nu, axis=1),
+                          initial=0.0))
+    lifted_dirs = _rows(Dhs, dirs)
+    codes = coderivative_codes(*NonpositiveOrthant(theta.l).bounds(), hs, mu,
+                               lifted_dirs, act_tol=ACT_TOL, pos_tol=TOL_POS)
+    code = float(np.max(coderivative_violations(codes, nu_lift), initial=0.0))
+    # The bracket over the lifted constraint gradients Dh Jx in state space.
+    bracket_r = np.sum(np.where(hs >= -ACT_TOL, nu_lift * mu, 0.0) * lifted_dirs, axis=1)
+    maxc = float(np.max(np.abs(bracket_r), initial=0.0))
+    mu_vals = np.vstack([mu, mu[-1:]])
 
     items = (
         ResidualItem("lift_mu", res_mu, tol),

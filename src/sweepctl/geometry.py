@@ -24,7 +24,11 @@ Euclidean projection onto ``C(u)`` with KKT multiplier recovery, the
 decomposition of a normal-cone element through ``grad_x psi`` into a
 ``Theta``-cone multiplier, and the per-index classification of the
 coderivative of the normal-cone map of a box-like Theta (one interval case
-table).
+table).  Membership, the normal-cone test, the decomposition and the case
+table each have a form over a stack of K points, and the one-point
+functions are one-node calls of it, except the normal-cone test of a Theta
+without interval form: that one stays the NNLS that the stack's closed form
+for a single active row is held to.
 
 Every projection onto a polyhedron (the affine projection, each linearized
 subproblem of the nonlinear one, and polyhedral distances) is one exact
@@ -99,6 +103,16 @@ class ThetaSet:
     s: int
 
     def contains(self, z: Array, tol: float = TOL_FEAS) -> bool:
+        """Whether the point z (s,) lies in Theta within tol: one point of
+        :meth:`contains_stack`."""
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.s,):
+            raise ConfigurationError(f"expected point in R^{self.s}, got shape {z.shape}")
+        return bool(self.contains_stack(z[np.newaxis], tol)[0])
+
+    def contains_stack(self, Z: Array, tol: float = TOL_FEAS) -> Array:
+        """Membership within tol of each row of Z (K, s), in the variant's
+        own metric, as a (K,) bool array."""
         raise NotImplementedError
 
     def constraint(self, z: Array) -> tuple[Array, Array, Array]:
@@ -151,6 +165,28 @@ class ThetaSet:
         return _cone_distance_of(_active_gradients(self, z, tol).T,
                                  np.asarray(eta, dtype=float))
 
+    def normal_cone_violation_stack(self, Z: Array, E: Array,
+                                    tol: float = TOL_FEAS) -> Array:
+        """:meth:`normal_cone_violation` at each pair of rows (Z[j], E[j]) of
+        two (K, s) stacks, as a (K,) array.
+
+        A point with at most one active row a (a = 0 for none) is at the
+        distance ||e - max(0, <a, e>) / ||a||^2 a||, the one-column NNLS in
+        closed form; only a point with two or more active rows runs the
+        NNLS of :func:`_cone_distance_of`.  The two agree to rounding.
+        """
+        Z, E = np.asarray(Z, dtype=float), np.asarray(E, dtype=float)
+        g, Dg, d = self.constraint(Z)
+        Dg = np.broadcast_to(Dg, g.shape + (self.s,))
+        active = g >= d - tol
+        a = np.sum(np.where(active[..., np.newaxis], Dg, 0.0), axis=1)
+        aa, ae = np.sum(a * a, axis=1), np.sum(a * E, axis=1)
+        mu = np.divide(np.maximum(ae, 0.0), aa, out=np.zeros_like(aa), where=aa > 0)
+        out = np.linalg.norm(E - mu[:, np.newaxis] * a, axis=1)
+        for j in np.flatnonzero(np.sum(active, axis=1) > 1):
+            out[j] = _cone_distance_of(Dg[j][active[j]].T, E[j])
+        return out
+
 
 def _read_only(pair: tuple[Array, Array] | None) -> tuple[Array, Array] | None:
     if pair is not None:
@@ -162,13 +198,10 @@ def _read_only(pair: tuple[Array, Array] | None) -> tuple[Array, Array] | None:
 class _IntervalTheta(ThetaSet):
     """Membership and normal cone of a product of intervals, read off bounds()."""
 
-    def contains(self, z: Array, tol: float = TOL_FEAS) -> bool:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.s,):
-            raise ConfigurationError(f"expected point in R^{self.s}, got shape {z.shape}")
+    def contains_stack(self, Z: Array, tol: float = TOL_FEAS) -> Array:
         lo, hi = self.bounds()
-        return all(lo_i - tol <= zi <= hi_i + tol
-                   for zi, lo_i, hi_i in zip(z.tolist(), lo.tolist(), hi.tolist()))
+        Z = np.asarray(Z, dtype=float)
+        return np.all((lo - tol <= Z) & (Z <= hi + tol), axis=-1)
 
     def _build_halfspaces(self) -> tuple[Array, Array]:
         # Per component: the row +e_i <= hi_i, then -e_i <= -lo_i; finite ones.
@@ -180,22 +213,22 @@ class _IntervalTheta(ThetaSet):
         return rows[finite], rhs[finite]
 
     def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
-        z = np.asarray(z, dtype=float).tolist()
-        eta = np.asarray(eta, dtype=float).tolist()
+        return float(self.normal_cone_violation_stack(
+            np.asarray(z, dtype=float)[np.newaxis],
+            np.asarray(eta, dtype=float)[np.newaxis], tol)[0])
+
+    def normal_cone_violation_stack(self, Z: Array, E: Array,
+                                    tol: float = TOL_FEAS) -> Array:
+        """Componentwise: the part of eta_i outside [0, inf) at an upper end,
+        outside (-inf, 0] at a lower end, all of it inside the interval, and
+        none where both ends meet (a degenerate interval leaves eta_i free)."""
         lo, hi = self.bounds()
-        worst = 0.0
-        for zi, ei, lo_i, hi_i in zip(z, eta, lo.tolist(), hi.tolist()):
-            at_hi = hi_i < np.inf and zi >= hi_i - tol
-            at_lo = lo_i > -np.inf and zi <= lo_i + tol
-            if at_hi and at_lo:
-                continue  # degenerate interval: eta_i is free
-            if at_hi:
-                worst = max(worst, max(0.0, -ei))
-            elif at_lo:
-                worst = max(worst, max(0.0, ei))
-            else:
-                worst = max(worst, abs(ei))
-        return worst
+        Z, E = np.asarray(Z, dtype=float), np.asarray(E, dtype=float)
+        at_hi = (hi < np.inf) & (Z >= hi - tol)
+        at_lo = (lo > -np.inf) & (Z <= lo + tol)
+        viol = np.where(at_hi, np.maximum(-E, 0.0),
+                        np.where(at_lo, np.maximum(E, 0.0), np.abs(E)))
+        return np.max(np.where(at_hi & at_lo, 0.0, viol), axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -244,12 +277,10 @@ class SmoothInequality(ThetaSet):
     jac: Callable[[Array], Array]
     hess: Callable[[Array, Array], Array] | None = None
 
-    def contains(self, z: Array, tol: float = TOL_FEAS) -> bool:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.s,):
-            raise ConfigurationError(f"expected point in R^{self.s}, got shape {z.shape}")
-        val = np.atleast_1d(np.asarray(self.h(z), dtype=float))
-        return bool(np.all(val <= tol))
+    def contains_stack(self, Z: Array, tol: float = TOL_FEAS) -> Array:
+        """h(z) <= tol componentwise, one ``h`` call per point."""
+        return np.array([np.all(np.asarray(self.h(z), dtype=float) <= tol)
+                         for z in np.asarray(Z, dtype=float)], dtype=bool)
 
     def constraint(self, z: Array) -> tuple[Array, Array, Array]:
         """(h(z), Dh(z), 0), one ``h`` and one ``jac`` call per point."""
@@ -324,12 +355,17 @@ class LinearImagePolyhedron(ThetaSet):
         d = np.diag(A)
         return np.minimum(lo * d, hi * d), np.maximum(lo * d, hi * d)
 
-    def contains(self, z: Array, tol: float = TOL_FEAS) -> bool:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.s,):
-            raise ConfigurationError(f"expected point in R^{self.s}, got shape {z.shape}")
-        # Polyhedral (Euclidean) distance, per the membership metric contract.
-        return polyhedron_distance(*self.halfspaces(), z) <= tol
+    def contains_stack(self, Z: Array, tol: float = TOL_FEAS) -> Array:
+        """Polyhedral (Euclidean) distance at most tol, per the membership
+        metric contract.  A point meeting every row within TOL_FEAS is at
+        distance 0 (the projection's own early exit), so only the other
+        points are projected."""
+        H, d = self.halfspaces()
+        Z = np.asarray(Z, dtype=float)
+        inside = np.all(self.constraint(Z)[0] <= d + TOL_FEAS, axis=-1)
+        for j in np.flatnonzero(~inside):
+            inside[j] = polyhedron_distance(H, d, Z[j]) <= tol
+        return inside
 
 
 def polyhedron_distance(H: Array, d: Array, z: Array) -> float:
@@ -803,15 +839,43 @@ def surjectivity_check(jacobian: Array, tol: float | None = None,
     rows than columns can never be surjective.
     """
     J = np.atleast_2d(np.asarray(jacobian, dtype=float))
-    s, n = J.shape
-    if s > n:
-        return False, 0.0
-    sv = np.linalg.svd(J, compute_uv=False)
-    sigma_min = float(sv[-1]) if sv.size else 0.0
-    sigma_max = float(sv[0]) if sv.size else 0.0
-    if tol is None:
-        tol = RANK_TOL_FACTOR * sigma_max if sigma_max > 0 else RANK_TOL_FACTOR
-    return sigma_min >= tol, sigma_min
+    _, ok, sigma_min = _transpose_solver(J[np.newaxis], tol)
+    return bool(ok[0]), float(sigma_min[0])
+
+
+def _transpose_solver(J: Array, tol: float | None = None,
+                      ) -> tuple[Callable[[Array], Array], Array, Array]:
+    """For a stack J (K, s, n): (solve, ok, sigma_min), with ``ok`` and
+    ``sigma_min`` the rank test of :func:`surjectivity_check` per matrix and
+    ``solve(V)`` the least-squares solutions y_j of J_j^T y = V_j (zero
+    where ok fails).  One stacked SVD J_j = U_j S_j W_j^T serves both, as
+    y_j = U_j S_j^-1 W_j^T V_j; ok means no singular value is cut, so these
+    are the ``lstsq`` solutions up to rounding.  A matrix with a non-finite
+    entry fails the test (as the zero matrix), so that it cannot stop the
+    SVD of the others."""
+    finite = np.all(np.isfinite(J), axis=(1, 2))
+    U, S, Wt = np.linalg.svd(np.where(finite[:, np.newaxis, np.newaxis], J, 0.0),
+                             full_matrices=False)
+    s, n = J.shape[1:]
+    if s > n or not S.shape[1]:
+        ok, sigma_min = np.zeros(len(J), dtype=bool), np.zeros(len(J))
+    else:
+        sigma_min, sigma_max = S[:, -1], S[:, 0]
+        if tol is None:
+            tol = np.where(sigma_max > 0, RANK_TOL_FACTOR * sigma_max, RANK_TOL_FACTOR)
+        ok = (sigma_min >= tol) & finite
+
+    def solve(V: Array) -> Array:
+        c = _rows(Wt, V)
+        return _rows(U, np.divide(c, S, out=np.zeros_like(c), where=ok[:, np.newaxis]))
+
+    return solve, ok, sigma_min
+
+
+def _rows(A: Array, v: Array) -> Array:
+    """A[j] @ v[j] over the leading axes (A may be one matrix for all),
+    rounded exactly as the one-at-a-time products are."""
+    return (A @ v[..., np.newaxis])[..., 0]
 
 
 def normal_cone_decompose(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
@@ -820,35 +884,58 @@ def normal_cone_decompose(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
 
     The solution is unique when grad_x psi has full row rank (its transpose
     is then injective); membership of v in N(x; C(u)) is certified by the
-    residual and the cone check, otherwise NotInConeError is raised.
+    residual and the cone check, otherwise NotInConeError is raised.  One
+    node of :func:`decompose_nodes`.
     """
     tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
-    return _decompose(theta, tab.psi[0], tab.Jx[0], v, tol)
+    eta, residual, failure = decompose_nodes(theta, tab.psi, tab.Jx,
+                                             np.reshape(v, (1, -1)), tol)
+    if failure is not None:
+        raise failure[1]
+    [active] = _active_sets(theta, tab.psi)
+    return ConeDecomposition(eta=eta[0], active_indices=active,
+                             residual=float(residual[0]), psi=tab.psi[0])
 
 
-def _decompose(theta: ThetaSet, z: Array, J: Array, v: Array,
-               tol: float) -> ConeDecomposition:
-    """:func:`normal_cone_decompose` at psi = z with grad_x psi = J."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not theta.contains(z, tol=max(TOL_FEAS, tol)):
-        raise DomainError(f"psi(x,u)={z} is not in Theta")
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    ok, sigma_min = surjectivity_check(J)
-    if not ok:
-        raise SurjectivityError(f"grad_x psi is rank deficient (sigma_min={sigma_min:.3e})")
-    eta, *_ = np.linalg.lstsq(J.T, v, rcond=None)
-    [active] = _active_sets(theta, z[np.newaxis])
+def decompose_nodes(theta: ThetaSet, Z: Array, J: Array, V: Array, tol: float,
+                    ) -> tuple[Array, Array, tuple[int, GeometryError] | None]:
+    """:func:`normal_cone_decompose` at K nodes at once: psi = Z[j] (K, s),
+    grad_x psi = J[j] (K, s, n) and v = V[j] (K, n).
+
+    One stacked SVD gives the rank test and the least-squares eta
+    (:func:`_transpose_solver`); membership, the orthant cleanup, the
+    residual and the cone test are stage expressions.  Returns (eta,
+    residual, failure): ``failure`` is None when every node passes, else
+    (j, error) for the smallest failing node j, with the error that node
+    raises first in the order DomainError, SurjectivityError, then
+    NotInConeError for v off the range and for eta off the cone.
+    """
+    tol_in = max(TOL_FEAS, tol)
+    V = np.asarray(V, dtype=float)
+    inside = theta.contains_stack(Z, tol_in)
+    solve, ok, sigma_min = _transpose_solver(J)
+    eta = solve(V)
     if isinstance(theta, NonpositiveOrthant):
-        # Clean least-squares noise off the inactive components before judging.
-        eta[[i for i in range(theta.s) if i not in active]] = 0.0
-    residual = float(np.linalg.norm(J.T @ eta - v))
-    if residual > tol * (1.0 + float(np.linalg.norm(v))):
-        raise NotInConeError(f"v is not in range(grad_x psi^T): residual {residual:.3e}")
-    violation = theta.normal_cone_violation(z, eta, tol=max(TOL_FEAS, tol))
-    if violation > tol:
-        raise NotInConeError(f"eta={eta} violates N_Theta by {violation:.3e}")
-    return ConeDecomposition(eta=eta, active_indices=active, residual=residual,
-                             psi=z)
+        # Clean least-squares noise off the components that _active_sets
+        # finds inactive before judging.
+        eta[~(Z >= -1e-7)] = 0.0
+    residual = np.linalg.norm(_rows(J.swapaxes(1, 2), eta) - V, axis=1)
+    violation = theta.normal_cone_violation_stack(Z, eta, tol_in)
+    checks = (
+        (~inside, DomainError, lambda j: f"psi(x,u)={Z[j]} is not in Theta"),
+        (~ok, SurjectivityError,
+         lambda j: f"grad_x psi is rank deficient (sigma_min={sigma_min[j]:.3e})"),
+        (residual > tol * (1.0 + np.linalg.norm(V, axis=1)), NotInConeError,
+         lambda j: f"v is not in range(grad_x psi^T): residual {residual[j]:.3e}"),
+        (violation > tol, NotInConeError,
+         lambda j: f"eta={eta[j]} violates N_Theta by {violation[j]:.3e}"),
+    )
+    failing = np.flatnonzero(np.any([mask for mask, _, _ in checks], axis=0))
+    if not failing.size:
+        return eta, residual, None
+    j = int(failing[0])
+    _, error, message = next(check for check in checks if check[0][j])
+    return eta, residual, (j, error(message(j)))
 
 
 def _cone_distance_of(cols: Array, v: Array) -> float:
@@ -903,6 +990,14 @@ class CoderivativeCase(Enum):
     FREE = "free"
 
 
+#: Case codes of :func:`coderivative_codes`: the first four name the cases
+#: of ``_CASES``, then an empty coderivative and the three ways (w, xi)
+#: leaves the graph of the normal-cone map.
+_ZERO, _NONNEG, _NONPOS, _FREE, _EMPTY, _W_OUTSIDE, _XI_AT_END, _XI_INTERIOR = range(8)
+_CASES = (CoderivativeCase.MUST_BE_ZERO, CoderivativeCase.NONNEGATIVE,
+          CoderivativeCase.NONPOSITIVE, CoderivativeCase.FREE)
+
+
 def coderivative_orthant(w: Array, xi: Array, udir: Array,
                          act_tol: float = TOL_FEAS,
                          pos_tol: float = 1e-12,
@@ -946,47 +1041,60 @@ def coderivative_theta(theta: ThetaSet, w: Array, xi: Array, udir: Array,
     Raises DomainError when w lies outside Theta or xi outside N_Theta(w),
     and ConfigurationError when Theta has no interval form.
     """
+    return _interval_coderivative(*_interval_bounds(theta), w, xi, udir,
+                                  act_tol, pos_tol)
+
+
+def _interval_bounds(theta: ThetaSet) -> tuple[Array, Array]:
     bounds = theta.bounds()
     if bounds is None:
         raise ConfigurationError(
             "coderivative classification is only available for orthant/box-like variants")
-    return _interval_coderivative(*bounds, w, xi, udir, act_tol, pos_tol)
+    return bounds
+
+
+def coderivative_codes(lo: Array, hi: Array, W: Array, XI: Array, U: Array,
+                       act_tol: float = TOL_FEAS, pos_tol: float = 1e-12) -> Array:
+    """The interval table of :func:`coderivative_theta` on [lo, hi] at the
+    rows of W, XI and U (K, s), as a (K, s) array of case codes:
+    ``_CASES[c]`` for c < ``_EMPTY``, while a larger code marks an empty
+    coderivative or (w, xi) off the graph."""
+    W, XI, U = (np.asarray(a, dtype=float) for a in (W, XI, U))
+    at_hi = np.isfinite(hi) & (W >= hi - act_tol)
+    at_lo = np.isfinite(lo) & (W <= lo + act_tol)
+    upper = at_hi & (XI >= -pos_tol)
+    lower = ~upper & at_lo & (XI <= pos_tol)
+    sided = np.where(np.where(upper, U, -U) < -pos_tol, _ZERO,
+                     np.where(upper, _NONNEG, _NONPOS))
+    at_end = np.where(np.abs(XI) <= pos_tol, sided,
+                      np.where(np.abs(U) <= pos_tol, _FREE, _EMPTY))
+    codes = np.where(upper | lower, at_end,
+                     np.where(at_hi | at_lo, _XI_AT_END,
+                              np.where(np.abs(XI) > pos_tol, _XI_INTERIOR, _ZERO)))
+    return np.where((W > hi + act_tol) | (W < lo - act_tol), _W_OUTSIDE, codes)
 
 
 def _interval_coderivative(lo: Array, hi: Array, w: Array, xi: Array,
                            udir: Array, act_tol: float, pos_tol: float,
                            ) -> tuple[CoderivativeCase, ...] | None:
-    """The interval case table (see :func:`coderivative_theta`)."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    udir = np.atleast_1d(np.asarray(udir, dtype=float))
+    """One point of :func:`coderivative_codes`: the first component whose code
+    names no case decides, as None for an empty coderivative or as the
+    DomainError of (w, xi) off the graph."""
+    w, xi, udir = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (w, xi, udir))
     if not (w.shape == xi.shape == udir.shape == lo.shape):
         raise ConfigurationError("w, xi, udir must share the shape of Theta's bounds")
-    cases: list[CoderivativeCase] = []
-    for i, (lo_i, hi_i, wi, xii, ui) in enumerate(zip(lo, hi, w, xi, udir)):
-        if wi > hi_i + act_tol or wi < lo_i - act_tol:
-            raise DomainError(f"w_{i}={wi} outside [{lo_i}, {hi_i}]")
-        at_hi = np.isfinite(hi_i) and wi >= hi_i - act_tol
-        at_lo = np.isfinite(lo_i) and wi <= lo_i + act_tol
-        if at_hi and xii >= -pos_tol:
-            sign, sided = 1.0, CoderivativeCase.NONNEGATIVE
-        elif at_lo and xii <= pos_tol:
-            sign, sided = -1.0, CoderivativeCase.NONPOSITIVE
-        elif at_hi or at_lo:
-            raise DomainError(f"xi_{i}={xii} not in the interval normal cone at w_{i}={wi}")
-        elif abs(xii) > pos_tol:
-            raise DomainError(f"xi_{i}={xii} must vanish at an interior w_{i}={wi}")
-        else:
-            cases.append(CoderivativeCase.MUST_BE_ZERO)
-            continue
-        if abs(xii) <= pos_tol:
-            cases.append(CoderivativeCase.MUST_BE_ZERO if sign * ui < -pos_tol
-                         else sided)
-        elif abs(ui) <= pos_tol:
-            cases.append(CoderivativeCase.FREE)
-        else:
-            return None
-    return tuple(cases)
+    codes = coderivative_codes(lo, hi, w, xi, udir, act_tol, pos_tol)
+    bad = np.flatnonzero(codes >= _EMPTY)
+    if not bad.size:
+        return tuple(_CASES[c] for c in codes)
+    i = int(bad[0])
+    if codes[i] == _W_OUTSIDE:
+        raise DomainError(f"w_{i}={w[i]} outside [{lo[i]}, {hi[i]}]")
+    if codes[i] == _XI_AT_END:
+        raise DomainError(f"xi_{i}={xi[i]} not in the interval normal cone at w_{i}={w[i]}")
+    if codes[i] == _XI_INTERIOR:
+        raise DomainError(f"xi_{i}={xi[i]} must vanish at an interior w_{i}={w[i]}")
+    return None
 
 
 def coderivative_violation(cases: tuple[CoderivativeCase, ...] | None,
@@ -994,16 +1102,20 @@ def coderivative_violation(cases: tuple[CoderivativeCase, ...] | None,
     """Distance-like violation of gamma against a coderivative classification."""
     if cases is None:
         return float("inf")
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    worst = 0.0
-    for case, gi in zip(cases, gamma):
-        if case is CoderivativeCase.MUST_BE_ZERO:
-            worst = max(worst, abs(gi))
-        elif case is CoderivativeCase.NONNEGATIVE:
-            worst = max(worst, max(0.0, -gi))
-        elif case is CoderivativeCase.NONPOSITIVE:
-            worst = max(worst, max(0.0, gi))
-    return worst
+    codes = np.array([_CASES.index(case) for case in cases], dtype=int)
+    return float(coderivative_violations(codes, np.atleast_1d(
+        np.asarray(gamma, dtype=float)))[()])
+
+
+def coderivative_violations(codes: Array, G: Array) -> Array:
+    """:func:`coderivative_violation` of each row of G against the case
+    codes of the same row; +inf where a code names no case (an empty
+    coderivative or (w, xi) off the graph, which the checks count alike)."""
+    G = np.asarray(G, dtype=float)
+    viol = np.select([codes == _ZERO, codes == _NONNEG, codes == _NONPOS],
+                     [np.abs(G), np.maximum(-G, 0.0), np.maximum(G, 0.0)], 0.0)
+    return np.where(np.any(codes >= _EMPTY, axis=-1), np.inf,
+                    np.max(viol, axis=-1, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

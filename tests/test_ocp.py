@@ -1003,6 +1003,30 @@ def test_smoothed_failure_names_the_mesh_stage_and_worst_row():
     assert err.partial.x.shape == (7, 1) and err.partial.u.shape == (7, 1)
 
 
+def test_remark45_k12_stall_is_far_from_the_optimum_a_warm_start_reaches():
+    """A known defect of the default continuation, pinned at the default
+    tolerance: on the k = 12 mesh the solve stalls in its last stage on a
+    mu row, at an iterate whose cost (1/48) and control (1/3 off the
+    reference) are far from the optimum.  The discrete optimum is there:
+    from the sampled reference pair, with the multipliers recover_eta gives
+    it, the last stage alone converges to cost 0 in a few iterations."""
+    problem, z_ref = exact_remark45_decision(12)
+    tr = transcribe(problem, 12)
+    with pytest.raises(NumericalFailureError) as info:
+        solve_smoothed(tr)
+    message = str(info.value)
+    assert "k=12 mesh" in message and "sigma 1e-08 stage" in message
+    assert re.search(r"worst row: mu at step \d+", message)
+    partial = info.value.partial
+    assert cost_eval(problem, partial) == pytest.approx(1.0 / 48.0, rel=1e-5)
+    assert np.max(np.abs(partial.u - z_ref.u)) == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+    z, report = solve_smoothed(tr, sigma_schedule=[1e-8], warm=z_ref)
+    assert report.iterations <= 10
+    assert report.stat_residual <= 1e-9
+    assert report.cost <= 1e-15
+
+
 def test_a_stalled_last_stage_is_not_retried(monkeypatch):
     # A stall of the last stage ends the solve: each schedule stage runs
     # one Levenberg-Marquardt stage, with no refined sigma ladder after it.
