@@ -688,7 +688,11 @@ def _project_onto_halfspaces(G: Array, g: Array,
                                      "the moving set is empty")
     mu = w / -res[-1]
     y = x - G.T @ mu
-    if (G @ y > g + 1e-9 * (1.0 + np.abs(g))).any():
+    # The NNLS rounding grows with the point, so a row's slack scales with
+    # |G| |y|; the absolute test runs first, as it almost always passes.
+    excess = G @ y - g
+    if (excess > 1e-9 * (1.0 + np.abs(g))).any() and (
+            excess > 1e-9 * (1.0 + np.abs(g) + np.abs(G) @ np.abs(y))).any():
         raise ProjectionFailureError("projection finished infeasible; set may be empty")
     return y, mu
 

@@ -74,6 +74,7 @@ from .geometry import (
     Array,
     ConfigurationError,
     NumericalFailureError,
+    _ConstantCallback,
     _project_onto_halfspaces,
     field_at_nodes,
     psi_eval,
@@ -680,6 +681,15 @@ class _KktSystem:
     (:func:`_assembler`), and entries sharing a position add up in block
     order.
     Second derivatives of f and third derivatives of psi are left out of J.
+
+    Symbolic work is done once per system, numeric work per trial point.
+    ``augmented`` holds the pattern and column order of the damped-step
+    matrix (:class:`_Augmented`).  The cost's stage Hessians Hc (a
+    :class:`QuadraticStageCost` with a :class:`QuadraticTerminalCost`) and
+    the row curvatures Hz (both field Hessians ``_ConstantCallback``, as
+    ``FieldMap.affine_fixed`` builds them) are the same at every point, so
+    they are built at the first evaluation and kept; bare callbacks and
+    curved fields evaluate them per point.
     """
 
     def __init__(self, tr: Transcription):
@@ -712,7 +722,13 @@ class _KktSystem:
         self.block_positions = [(step, step), (stage, stage),
                                 (self.ip, self.iz[1:, :n]), (self.iz[1:, :n], self.ip),
                                 (term, term)]
-        self._assemble = _assembler(self.N, self.block_positions)
+        rows, indptr, self._assemble = _assembler(self.N, self.block_positions)
+        self.augmented = _Augmented(rows, indptr, (self.N, self.N))
+        self.constant_Hc = (self.quad is not None
+                            and isinstance(self.problem.phi, QuadraticTerminalCost))
+        self.constant_Hz = all(isinstance(fn, _ConstantCallback)
+                               for fn in (self.field.hess_xx, self.field.hess_ux))
+        self._Hc = self._Hz = None
 
     # -- packing ------------------------------------------------------------
 
@@ -750,17 +766,28 @@ class _KktSystem:
         k, n = mesh.k, field.n
         x = z[:, :n]
         tab = field_at_nodes(field, x, z[:, n:])
-        Hz = np.zeros((k + 1, field.s) + 2 * (z.shape[1],))
-        for i, e in enumerate(np.eye(field.s)):
-            Hz[:, i, :n, :n], Hz[:, i, n:, :n] = tab.hess(
-                np.broadcast_to(e, (k + 1, field.s)))
-        Hz[:, :, :n, n:] = Hz[:, :, n:, :n].swapaxes(2, 3)
+        Hz = self._Hz
+        if Hz is None:
+            Hz = np.zeros((k + 1, field.s) + 2 * (z.shape[1],))
+            for i, e in enumerate(np.eye(field.s)):
+                Hz[:, i, :n, :n], Hz[:, i, n:, :n] = tab.hess(
+                    np.broadcast_to(e, (k + 1, field.s)))
+            Hz[:, :, :n, n:] = Hz[:, :, n:, :n].swapaxes(2, 3)
+            if self.constant_Hz:
+                Hz.flags.writeable = False
+                self._Hz = Hz
         t = mesh.nodes[:k]
         f, A = _drift(pb.system, t, x[:k]), _drift_jacobian(pb.system, t, x[:k])
-        g, Hraw = _running_grad(pb, t, _raw_args(pb, z, mesh.h), self.quad, want_hess)
-        gphi, Hphi = _terminal_grad(pb, x[k], want_hess)
-        return (tab.psi, tab.J, Hz, f, A) + _cost_terms(
-            pb, mesh, self.M, z, g, gphi, Hraw, Hphi, tie_break=True)
+        hess = want_hess and self._Hc is None
+        g, Hraw = _running_grad(pb, t, _raw_args(pb, z, mesh.h), self.quad, hess)
+        gphi, Hphi = _terminal_grad(pb, x[k], hess)
+        gz, Hc = _cost_terms(pb, mesh, self.M, z, g, gphi, Hraw, Hphi, tie_break=True)
+        if hess and self.constant_Hc:
+            Hc.flags.writeable = False
+            self._Hc = Hc
+        elif want_hess and not hess:
+            Hc = self._Hc
+        return tab.psi, tab.J, Hz, f, A, gz, Hc
 
     # -- residual and Jacobian --------------------------------------------
 
@@ -868,10 +895,11 @@ def _assembler(N: int, positions: Sequence[tuple[Array, Array]]):
     """Assembly of stacks of dense blocks into one sparse (CSC) N x N matrix.
 
     ``positions`` lists (rows, cols) index stacks, sorted into CSC order once
-    here; the returned function takes the matching stacks of blocks and puts
-    B[j] at rows[j] x cols[j].  Entries sharing a position add up in the
-    order the blocks list them (as ``np.bincount`` sums), and entries with a
-    negative index (the pinned node) are dropped.
+    here.  Returns the pattern (indices, indptr) and a function that takes
+    the matching stacks of blocks and puts B[j] at rows[j] x cols[j].
+    Entries sharing a position add up in the order the blocks list them (as
+    ``np.bincount`` sums), and entries with a negative index (the pinned
+    node) are dropped.
     """
     from scipy.sparse import csc_array
 
@@ -893,32 +921,67 @@ def _assembler(N: int, positions: Sequence[tuple[Array, Array]]):
         return csc_array((np.bincount(slot, v, minlength=len(key)), rows, indptr),
                          shape=(N, N))
 
-    return assemble
+    return rows, indptr, assemble
 
 
-def _entry_columns(J) -> Array:
-    """The column of every stored entry of a CSC matrix, in storage order."""
-    return np.repeat(np.arange(J.shape[1]), np.diff(J.indptr))
+class _Augmented:
+    """Bjorck's augmented matrix [[I, J], [J^T, -lam D]] for one sparsity
+    pattern of an m x n CSC matrix J, with the damped step it solves.
+
+    The symbolic work is done once per pattern: here the CSC pattern of the
+    augmented matrix and the gather index that places [1.., J.data, J.data,
+    -lam D] in it (``columns`` is the column of every entry of J), and at
+    the first :meth:`step` the column order, taken from that factorization's
+    COLAMD ``perm_c``.  Every later step factors the column-permuted matrix
+    in its natural order, so a step is one data gather, one ``splu`` and one
+    solve.
+    """
+
+    def __init__(self, indices: Array, indptr: Array, shape: tuple[int, int]):
+        m, n = self.shape = shape
+        self.columns = np.repeat(np.arange(n), np.diff(indptr))
+        self._rows = np.concatenate([np.arange(m), indices, m + self.columns,
+                                     m + np.arange(n)])
+        self._cols = np.concatenate([np.arange(m), m + self.columns, indices,
+                                     m + np.arange(n)])
+        self.perm = None  # perm_c of the first factorization, once known
+        self._sort(self._cols)
+
+    def _sort(self, cols: Array) -> None:
+        """The CSC pattern and gather index with entry e in column cols[e]."""
+        self.gather = np.lexsort((self._rows, cols))
+        self.indices = self._rows[self.gather]
+        self.indptr = np.searchsorted(cols[self.gather], np.arange(sum(self.shape) + 1))
+
+    def step(self, Jdata: Array, F: Array, lam: float, D: Array) -> Array:
+        """The Levenberg-Marquardt step d minimizing ||J d + F||^2 +
+        lam d^T D d for D > 0, J given by its entries ``Jdata``.
+
+        One ``splu`` of the augmented system with right-hand side [-F; 0],
+        whose solution is (-F - J d, d): no normal equations, so J's
+        condition number is not squared.
+        """
+        from scipy.sparse import csc_array
+        from scipy.sparse.linalg import splu
+
+        m, N = self.shape[0], sum(self.shape)
+        data = np.concatenate([np.ones(m), Jdata, Jdata, -lam * D])[self.gather]
+        A = csc_array((data, self.indices, self.indptr), shape=(N, N))
+        rhs = np.concatenate([-F, np.zeros(self.shape[1])])
+        if self.perm is not None:
+            # Column c sits at perm[c], so unknown c is entry perm[c].
+            return splu(A, permc_spec="NATURAL").solve(rhs)[self.perm[m:]]
+        lu = splu(A)
+        self.perm = lu.perm_c.copy()
+        self._sort(self.perm[self._cols])
+        return lu.solve(rhs)[m:]
 
 
 def _damped_step(J, F: Array, lam: float, D: Array) -> Array:
     """The Levenberg-Marquardt step d minimizing ||J d + F||^2 + lam d^T D d
-    for a CSC array J and D > 0.
-
-    One ``splu`` of Bjorck's augmented system [[I, J], [J^T, -lam D]] with
-    right-hand side [-F; 0], whose solution is (-F - J d, d): no normal
-    equations, so J's condition number is not squared.  The matrix is built
-    in one sparse call from J's entries.
-    """
-    from scipy.sparse import csc_array
-    from scipy.sparse.linalg import splu
-
-    (m, n), row, col = J.shape, J.indices, _entry_columns(J)
-    rows = np.concatenate([np.arange(m), row, m + col, m + np.arange(n)])
-    cols = np.concatenate([np.arange(m), m + col, row, m + np.arange(n)])
-    data = np.concatenate([np.ones(m), J.data, J.data, -lam * D])
-    lu = splu(csc_array((data, (rows, cols)), shape=(m + n, m + n)))
-    return lu.solve(np.concatenate([-F, np.zeros(n)]))[m:]
+    for a CSC array J and D > 0: one :meth:`_Augmented.step` on J's own
+    pattern, with the COLAMD order."""
+    return _Augmented(J.indices, J.indptr, J.shape).step(J.data, F, lam, D)
 
 
 def _comp_pairs(eta: Array, psi: Array, P: Array, c: Array) -> tuple[Array, Array]:
@@ -947,12 +1010,15 @@ def _lm_stage(kkt: _KktSystem, X: Array, sigma: float, tol: float,
               max_iter: int) -> tuple[Array, int, float, int]:
     """Drive ||F(., sigma)||_inf below tol by Levenberg-Marquardt.
 
-    Each damped trial is one sparse factorization (:func:`_damped_step`,
-    scaled by the squared column norms of J) and one evaluation of F at the
-    trial point; an accepted trial's evaluation also gives the next J.  The
-    damping falls by 5 after an accepted trial and rises by 10 after a
-    rejected one; the stage stops when 40 trials in a row fail to lower
-    ||F||^2.  Returns (X, iterations, ||F||_inf, trials).
+    Each damped trial is one sparse factorization of the augmented system
+    (``kkt.augmented``, scaled by the squared column norms of J) and one
+    evaluation of F at the trial point; an accepted trial's evaluation also
+    gives the next J.  The pattern and column order of the factorization
+    are the system's, found once (the first trial orders by COLAMD), so a
+    trial does numeric work only.  The damping falls by 5 after an accepted
+    trial and rises by 10 after a rejected one; the stage stops when 40
+    trials in a row fail to lower ||F||^2.  Returns (X, iterations,
+    ||F||_inf, trials).
     """
     lam = 1e-8
     F, pt = kkt.evaluate(X, sigma)
@@ -963,10 +1029,10 @@ def _lm_stage(kkt: _KktSystem, X: Array, sigma: float, tol: float,
         if norm <= tol:
             return X, it, norm, trials
         merit = 0.5 * float(F @ F)
-        D = np.maximum(np.bincount(_entry_columns(J), J.data * J.data,
+        D = np.maximum(np.bincount(kkt.augmented.columns, J.data * J.data,
                                    minlength=len(X)), 1e-8)
         for _ in range(40):
-            d = _damped_step(J, F, lam, D)
+            d = kkt.augmented.step(J.data, F, lam, D)
             trials += 1
             Fn, pt = kkt.evaluate(X + d, sigma)
             if 0.5 * float(Fn @ Fn) < merit:

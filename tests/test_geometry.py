@@ -19,6 +19,7 @@ from sweepctl.geometry import (
     NotInConeError,
     ProjectionFailureError,
     SmoothInequality,
+    _project_onto_halfspaces,
     coderivative_orthant,
     coderivative_theta,
     field_at_nodes,
@@ -344,6 +345,21 @@ class TestProjection:
         with pytest.raises(SimulationError) as info:
             simulate(system, control)
         assert info.value.step == 2
+
+    def test_far_point_with_nearly_parallel_rows(self):
+        # 0 is inside, and the point is hundreds of units out, beyond two
+        # nearly parallel rows: the NNLS rounding grows with the point, so
+        # the closing feasibility check must scale with it too.
+        G = np.array([[-0.351, 0.002], [0.408, 0.067], [-2.053, -0.320],
+                      [0.426, 0.085]])
+        g = np.array([1.63, 1.84, 0.90, 1.38])
+        x = np.array([-98.7, 629.6])
+        y, mu = _project_onto_halfspaces(G, g, x)
+        scale = 1e-9 * (1.0 + np.abs(g) + np.abs(G) @ np.abs(y))
+        assert np.all(G @ y <= g + scale)
+        assert np.all(mu >= 0.0) and np.all(np.abs(G @ y - g)[mu > 0] <= scale[mu > 0])
+        np.testing.assert_allclose(x - y, G.T @ mu, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(x))
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)

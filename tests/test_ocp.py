@@ -24,6 +24,7 @@ from sweepctl.ocp import (
     OcpProblem,
     QuadraticStageCost,
     QuadraticTerminalCost,
+    _Augmented,
     _KktSystem,
     _damped_step,
     _has_exact_tangents,
@@ -897,6 +898,71 @@ def test_augmented_step_solves_the_damped_normal_equations(case, lam):
         d = _damped_step(csc_array(A), F, lam, D)
         gap = A.T @ (A @ d + F) + lam * D * d
         assert np.linalg.norm(gap) <= 1e-12 * max(1.0, np.linalg.norm(A.T @ F))
+
+
+@pytest.mark.parametrize("case", ["remark45", "counterexample53",
+                                  "elastoplastic61_anchored_w12w12"])
+def test_steps_in_a_fixed_column_order_match_the_dense_oracle(case):
+    """Damped steps that share the column order of their first
+    factorization: the KKT system's own pattern at two points, and the
+    equal-column and rectangular Jacobians on patterns of their own.  Each
+    step meets the bar of the one-shot tests above: the dense step to 1e-10
+    where J^T J + lam D is well conditioned, its optimality condition to
+    the rounding level everywhere."""
+    from scipy.sparse import csc_array
+
+    kkt, X = _kkt_point(case, 1e-3)
+    rng = np.random.default_rng([sum(map(ord, case)), 5])
+    points = [kkt.evaluate(Y, 1e-3) for Y in
+              (X, X + rng.normal(scale=0.05, size=X.shape))]
+    _, (_, dup, rect) = _step_inputs(case)
+    sequences = [(kkt.augmented, [(F, kkt.jacobian(pt)) for F, pt in points])]
+    for A in (dup, rect):
+        J = csc_array(A)
+        sequences.append((_Augmented(J.indices, J.indptr, J.shape),
+                          [(F, J) for F, _ in points]))
+    steps = 0
+    for augmented, inputs in sequences:
+        assert augmented.perm is None
+        for F, J in inputs:
+            A = J.toarray()
+            D = np.maximum(np.sum(A * A, axis=0), 1e-8)
+            for lam in (1e-8, 1e-4, 1.0):
+                d = augmented.step(J.data, F, lam, D)
+                assert augmented.perm is not None
+                if np.linalg.cond(A.T @ A + lam * np.diag(D)) <= 1e7:
+                    want = _dense_damped_step(A, F, lam, D)
+                    assert np.linalg.norm(d - want) <= 1e-10 * np.linalg.norm(want)
+                gap = A.T @ (A @ d + F) + lam * D * d
+                assert np.linalg.norm(gap) <= 1e-12 * max(1.0, np.linalg.norm(A.T @ F))
+                steps += 1
+    assert steps == 18
+
+
+@pytest.mark.parametrize("case", sorted(KKT_CASES) + ["callbacks:remark45",
+                                                      "callbacks:nonconvex22"])
+def test_kkt_system_caches_hold_no_point_data(case):
+    """One system evaluated at three points and two sigmas gives F and J
+    bit for bit as a fresh system does at each of them: what it keeps from
+    its first evaluation (the constant Hc and Hz) is not point data."""
+    name = case.split(":")[-1]
+    problem = KKT_CASES[name]()
+    if case.startswith("callbacks:"):
+        problem = _as_callbacks(problem)
+    kkt = _KktSystem(transcribe(problem, 6))
+    rng = np.random.default_rng([sum(map(ord, case)), 4])
+    X0 = kkt.pack_primal(kkt.tr.initial_decision())
+    for _ in range(3):
+        X = X0 + rng.normal(scale=0.2, size=X0.shape)
+        for sigma in (0.3, 1e-3):
+            fresh = _KktSystem(transcribe(problem, 6))
+            (F, pt), (F_new, pt_new) = kkt.evaluate(X, sigma), fresh.evaluate(X, sigma)
+            assert F.tobytes() == F_new.tobytes()
+            assert (kkt.jacobian(pt).toarray().tobytes()
+                    == fresh.jacobian(pt_new).toarray().tobytes())
+    # The caches are live exactly where the data is constant.
+    assert (kkt._Hc is not None) == (not case.startswith("callbacks:"))
+    assert (kkt._Hz is not None) == (name != "nonconvex22")
 
 
 @pytest.mark.parametrize("name", ["remark45", "counterexample53", "elastoplastic61"])
