@@ -72,8 +72,8 @@ from .geometry import (
     psi_eval,
     surjectivity_check,
 )
-from .dynamics import Mesh, Path, SweepingSystem
-from .ocp import (DiscreteDecision, OcpProblem, _drift, _quadratic_stage,
+from .dynamics import Mesh, Path, SweepingSystem, _drift
+from .ocp import (DiscreteDecision, OcpProblem, _anchor_stages, _quadratic_stage,
                   _raw_args, _running_grad)
 
 Array = np.ndarray
@@ -400,26 +400,21 @@ def theta_quantities(problem: OcpProblem, z: DiscreteDecision,
     with a control-velocity running cost the control part has one row per
     cell (row k of the returned (k+1, m) array stays zero); otherwise every
     node carries 2 rho (u_j - uref(t_j)).  Both are zero without an anchor
-    or with rho = 0.
+    or with rho = 0.  The anchor and its increments are the cost's
+    (``ocp._anchor_stages``).
     """
-    k = z.mesh.k
-    n = problem.system.field.n
-    m = problem.system.field.m
-    th_x = np.zeros((k, n))
+    k, n, m = z.mesh.k, problem.system.field.n, problem.system.field.m
     th_u = np.zeros((k + 1, m))
-    if problem.rho == 0.0 or problem.anchor is None:
-        return th_x, th_u
-    xref, uref = problem.anchor
-    nodes = z.mesh.nodes
-    xr = xref.at(nodes)
-    ur = uref.at(nodes)
-    th_x[:] = 2.0 * problem.rho * (np.diff(z.x, axis=0) - np.diff(xr, axis=0))
+    anchor = _anchor_stages(problem, z.mesh)
+    if anchor is None:
+        return np.zeros((k, n)), th_u
+    _, _, ref, dref = anchor
+    th = 2.0 * problem.rho * (np.diff(np.hstack([z.x, z.u]), axis=0) - dref)
     if problem.uses_udot:
-        th_u[:k] = 2.0 * problem.rho * (np.diff(z.u, axis=0)
-                                        - np.diff(ur, axis=0))
+        th_u[:k] = th[:, n:]
     else:
-        th_u[:] = 2.0 * problem.rho * (z.u - ur)
-    return th_x, th_u
+        th_u[:] = 2.0 * problem.rho * (z.u - ref[:, n:])
+    return th[:, :n], th_u
 
 
 def _interior_margin(theta: ThetaSet, z: Array) -> Array:

@@ -31,6 +31,7 @@ next to the outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -557,7 +558,9 @@ def _cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it as it is)."""
     parser = argparse.ArgumentParser(
         prog="sweepctl",
         description="Simulate, solve, and certify controlled sweeping processes.")

@@ -14,7 +14,8 @@ residual) come after the loop from one node table over nodes 1..k;
 :func:`step_catching_up` is one such step with its record.
 Residual checks against both the implicit (cone at the new point, next
 control) and explicit (cone at the old point, old control) readings live in
-:func:`inclusion_residual`.  The module also carries the polyhedral
+:func:`inclusion_residual`, one stacked pass: the drifts, one node table
+and one stacked cone distance over all steps.  The module also carries the polyhedral
 feasible-companion construction, the W^{1,2} x C path metric used everywhere
 in convergence reporting, and a small mesh-refinement study driver.
 """
@@ -34,9 +35,9 @@ from .geometry import (
     GeometryError,
     ThetaSet,
     TOL_FEAS,
-    _cone_distance,
     _project_step,
     _projection_diagnostics,
+    cone_distance_nodes,
     field_at_nodes,
     project_onto_moving_set,  # noqa: F401  (perfbench/layers.py wraps this name)
     psi_eval,
@@ -218,6 +219,16 @@ class SweepingSystem:
         )
 
 
+def _drift(system: SweepingSystem, t: Array, x: Array) -> Array:
+    """f(t_j, x_j) for every row x_j of x, stacked: one matmul for an
+    AffineDrift, one callback per row otherwise."""
+    f = system.f
+    if isinstance(f, AffineDrift):
+        return x @ f.A.T + f.b
+    return np.array([np.atleast_1d(np.asarray(f(float(tj), xj), dtype=float))
+                     for tj, xj in zip(t, x)])
+
+
 def feasibility_violation(theta: ThetaSet, z: Array) -> float:
     """Max constraint violation of z against Theta (0 when inside)."""
     return float(_feasibility(theta, np.reshape(z, (1, -1)))[0])
@@ -315,24 +326,18 @@ def inclusion_residual(system: SweepingSystem, state: Path, control: Path,
     ``implicit`` evaluates the cone at (x_{j+1}, u_{j+1}), which the
     simulator satisfies by construction; ``explicit`` evaluates it at
     (x_j, u_j), the form the discrete transcription uses.  Infeasible points
-    make the cone empty, so those steps report +inf.
+    make the cone empty, so those steps report +inf.  One stacked pass
+    through :func:`geometry.cone_distance_nodes`.
     """
     if state.mesh != control.mesh:
         raise ConfigurationError("paths must share a mesh")
     if convention not in ("implicit", "explicit"):
         raise ConfigurationError(f"unknown convention {convention!r}")
-    mesh = state.mesh
-    k, h = mesh.k, mesh.h
+    mesh, x, k = state.mesh, state.values, state.mesh.k
     at = slice(1, k + 1) if convention == "implicit" else slice(0, k)
-    tab = field_at_nodes(system.effective_field(), state.values[at],
-                         control.values[at])
-    out = np.zeros(k)
-    for j in range(k):
-        x_j = state.values[j]
-        v = -(state.values[j + 1] - x_j) / h + np.atleast_1d(
-            np.asarray(system.f(float(mesh.nodes[j]), x_j), dtype=float))
-        out[j] = _cone_distance(system.theta, tab.psi[j], tab.Jx[j], v, TOL_FEAS)
-    return out
+    tab = field_at_nodes(system.effective_field(), x[at], control.values[at])
+    v = _drift(system, mesh.nodes[:k], x[:k]) - np.diff(x, axis=0) / mesh.h
+    return cone_distance_nodes(system.theta, tab.psi, tab.Jx, v, TOL_FEAS)
 
 
 def feasible_companion_polyhedral(state: Path, reference_state: Path,

@@ -24,11 +24,14 @@ Euclidean projection onto ``C(u)`` with KKT multiplier recovery, the
 decomposition of a normal-cone element through ``grad_x psi`` into a
 ``Theta``-cone multiplier, and the per-index classification of the
 coderivative of the normal-cone map of a box-like Theta (one interval case
-table).  Membership, the normal-cone test, the decomposition and the case
-table each have a form over a stack of K points, and the one-point
-functions are one-node calls of it, except the normal-cone test of a Theta
-without interval form: that one stays the NNLS that the stack's closed form
-for a single active row is held to.
+table).  Membership, the normal-cone test, the decomposition, the
+moving-set cone distance grad_x psi^T N_Theta(psi) and the case table each
+have a form over a stack of K points, and the one-point functions are
+one-node calls of it, except the normal-cone test of a Theta without
+interval form: that one stays the NNLS that the stack's closed form for a
+single active row is held to.  Both cone distances over a stack share one
+kernel (``_cone_distance_rows``): that closed form at points with at most
+one active row, an NNLS only at the others.
 
 Every projection onto a polyhedron (the affine projection, each linearized
 subproblem of the nonlinear one, and polyhedral distances) is one exact
@@ -162,30 +165,17 @@ class ThetaSet:
     def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
         """How far ``eta`` is from N_Theta(z), as a nonnegative number: its
         distance to the cone of the rows of Dg(z) active within tol."""
-        return _cone_distance_of(_active_gradients(self, z, tol).T,
-                                 np.asarray(eta, dtype=float))
+        g, Dg, d = self.constraint(z)
+        return _cone_distance_of(Dg[g >= d - tol].T, np.asarray(eta, dtype=float))
 
     def normal_cone_violation_stack(self, Z: Array, E: Array,
                                     tol: float = TOL_FEAS) -> Array:
         """:meth:`normal_cone_violation` at each pair of rows (Z[j], E[j]) of
-        two (K, s) stacks, as a (K,) array.
-
-        A point with at most one active row a (a = 0 for none) is at the
-        distance ||e - max(0, <a, e>) / ||a||^2 a||, the one-column NNLS in
-        closed form; only a point with two or more active rows runs the
-        NNLS of :func:`_cone_distance_of`.  The two agree to rounding.
-        """
+        two (K, s) stacks, as a (K,) array, by :func:`_cone_distance_rows`."""
         Z, E = np.asarray(Z, dtype=float), np.asarray(E, dtype=float)
         g, Dg, d = self.constraint(Z)
-        Dg = np.broadcast_to(Dg, g.shape + (self.s,))
-        active = g >= d - tol
-        a = np.sum(np.where(active[..., np.newaxis], Dg, 0.0), axis=1)
-        aa, ae = np.sum(a * a, axis=1), np.sum(a * E, axis=1)
-        mu = np.divide(np.maximum(ae, 0.0), aa, out=np.zeros_like(aa), where=aa > 0)
-        out = np.linalg.norm(E - mu[:, np.newaxis] * a, axis=1)
-        for j in np.flatnonzero(np.sum(active, axis=1) > 1):
-            out[j] = _cone_distance_of(Dg[j][active[j]].T, E[j])
-        return out
+        return _cone_distance_rows(np.broadcast_to(Dg, g.shape + (self.s,)),
+                                   g >= d - tol, E)
 
 
 def _read_only(pair: tuple[Array, Array] | None) -> tuple[Array, Array] | None:
@@ -750,12 +740,6 @@ def _active_sets(theta: ThetaSet, Z: Array, tol: float = 1e-7,
             for row in mask.tolist()]
 
 
-def _active_gradients(theta: ThetaSet, z: Array, tol: float) -> Array:
-    """The rows of Dg(z), at one point z, whose constraints z meets within tol."""
-    g, Dg, d = theta.constraint(z)
-    return Dg[g >= d - tol]
-
-
 def _project_step(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
                   warm: Array | None, tol: float = 1e-10) -> tuple[Array, Array]:
     """The projection of one catching-up step and nothing else: (y, eta) with
@@ -952,31 +936,56 @@ def _cone_distance_of(cols: Array, v: Array) -> float:
     return float(res)
 
 
+def _cone_distance_rows(R: Array, active: Array, E: Array) -> Array:
+    """Distance from each E[j] (K, dim) to the cone spanned with nonnegative
+    coefficients by the rows R[j][active[j]] of a (K, l, dim) stack.
+
+    A point with at most one active row a (a = 0 for none) is at the
+    distance ||e - max(0, <a, e>) / ||a||^2 a||, the one-column NNLS in
+    closed form; only a point with two or more active rows runs the NNLS of
+    :func:`_cone_distance_of`.  The two agree to rounding.
+    """
+    a = np.sum(np.where(active[..., np.newaxis], R, 0.0), axis=1)
+    aa, ae = np.sum(a * a, axis=1), np.sum(a * E, axis=1)
+    mu = np.divide(np.maximum(ae, 0.0), aa, out=np.zeros_like(aa), where=aa > 0)
+    out = np.linalg.norm(E - mu[:, np.newaxis] * a, axis=1)
+    for j in np.flatnonzero(np.sum(active, axis=1) > 1):
+        out[j] = _cone_distance_of(R[j][active[j]].T, E[j])
+    return out
+
+
 def normal_cone_distance(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
                          v: Array, tol: float = TOL_FEAS) -> float:
     """Distance from v to N(x; C(u)) = grad_x psi^T N_Theta(psi(x,u)).
 
-    Infinity when psi(x,u) is outside Theta (the cone is then empty).
-    """
+    Infinity when psi(x,u) is outside Theta (the cone is then empty).  One
+    node of :func:`cone_distance_nodes`."""
     tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
-    return _cone_distance(theta, tab.psi[0], tab.Jx[0], v, tol)
+    return float(cone_distance_nodes(theta, tab.psi, tab.Jx, np.reshape(v, (1, -1)),
+                                     tol)[0])
 
 
-def _cone_distance(theta: ThetaSet, z: Array, J: Array, v: Array,
-                   tol: float) -> float:
-    """:func:`normal_cone_distance` at psi = z with grad_x psi = J."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not theta.contains(z, tol=max(tol, 1e-7)):
-        return float("inf")
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    return _cone_distance_of(_cone_generators(theta, z, J.T), v)
+def cone_distance_nodes(theta: ThetaSet, Z: Array, J: Array, V: Array,
+                        tol: float = TOL_FEAS) -> Array:
+    """:func:`normal_cone_distance` at K nodes at once: psi = Z[j] (K, s),
+    grad_x psi = J[j] (K, s, n) and v = V[j] (K, n).  The cone of node j is
+    spanned by the rows a^T J[j] of its constraints active within 1e-7, all
+    nodes in one :func:`_cone_distance_rows`; a node outside Theta (within
+    max(tol, 1e-7)) is at distance +inf."""
+    inside = theta.contains_stack(Z, max(tol, 1e-7))
+    g, Dg, d = theta.constraint(Z)
+    out = _cone_distance_rows(np.matmul(Dg, J), (g >= d - 1e-7) & inside[:, np.newaxis],
+                              np.asarray(V, dtype=float))
+    out[~inside] = np.inf
+    return out
 
 
 def _cone_generators(theta: ThetaSet, z: Array, JT: Array,
                      tol: float = 1e-7) -> Array:
     """Columns generating grad^T N_Theta(z) with nonnegative coefficients:
     one column JT a per active constraint row a of ``theta.constraint``."""
-    rows = _active_gradients(theta, z, tol)
+    g, Dg, d = theta.constraint(z)
+    rows = Dg[g >= d - tol]
     if not len(rows):
         return np.zeros((JT.shape[0], 0))
     return np.column_stack([JT @ a for a in rows])

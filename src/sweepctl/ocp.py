@@ -10,7 +10,10 @@ and in W12xC mode the running cost drops the control derivative while the
 anchor terms become sum_j ||u_j - uref(t_j)||^2 + sum_j int ||dx_j/h - xref'||^2 dt
 (the control sum runs over all k+1 nodes and carries no h factor).  The
 anchor pair is optional; rho defaults to 0 which gives the plain Bolza
-discretization.
+discretization.  The anchor paths are piecewise linear on [0, T], so the
+anchor term is exactly stage quadratics in the anchor's node increments plus
+one constant (``_anchor_stages``), the arrays that the cost, its gradient,
+the KKT stages and the certificate all read.
 
 ``transcribe`` turns the problem into a complementarity program in the
 decision variables (x, u, eta): explicit dynamics equalities
@@ -66,6 +69,7 @@ from .dynamics import (
     SimulationError,
     StepRecord,
     SweepingSystem,
+    _drift,
     _read_only_float,
     simulate,
 )
@@ -225,6 +229,10 @@ class OcpProblem:
             raise ConfigurationError("rho must be nonnegative")
         if self.rho > 0 and self.anchor is None:
             raise ConfigurationError("rho > 0 requires an anchor pair")
+        if self.anchor is not None and any(
+                abs(path.mesh.T - self.system.T) > 1e-12 or path.dim != dim
+                for path, dim in zip(self.anchor, (self.system.field.n, len(u0)))):
+            raise ConfigurationError("the anchor needs (n, m)-dimensional paths on [0, T]")
 
     @property
     def uses_udot(self) -> bool:
@@ -282,43 +290,43 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _segment_sq_integral(t0: float, t1: float, v: Array, ref: Path) -> float:
-    """Exact integral of ||v - ref'(t)||^2 over [t0, t1] for PL ``ref``."""
-    nodes = ref.mesh.nodes
-    cuts = nodes[(nodes > t0 + 1e-15) & (nodes < t1 - 1e-15)]
-    ts = np.concatenate([[t0], cuts, [t1]])
-    slopes = ref.diff_quotients()
-    total = 0.0
-    for a, b in zip(ts[:-1], ts[1:]):
-        midpoint = 0.5 * (a + b)
-        cell = min(int(midpoint / ref.mesh.h), ref.mesh.k - 1)
-        d = v - slopes[cell]
-        total += (b - a) * float(d @ d)
-    return total
+def _anchor_stages(problem: OcpProblem, mesh: Mesh,
+                   ) -> tuple[Array, Array, Array, Array] | None:
+    """The anchor term on a mesh as (w, wnode, ref, dref): ref (k+1, n+m) is
+    the anchor at the nodes, dref (k, n+m) its increments, and the term is
+
+        sum_j w . (z_{j+1} - z_j - dref_j)^2 / 2 + sum_j wnode . (z_j - ref_j)^2 / 2
+
+    plus a constant (:func:`_anchor_cost`).  W12xW12: w = 2 rho.  W12xC:
+    w = 2 rho / h and dref on the state columns only, wnode = 2 rho on the
+    control.  None without an anchor or with rho = 0.
+    """
+    if problem.rho == 0.0 or problem.anchor is None:
+        return None
+    n, h = problem.system.field.n, mesh.h
+    ref = np.hstack([path.at(mesh.nodes) for path in problem.anchor])
+    dref = np.diff(ref, axis=0)
+    w, wnode = np.full(ref.shape[1], 2 * problem.rho), np.zeros(ref.shape[1])
+    if not problem.uses_udot:
+        w[:n], w[n:], wnode[n:] = 2 * problem.rho / h, 0.0, 2 * problem.rho
+        dref[:, n:] = 0.0
+    return w, wnode, ref, dref
 
 
 def _anchor_cost(problem: OcpProblem, z: DiscreteDecision) -> float:
-    if problem.rho == 0.0 or problem.anchor is None:
+    """The anchor term of :func:`cost_eval`: the quadratics of
+    :func:`_anchor_stages` plus sum_c w_c (h int_0^T r_c'^2 dt - sum_j
+    dref_jc^2) / 2, exact for the piecewise-linear anchor r on [0, T]."""
+    anchor = _anchor_stages(problem, z.mesh)
+    if anchor is None:
         return 0.0
-    xref, uref = problem.anchor
-    mesh = z.mesh
-    h = mesh.h
-    vx = np.diff(z.x, axis=0) / h
-    total = 0.0
-    if problem.mode == "W12xW12":
-        vu = np.diff(z.u, axis=0) / h
-        for j in range(mesh.k):
-            t0, t1 = mesh.nodes[j], mesh.nodes[j + 1]
-            total += _segment_sq_integral(t0, t1, vx[j], xref)
-            total += _segment_sq_integral(t0, t1, vu[j], uref)
-        return problem.rho * h * total
-    # W12xC: unscaled control-node proximity plus the state derivative tube.
-    for j in range(mesh.k + 1):
-        d = z.u[j] - uref.at(mesh.nodes[j])
-        total += float(d @ d)
-    for j in range(mesh.k):
-        total += _segment_sq_integral(mesh.nodes[j], mesh.nodes[j + 1], vx[j], xref)
-    return problem.rho * total
+    w, wnode, ref, dref = anchor
+    Z = np.hstack([z.x, z.u])
+    r, e = np.diff(Z, axis=0) - dref, Z - ref
+    slope_sq = np.concatenate([path.mesh.h * np.sum(path.diff_quotients() ** 2, axis=0)
+                               for path in problem.anchor])
+    const = w @ (z.mesh.h * slope_sq - np.sum(dref * dref, axis=0))
+    return 0.5 * (float(np.sum(r * r @ w)) + float(np.sum(e * e @ wnode)) + float(const))
 
 
 def cost_eval(problem: OcpProblem, z: DiscreteDecision) -> float:
@@ -423,16 +431,6 @@ def _terminal_grad(problem: OcpProblem, x: Array, want_hess: bool,
     return dphi(x), _central_jacobian(dphi, x) if want_hess else None
 
 
-def _drift(system: SweepingSystem, t: Array, x: Array) -> Array:
-    """f(t_j, x_j) for every row x_j of x, stacked: one matmul for an
-    AffineDrift, one callback per row otherwise."""
-    f = system.f
-    if isinstance(f, AffineDrift):
-        return x @ f.A.T + f.b
-    return np.array([np.atleast_1d(np.asarray(f(float(tj), xj), dtype=float))
-                     for tj, xj in zip(t, x)])
-
-
 def _drift_jacobian(system: SweepingSystem, t: Array, x: Array) -> Array:
     """Df(t_j, x_j) for every row x_j of x, stacked (len(x), n, n): A itself
     for an AffineDrift, central differences of the callback otherwise."""
@@ -452,9 +450,9 @@ def _cost_terms(problem: OcpProblem, mesh: Mesh, M: Array, z: Array, g: Array,
     """Node gradient (k+1, n+m) of the discrete cost from the running-cost
     gradient g in its raw argument (``M`` is ``_raw_map``) and the terminal
     gradient gphi, and, given their Hessians, the per-stage Hessian blocks
-    (k, 2(n+m), 2(n+m)) over (z_j, z_{j+1}).  Anchor and (with
-    ``tie_break``) tie-break terms are exact quadratics
-    w * ||z_{j+1} - z_j - dref_j||^2 / 2 per stage."""
+    (k, 2(n+m), 2(n+m)) over (z_j, z_{j+1}).  Anchor (from
+    :func:`_anchor_stages`) and (with ``tie_break``) tie-break terms are
+    exact quadratics w * ||z_{j+1} - z_j - dref_j||^2 / 2 per stage."""
     k, h = mesh.k, mesh.h
     n, d = problem.system.field.n, z.shape[1]
     gs = h * (g @ M)
@@ -462,19 +460,11 @@ def _cost_terms(problem: OcpProblem, mesh: Mesh, M: Array, z: Array, g: Array,
     gz[1:] += gs[:, d:]
     gz[:-1] += gs[:, :d]
     gz[k, :n] += gphi
-    w = np.zeros((k, d))
-    dref = np.zeros((k, d))
-    wnode = np.zeros(d)  # W12xC control-node proximity
-    if problem.rho > 0 and problem.anchor is not None:
-        ref = np.hstack([path.at(mesh.nodes) for path in problem.anchor])
-        if problem.uses_udot:
-            w[:] = 2 * problem.rho
-            dref = np.diff(ref, axis=0)
-        else:
-            w[:, :n] = 2 * problem.rho / h
-            dref[:, :n] = np.diff(ref[:, :n], axis=0)
-            wnode[n:] = 2 * problem.rho
-            gz[:, n:] += 2 * problem.rho * (z[:, n:] - ref[:, n:])
+    w, wnode, dref = np.zeros((k, d)), np.zeros(d), 0.0
+    anchor = _anchor_stages(problem, mesh)
+    if anchor is not None:
+        w[:], wnode, ref, dref = anchor
+        gz += wnode * (z - ref)
     if tie_break and not problem.uses_udot:
         # Terminal-control tie-break: without it u_k only enters the
         # endpoint constraint and the KKT matrix goes singular along u_k.
@@ -513,12 +503,9 @@ def localization_violation(problem: OcpProblem, z: DiscreteDecision) -> float:
     """How far the decision leaves the epsilon/2 tube around the anchor."""
     if problem.anchor is None or not np.isfinite(problem.epsilon):
         return 0.0
-    xref, uref = problem.anchor
-    worst = 0.0
-    for j, t in enumerate(z.mesh.nodes):
-        d = np.concatenate([z.x[j] - xref.at(t), z.u[j] - uref.at(t)])
-        worst = max(worst, float(np.linalg.norm(d)) - problem.epsilon / 2.0)
-    return max(0.0, worst)
+    ref = np.hstack([path.at(z.mesh.nodes) for path in problem.anchor])
+    dist = np.linalg.norm(np.hstack([z.x, z.u]) - ref, axis=1)
+    return max(0.0, float(np.max(dist)) - problem.epsilon / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +594,17 @@ class Transcription:
             nodes[0] = self.problem.u0
         else:
             nodes = np.tile(self.problem.u0, (self.mesh.k + 1, 1))
-        control = Path(mesh=self.mesh, values=nodes)
-        state, records = simulate(self.problem.system, control)
-        eta = np.array([r.eta for r in records]) / self.mesh.h
-        return DiscreteDecision(mesh=self.mesh, x=state.values, u=control.values,
-                                eta=eta)
+        return _simulated_decision(self.problem, Path(mesh=self.mesh, values=nodes))[0]
+
+
+def _simulated_decision(problem: OcpProblem, control: Path,
+                        ) -> tuple[DiscreteDecision, list[StepRecord]]:
+    """The simulated decision of a control (multipliers eta / h) and its step
+    records; raises SimulationError as :func:`dynamics.simulate` does."""
+    state, records = simulate(problem.system, control)
+    eta = np.array([r.eta for r in records]) / control.mesh.h
+    return DiscreteDecision(mesh=control.mesh, x=state.values, u=control.values,
+                            eta=eta), records
 
 
 def transcribe(problem: OcpProblem, k: int) -> Transcription:
@@ -1082,13 +1075,10 @@ def _restrict_warm(problem: OcpProblem, warm: DiscreteDecision,
     u = warm.control_path().at(mesh.nodes)
     u[0] = problem.u0
     try:
-        state, records = simulate(problem.system, Path(mesh=mesh, values=u))
-        eta = np.array([r.eta for r in records]) / mesh.h
-        x = state.values
+        return _simulated_decision(problem, Path(mesh=mesh, values=u))[0]
     except SimulationError:
-        x = warm.state_path().at(mesh.nodes)
-        eta = np.zeros((k_coarse, problem.system.field.s))
-    return DiscreteDecision(mesh=mesh, x=x, u=u, eta=eta)
+        return DiscreteDecision(mesh=mesh, x=warm.state_path().at(mesh.nodes), u=u,
+                                eta=np.zeros((k_coarse, problem.system.field.s)))
 
 
 def _prolong(problem: OcpProblem, z: DiscreteDecision,
@@ -1098,12 +1088,10 @@ def _prolong(problem: OcpProblem, z: DiscreteDecision,
     x = z.state_path().at(mesh.nodes)
     u = z.control_path().at(mesh.nodes)
     u[0] = problem.u0
-    eta = np.zeros((k_fine, z.eta.shape[1]))
-    for j in range(k_fine):
-        tm = 0.5 * (mesh.nodes[j] + mesh.nodes[j + 1])
-        cj = min(int(tm / z.mesh.h), z.mesh.k - 1)
-        eta[j] = z.eta[cj]
-    return DiscreteDecision(mesh=mesh, x=x, u=u, eta=eta)
+    # Each fine cell takes the multiplier of the coarse cell of its midpoint.
+    tm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+    cells = np.minimum((tm / z.mesh.h).astype(int), z.mesh.k - 1)
+    return DiscreteDecision(mesh=mesh, x=x, u=u, eta=z.eta[cells])
 
 
 def _run_schedule(kkt: _KktSystem, X: Array, sched: Sequence[float],
@@ -1390,11 +1378,9 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
         nonlocal simulations
         simulations += 1
         try:
-            state, records = simulate(problem.system, Path(mesh=mesh, values=Uvals))
+            z, records = _simulated_decision(problem, Path(mesh=mesh, values=Uvals))
         except SimulationError:
             return None
-        eta = np.array([r.eta for r in records]) / mesh.h
-        z = DiscreteDecision(mesh=mesh, x=state.values, u=Uvals, eta=eta)
         return z, records, cost_eval(problem, z)
 
     def cost_of(Uvals: Array) -> float:
@@ -1488,8 +1474,8 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     psi_next = field_at_nodes(field, decision.x[1:], decision.u[1:]).psi
     bounds = problem.system.theta.bounds()
     if bounds is None:  # no interval form: report cone violation instead
-        comp = max((problem.system.theta.normal_cone_violation(psi, eta)
-                    for psi, eta in zip(psi_next, decision.eta)), default=0.0)
+        comp = float(np.max(problem.system.theta.normal_cone_violation_stack(
+            psi_next, decision.eta), initial=0.0))
     else:
         comp = _comp_residual(*_comp_pairs(decision.eta, psi_next,
                                            *_signed_selector(*bounds)))

@@ -274,6 +274,33 @@ def test_solve_nonconvergence_exits_4_with_partial(tmp_path, monkeypatch):
     assert read_json(str(out / "error.json"))["error"] == "NumericalFailureError"
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """Two calls parse with one parser object, and a solver patched after
+    the parser was built still takes effect."""
+    import argparse
+
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    calls = []
+
+    def stall(transcription, sigma_schedule=None, tol_stat=0.0):
+        calls.append(transcription.mesh.k)
+        raise NumericalFailureError("stalled before the tolerance")
+
+    monkeypatch.setattr(cli, "solve_smoothed", stall)
+    rc = cli.main(["solve", spec_path, "--out-dir", str(tmp_path / "run"),
+                   "--solver", "smoothed", "--k", "6"])
+    assert rc == 4 and calls == [6]
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 def test_solve_rejects_bad_schema(tmp_path):
     bad = str(tmp_path / "bad.json")
     with open(bad, "w", encoding="utf-8") as fh:
