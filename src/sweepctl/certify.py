@@ -60,13 +60,13 @@ from .geometry import (
     SmoothInequality,
     SurjectivityError,
     ThetaSet,
-    _cone_distance_of,
     _cone_generators,
     _interval_bounds,
     _rows,
     _transpose_solver,
     coderivative_codes,
     coderivative_violations,
+    cone_distance_nodes,
     decompose_nodes,
     field_at_nodes,
     psi_eval,
@@ -84,6 +84,10 @@ TOL_RESIDUAL = 1e-6
 TOL_POS = 1e-8
 #: Activity threshold when classifying constraint components.
 ACT_TOL = 1e-7
+#: Interior margin above which a cell sits strictly inside Theta: measure
+#: mass there violates nonatomicity, and the certificate fit gives such a
+#: cell no density.
+INTERIOR_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +386,7 @@ def recover_eta(system: SweepingSystem, state: Path, control: Path,
         raise ConfigurationError("state and control must share a mesh")
     mesh = state.mesh
     k, h = mesh.k, mesh.h
-    tab = field_at_nodes(system.effective_field(), state.values[:k],
-                         control.values[:k])
+    tab = field_at_nodes(system.field, state.values[:k], control.values[:k])
     v = _drift(system, mesh.nodes[:k], state.values[:k]) - np.diff(state.values, axis=0) / h
     eta, _, failure = decompose_nodes(system.theta, tab.psi, tab.Jx, v, tol)
     if failure is not None:
@@ -451,7 +454,7 @@ def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
     (cellwise membership of gamma in the coderivative of the normal-cone
     map).  Empty coderivatives and infeasible cells report +inf.
     """
-    field = problem.system.effective_field()
+    field = problem.system.field
     theta = problem.system.theta
     mesh = z.mesh
     k, h = mesh.k, mesh.h
@@ -491,19 +494,14 @@ def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
                                _rows(Jx, ufrak), act_tol=ACT_TOL, pos_tol=TOL_POS)
     code = float(np.max(coderivative_violations(codes, gam), initial=0.0))
 
-    x_k = z.x[k]
-    psi_k = tab.psi[k]
     p_end = cert.p[k].copy()
     if not problem.uses_udot:
         # The control-adjoint endpoint does not enter the inclusion here.
         p_end[n:] = 0.0
-    gphi = np.atleast_1d(np.asarray(problem.dphi(x_k), dtype=float))
+    gphi = np.atleast_1d(np.asarray(problem.dphi(z.x[k]), dtype=float))
     target = -p_end - lam * np.concatenate([gphi, np.zeros(m)])
-    if theta.contains(psi_k, tol=ACT_TOL):
-        trans = _cone_distance_of(
-            _cone_generators(theta, psi_k, tab.J[k].T, tol=ACT_TOL), target)
-    else:
-        trans = math.inf
+    trans = float(cone_distance_nodes(theta, tab.psi[k:], tab.J[k:], target[None],
+                                      ACT_TOL)[0])
 
     margin = lam + float(sum(np.linalg.norm(px[j]) for j in range(k)))
     margin += float(np.linalg.norm(pu[0])) + float(np.linalg.norm(px[k]))
@@ -528,7 +526,7 @@ def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
 
 def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
                            cert: Certificate, tol: float = TOL_RESIDUAL,
-                           tol_interior: float = 1e-6) -> ResidualReport:
+                           ) -> ResidualReport:
     """Residuals of the measure-driven stationarity system along a pair.
 
     Items: ``eta`` (velocity inclusion and cone membership of the stored
@@ -544,7 +542,7 @@ def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
     and is only available for orthant targets.
     """
     system = problem.system
-    field = system.effective_field()
+    field = system.field
     theta = system.theta
     mesh = state.mesh
     if control.mesh != mesh:
@@ -588,26 +586,21 @@ def residual_continuous_EL(problem: OcpProblem, state: Path, control: Path,
     tails = cert.gamma._tail(tab, state, control, nodes)
     qg = float(np.max(np.linalg.norm(cert.q - (pvals - tails), axis=1)))
 
-    x_T = state.values[k]
-    psi_T = psis[k]
-    gphi = np.atleast_1d(np.asarray(problem.dphi(x_T), dtype=float))
+    gphi = np.atleast_1d(np.asarray(problem.dphi(state.values[k]), dtype=float))
     target = -pvals[k] - lam * np.concatenate([gphi, np.zeros(m)])
-    if theta.contains(psi_T, tol=ACT_TOL):
-        trans = _cone_distance_of(
-            _cone_generators(theta, psi_T, tab.J[k].T, tol=ACT_TOL), target)
-    else:
-        trans = math.inf
+    trans = float(cone_distance_nodes(theta, psis[k:], tab.J[k:], target[None],
+                                      ACT_TOL)[0])
 
     margin = lam + float(np.max(np.linalg.norm(pvals, axis=1)))
     margin += cert.gamma.total_variation()
 
     # Mass sitting strictly inside the target set violates nonatomicity.
     inner = _interior_margin(theta, psis)
-    inside = np.minimum(inner[:-1], inner[1:]) > tol_interior
+    inside = np.minimum(inner[:-1], inner[1:]) > INTERIOR_TOL
     interior_mass = float(np.sum(h * np.linalg.norm(cert.gamma.density[inside], axis=1)))
     for tau, w in cert.gamma.atoms:
         z_tau = psi_eval(field, state.at(tau), control.at(tau))
-        if _interior_margin(theta, z_tau) > tol_interior:
+        if _interior_margin(theta, z_tau) > INTERIOR_TOL:
             interior_mass += float(np.linalg.norm(w))
 
     items = (
@@ -699,7 +692,7 @@ def max_condition_check(problem: OcpProblem, state: Path, control: Path,
     expressions over the table of the field at the left nodes.
     """
     system = problem.system
-    field = system.effective_field()
+    field = system.field
     theta = system.theta
     if not isinstance(theta, NonpositiveOrthant):
         raise ConfigurationError("the refined maximum condition needs an orthant target")
@@ -750,7 +743,7 @@ def conventional_sufficiency_check(problem: OcpProblem, state: Path,
     the field at the left nodes.
     """
     system = problem.system
-    field = system.effective_field()
+    field = system.field
     theta = system.theta
     mesh = state.mesh
     if control.mesh != mesh or cert.eta.mesh != mesh:
@@ -855,7 +848,7 @@ def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
     coordinates.  Rank-deficient Dh raises.
     """
     system = problem.system
-    field = system.effective_field()
+    field = system.field
     theta = system.theta
     if not isinstance(theta, SmoothInequality):
         raise ConfigurationError("the lift needs an inequality-described target")
@@ -1034,7 +1027,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     from scipy import sparse
     from scipy.optimize import nnls
     system = problem.system
-    field = system.effective_field()
+    field = system.field
     theta = system.theta
     mesh = state.mesh
     if control.mesh != mesh:
@@ -1058,7 +1051,7 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     n_beta = cols_T.shape[1]
 
     inner = _interior_margin(theta, psis)
-    contact = np.flatnonzero(np.minimum(inner[:-1], inner[1:]) <= 1e-6)
+    contact = np.flatnonzero(np.minimum(inner[:-1], inner[1:]) <= INTERIOR_TOL)
 
     # Unknowns, in order: p_0..p_k, the contact cells' densities, the atom
     # (these carry the Tikhonov term), the tails S_1..S_k, the cone

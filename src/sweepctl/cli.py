@@ -79,6 +79,7 @@ from .spec import (
     _finite,
     _load_spec,
     _number,
+    _positive_int,
     _reference_pair,
     _uniform_path,
     build_problem,
@@ -215,7 +216,7 @@ def parse_certificate(data: dict, problem: OcpProblem, state: Path,
         raise SpecError("certificate file must be a JSON object")
     mesh = state.mesh
     k = mesh.k
-    field = problem.system.effective_field()
+    field = problem.system.field
     n, m, s = field.n, field.m, field.s
     lam = _number(data, "lam", "certificate", 1.0)
 
@@ -238,7 +239,8 @@ def parse_certificate(data: dict, problem: OcpProblem, state: Path,
     for atom in gamma_obj.get("atoms", []):
         try:
             t_atom, w_atom = atom
-            atoms.append((float(t_atom), np.asarray(w_atom, dtype=float)))
+            atoms.append((float(t_atom), _finite(np.asarray(w_atom, dtype=float),
+                                                 "gamma atom weights")))
         except (TypeError, ValueError):
             raise SpecError("gamma atoms must be [time, weights] pairs") from None
     gamma = VectorMeasure(mesh=mesh, density=density, atoms=tuple(atoms))
@@ -329,9 +331,7 @@ def _cmd_solve(args) -> int:
         solver_cfg = spec.get("solver", {})
         if not isinstance(solver_cfg, dict):
             raise SpecError("spec section 'solver' must be an object")
-        k = args.k if args.k is not None else int(solver_cfg.get("k", 50))
-        if k < 1:
-            raise SpecError("k must be a positive integer")
+        k = _positive_int(args.k if args.k is not None else solver_cfg.get("k", 50), "k")
         method = args.solver or solver_cfg.get("method", "smoothed")
         if method not in ("smoothed", "shooting"):
             raise SpecError("solver must be 'smoothed' or 'shooting'")

@@ -2,10 +2,11 @@
 
 The simulator realizes the catching-up selection of the discrete inclusion
 
-    x_{j+1} = argmin || y - (x_j + h f(t_j, x_j)) ||   over  psi(g(y), u_{j+1}) in Theta,
+    x_{j+1} = argmin || y - (x_j + h f(t_j, x_j)) ||   over  psi(y, u_{j+1}) in Theta,
 
 so each step is an exact projection onto the moving set at the incoming
 control, and the projection multiplier certifies the discrete inclusion.
+A linear state map G is part of psi (:meth:`geometry.FieldMap.with_state_map`).
 A step of :func:`simulate` is the drift and that projection alone: one
 least-distance solve for an affine-in-x field with a polyhedral Theta, else
 a local SQP whose multiplier comes from its last linearization, with no
@@ -22,7 +23,7 @@ in convergence reporting, and a small mesh-refinement study driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -156,13 +157,13 @@ class AffineDrift:
 
 @dataclass(frozen=True)
 class SweepingSystem:
-    """Drift + moving-set data for x' in f(t,x) - N(g(x); C(t,u)).
+    """Drift + moving-set data for x' in f(t,x) - N(x; C(u)),
+    C(u) = {x : psi(x, u) in Theta}.
 
     ``f`` is a callable (t, x) -> R^n; an :class:`AffineDrift` gives the
-    solvers its exact Jacobian.  ``g`` is either None (identity) or a square
-    matrix; nonlinear state maps are rejected because only the linear case
-    comes with approximation guarantees.  ``L_f`` and ``L_g`` are Lipschitz metadata, not used by the
-    stepper itself.
+    solvers its exact Jacobian.  ``field`` is the only description of the
+    moving set: a linear state map G enters as the field psi(G x, u) of
+    :meth:`FieldMap.with_state_map`.
     """
 
     f: Callable[[float, Array], Array]
@@ -170,53 +171,12 @@ class SweepingSystem:
     theta: ThetaSet
     x0: Array
     T: float
-    L_f: float = 0.0
-    g: Array | None = None
-    L_g: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.L_f < 0 or self.L_g < 0:
-            raise ConfigurationError("Lipschitz constants must be nonnegative")
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "x0", x0)
-        if self.g is not None:
-            G = np.atleast_2d(np.asarray(self.g, dtype=float))
-            if G.shape[0] != G.shape[1]:
-                raise ConfigurationError("state map must be a square matrix")
-            if G.shape[0] != self.field.n:
-                raise ConfigurationError("state map size must match the field")
-            object.__setattr__(self, "g", G)
-        if x0.shape != (self._state_dim(),):
+        if x0.shape != (self.field.n,):
             raise ConfigurationError("x0 dimension mismatch")
-
-    def _state_dim(self) -> int:
-        return self.field.n
-
-    def effective_field(self) -> FieldMap:
-        """The field composed with the linear state map (identity: unchanged).
-
-        Built once per system; every call returns the same FieldMap.
-        """
-        return self._effective_field
-
-    @cached_property
-    def _effective_field(self) -> FieldMap:
-        if self.g is None:
-            return self.field
-        G = self.g
-        base = self.field
-        return FieldMap(
-            n=base.n, m=base.m, s=base.s,
-            psi=lambda x, u: base.psi(G @ x, u),
-            dpsi_dx=lambda x, u: np.atleast_2d(base.dpsi_dx(G @ x, u)) @ G,
-            dpsi_du=lambda x, u: base.dpsi_du(G @ x, u),
-            hess_xx=(None if base.hess_xx is None else
-                     lambda x, u, p: G.T @ base.hess_xx(G @ x, u, p) @ G),
-            hess_ux=(None if base.hess_ux is None else
-                     lambda x, u, p: base.hess_ux(G @ x, u, p) @ G),
-            x_affine=(None if base.x_affine is None else
-                      lambda u: (base.x_affine(u)[0] @ G, base.x_affine(u)[1])),
-        )
 
 
 def _drift(system: SweepingSystem, t: Array, x: Array) -> Array:
@@ -277,7 +237,7 @@ def step_catching_up(system: SweepingSystem, x_j: Array, u_next: Array,
     """
     x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
     u_next = np.atleast_1d(np.asarray(u_next, dtype=float))
-    field = system.effective_field()
+    field = system.field
     drifted = x_j + h * np.atleast_1d(np.asarray(system.f(t_j, x_j), dtype=float))
     y, eta = _project_step(field, system.theta, u_next, drifted,
                            x_j if warm_start is None else warm_start)
@@ -298,7 +258,7 @@ def simulate(system: SweepingSystem, control: Path,
     mesh = control.mesh
     if abs(mesh.T - system.T) > 1e-12:
         raise ConfigurationError("control horizon differs from the system horizon")
-    eff = system.effective_field()
+    eff = system.field
     z0 = psi_eval(eff, system.x0, control.values[0])
     if not system.theta.contains(z0, tol=TOL_FEAS):
         raise SimulationError(0, f"initial state infeasible: psi(x0,u0)={z0}")
@@ -335,7 +295,7 @@ def inclusion_residual(system: SweepingSystem, state: Path, control: Path,
         raise ConfigurationError(f"unknown convention {convention!r}")
     mesh, x, k = state.mesh, state.values, state.mesh.k
     at = slice(1, k + 1) if convention == "implicit" else slice(0, k)
-    tab = field_at_nodes(system.effective_field(), x[at], control.values[at])
+    tab = field_at_nodes(system.field, x[at], control.values[at])
     v = _drift(system, mesh.nodes[:k], x[:k]) - np.diff(x, axis=0) / mesh.h
     return cone_distance_nodes(system.theta, tab.psi, tab.Jx, v, TOL_FEAS)
 
@@ -401,22 +361,25 @@ class ConvergenceRow:
     control: Path
 
 
+#: State errors at or below this count as zero in a convergence study, so
+#: ties between them do not break monotonicity.
+_TIE_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class ConvergenceTable:
     rows: tuple[ConvergenceRow, ...]
     monotone: bool
-    tie_floor: float
 
 
 def convergence_study(system: SweepingSystem,
                       control_family: Callable[[int], Path],
                       reference: tuple[Path, Path],
-                      ks: Sequence[int],
-                      tie_floor: float = 1e-12) -> ConvergenceTable:
+                      ks: Sequence[int]) -> ConvergenceTable:
     """Simulate per mesh size and tabulate errors against a reference pair.
 
     ``monotone`` asks for strictly decreasing state errors from one k to the
-    next; once both errors sit at or below ``tie_floor`` (they can be exactly
+    next; once both errors sit at or below 1e-12 (they can be exactly
     zero when the reference is piecewise linear on the refined mesh), ties
     are allowed.
     """
@@ -438,7 +401,7 @@ def convergence_study(system: SweepingSystem,
     for r1, r2 in zip(rows, rows[1:]):
         if r2.state_error_w12 < r1.state_error_w12:
             continue
-        if r1.state_error_w12 <= tie_floor and r2.state_error_w12 <= tie_floor:
+        if r1.state_error_w12 <= _TIE_FLOOR and r2.state_error_w12 <= _TIE_FLOOR:
             continue
         monotone = False
-    return ConvergenceTable(rows=tuple(rows), monotone=monotone, tie_floor=tie_floor)
+    return ConvergenceTable(rows=tuple(rows), monotone=monotone)

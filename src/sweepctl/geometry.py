@@ -414,7 +414,8 @@ class FieldMap:
     problem instances use; ``polyhedral`` builds the moving-rows case
     psi_i(x, (u, b)) = <x, u_i> - b_i where the control is the concatenation
     of the s row vectors with the offset vector b; ``nonlinear`` takes raw
-    callbacks.
+    callbacks.  ``with_state_map`` composes a field with a linear state map,
+    psi(G x, u), so a state-mapped moving set is one more field.
 
     Attributes
     ----------
@@ -527,6 +528,27 @@ class FieldMap:
         return FieldMap(n=n, m=m, s=s, psi=psi, dpsi_dx=dpsi_dx,
                         dpsi_du=dpsi_du, hess_xx=hess_xx, hess_ux=hess_ux,
                         x_affine=None)
+
+    def with_state_map(self, G: Array) -> "FieldMap":
+        """psi(G x, u) for a square n x n matrix G, with the derivatives by
+        the chain rule; an affine-in-x field stays affine in x."""
+        G = np.atleast_2d(np.asarray(G, dtype=float))
+        if G.shape[0] != G.shape[1]:
+            raise ConfigurationError("state map must be a square matrix")
+        if G.shape[0] != self.n:
+            raise ConfigurationError("state map size must match the field")
+        return FieldMap(
+            n=self.n, m=self.m, s=self.s,
+            psi=lambda x, u: self.psi(G @ x, u),
+            dpsi_dx=lambda x, u: np.atleast_2d(self.dpsi_dx(G @ x, u)) @ G,
+            dpsi_du=lambda x, u: self.dpsi_du(G @ x, u),
+            hess_xx=(None if self.hess_xx is None else
+                     lambda x, u, p: G.T @ self.hess_xx(G @ x, u, p) @ G),
+            hess_ux=(None if self.hess_ux is None else
+                     lambda x, u, p: self.hess_ux(G @ x, u, p) @ G),
+            x_affine=(None if self.x_affine is None else
+                      lambda u: (self.x_affine(u)[0] @ G, self.x_affine(u)[1])),
+        )
 
 
 def psi_eval(field: FieldMap, x: Array, u: Array) -> Array:

@@ -555,7 +555,7 @@ class Transcription:
     def __init__(self, problem: OcpProblem, k: int):
         self.problem = problem
         self.mesh = Mesh(k=k, T=problem.system.T)
-        self.field = problem.system.effective_field()
+        self.field = problem.system.field
         bounds = problem.system.theta.bounds()
         if bounds is None:
             raise ConfigurationError(
@@ -988,10 +988,10 @@ def _comp_residual(mu: Array, slack: Array) -> float:
     return float(np.max(np.abs(np.minimum(mu, slack)), initial=0.0))
 
 
-def _default_schedule(start: float = 0.3) -> tuple[float, ...]:
-    """Geometric continuation down to 1e-8, factor 0.2."""
+def _default_schedule() -> tuple[float, ...]:
+    """Geometric continuation from 0.3 down to 1e-8, factor 0.2."""
     out = []
-    s = start
+    s = 0.3
     while s > 1.3e-8:
         out.append(s)
         s *= 0.2
@@ -1067,6 +1067,11 @@ def _centered_start(kkt: _KktSystem, warm: DiscreteDecision,
 #: reached by solving coarse first and prolonging (mesh continuation).
 _COARSE_LIMIT = 25
 
+#: Newton iteration caps per sigma stage: intermediate stages, and the last
+#: stage, which must reach the stationarity tolerance.
+_STAGE_ITER = 80
+_LAST_STAGE_ITER = 300
+
 
 def _restrict_warm(problem: OcpProblem, warm: DiscreteDecision,
                    k_coarse: int) -> DiscreteDecision:
@@ -1095,8 +1100,7 @@ def _prolong(problem: OcpProblem, z: DiscreteDecision,
 
 
 def _run_schedule(kkt: _KktSystem, X: Array, sched: Sequence[float],
-                  tol_stat: float, max_iter_per_stage: int,
-                  ) -> tuple[Array, int, int, float, list[float]]:
+                  tol_stat: float) -> tuple[Array, int, int, float, list[float]]:
     """One continuation pass.  Intermediate stages are solved inexactly
     (tolerance scales with sigma); only the last stage must reach tol_stat.
     Returns (X, iterations, damped trials, final ||F||_inf, stage costs)."""
@@ -1106,7 +1110,7 @@ def _run_schedule(kkt: _KktSystem, X: Array, sched: Sequence[float],
     for i, sigma in enumerate(sched):
         last = i == len(sched) - 1
         tol = tol_stat if last else max(tol_stat, 0.02 * sigma)
-        cap = max(300, max_iter_per_stage) if last else max_iter_per_stage
+        cap = _LAST_STAGE_ITER if last else _STAGE_ITER
         X, its, norm, tried = _lm_stage(kkt, X, sigma, tol, cap)
         total, trials = total + its, trials + tried
         costs.append(cost_eval(kkt.problem, kkt.unpack(X)))
@@ -1117,7 +1121,6 @@ def solve_smoothed(transcription: Transcription,
                    sigma_schedule: Sequence[float] | None = None,
                    warm: DiscreteDecision | None = None,
                    tol_stat: float = 1e-9,
-                   max_iter_per_stage: int = 80,
                    ) -> tuple[DiscreteDecision, SolveReport]:
     """Continuation in sigma over the smoothed KKT system.
 
@@ -1185,12 +1188,12 @@ def solve_smoothed(transcription: Transcription,
         if float(np.max(np.abs(Fc))) < float(np.max(np.abs(Fp))):
             X = X_centered
         X, total_iters, total_trials, norm, costs = _run_schedule(
-            kkt_l, X, sig, tol_stat, max_iter_per_stage)
+            kkt_l, X, sig, tol_stat)
         for k_l in levels[1:]:
             z = _prolong(problem, kkt_l.unpack(X), k_l)
             kkt_l = kkt if k_l == k_target else _KktSystem(transcribe(problem, k_l))
             X, its, tried, norm, costs = _run_schedule(
-                kkt_l, kkt_l.pack_primal(z), tail, tol_stat, max_iter_per_stage)
+                kkt_l, kkt_l.pack_primal(z), tail, tol_stat)
             total_iters, total_trials = total_iters + its, total_trials + tried
         cost_trace.extend(costs)
         if norm > tol_stat:
@@ -1236,7 +1239,7 @@ def _has_exact_tangents(system: SweepingSystem) -> bool:
     """Whether every catching-up step of the system is the exact NNLS
     projection (an affine-in-x field and a polyhedral Theta), so that shooting
     gradients come from tangents rather than forward differences."""
-    return (system.effective_field().x_affine is not None
+    return (system.field.x_affine is not None
             and system.theta.halfspaces() is not None)
 
 
@@ -1269,7 +1272,7 @@ def _shooting_gradient(problem: OcpProblem, z: DiscreteDecision,
     dU + sum_j dX_j T_j with (dX, dU) = cost_grad(problem, z).
     """
     system, mesh = problem.system, z.mesh
-    field = system.effective_field()
+    field = system.field
     H, d = system.theta.halfspaces()
     nodes, comps = np.array(free_idx, dtype=int).reshape(-1, 2).T
     dX, dU = cost_grad(problem, z)
@@ -1469,7 +1472,7 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
                 if grad_norm ** 2 < tol:
                     stop_reason = "tolerance"
     decision = base[0]
-    field = problem.system.effective_field()
+    field = problem.system.field
     # simulator multipliers satisfy the cone condition at the right node
     psi_next = field_at_nodes(field, decision.x[1:], decision.u[1:]).psi
     bounds = problem.system.theta.bounds()

@@ -99,15 +99,17 @@ def _finite(arr: Array, what: str) -> Array:
     return arr
 
 
+def _positive_int(value, what: str) -> int:
+    """value, if it is an integer of at least 1; booleans, floats, strings
+    and null are a SpecError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SpecError(f"{what} must be a positive integer")
+    return value
+
+
 def _dims(spec: dict) -> tuple[int, int, int]:
     d = _section(spec, "dims")
-    out = []
-    for key in ("n", "m", "s"):
-        value = d.get(key)
-        if not isinstance(value, int) or value < 1:
-            raise SpecError(f"dims.{key} must be a positive integer")
-        out.append(value)
-    return tuple(out)
+    return tuple(_positive_int(d.get(key), f"dims.{key}") for key in ("n", "m", "s"))
 
 
 def _horizon(spec: dict) -> float:

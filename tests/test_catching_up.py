@@ -127,7 +127,7 @@ def oracle_feasibility(theta, z):
 def oracle_simulate(system, control):
     """States and (eta, residual, feasibility, active) per step."""
     mesh = control.mesh
-    field = system.effective_field()
+    field = system.field
     z0 = psi_eval(field, system.x0, control.values[0])
     if not system.theta.contains(z0, tol=TOL_FEAS):
         raise SimulationError(0, f"initial state infeasible: psi(x0,u0)={z0}")
@@ -208,9 +208,9 @@ def weakly_active_case():
 
 def state_map_case():
     system, control = polyhedral_case(2, 4, seed=7, k=50)
-    mapped = SweepingSystem(f=system.f, field=system.field, theta=system.theta,
-                            x0=system.x0, T=system.T,
-                            g=[[1.5, 0.4], [-0.3, 0.8]])
+    mapped = SweepingSystem(f=system.f,
+                            field=system.field.with_state_map([[1.5, 0.4], [-0.3, 0.8]]),
+                            theta=system.theta, x0=system.x0, T=system.T)
     return mapped, control
 
 

@@ -49,7 +49,7 @@ def _dense_fit(problem, state, control, lam=1.0):
     """(A, b, lower bounds, fitted x, non_unique, layout) of the dense fit."""
     from scipy.optimize import lsq_linear
     system = problem.system
-    field = system.effective_field()
+    field = system.field
     theta = system.theta
     mesh = state.mesh
     k, h = mesh.k, mesh.h

@@ -18,7 +18,7 @@ import sweepctl.spec
 from sweepctl import cli
 from sweepctl.dynamics import Path, simulate
 from sweepctl.ocp import NumericalFailureError
-from sweepctl.problems import instance, solution_on_mesh
+from sweepctl.problems import certificate_on_mesh, instance, solution_on_mesh
 
 
 def read_json(path):
@@ -318,9 +318,44 @@ def test_solve_rejects_bad_schema(tmp_path):
     assert cli.main(["solve", thin, "--out-dir", str(tmp_path / "c")]) == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "k", "abc"),
+    ("solver", "k", None),
+    ("solver", "k", [1]),
+    ("solver", "k", 3.7),
+    ("solver", "k", True),
+    ("solver", "k", 0),
+    ("dims", "n", True),
+    ("dims", "m", 1.0),
+], ids=["k-string", "k-null", "k-list", "k-float", "k-true", "k-zero", "n-true",
+        "m-float"])
+def test_solve_rejects_a_count_that_is_not_a_positive_int(tmp_path, section, key,
+                                                          value):
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    spec = read_json(spec_path)
+    spec[section][key] = value
+    with open(spec_path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    out = tmp_path / "run"
+    assert cli.main(["solve", spec_path, "--out-dir", str(out)]) == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "SpecError"
+    assert "must be a positive integer" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
+
+
+def write_certificate(path, cert):
+    """Store p, eta and gamma (density and atoms) of a certificate as JSON."""
+    data = {"lam": cert.lam, "p": cert.p.values.tolist(),
+            "eta": cert.eta.values.tolist(),
+            "gamma": {"density": cert.gamma.density.tolist(),
+                      "atoms": [[t, w.tolist()] for t, w in cert.gamma.atoms]}}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)  # writes the non-standard NaN / Infinity tokens
 
 
 def test_certify_assembled_passes(tmp_path, capsys):
@@ -363,18 +398,41 @@ def test_certify_explicit_certificate_file(tmp_path):
     assert report["certificate"]["fit_residual"] is None
 
 
+@pytest.mark.parametrize("atom_weight", [1.0, float("nan"), float("inf")])
+def test_certificate_atom_weights_must_be_finite(tmp_path, atom_weight):
+    spec_path = export_spec(tmp_path, "elastoplastic61", 8)
+    sol = write_pair(tmp_path, *solution_on_mesh("elastoplastic61", 8))
+    cert = certificate_on_mesh("elastoplastic61", 8)
+    [(t, w)] = cert.gamma.atoms
+    cert = dataclasses.replace(cert, gamma=dataclasses.replace(
+        cert.gamma, atoms=((t, w * atom_weight),)))
+    cert_path = str(tmp_path / "cert.json")
+    write_certificate(cert_path, cert)
+    out = tmp_path / "cert_out"
+    rc = cli.main(["certify", spec_path, "--solution", sol,
+                   "--certificate", cert_path, "--out-dir", str(out)])
+    if atom_weight == 1.0:
+        assert rc == 0
+        assert read_json(str(out / "report.json"))["passed"] is True
+        return
+    assert rc == 2
+    assert not os.path.exists(str(out / "report.json"))
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "SpecError"
+    assert "gamma atom weights must be finite" in error["message"]
+
+
 def test_default_q_is_built_from_the_state_mapped_field():
-    # With a state map g every report reads the effective field; the q that
+    # With a state map G every report reads the composed field; the q that
     # parse_certificate fills in must come from the same field, or a
     # consistent certificate fails q_gamma.
     from sweepctl.certify import residual_continuous_EL
 
     problem = instance("counterexample53").problem
-    system = dataclasses.replace(problem.system,
-                                 g=np.array([[2.0, 0.0], [1.0, 1.0]]))
+    field = problem.system.field.with_state_map(np.array([[2.0, 0.0], [1.0, 1.0]]))
+    system = dataclasses.replace(problem.system, field=field)
     problem = dataclasses.replace(problem, system=system)
     state, control = solution_on_mesh("counterexample53", 8)
-    field = system.effective_field()
     k, s = 8, field.s
     data = {"lam": 1.0, "p": np.zeros((k + 1, field.n + field.m)).tolist(),
             "eta": np.zeros((k + 1, s)).tolist(),

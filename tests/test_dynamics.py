@@ -1,5 +1,7 @@
 """Catching-up stepping, residuals, path metrics, refinement studies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -237,18 +239,21 @@ def test_mesh_nodes_are_cached_and_read_only():
     assert mesh == Mesh(k=4, T=2.0) and hash(mesh) == hash(Mesh(k=4, T=2.0))
 
 
-def test_effective_field_is_built_once_per_system():
+def test_state_map_composes_into_the_field():
+    # The field is the system's only description of the moving set: a state
+    # map G is the field psi(G x, u), affine in x when psi is.
     field = FieldMap.affine_fixed([[1.0, 0.0]], [[1.0]], [0.0])
-    system = SweepingSystem(f=lambda t, x: np.zeros(2), field=field,
-                            theta=NonpositiveOrthant(1), x0=[-1.0, 0.0], T=1.0,
-                            g=[[2.0, 0.0], [0.0, 1.0]])
-    eff = system.effective_field()
-    assert system.effective_field() is eff
-    np.testing.assert_array_equal(eff.psi(np.array([1.0, 3.0]), np.array([0.5])),
+    mapped = field.with_state_map([[2.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(mapped.psi(np.array([1.0, 3.0]), np.array([0.5])),
                                   [2.5])
-    plain = SweepingSystem(f=lambda t, x: np.zeros(2), field=field,
-                           theta=NonpositiveOrthant(1), x0=[-1.0, 0.0], T=1.0)
-    assert plain.effective_field() is field
+    A, c = mapped.x_affine(np.array([0.5]))
+    np.testing.assert_array_equal(A, [[2.0, 0.0]])
+    np.testing.assert_array_equal(c, [0.5])
+    system = SweepingSystem(f=lambda t, x: np.zeros(2), field=mapped,
+                            theta=NonpositiveOrthant(1), x0=[-1.0, 0.0], T=1.0)
+    assert system.field is mapped
+    assert [f.name for f in dataclasses.fields(SweepingSystem)] == [
+        "f", "field", "theta", "x0", "T"]
 
 
 def test_simulate_evaluates_psi_once_per_step():

@@ -31,7 +31,7 @@ from sweepctl.geometry import (
     surjectivity_check,
     theta_contains,
 )
-from sweepctl.dynamics import (AffineDrift, Mesh, Path, SimulationError, SweepingSystem,
+from sweepctl.dynamics import (Mesh, Path, SimulationError, SweepingSystem,
                                simulate)
 from sweepctl.problems import instance
 
@@ -643,9 +643,7 @@ def _table_fields():
     rng = np.random.default_rng(7)
     quad_spec = {"moving_set": {"psi": {"kind": "quadratic_scalar",
                                         "a": 0.7, "b": -1.3, "c": 0.4}}}
-    mapped = SweepingSystem(f=AffineDrift.zero(2), field=_bent_field(),
-                            theta=NonpositiveOrthant(2), x0=np.zeros(2), T=1.0,
-                            g=rng.normal(size=(2, 2)))
+    G = rng.normal(size=(2, 2))
     return {
         "affine_fixed": FieldMap.affine_fixed(rng.normal(size=(3, 2)),
                                               rng.normal(size=(3, 2)),
@@ -653,8 +651,15 @@ def _table_fields():
         "polyhedral": FieldMap.polyhedral(n=2, s=3),
         "nonconvex22": instance("nonconvex22").problem.system.field,
         "quadratic_scalar": spec._build_field(quad_spec, 1, 1, 1),
-        "effective_field": mapped.effective_field(),
+        "state_mapped": _bent_field().with_state_map(G),
     }
+
+
+@pytest.mark.parametrize("G", [np.ones((2, 3)), np.eye(3)],
+                         ids=["non-square", "wrong-size"])
+def test_state_map_is_square_of_the_field_size(G):
+    with pytest.raises(ConfigurationError, match="state map"):
+        _bent_field().with_state_map(G)
 
 
 @pytest.mark.parametrize("name", sorted(_table_fields()))

@@ -398,10 +398,11 @@ def _moving_polytope(n, s):
 
 
 def _state_mapped():
-    """counterexample53 swept through the state map g = [[2, 0], [1, 1]]."""
+    """counterexample53 swept through the state map G = [[2, 0], [1, 1]]."""
     base = instance("counterexample53").problem
+    field = base.system.field.with_state_map([[2.0, 0.0], [1.0, 1.0]])
     problem = dataclasses.replace(
-        base, system=dataclasses.replace(base.system, g=[[2.0, 0.0], [1.0, 1.0]]),
+        base, system=dataclasses.replace(base.system, field=field),
         u0=np.array([2.5, 2.5]))
     U = np.linspace(2.5, 1.0, 11)[:, None] * np.ones((1, 2))
     U[1:] += 0.2 * np.random.default_rng(53).standard_normal((10, 2))
@@ -492,6 +493,20 @@ def test_shooting_reaches_the_default_tolerance():
                                tol=1e-12, max_iter=100)
     assert report.iterations < 100
     assert report.stat_residual ** 2 < 1e-12
+
+
+def test_state_mapped_shooting_takes_the_exact_route():
+    # The composed field keeps x_affine, so the shooting gradient comes from
+    # tangents through psi(G x, u); the count and cost pin that route.
+    problem, U = _state_mapped()
+    assert _has_exact_tangents(problem.system)
+    k = U.shape[0] - 1
+    _, report = solve_shooting(problem, k, Path(mesh=Mesh(k=k, T=problem.system.T),
+                                                values=U))
+    assert report.stop_reason == "tolerance"
+    assert report.iterations == 76
+    assert report.simulations == 1 + report.line_search_trials == 86
+    assert report.cost == pytest.approx(1.0416666666667698, rel=1e-12)
 
 
 def test_exact_route_simulates_once_per_line_search_trial():
@@ -967,7 +982,7 @@ def test_kkt_system_caches_hold_no_point_data(case):
 
 @pytest.mark.parametrize("name", ["remark45", "counterexample53", "elastoplastic61"])
 def test_stacked_affine_table_equals_per_node_calls(name):
-    field = instance(name).problem.system.effective_field()
+    field = instance(name).problem.system.field
     assert all(hasattr(getattr(field, cb), "at_nodes")
                for cb in ("psi", "dpsi_dx", "dpsi_du", "hess_xx", "hess_ux"))
     calls = []

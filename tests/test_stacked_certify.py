@@ -71,6 +71,7 @@ from sweepctl.geometry import (
     field_at_nodes,
     normal_cone_decompose,
     polyhedron_distance,
+    psi_eval,
 )
 from sweepctl.ocp import DiscreteDecision, OcpProblem, _drift
 from sweepctl.problems import certificate_on_mesh, instance, solution_on_mesh
@@ -150,7 +151,7 @@ def oracle_decompose(theta, z, J, v, tol=1e-8):
 def oracle_recover_eta(system, state, control, tol=1e-8):
     mesh = state.mesh
     k, h = mesh.k, mesh.h
-    tab = field_at_nodes(system.effective_field(), state.values[:k], control.values[:k])
+    tab = field_at_nodes(system.field, state.values[:k], control.values[:k])
     vals = np.zeros((k + 1, tab.field.s))
     for j in range(k):
         t_j, x_j = float(mesh.nodes[j]), state.values[j]
@@ -230,7 +231,7 @@ def oracle_conventional_hamiltonian(theta, z, Jx, p):
 
 
 def _left_table(problem, state, control, cert):
-    field = problem.system.effective_field()
+    field = problem.system.field
     k = state.mesh.k
     tab = field_at_nodes(field, state.values[:k], control.values[:k])
     r = _midpoint_q(cert, tab, state, control)[:, :field.n] - cert.lam * cert.subgrad.v_x
@@ -282,7 +283,7 @@ def oracle_eta_item(problem, state, control, cert):
     system = problem.system
     theta = system.theta
     k, h = state.mesh.k, state.mesh.h
-    tab = field_at_nodes(system.effective_field(), state.values, control.values)
+    tab = field_at_nodes(system.field, state.values, control.values)
     eta = cert.eta.values
     dyn = (np.diff(state.values, axis=0) / h
            - _drift(system, state.mesh.nodes[:k], state.values[:k])
@@ -759,7 +760,7 @@ def test_check_cases_reach_every_branch():
 def test_discrete_coderivative_matches_the_cell_loop():
     rng = np.random.default_rng(20261026)
     problem = instance("remark45").problem
-    field, theta = problem.system.effective_field(), problem.system.theta
+    field, theta = problem.system.field, problem.system.theta
     state, control = solution_on_mesh("remark45", 12)
     k = 12
     eta = recover_eta(problem.system, state, control).values[:k]
@@ -857,7 +858,8 @@ def test_the_vanishing_gradient_fails_at_its_cell():
                                    ("elastoplastic61", 50)])
 def test_checks_make_no_per_point_nnls(iid, k, monkeypatch):
     """Orthant and one-row image Theta never reach the NNLS cell by cell;
-    only residual_continuous_EL's endpoint transversality may run one."""
+    only residual_continuous_EL's endpoint transversality may run one, one
+    node of the stacked cone distance, where two or more rows are active."""
     import scipy.optimize
 
     problem = instance(iid).problem
@@ -865,24 +867,31 @@ def test_checks_make_no_per_point_nnls(iid, k, monkeypatch):
     cert = certificate_on_mesh(iid, k)
 
     def refuse(*args):
-        raise AssertionError("per-point projection or NNLS")
+        raise AssertionError("per-point projection")
 
-    calls = []
-    real_nnls = scipy.optimize.nnls
+    calls, distances = [], []
+    real_nnls, real_distance = scipy.optimize.nnls, geometry._cone_distance_of
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real_nnls(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "_cone_distance_of", refuse)
+    def counting_distance(*args):
+        distances.append(1)
+        return real_distance(*args)
+
+    monkeypatch.setattr(geometry, "_cone_distance_of", counting_distance)
     monkeypatch.setattr(geometry, "polyhedron_distance", refuse)
     monkeypatch.setattr(scipy.optimize, "nnls", counting)
     recover_eta(problem.system, state, control)
-    assert not calls
+    assert not calls and not distances
     assert residual_continuous_EL(problem, state, control, cert).passed
-    assert len(calls) <= 1
+    g, _, d = problem.system.theta.constraint(psi_eval(
+        problem.system.field, state.values[-1], control.values[-1]))
+    assert len(calls) == len(distances) == int(np.sum(g >= d - ACT_TOL) >= 2)
     calls.clear()
+    distances.clear()
     conventional_sufficiency_check(problem, state, control, cert)
     if isinstance(problem.system.theta, NonpositiveOrthant):
         assert max_condition_check(problem, state, control, cert).passed
-    assert not calls
+    assert not calls and not distances

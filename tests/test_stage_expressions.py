@@ -66,7 +66,7 @@ def oracle_inclusion_residual(system, state, control, convention):
         x_j = state.values[j]
         v = -(state.values[j + 1] - x_j) / h + np.atleast_1d(
             np.asarray(system.f(float(mesh.nodes[j]), x_j), dtype=float))
-        tab = field_at_nodes(system.effective_field(), state.values[j + at][None],
+        tab = field_at_nodes(system.field, state.values[j + at][None],
                              control.values[j + at][None])
         out[j] = oracle_cone_distance(system.theta, tab.psi[0], tab.Jx[0], v)
     return out
