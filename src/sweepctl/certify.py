@@ -24,7 +24,8 @@ Conventions used throughout:
 :func:`assemble_certificate` fits multipliers in O(k) as well: the measure
 tails join the fit as unknowns, which makes the condition matrix banded, and
 one sparse factorization of the augmented least-squares system plus a tiny
-NNLS over the endpoint cone coefficients solve it.  Its results match the
+NNLS over the endpoint cone coefficients solve it, through the smoothed
+solver's assembler and augmented kernel.  Its results match the
 dense bounded least-squares fit of the same problem to about 1e-10, not bit
 for bit.
 
@@ -73,8 +74,8 @@ from .geometry import (
     surjectivity_check,
 )
 from .dynamics import Mesh, Path, SweepingSystem, _drift
-from .ocp import (DiscreteDecision, OcpProblem, _anchor_stages, _quadratic_stage,
-                  _raw_args, _running_grad)
+from .ocp import (DiscreteDecision, OcpProblem, _anchor_stages, _assembler,
+                  _Augmented, _quadratic_stage, _raw_args, _running_grad)
 
 Array = np.ndarray
 
@@ -923,56 +924,24 @@ def _running_subgradients(problem: OcpProblem, state: Path, control: Path,
         v_u=g[:, 2 * n + m:] if problem.uses_udot else None)
 
 
-def _coo(shape: tuple[int, int], blocks: list[tuple[Array, Array, Array]]):
-    """Sparse matrix from stacks of dense blocks.
-
-    Each (rows, cols, B) puts B[j] at rows[j] x cols[j]; entries sharing a
-    position add up, and entries with a negative index (a density cell
-    outside the contact set) are dropped.
-    """
-    from scipy import sparse
-    r = np.concatenate([np.broadcast_to(i[:, :, None], B.shape).ravel()
-                        for i, _, B in blocks])
-    c = np.concatenate([np.broadcast_to(j[:, None, :], B.shape).ravel()
-                        for _, j, B in blocks])
-    v = np.concatenate([B.ravel() for _, _, B in blocks])
-    keep = (r >= 0) & (c >= 0)
-    return sparse.coo_array((v[keep], (r[keep], c[keep])), shape=shape)
-
-
-def _kkt_lu(K, C):
-    """splu of the augmented system [[I, K, 0], [K^T, 0, C^T], [0, C, 0]].
-
-    Its solution with right-hand side [d; 0; 0] is (d - K y, y, .) for the y
-    minimizing ||K y - d|| subject to C y = 0 (Bjorck's augmented form of
-    least squares: no normal equations, so K's condition is not squared).
-    """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-    R = sparse.eye_array(K.shape[0])
-    M = sparse.block_array([[R, K, None], [K.T, None, C.T], [None, C, None]],
-                           format="csc")
-    return splu(M)
-
-
 def _rank_deficient(A, C, free: Array) -> bool:
     """Whether the condition matrix A Z has dependent columns.
 
-    Z maps the original unknowns (the columns ``free`` of A) to the tail
-    form, the other columns being fixed by C y = 0.  Two steps of inverse
-    iteration on (A Z)^T (A Z) through the unregularized augmented system
-    find a vector x with ||A Z x|| <= sigma ||x||, sigma no smaller than the
-    least singular value; the columns count as dependent when sigma falls
-    under numpy's ``matrix_rank`` tolerance, max(shape) * eps * ||A||, with
-    sqrt(||A||_1 ||A||_inf) for ||A||.  A pivot that vanishes exactly also
-    means dependence.
+    Z maps the original unknowns (the columns ``free`` of A, CSC) to the
+    tail form, the other columns being fixed by C y = 0.  Two steps of
+    inverse iteration on (A Z)^T (A Z) through one factorization of the
+    undamped augmented system find a vector x with ||A Z x|| <= sigma ||x||,
+    sigma no smaller than the least singular value; the columns count as
+    dependent when sigma falls under numpy's ``matrix_rank`` tolerance,
+    max(shape) * eps * ||A||, with sqrt(||A||_1 ||A||_inf) for ||A||.  A
+    pivot that vanishes exactly (splu's RuntimeError) also means dependence.
     """
     from scipy.sparse.linalg import norm
+    rows, N = A.shape
     try:
-        lu = _kkt_lu(A, C)
+        lu = _Augmented(A.indices, A.indptr, A.shape, C).factor(A.data)
     except RuntimeError:  # exactly singular
         return True
-    rows, N = A.shape
     rhs = np.zeros(rows + N + C.shape[0])
     y = np.zeros(N)
     y[free] = np.random.default_rng(0).standard_normal(len(free))
@@ -1013,18 +982,18 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     = h G_j dens_j and S_k = G_T atom, so the tail at the midpoint of cell j
     is S_{j+1} plus its own half cell, and every condition row touches O(1)
     cells: the matrix is banded and assembled from stage stacks.  One
-    sparse LU of the augmented system (see :func:`_kkt_lu`) solves for the
-    free unknowns, with the cone coefficients' columns as extra right-hand
-    sides; the residual is affine in them, so a tiny NNLS over those few
-    coefficients enforces their bounds before back-substitution.  Results
-    match a dense bounded least-squares solve of the same problem to about
-    1e-10, not bit for bit.  When A has fewer rows than unknowns
-    ``non_unique`` holds by counting; otherwise :func:`_rank_deficient`
-    decides it with a second, unregularized factorization.
+    sparse LU of the undamped augmented system (:class:`ocp._Augmented`,
+    with the tail equalities as C) solves for the free unknowns, with the
+    cone coefficients' columns as extra right-hand sides; the residual is
+    affine in them, so a tiny NNLS over those few coefficients enforces
+    their bounds before back-substitution.  Results match a dense bounded
+    least-squares solve of the same problem to about 1e-10, not bit for
+    bit.  When A has fewer rows than unknowns ``non_unique`` holds by
+    counting; otherwise :func:`_rank_deficient` decides it with a second,
+    unregularized factorization.
     """
     if not 0.0 <= lam < math.inf:
         raise ConfigurationError("the cost multiplier must be finite and nonnegative")
-    from scipy import sparse
     from scipy.optimize import nnls
     system = problem.system
     field = system.field
@@ -1070,8 +1039,9 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     # the adjoint equation  dp/h - H (p_mid^x - tail^x(mid) - lam v^x) =
     # lam w  over the control adjoint  p_mid^u - tail^u(mid) = lam v^u (or
     # zero).  The midpoint tail is S_full plus the cut cell's length times
-    # its integrand (_tail_cells, as VectorMeasure.tail counts cells).  Last
-    # come the endpoint inclusion rows, an equality over the cone generators.
+    # its integrand (_tail_cells, as VectorMeasure.tail counts cells).  Then
+    # the endpoint inclusion rows, an equality over the cone generators: A.
+    # S stacks A over the Tikhonov rows reg I of the regularized unknowns.
     H = np.concatenate(tab.hess(eta_path.values[:k]), axis=1)
     HE = np.concatenate([H, np.zeros((k, d, m))], axis=2)  # H on the x part
     full, cut, length = _tail_cells(mesh, 0.5 * (nodes[:-1] + nodes[1:]))
@@ -1086,13 +1056,16 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     B[:, d:, 3 * d:] = -Gcut[:, n:]
     icut = np.where((cut >= 0)[:, None], idens[cut], -1)
     n_rows = k * (d + m) + d
+    rows = n_rows + n_reg
     i_end = n_rows - d + np.arange(d)[None]
-    A = _coo((n_rows, N), [
+    ireg = np.arange(n_reg)[:, None]
+    reg = 1e-6
+    *_, assemble = _assembler((rows, N), [
         (np.arange(k * (d + m)).reshape(k, d + m),
-         np.hstack([ip[:-1], ip[1:], iS[full - 1], icut]), B),
-        (i_end, ip[k:], -np.eye(d)[None]),
-        (i_end, i_beta + np.arange(n_beta)[None], -cols_T[None]),
-    ]).tocsr()
+         np.hstack([ip[:-1], ip[1:], iS[full - 1], icut])),
+        (i_end, ip[k:]), (i_end, i_beta + np.arange(n_beta)[None]),
+        (n_rows + ireg, ireg)])
+    S = assemble([B, -np.eye(d)[None], -cols_T[None], np.full((n_reg, 1, 1), reg)])
     gphi = np.atleast_1d(np.asarray(problem.dphi(x_T), dtype=float))
     b = np.zeros((k + 1, d + m))
     b[:k, :d] = lam * np.hstack([sg.w_x, sg.w_u]) - (H @ (lam * sg.v_x)[:, :, None])[:, :, 0]
@@ -1102,34 +1075,32 @@ def assemble_certificate(problem: OcpProblem, state: Path, control: Path,
     b = b.ravel()[:n_rows]
 
     # Tail equalities: S_j - S_{j+1} - h G_j dens_j = 0 for j < k and
-    # S_k - G_T atom = 0.
+    # S_k - G_T atom = 0.  They tie no cone coefficient.
     rS = iS - n_reg
-    C = _coo((k * d, N), [
-        (rS, iS, np.broadcast_to(np.eye(d), (k, d, d))),
-        (rS[:-1], iS[1:], np.broadcast_to(-np.eye(d), (k - 1, d, d))),
-        (rS[:-1], idens[1:], -h * grads[1:]),
-        (rS[-1:], iatom[None], -grad_T_end[None]),
-    ]).tocsr()
+    *_, assemble = _assembler((k * d, i_beta), [
+        (rS, iS), (rS[:-1], iS[1:]), (rS[:-1], idens[1:]), (rS[-1:], iatom[None])])
+    C = assemble([np.broadcast_to(np.eye(d), (k, d, d)),
+                  np.broadcast_to(-np.eye(d), (k - 1, d, d)),
+                  -h * grads[1:], -grad_T_end[None]])
 
-    # Free unknowns through one factorization; beta's columns ride along as
+    # Free unknowns through one factorization with K = S[:, :i_beta], the
+    # head of S's CSC arrays; beta's columns -cols_T ride along as
     # right-hand sides, and NNLS on the affine residual fixes beta >= 0.
-    reg = 1e-6
-    K = sparse.vstack([A[:, :i_beta],
-                       sparse.eye_array(n_reg, i_beta) * reg]).tocsc()
-    rows = K.shape[0]
+    nz = S.indptr[i_beta]
     rhs = np.zeros((rows + i_beta + k * d, 1 + n_beta))
     rhs[:n_rows, 0] = b
-    rhs[:n_rows, 1:] = A[:, i_beta:].toarray()
-    sol = _kkt_lu(K, C[:, :i_beta]).solve(rhs)
+    rhs[n_rows - d:n_rows, 1:] = -cols_T
+    sol = _Augmented(S.indices[:nz], S.indptr[:i_beta + 1], (rows, i_beta),
+                     C).factor(S.data[:nz]).solve(rhs)
     beta = np.zeros(n_beta)
     if n_beta:
         Rb = np.vstack([sol[:rows, 1:], reg * np.eye(n_beta)])
         beta = nnls(Rb, np.concatenate([sol[:rows, 0], np.zeros(n_beta)]))[0]
     X = np.concatenate([sol[rows:rows + i_beta, 0] - sol[rows:rows + i_beta, 1:] @ beta,
                         beta])
-    fit_residual = float(np.max(np.abs(A @ X - b)))
+    fit_residual = float(np.max(np.abs((S @ X)[:n_rows] - b)))
     free = np.r_[:n_reg, i_beta:N]
-    non_unique = n_rows < nvars or _rank_deficient(A, C, free)
+    non_unique = n_rows < nvars or _rank_deficient(S[:n_rows], C, free)
 
     p_arr = X[ip]
     dens = np.zeros((k, s))

@@ -315,7 +315,7 @@ def _parse_schedule(raw) -> list[float] | None:
     else:
         raise SpecError("sigma schedule must be a comma list or a JSON array")
     try:
-        sched = [float(v) for v in parts]
+        sched = [float(None if isinstance(v, bool) else v) for v in parts]
     except (TypeError, ValueError):
         raise SpecError("sigma schedule entries must be numbers") from None
     if not sched:

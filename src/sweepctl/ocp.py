@@ -32,7 +32,8 @@ the continuation schedule.  The KKT residual and Jacobian are assembled from
 stage stacks (arrays indexed by step) through integer index tables into the
 unknown vector, so the block-banded Jacobian is built by einsums and one
 sparse scatter, not by per-step loops, and each damped step is one sparse
-LU factorization of an augmented least-squares system.
+LU factorization of an augmented least-squares system.  The certificate
+fit in ``certify`` shares that assembler and that kernel.
 ``solve_shooting`` instead optimizes the control nodes directly over the
 catching-up simulator with L-BFGS directions and an Armijo line search.  When
 every step is the exact projection (an affine-in-x field and a polyhedral
@@ -715,7 +716,8 @@ class _KktSystem:
         self.block_positions = [(step, step), (stage, stage),
                                 (self.ip, self.iz[1:, :n]), (self.iz[1:, :n], self.ip),
                                 (term, term)]
-        rows, indptr, self._assemble = _assembler(self.N, self.block_positions)
+        rows, indptr, self._assemble = _assembler((self.N, self.N),
+                                                   self.block_positions)
         self.augmented = _Augmented(rows, indptr, (self.N, self.N))
         self.constant_Hc = (self.quad is not None
                             and isinstance(self.problem.phi, QuadraticTerminalCost))
@@ -884,18 +886,20 @@ def _central_jacobian(fn: Callable[[Array], Array], v: Array) -> Array:
     return np.column_stack(cols)
 
 
-def _assembler(N: int, positions: Sequence[tuple[Array, Array]]):
-    """Assembly of stacks of dense blocks into one sparse (CSC) N x N matrix.
+def _assembler(shape: tuple[int, int], positions: Sequence[tuple[Array, Array]]):
+    """Assembly of stacks of dense blocks into one sparse (CSC) m x n matrix.
 
     ``positions`` lists (rows, cols) index stacks, sorted into CSC order once
     here.  Returns the pattern (indices, indptr) and a function that takes
-    the matching stacks of blocks and puts B[j] at rows[j] x cols[j].
+    the matching stacks of blocks, each of the full shape (len(rows),
+    rows.shape[1], cols.shape[1]), and puts B[j] at rows[j] x cols[j].
     Entries sharing a position add up in the order the blocks list them (as
     ``np.bincount`` sums), and entries with a negative index (the pinned
-    node) are dropped.
+    node, a cell without a density) are dropped.
     """
     from scipy.sparse import csc_array
 
+    m, n = shape
     shapes = [(len(i), i.shape[1], j.shape[1]) for i, j in positions]
     r = np.concatenate([np.broadcast_to(i[:, :, None], shape).ravel()
                         for (i, _), shape in zip(positions, shapes)])
@@ -903,40 +907,56 @@ def _assembler(N: int, positions: Sequence[tuple[Array, Array]]):
                         for (_, j), shape in zip(positions, shapes)])
     keep = (r >= 0) & (c >= 0)
     # Column-major keys: the sorted unique positions are already CSC order.
-    key, slot = np.unique(c[keep] * N + r[keep], return_inverse=True)
-    cols, rows = np.divmod(key, N)
-    indptr = np.searchsorted(cols, np.arange(N + 1))
+    key, slot = np.unique(c[keep] * m + r[keep], return_inverse=True)
+    cols, rows = np.divmod(key, m)
+    indptr = np.searchsorted(cols, np.arange(n + 1))
     for arr in (rows, indptr):  # shared by every matrix assembled below
         arr.flags.writeable = False
 
     def assemble(blocks: Sequence[Array]):
         v = np.concatenate([B.ravel() for B in blocks])[keep]
         return csc_array((np.bincount(slot, v, minlength=len(key)), rows, indptr),
-                         shape=(N, N))
+                         shape=shape)
 
     return rows, indptr, assemble
 
 
 class _Augmented:
-    """Bjorck's augmented matrix [[I, J], [J^T, -lam D]] for one sparsity
-    pattern of an m x n CSC matrix J, with the damped step it solves.
+    """Bjorck's augmented matrix for one sparsity pattern of an m x n CSC
+    matrix J: [[I, J], [J^T, -lam D]] for the damped step, or, given a
+    constant CSC matrix C (of n or fewer columns, the rest unconstrained),
+    the undamped [[I, J, 0], [J^T, 0, C^T], [0, C, 0]] of the certificate
+    fit.  At right-hand side [r; 0; 0] it solves to (r - J y, y, .), y
+    minimizing ||J y - r||^2 + lam y^T D y, subject to C y = 0 if C is
+    given, without normal equations, so J's condition number is not
+    squared.  The pattern with C holds no -lam D block at all: explicit
+    zeros there would change COLAMD's column order, and so the rounding.
 
-    The symbolic work is done once per pattern: here the CSC pattern of the
-    augmented matrix and the gather index that places [1.., J.data, J.data,
-    -lam D] in it (``columns`` is the column of every entry of J), and at
-    the first :meth:`step` the column order, taken from that factorization's
-    COLAMD ``perm_c``.  Every later step factors the column-permuted matrix
-    in its natural order, so a step is one data gather, one ``splu`` and one
-    solve.
+    The symbolic work is done once per pattern: here the CSC pattern and
+    the gather index that places [1.., -lam D, J.data, J.data] or [1..,
+    J.data, J.data, C.data, C.data] in it (``columns`` is the column of
+    every entry of J), and at the first :meth:`factor` the column order,
+    its COLAMD ``perm_c``.  Every later factorization takes the
+    column-permuted matrix in its natural order: one gather, one ``splu``.
     """
 
-    def __init__(self, indices: Array, indptr: Array, shape: tuple[int, int]):
+    def __init__(self, indices: Array, indptr: Array, shape: tuple[int, int],
+                 C=None):
+        from scipy.sparse import csc_array
+
         m, n = self.shape = shape
+        damped = C is None
+        if damped:
+            C = csc_array((0, n))
+        self.size = m + n + C.shape[0]
         self.columns = np.repeat(np.arange(n), np.diff(indptr))
-        self._rows = np.concatenate([np.arange(m), indices, m + self.columns,
-                                     m + np.arange(n)])
-        self._cols = np.concatenate([np.arange(m), m + self.columns, indices,
-                                     m + np.arange(n)])
+        c = np.repeat(np.arange(C.shape[1]), np.diff(C.indptr))
+        diag = np.arange(m + n if damped else m)  # I, then -lam D if damped
+        self._rows = np.concatenate([diag, indices, m + self.columns, m + c,
+                                     m + n + C.indices])
+        self._cols = np.concatenate([diag, m + self.columns, indices,
+                                     m + n + C.indices, m + c])
+        self._ones, self._Cdata = np.ones(m), np.concatenate([C.data, C.data])
         self.perm = None  # perm_c of the first factorization, once known
         self._sort(self._cols)
 
@@ -944,37 +964,37 @@ class _Augmented:
         """The CSC pattern and gather index with entry e in column cols[e]."""
         self.gather = np.lexsort((self._rows, cols))
         self.indices = self._rows[self.gather]
-        self.indptr = np.searchsorted(cols[self.gather], np.arange(sum(self.shape) + 1))
+        self.indptr = np.searchsorted(cols[self.gather], np.arange(self.size + 1))
 
-    def step(self, Jdata: Array, F: Array, lam: float, D: Array) -> Array:
-        """The Levenberg-Marquardt step d minimizing ||J d + F||^2 +
-        lam d^T D d for D > 0, J given by its entries ``Jdata``.
-
-        One ``splu`` of the augmented system with right-hand side [-F; 0],
-        whose solution is (-F - J d, d): no normal equations, so J's
-        condition number is not squared.
-        """
+    def factor(self, Jdata: Array, damping: Array = ()):
+        """``splu`` of the matrix at J's entries ``Jdata`` and, without C,
+        ``damping`` = -lam D.  Its ``solve`` takes one right-hand side or a
+        stack of columns; after the first factorization, unknown c of a
+        solution is entry perm[c].  ``splu`` raises RuntimeError on an
+        exactly singular matrix."""
         from scipy.sparse import csc_array
         from scipy.sparse.linalg import splu
 
-        m, N = self.shape[0], sum(self.shape)
-        data = np.concatenate([np.ones(m), Jdata, Jdata, -lam * D])[self.gather]
-        A = csc_array((data, self.indices, self.indptr), shape=(N, N))
-        rhs = np.concatenate([-F, np.zeros(self.shape[1])])
+        data = np.concatenate([self._ones, damping, Jdata, Jdata, self._Cdata])
+        A = csc_array((data[self.gather], self.indices, self.indptr),
+                      shape=(self.size, self.size))
         if self.perm is not None:
-            # Column c sits at perm[c], so unknown c is entry perm[c].
-            return splu(A, permc_spec="NATURAL").solve(rhs)[self.perm[m:]]
+            return splu(A, permc_spec="NATURAL")
         lu = splu(A)
         self.perm = lu.perm_c.copy()
         self._sort(self.perm[self._cols])
-        return lu.solve(rhs)[m:]
+        return lu
 
-
-def _damped_step(J, F: Array, lam: float, D: Array) -> Array:
-    """The Levenberg-Marquardt step d minimizing ||J d + F||^2 + lam d^T D d
-    for a CSC array J and D > 0: one :meth:`_Augmented.step` on J's own
-    pattern, with the COLAMD order."""
-    return _Augmented(J.indices, J.indptr, J.shape).step(J.data, F, lam, D)
+    def step(self, Jdata: Array, F: Array, lam: float, D: Array) -> Array:
+        """The Levenberg-Marquardt step d minimizing ||J d + F||^2 +
+        lam d^T D d for D > 0, J given by its entries ``Jdata``: one
+        factorization of the damped pattern, right-hand side [-F; 0], whose
+        solution is (-F - J d, d)."""
+        m, n = self.shape
+        first = self.perm is None
+        x = self.factor(Jdata, -lam * D).solve(np.concatenate([-F, np.zeros(n)]))
+        # Column c sits at perm[c], so unknown c is entry perm[c].
+        return x[m:] if first else x[self.perm[m:]]
 
 
 def _comp_pairs(eta: Array, psi: Array, P: Array, c: Array) -> tuple[Array, Array]:

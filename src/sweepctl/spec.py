@@ -81,10 +81,11 @@ def _matrix(obj: dict, key: str, rows: int, cols: int, where: str) -> Array:
 
 
 def _number(obj: dict, key: str, where: str, default=None) -> float:
-    """A finite number entry; SpecError when it is missing, not a number,
-    NaN or infinite."""
+    """A finite number entry; SpecError when it is missing, not a number (a
+    boolean included), NaN or infinite."""
+    value = obj.get(key, default)
     try:
-        value = float(obj.get(key, default))
+        value = float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):

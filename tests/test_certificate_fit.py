@@ -15,7 +15,9 @@ import pytest
 
 from sweepctl.certify import (
     ACT_TOL,
+    VectorMeasure,
     _interior_margin,
+    _rank_deficient,
     _running_subgradients,
     _tail_cells,
     assemble_certificate,
@@ -24,7 +26,7 @@ from sweepctl.certify import (
 )
 from sweepctl.dynamics import Mesh, Path
 from sweepctl.geometry import _cone_generators, psi_eval
-from sweepctl.ocp import QuadraticTerminalCost
+from sweepctl.ocp import QuadraticTerminalCost, _Augmented
 from sweepctl.problems import instance, solution_on_mesh
 
 REG = 1e-6
@@ -176,6 +178,16 @@ def _bumped_remark45():
     return instance("remark45").problem, state, Path(mesh=control.mesh, values=vals)
 
 
+def _near_contact_remark45():
+    """The remark45 reference with the control at node 1 moved to 5e-4
+    inside the set: cell 0 (margins 0.5 and 5e-4) lies strictly inside by
+    less than 1e-3, and cell 1 (5e-4 and 0) touches the boundary."""
+    state, control = solution_on_mesh("remark45", 8)
+    vals = control.values.copy()
+    vals[1, 0] = -1.5005
+    return instance("remark45").problem, state, Path(mesh=control.mesh, values=vals)
+
+
 def _resting_inside():
     problem = dataclasses.replace(instance("counterexample53").problem,
                                   u0=np.array([2.0, 2.0]))
@@ -197,6 +209,7 @@ CASES = {f"{iid}/k{k}": (lambda iid=iid, k=k: _reference(iid, k), 1.0, True)
          for k in ks}
 CASES.update({
     "remark45/bumped": (_bumped_remark45, 1.0, True),
+    "remark45/near-contact": (_near_contact_remark45, 1.0, True),
     "counterexample53/inside": (_resting_inside, 1.0, True),
     # The free cone columns make the fit ill conditioned (about 1.6e7), so
     # equal objectives do not pin the unknowns to 1e-8 here.
@@ -242,6 +255,50 @@ def test_cone_coefficients_take_both_bound_states():
         assert len(beta) == 2
         assert int(np.sum(beta == 0.0)) == clamped
         assert int(np.sum(x_dense[layout["i_beta"]:] == 0.0)) == clamped
+
+
+def test_a_cell_inside_by_less_than_1e_3_carries_no_density():
+    """INTERIOR_TOL (1e-6) decides which cells may carry density.  Cell 0
+    sits 5e-4 inside: the fit fixes its density to zero and puts the measure
+    on the contact cell 1, and density placed on cell 0 counts against
+    nonatomicity while density on cell 1 does not.  At a tolerance of 1e-3
+    the fit would smear the measure onto cell 0 and add an endpoint atom."""
+    problem, state, control = _near_contact_remark45()
+    psis = [psi_eval(problem.system.field, x, u)
+            for x, u in zip(state.values, control.values)]
+    margins = [_interior_margin(problem.system.theta, z) for z in psis]
+    assert 1e-6 < margins[1] < 1e-3 and margins[0] > 1e-3 and margins[2] == 0.0
+
+    cert = assemble_certificate(problem, state, control)
+    assert cert.gamma.density[0, 0] == 0.0
+    assert cert.gamma.density[1, 0] == pytest.approx(-0.499, abs=1e-9)
+    assert np.max(np.abs(cert.gamma.density[2:])) <= 1e-9
+    assert cert.gamma.atoms == ()
+    items = residual_continuous_EL(problem, state, control, cert).items
+    assert {i.name: i for i in items}["nonatomicity"].residual == 0.0
+
+    dens = np.zeros_like(cert.gamma.density)
+    dens[:2] = 1.0
+    moved = dataclasses.replace(
+        cert, gamma=VectorMeasure(mesh=state.mesh, density=dens, atoms=()))
+    items = residual_continuous_EL(problem, state, control, moved).items
+    nonatomicity = {i.name: i for i in items}["nonatomicity"]
+    assert nonatomicity.residual == pytest.approx(state.mesh.h)
+    assert not nonatomicity.passed
+
+
+def test_an_exactly_singular_condition_matrix_is_rank_deficient():
+    """An unknown that no condition and no tail equality touches leaves the
+    augmented matrix exactly singular: splu raises, and the rank test
+    counts that as dependent columns."""
+    from scipy.sparse import csc_array
+
+    A = csc_array(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [3.0, 0.0, 0.0],
+                            [1.0, 0.0, 1.0]]))
+    C = csc_array(np.array([[1.0, 0.0, -1.0]]))
+    with pytest.raises(RuntimeError):
+        _Augmented(A.indices, A.indptr, A.shape, C).factor(A.data)
+    assert _rank_deficient(A, C, np.arange(3))
 
 
 @pytest.mark.parametrize("iid", ["counterexample53", "elastoplastic61"])

@@ -343,6 +343,28 @@ def test_solve_rejects_a_count_that_is_not_a_positive_int(tmp_path, section, key
     assert "must be a positive integer" in error["message"]
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (("horizon",), True, "spec.horizon must be a finite number"),
+    (("cost", "ell", "weight"), True, "ell.weight must be a finite number"),
+    (("solver", "sigma_schedule"), [True, 1e-8], "sigma schedule entries must be numbers"),
+], ids=["horizon", "ell-weight", "sigma-schedule"])
+def test_solve_rejects_json_true_as_a_number(tmp_path, where, value, message):
+    """float(True) is 1.0, but a JSON true is no number."""
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    spec = read_json(spec_path)
+    parent = spec
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with open(spec_path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    out = tmp_path / "run"
+    assert cli.main(["solve", spec_path, "--out-dir", str(out)]) == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "SpecError"
+    assert message in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------

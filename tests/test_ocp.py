@@ -26,7 +26,6 @@ from sweepctl.ocp import (
     QuadraticTerminalCost,
     _Augmented,
     _KktSystem,
-    _damped_step,
     _has_exact_tangents,
     _lbfgs_direction,
     _lm_stage,
@@ -892,7 +891,8 @@ def test_augmented_step_matches_dense_least_squares(case, lam):
         D = np.maximum(np.sum(A * A, axis=0), 1e-8)
         # well enough conditioned that both steps are accurate to 1e-10
         assert np.linalg.cond(A.T @ A + lam * np.diag(D)) <= 1e7
-        d = _damped_step(csc_array(A), F, lam, D)
+        J = csc_array(A)
+        d = _Augmented(J.indices, J.indptr, J.shape).step(J.data, F, lam, D)
         want = _dense_damped_step(A, F, lam, D)
         assert np.linalg.norm(d - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -910,7 +910,8 @@ def test_augmented_step_solves_the_damped_normal_equations(case, lam):
     F, jacobians = _step_inputs(case)
     for A in jacobians:
         D = np.maximum(np.sum(A * A, axis=0), 1e-8)
-        d = _damped_step(csc_array(A), F, lam, D)
+        J = csc_array(A)
+        d = _Augmented(J.indices, J.indptr, J.shape).step(J.data, F, lam, D)
         gap = A.T @ (A @ d + F) + lam * D * d
         assert np.linalg.norm(gap) <= 1e-12 * max(1.0, np.linalg.norm(A.T @ F))
 
@@ -952,6 +953,34 @@ def test_steps_in_a_fixed_column_order_match_the_dense_oracle(case):
                 assert np.linalg.norm(gap) <= 1e-12 * max(1.0, np.linalg.norm(A.T @ F))
                 steps += 1
     assert steps == 18
+
+
+def test_augmented_with_an_equality_block_matches_a_dense_solve():
+    """[[I, K, 0], [K^T, 0, C^T], [0, C, 0]] with a constant C of fewer
+    columns than K (the last two unknowns unconstrained), whose pattern
+    stores no -lam D block: two right-hand sides at once, through the
+    COLAMD order and then the fixed one, against numpy's dense solve of the
+    same system."""
+    from scipy.sparse import csc_array
+
+    rng = np.random.default_rng(11)
+    m, n, p = 12, 8, 3
+    K = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    C = rng.standard_normal((p, n - 2))
+    Ks, Cs = csc_array(K), csc_array(C)
+    Cn = np.hstack([C, np.zeros((p, 2))])
+    dense = np.block([[np.eye(m), K, np.zeros((m, p))],
+                      [K.T, np.zeros((n, n)), Cn.T],
+                      [np.zeros((p, m)), Cn, np.zeros((p, p))]])
+    assert np.linalg.cond(dense) <= 1e6
+    rhs = rng.standard_normal((m + n + p, 2))
+    want = np.linalg.solve(dense, rhs)
+    augmented = _Augmented(Ks.indices, Ks.indptr, K.shape, Cs)
+    assert len(augmented.indices) == m + 2 * Ks.nnz + 2 * Cs.nnz
+    got = augmented.factor(Ks.data).solve(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    got = augmented.factor(Ks.data).solve(rhs)[augmented.perm]
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case", sorted(KKT_CASES) + ["callbacks:remark45",

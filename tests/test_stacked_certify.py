@@ -427,8 +427,6 @@ def image_point(rng, theta):
     rows = rng.choice(len(H), size=min(2, s) if kind == 0 else 1, replace=False)
     if kind == 3:
         return rng.normal(scale=0.5, size=s), np.zeros(s)
-    if len(rows) == 2 and np.linalg.cond(H[rows]) > 10.0:
-        rows = rows[:1]  # nearly parallel rows meet far away
     offsets = rng.choice(OFFSETS, size=len(rows))
     if len(rows) == s:
         z = np.linalg.solve(H[rows], d[rows] + offsets)
