@@ -14,7 +14,11 @@ Five subcommands over JSON problem specs and CSV trajectory files:
 ``export``
     Write one of the named instances as a problem-spec file.
 
-The spec format and its reader live in :mod:`sweepctl.spec`.
+The spec format and its reader live in :mod:`sweepctl.spec`.  Certificate
+files follow the same rule for numbers: every entry is a finite JSON number,
+or nested lists of them in the declared shape, and an optional entry may be
+absent or null.  CSV cells and command-line flags are text; they are parsed
+by ``float()`` and then checked to be finite.
 
 CSV files carry one header line and ``%.17g`` floats, so values survive a
 write/read round trip bit for bit.  State and control files are node-indexed
@@ -76,9 +80,12 @@ from .certify import (
 from .problems import INSTANCE_IDS, instance_spec
 from .spec import (
     SpecError,
-    _finite,
+    _array,
+    _is_number,
+    _load_json,
     _load_spec,
     _number,
+    _numbers,
     _positive_int,
     _reference_pair,
     _uniform_path,
@@ -190,20 +197,6 @@ def _write_solution(out_dir: str, decision: DiscreteDecision) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cert_array(data: dict, key: str, rows: int, cols: int, optional=False):
-    if key not in data or data[key] is None:
-        if optional:
-            return None
-        raise SpecError(f"certificate is missing {key!r}")
-    try:
-        arr = np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError):
-        raise SpecError(f"certificate entry {key!r} must be numeric") from None
-    if arr.shape != (rows, cols):
-        raise SpecError(f"certificate entry {key!r} must be {rows} x {cols}")
-    return _finite(arr, f"certificate entry {key!r}")
-
-
 def parse_certificate(data: dict, problem: OcpProblem, state: Path,
                       control: Path) -> Certificate:
     """Certificate from its JSON form.
@@ -220,32 +213,31 @@ def parse_certificate(data: dict, problem: OcpProblem, state: Path,
     n, m, s = field.n, field.m, field.s
     lam = _number(data, "lam", "certificate", 1.0)
 
-    p = _cert_array(data, "p", k + 1, n + m)
-    q = _cert_array(data, "q", k + 1, n + m, optional=True)
-    eta_vals = _cert_array(data, "eta", k + 1, s, optional=True)
+    p = _array(data, "p", (k + 1, n + m), "certificate")
+    q = _array(data, "q", (k + 1, n + m), "certificate", optional=True)
+    eta_vals = _array(data, "eta", (k + 1, s), "certificate", optional=True)
     if eta_vals is None:
         from .certify import recover_eta
         eta = recover_eta(problem.system, state, control)
     else:
         eta = Path(mesh=mesh, values=eta_vals)
 
-    gamma_obj = data.get("gamma") or {}
+    gamma_obj = {} if data.get("gamma") is None else data["gamma"]
     if not isinstance(gamma_obj, dict):
         raise SpecError("certificate entry 'gamma' must be an object")
-    density = _cert_array(gamma_obj, "density", k, s, optional=True)
+    density = _array(gamma_obj, "density", (k, s), "gamma", optional=True)
     if density is None:
         density = np.zeros((k, s))
-    atoms = []
-    for atom in gamma_obj.get("atoms", []):
-        try:
-            t_atom, w_atom = atom
-            atoms.append((float(t_atom), _finite(np.asarray(w_atom, dtype=float),
-                                                 "gamma atom weights")))
-        except (TypeError, ValueError):
-            raise SpecError("gamma atoms must be [time, weights] pairs") from None
-    gamma = VectorMeasure(mesh=mesh, density=density, atoms=tuple(atoms))
+    atoms = gamma_obj.get("atoms", [])
+    if not isinstance(atoms, list) or not all(
+            isinstance(atom, list) and len(atom) == 2 for atom in atoms):
+        raise SpecError("gamma atoms must be [time, weights] pairs")
+    times = _numbers([t for t, _ in atoms], (len(atoms),), "gamma atom times")
+    weights = _numbers([w for _, w in atoms], (len(atoms), s), "gamma atom weights")
+    gamma = VectorMeasure(mesh=mesh, density=density,
+                          atoms=tuple(zip(times.tolist(), weights)))
 
-    nu_vals = _cert_array(data, "nu", k + 1, s, optional=True)
+    nu_vals = _array(data, "nu", (k + 1, s), "certificate", optional=True)
     nu = Path(mesh=mesh, values=nu_vals if nu_vals is not None
               else np.zeros((k + 1, s)))
 
@@ -255,12 +247,11 @@ def parse_certificate(data: dict, problem: OcpProblem, state: Path,
     else:
         if not isinstance(sg_obj, dict):
             raise SpecError("certificate entry 'subgrad' must be an object")
-        v_u = _cert_array(sg_obj, "v_u", k, m, optional=True)
         subgrad = SubgradientSelection(
-            w_x=_cert_array(sg_obj, "w_x", k, n),
-            w_u=_cert_array(sg_obj, "w_u", k, m),
-            v_x=_cert_array(sg_obj, "v_x", k, n),
-            v_u=v_u)
+            w_x=_array(sg_obj, "w_x", (k, n), "subgrad"),
+            w_u=_array(sg_obj, "w_u", (k, m), "subgrad"),
+            v_x=_array(sg_obj, "v_x", (k, n), "subgrad"),
+            v_u=_array(sg_obj, "v_u", (k, m), "subgrad", optional=True))
 
     if q is None:
         q = p - gamma.tail(field, state, control, mesh.nodes)
@@ -306,18 +297,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _parse_schedule(raw) -> list[float] | None:
+    """The sigma schedule of --sigma-schedule (comma-separated text) or of
+    the spec (a JSON array of numbers); the solver checks its values."""
     if raw is None:
         return None
     if isinstance(raw, str):
-        parts = [piece for piece in raw.split(",") if piece.strip()]
+        try:
+            sched = [float(piece) for piece in raw.split(",") if piece.strip()]
+        except ValueError:
+            raise SpecError("sigma schedule entries must be numbers") from None
     elif isinstance(raw, list):
-        parts = raw
+        if not all(map(_is_number, raw)):
+            raise SpecError("sigma schedule entries must be numbers")
+        sched = [float(v) for v in raw]
     else:
         raise SpecError("sigma schedule must be a comma list or a JSON array")
-    try:
-        sched = [float(None if isinstance(v, bool) else v) for v in parts]
-    except (TypeError, ValueError):
-        raise SpecError("sigma schedule entries must be numbers") from None
     if not sched:
         raise SpecError("sigma schedule must not be empty")
     return sched
@@ -331,7 +325,8 @@ def _cmd_solve(args) -> int:
         solver_cfg = spec.get("solver", {})
         if not isinstance(solver_cfg, dict):
             raise SpecError("spec section 'solver' must be an object")
-        k = _positive_int(args.k if args.k is not None else solver_cfg.get("k", 50), "k")
+        k = (_positive_int(solver_cfg.get("k", 50), "solver.k") if args.k is None
+             else _positive_int(args.k, "--k"))
         method = args.solver or solver_cfg.get("method", "smoothed")
         if method not in ("smoothed", "shooting"):
             raise SpecError("solver must be 'smoothed' or 'shooting'")
@@ -413,15 +408,7 @@ def _cmd_certify(args) -> int:
                              field.m, T)
         if state.mesh != control.mesh:
             raise SpecError("x.csv and u.csv live on different meshes")
-        cert_data = None
-        if args.certificate is not None:
-            try:
-                with open(args.certificate, "r", encoding="utf-8") as fh:
-                    cert_data = json.load(fh)
-            except OSError as e:
-                raise SpecError(f"cannot read {args.certificate}: {e}") from None
-            except json.JSONDecodeError as e:
-                raise SpecError(f"{args.certificate} is not valid JSON: {e}") from None
+        cert_data = None if args.certificate is None else _load_json(args.certificate)
     except (SpecError, ConfigurationError) as e:
         return _fail(out, e, EXIT_SPEC)
 

@@ -1150,7 +1150,8 @@ def solve_smoothed(transcription: Transcription,
     (the schedule applies there in full), then prolonged stepwise, each
     finer mesh re-running the schedule's tail.  A warm start that already
     satisfies the final-stage system is returned unchanged after the
-    tolerance check.  The final sigma must be at most 1e-8 so the reported
+    tolerance check.  The schedule's entries and ``tol_stat`` must be finite
+    and positive, and the final sigma at most 1e-8 so the reported
     complementarity is meaningful.  ``line_search_trials`` of the report
     counts the damped trials (:func:`_lm_stage`).  A stall raises
     NumericalFailureError naming the mesh level, the sigma stage and the
@@ -1160,8 +1161,10 @@ def solve_smoothed(transcription: Transcription,
     if sigma_schedule is None:
         sigma_schedule = _default_schedule()
     sig = [float(s) for s in sigma_schedule]
-    if not sig or any(s <= 0 for s in sig):
-        raise ConfigurationError("sigma schedule must be positive")
+    if not sig or not all(0 < s < np.inf for s in sig):  # NaN fails too
+        raise ConfigurationError("sigma schedule must be finite and positive")
+    if not 0 < tol_stat < np.inf:
+        raise ConfigurationError(f"tol_stat must be finite and positive, got {tol_stat}")
     if any(b >= a for a, b in zip(sig, sig[1:])):
         raise ConfigurationError("sigma schedule must be decreasing")
     if sig[-1] > 1e-8:
@@ -1376,10 +1379,11 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     the cost's rounding unit.  Node 0 is always pinned to
     the prescribed initial control; ``free_mask`` (length k+1) can pin more.
 
-    The loop stops when the squared gradient norm drops below ``tol``
-    (``stop_reason`` "tolerance"), when ``max_iter`` gradients have been
-    taken ("iteration_budget", or "tolerance" if the exact gradient of the
-    returned decision meets ``tol``), or when no trial step decreases the
+    The loop stops when the squared gradient norm drops below ``tol``, which
+    must be finite and positive (``stop_reason`` "tolerance"), when
+    ``max_iter`` gradients have been taken ("iteration_budget", or
+    "tolerance" if the exact gradient of the returned decision meets
+    ``tol``), or when no trial step decreases the
     cost ("line_search").  ``stat_residual`` is the gradient norm of the
     returned decision, except after a spent budget on the forward-difference
     route, where it belongs to the iterate before the last accepted step
@@ -1387,6 +1391,8 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     entry).
     The report counts the simulations and the line-search trials among them.
     """
+    if not 0 < tol < np.inf:
+        raise ConfigurationError(f"tol must be finite and positive, got {tol}")
     mesh = Mesh(k=k, T=problem.system.T)
     if initial_control.mesh != mesh:
         raise ConfigurationError("initial control must live on the target mesh")

@@ -10,6 +10,15 @@ null/"inf" entries for unbounded sides, or ``image`` with A, G, g),
 (x0, u0), ``mode`` ("w12w12" or "w12c"), optional ``solver`` defaults and an
 optional ``reference`` pair used by ``converge``.
 
+Every number in a spec follows one rule (:func:`_is_number`): a JSON int or
+float that is finite, so booleans, numeric strings, null and the NaN and
+Infinity tokens are rejected.  An array is nested lists of such numbers in
+exactly the shape its section declares.  The documented exceptions are the
+box sides, whose entries may be null (unbounded on that side) or "inf" and
+"-inf"; ``cost.epsilon``, which may be null or "inf" (no localization
+tube); and optional entries, which may be absent.  Counts (``dims`` and
+``solver.k``) are positive integers.
+
 :func:`build_system` and :func:`build_problem` read a spec and raise
 :class:`SpecError` on anything that violates the format; the command line
 reads spec files through them and the named instances of
@@ -34,17 +43,23 @@ class SpecError(Exception):
     """The problem spec or an input file violates the documented schema."""
 
 
-def _load_spec(path: str) -> dict:
+def _load_json(path: str):
+    """The JSON value in the file at path; SpecError naming the path when the
+    file cannot be read or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise SpecError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"{path} is not valid JSON: {e}") from None
+
+
+def _load_spec(path: str) -> dict:
+    spec = _load_json(path)
     if not isinstance(spec, dict):
         raise SpecError("problem spec must be a JSON object")
-    if spec.get("schema") != 1:
+    if _number(spec, "schema", "spec", 0) != 1:
         raise SpecError("spec must declare schema: 1")
     return spec
 
@@ -56,48 +71,52 @@ def _section(spec: dict, key: str) -> dict:
     return value
 
 
-def _vector(obj: dict, key: str, length: int, where: str) -> Array:
+def _is_number(value) -> bool:
+    """The rule for a number in an input file: an int or a float (numpy
+    scalars count) that is not a boolean, and that is finite."""
     try:
-        v = np.asarray(obj[key], dtype=float)
-    except KeyError:
-        raise SpecError(f"{where} is missing {key!r}") from None
-    except (TypeError, ValueError):
-        raise SpecError(f"{where}.{key} must be a numeric array") from None
-    if v.shape != (length,):
-        raise SpecError(f"{where}.{key} must have length {length}")
-    return _finite(v, f"{where}.{key}")
+        return (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _matrix(obj: dict, key: str, rows: int, cols: int, where: str) -> Array:
-    try:
-        mat = np.asarray(obj[key], dtype=float)
-    except KeyError:
-        raise SpecError(f"{where} is missing {key!r}") from None
-    except (TypeError, ValueError):
-        raise SpecError(f"{where}.{key} must be a numeric matrix") from None
-    if mat.shape != (rows, cols):
-        raise SpecError(f"{where}.{key} must be {rows} x {cols}")
-    return _finite(mat, f"{where}.{key}")
+def _numbers(value, shape: tuple[int, ...], what: str) -> Array:
+    """value as a float array of exactly this shape: nested lists whose
+    leaves are numbers (:func:`_is_number`); shape () reads one number and
+    a leading -1 takes any length.  SpecError names what and the first
+    entry that breaks the rule."""
+    if shape[:1] == (-1,) and isinstance(value, list):
+        shape = (len(value),) + shape[1:]
+    leaves = [value]
+    for size in shape:
+        if not all(isinstance(v, list) and len(v) == size for v in leaves):
+            raise SpecError(f"{what} must be nested lists of shape {shape}")
+        leaves = [leaf for v in leaves for leaf in v]
+    for i, leaf in enumerate(leaves):
+        if not _is_number(leaf):
+            if not shape:
+                raise SpecError(f"{what} must be a finite number, got {leaf!r}")
+            index = [int(j) for j in np.unravel_index(i, shape)]
+            raise SpecError(f"{what} must be finite numbers, got {leaf!r} at {index}")
+    return np.array(leaves, dtype=float).reshape(shape)
 
 
 def _number(obj: dict, key: str, where: str, default=None) -> float:
-    """A finite number entry; SpecError when it is missing, not a number (a
-    boolean included), NaN or infinite."""
-    value = obj.get(key, default)
-    try:
-        value = float(None if isinstance(value, bool) else value)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise SpecError(f"{where}.{key} must be a finite number")
-    return value
+    """The number obj[key] (default when the key is absent)."""
+    return float(_numbers(obj.get(key, default), (), f"{where}.{key}"))
 
 
-def _finite(arr: Array, what: str) -> Array:
-    """arr, unless an entry is NaN or infinite (JSON and numpy parse both)."""
-    if not np.all(np.isfinite(arr)):
-        raise SpecError(f"{what} must be finite, got {arr[~np.isfinite(arr)][0]}")
-    return arr
+def _array(obj: dict, key: str, shape: tuple[int, ...], where: str,
+           optional: bool = False) -> Array | None:
+    """The array obj[key] of this shape; an absent or null entry is None
+    when optional and a SpecError otherwise."""
+    value = obj.get(key)
+    if value is None:
+        if optional:
+            return None
+        raise SpecError(f"{where} is missing {key!r}")
+    return _numbers(value, shape, f"{where}.{key}")
 
 
 def _positive_int(value, what: str) -> int:
@@ -120,32 +139,23 @@ def _horizon(spec: dict) -> float:
     return T
 
 
-def _bound_entry(value, side: str) -> float:
-    """Box bound entry: finite numbers pass through, null/'inf' mean unbounded."""
+def _bound_entry(value, side: str, i: int) -> float:
+    """Entry i of a box side: null is unbounded on that side, "inf"/"-inf"
+    an infinite bound, and anything else must be a number."""
     if value is None:
         return -math.inf if side == "lower" else math.inf
-    if isinstance(value, str):
-        if value in ("inf", "+inf"):
-            return math.inf
-        if value == "-inf":
-            return -math.inf
-        raise SpecError(f"bad box bound {value!r}")
-    try:
-        bound = float(value)
-    except (TypeError, ValueError):
-        bound = math.nan
-    if not math.isfinite(bound):
-        raise SpecError(f"bad box bound {value!r}")
-    return bound
+    if isinstance(value, str) and value in ("inf", "+inf", "-inf"):
+        return float(value)
+    return float(_numbers(value, (), f"theta.{side}[{i}]"))
 
 
 def _build_field(spec: dict, n: int, m: int, s: int) -> FieldMap:
     psi = _section(_section(spec, "moving_set"), "psi")
     kind = psi.get("kind")
     if kind == "affine":
-        Ax = _matrix(psi, "Ax", s, n, "psi")
-        Au = _matrix(psi, "Au", s, m, "psi")
-        c = _vector(psi, "c", s, "psi")
+        Ax = _array(psi, "Ax", (s, n), "psi")
+        Au = _array(psi, "Au", (s, m), "psi")
+        c = _array(psi, "c", (s,), "psi")
         return FieldMap.affine_fixed(Ax, Au, c)
     if kind == "quadratic_scalar":
         if (n, m, s) != (1, 1, 1):
@@ -166,7 +176,7 @@ def _build_theta(spec: dict, s: int):
     theta = _section(_section(spec, "moving_set"), "theta")
     kind = theta.get("kind")
     if kind == "orthant":
-        if theta.get("s", s) != s:
+        if _number(theta, "s", "theta", s) != s:
             raise SpecError("theta.s disagrees with dims.s")
         return NonpositiveOrthant(s)
     if kind == "box":
@@ -175,16 +185,14 @@ def _build_theta(spec: dict, s: int):
         if not isinstance(lower, list) or not isinstance(upper, list) \
                 or len(lower) != s or len(upper) != s:
             raise SpecError(f"box theta needs 'lower' and 'upper' lists of length {s}")
-        return Box(lower=tuple(_bound_entry(v, "lower") for v in lower),
-                   upper=tuple(_bound_entry(v, "upper") for v in upper))
+        return Box(lower=tuple(_bound_entry(v, "lower", i) for i, v in enumerate(lower)),
+                   upper=tuple(_bound_entry(v, "upper", i) for i, v in enumerate(upper)))
     if kind == "image":
-        A = _matrix(theta, "A", s, s, "theta")
-        G_raw = theta.get("G")
-        if not isinstance(G_raw, list) or not G_raw:
+        A = _array(theta, "A", (s, s), "theta")
+        G = _array(theta, "G", (-1, s), "theta")
+        if not len(G):
             raise SpecError("image theta needs a nonempty matrix 'G'")
-        r = len(G_raw)
-        G = _matrix(theta, "G", r, s, "theta")
-        g = _vector(theta, "g", r, "theta")
+        g = _array(theta, "g", (len(G),), "theta")
         # Tuples of floats, as the frozen set declares, keep it hashable.
         return LinearImagePolyhedron(A=tuple(map(tuple, A.tolist())),
                                      G=tuple(map(tuple, G.tolist())),
@@ -198,8 +206,8 @@ def _build_drift(spec: dict, n: int) -> AffineDrift:
     if kind == "zero":
         return AffineDrift.zero(n)
     if kind == "affine":
-        return AffineDrift(_matrix(dyn, "A", n, n, "dynamics"),
-                           _vector(dyn, "b", n, "dynamics"))
+        return AffineDrift(_array(dyn, "A", (n, n), "dynamics"),
+                           _array(dyn, "b", (n,), "dynamics"))
     raise SpecError(f"unknown dynamics kind {kind!r}")
 
 
@@ -207,7 +215,7 @@ def _build_phi(spec: dict, n: int) -> QuadraticTerminalCost:
     phi = _section(_section(spec, "cost"), "phi")
     if phi.get("kind") != "quadratic_distance":
         raise SpecError(f"unknown phi kind {phi.get('kind')!r}")
-    return QuadraticTerminalCost(center=_vector(phi, "center", n, "phi"),
+    return QuadraticTerminalCost(center=_array(phi, "center", (n,), "phi"),
                                  weight=_number(phi, "weight", "phi", 1.0))
 
 
@@ -222,11 +230,8 @@ def _build_ell(spec: dict, m: int, uses_udot: bool) -> QuadraticStageCost:
         return QuadraticStageCost(energy=weight)
 
     if kind == "control_tracking":
-        times = ell.get("times")
-        if not isinstance(times, list):
-            raise SpecError("control_tracking needs a list of breakpoint times")
-        ref = (_vector(ell, "times", len(times), "ell"),
-               _matrix(ell, "values", len(times), m, "ell"))
+        times = _array(ell, "times", (-1,), "ell")
+        ref = (times, _array(ell, "values", (len(times), m), "ell"))
         return QuadraticStageCost(tracking=weight, ref=ref)
 
     raise SpecError(f"unknown ell kind {kind!r}")
@@ -236,12 +241,11 @@ def _path_from_obj(obj: dict, key: str, T: float, dim: int, what: str) -> Path:
     entry = obj.get(key)
     if not isinstance(entry, dict):
         raise SpecError(f"{what} needs an object {key!r} with times and values")
-    times = entry.get("times")
-    if not isinstance(times, list) or len(times) < 2:
+    times = _array(entry, "times", (-1,), f"{what}.{key}")
+    if len(times) < 2:
         raise SpecError(f"{what}.{key}.times must list at least two node times")
-    tarr = _vector(entry, "times", len(times), f"{what}.{key}")
-    values = _matrix(entry, "values", len(times), dim, f"{what}.{key}")
-    return _uniform_path(tarr, values, T, f"{what}.{key}")
+    values = _array(entry, "values", (len(times), dim), f"{what}.{key}")
+    return _uniform_path(times, values, T, f"{what}.{key}")
 
 
 def _uniform_path(times: Array, values: Array, T: float, what: str) -> Path:
@@ -267,7 +271,7 @@ def build_system(spec: dict) -> SweepingSystem:
     field = _build_field(spec, n, m, s)
     theta = _build_theta(spec, s)
     initial = _section(spec, "initial")
-    x0 = _vector(initial, "x0", n, "initial")
+    x0 = _array(initial, "x0", (n,), "initial")
     return SweepingSystem(f=_build_drift(spec, n), field=field, theta=theta,
                           x0=x0, T=T)
 
@@ -281,7 +285,7 @@ def build_problem(spec: dict, mode_override: str | None = None) -> OcpProblem:
     phi = _build_phi(spec, n)
     ell = _build_ell(spec, m, uses_udot)
     initial = _section(spec, "initial")
-    u0 = _vector(initial, "u0", m, "initial")
+    u0 = _array(initial, "u0", (m,), "initial")
 
     cost = _section(spec, "cost")
     rho = _number(cost, "rho", "cost", 0.0)

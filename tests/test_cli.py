@@ -244,6 +244,24 @@ def test_solve_rejects_increasing_sigma_schedule(tmp_path):
     assert os.path.exists(str(out / "error.json"))
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"],
+    ["--tol", "-1"],
+    ["--solver", "shooting", "--tol", "nan"],
+    ["--sigma-schedule", "nan"],
+    ["--sigma-schedule", "inf,1e-8"],
+], ids=["tol-nan", "tol-negative", "shooting-tol-nan", "sigma-nan", "sigma-inf-first"])
+def test_solve_rejects_a_tolerance_or_stage_that_is_not_finite_and_positive(
+        tmp_path, flags):
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    out = tmp_path / "run"
+    assert cli.main(["solve", spec_path, "--out-dir", str(out), *flags]) == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "ConfigurationError"
+    assert "must be finite and positive" in error["message"]
+    assert not os.path.exists(str(out / "report.json"))
+
+
 def test_solve_rejects_unknown_method_in_spec(tmp_path):
     spec_path = export_spec(tmp_path, "remark45", 8)
     spec = read_json(spec_path)
@@ -316,6 +334,30 @@ def test_solve_rejects_bad_schema(tmp_path):
     with open(thin, "w", encoding="utf-8") as fh:
         json.dump({"schema": 1, "horizon": 1.0}, fh)
     assert cli.main(["solve", thin, "--out-dir", str(tmp_path / "c")]) == 2
+
+
+@pytest.mark.parametrize("command, bad_file", [
+    ("solve", "spec"), ("certify", "spec"), ("certify", "certificate")])
+@pytest.mark.parametrize("content", [None, "{nope"], ids=["missing", "not-json"])
+def test_an_unreadable_or_malformed_file_exits_2_naming_its_path(
+        tmp_path, command, bad_file, content):
+    spec_path = export_spec(tmp_path, "elastoplastic61", 8)
+    sol = write_pair(tmp_path, *solution_on_mesh("elastoplastic61", 8))
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, str(bad) if bad_file == "spec" else spec_path,
+            "--out-dir", str(out)]
+    if command == "certify":
+        argv += ["--solution", sol]
+    if bad_file == "certificate":
+        argv += ["--certificate", str(bad)]
+    assert cli.main(argv) == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "SpecError"
+    assert str(bad) in error["message"]
+    assert ("cannot read" if content is None else "is not valid JSON") in error["message"]
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -624,6 +666,91 @@ def test_spec_with_a_non_finite_entry_is_rejected(tmp_path, where, value, entry)
     error = read_json(str(out / "error.json"))
     assert error["error"] == "SpecError"
     assert entry in error["message"]
+
+
+def _number_leaves(node, path=()):
+    """The paths to the JSON numbers in node (booleans are no numbers)."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _number_leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _number_leaves(child, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _replaced(data, path, value):
+    data = json.loads(json.dumps(data))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+def _entry_name(path):
+    """The name an error message gives the entry at path: its last two
+    keys, as in psi.Ax or reference.x.times; gamma atoms are 'gamma atom
+    times' and 'gamma atom weights'."""
+    keys = [key for key in path if isinstance(key, str)]
+    if keys[-1] == "atoms":
+        return "gamma atom " + ("times" if len(path) == 5 else "weights")
+    return ".".join(keys[-2:])
+
+
+def _documented(path, value):
+    """Whether value is a documented stand-in for the number at path: null
+    on a box side (unbounded)."""
+    return value is None and path[1:3] in (("theta", "lower"), ("theta", "upper"))
+
+
+def _expect_rejected(argv, error_path, path, value):
+    assert cli.main(argv) == 2, (path, value)
+    error = read_json(error_path)
+    assert error["error"] == "SpecError", (path, value, error)
+    assert _entry_name(path) in error["message"], (path, value, error)
+
+
+@pytest.mark.parametrize("instance_id", ["remark45", "counterexample53",
+                                         "elastoplastic61", "nonconvex22"])
+def test_every_number_in_a_spec_rejects_a_non_number(tmp_path, instance_id):
+    """Each number of the exported spec, replaced in turn by true, "1" or
+    null, is a SpecError that names the entry."""
+    spec = read_json(export_spec(tmp_path, instance_id, 8))
+    spec_path = str(tmp_path / "bad.json")
+    out = tmp_path / "out"
+    leaves = list(_number_leaves(spec))
+    assert len(leaves) >= 15
+    for path in leaves:
+        for value in (True, "1", None):
+            if _documented(path, value):
+                continue
+            with open(spec_path, "w", encoding="utf-8") as fh:
+                json.dump(_replaced(spec, path, value), fh)
+            if path[0] == "reference":  # only converge reads the reference
+                argv = ["converge", spec_path, "--out", str(out / "t.csv")]
+            else:
+                argv = ["solve", spec_path, "--out-dir", str(out)]
+            _expect_rejected(argv, str(out / "error.json"), path, value)
+
+
+def test_every_number_in_a_certificate_rejects_a_non_number(tmp_path):
+    spec_path = export_spec(tmp_path, "elastoplastic61", 8)
+    sol = write_pair(tmp_path, *solution_on_mesh("elastoplastic61", 8))
+    cert_path = str(tmp_path / "cert.json")
+    write_certificate(cert_path, certificate_on_mesh("elastoplastic61", 8))
+    cert = read_json(cert_path)
+    out = tmp_path / "out"
+    leaves = list(_number_leaves(cert, ("certificate",)))
+    assert {path[1] for path in leaves} == {"lam", "p", "eta", "gamma"}
+    for path in leaves:
+        for value in (True, "1", None):
+            with open(cert_path, "w", encoding="utf-8") as fh:
+                json.dump(_replaced(cert, path[1:], value), fh)
+            _expect_rejected(["certify", spec_path, "--solution", sol,
+                              "--certificate", cert_path, "--out-dir", str(out)],
+                             str(out / "error.json"), path, value)
 
 
 def test_certify_inconsistent_pair_exits_5_without_report(tmp_path):

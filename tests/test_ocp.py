@@ -248,6 +248,24 @@ def test_smoothed_validates_the_schedule():
         solve_smoothed(tr, sigma_schedule=[0.1, -0.01])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol_stat": float("nan")},
+    {"tol_stat": -1.0},
+    {"tol_stat": 0.0},
+    {"tol_stat": float("inf")},
+    {"sigma_schedule": [float("nan")]},
+    {"sigma_schedule": [0.1, float("nan"), 1e-8]},
+    {"sigma_schedule": [float("inf"), 1e-8]},
+], ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "sigma-nan",
+        "sigma-nan-inside", "sigma-inf-first"])
+def test_smoothed_needs_a_finite_positive_tolerance_and_schedule(kwargs):
+    # A NaN tolerance would pass every "norm > tol" test unconverged, and a
+    # NaN or infinite stage slips through the ordering checks.
+    tr = transcribe(remark45_problem(), 4)
+    with pytest.raises(ConfigurationError, match="must be finite and positive"):
+        solve_smoothed(tr, **kwargs)
+
+
 def test_smoothed_rejects_unpinned_warm_start():
     problem, z = exact_remark45_decision(8)
     bad_u = z.u.copy()
@@ -343,6 +361,14 @@ def test_shooting_needs_the_matching_mesh():
     wrong = Path(mesh=Mesh(k=5, T=2.0), values=np.full((6, 1), -2.0))
     with pytest.raises(ConfigurationError):
         solve_shooting(problem, 10, wrong)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_shooting_needs_a_finite_positive_tolerance(tol):
+    mesh = Mesh(k=4, T=2.0)
+    warm = Path(mesh=mesh, values=np.full((5, 1), -2.0))
+    with pytest.raises(ConfigurationError, match="must be finite and positive"):
+        solve_shooting(remark45_problem(), 4, warm, tol=tol)
 
 
 # ---------------------------------------------------------------------------
