@@ -61,6 +61,7 @@ from .geometry import (
     SmoothInequality,
     SurjectivityError,
     ThetaSet,
+    _FREE,
     _cone_generators,
     _interval_bounds,
     _rows,
@@ -788,10 +789,11 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
     Degeneracy means some nonzero element lies both in the coderivative of
     the normal-cone map at zero direction and in minus the normal cone.  For
     a target with an interval form (``theta.bounds()``: orthant, box,
-    diagonal linear image) that happens exactly when a component at an end
-    carries a nonzero multiplier pointing out of that end, and the witness
-    is the signed unit vector -e_i at an upper end, +e_i at a lower end.  A
-    smooth inequality target is judged through its lifted multiplier.
+    diagonal linear image) that happens exactly when the interval table of
+    :func:`coderivative_codes` at zero direction has a free component (one
+    at an end with a nonzero multiplier pointing out of it), and the witness
+    is -sign(eta_i) e_i at the first such i.  A smooth inequality target is
+    judged through its lifted multiplier.
     Requires the full constraint Jacobian at the endpoint to be surjective.
     """
     eta_T = np.atleast_1d(np.asarray(eta_T, dtype=float))
@@ -808,17 +810,13 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
 
     bounds = theta.bounds()
     if bounds is not None:
-        for i, (lo, hi) in enumerate(zip(*bounds)):
-            if np.isfinite(hi) and z[i] >= hi - act_tol and eta_T[i] > pos_tol:
-                sign = -1.0
-            elif np.isfinite(lo) and z[i] <= lo + act_tol and eta_T[i] < -pos_tol:
-                sign = 1.0
-            else:
-                continue
-            witness = np.zeros(theta.s)
-            witness[i] = sign
-            return NondegeneracyResult(nondegenerate=False, witness=witness)
-        return NondegeneracyResult(nondegenerate=True)
+        free = np.flatnonzero(coderivative_codes(*bounds, z, eta_T, np.zeros_like(z),
+                                                 act_tol, pos_tol) == _FREE)
+        if not free.size:
+            return NondegeneracyResult(nondegenerate=True)
+        witness = np.zeros(theta.s)
+        witness[free[0]] = -np.sign(eta_T[free[0]])
+        return NondegeneracyResult(nondegenerate=False, witness=witness)
     if isinstance(theta, SmoothInequality):
         hv, Dh, _ = theta.constraint(z)
         ok, sigma_min = surjectivity_check(Dh)

@@ -17,8 +17,9 @@ Five subcommands over JSON problem specs and CSV trajectory files:
 The spec format and its reader live in :mod:`sweepctl.spec`.  Certificate
 files follow the same rule for numbers: every entry is a finite JSON number,
 or nested lists of them in the declared shape, and an optional entry may be
-absent or null.  CSV cells and command-line flags are text; they are parsed
-by ``float()`` and then checked to be finite.
+absent or null.  A CSV cell is ASCII decimal text between blanks, checked
+to be finite, and a ``--ks`` entry ASCII digits; other flags are text
+parsed by ``float()`` or ``int()``.
 
 CSV files carry one header line and ``%.17g`` floats, so values survive a
 write/read round trip bit for bit.  State and control files are node-indexed
@@ -26,19 +27,24 @@ write/read round trip bit for bit.  State and control files are node-indexed
 the left node time, and eta columns hold the velocity multiplier of the
 normal-cone inclusion (the projection increment divided by the step size).
 
-Exit codes: 0 success, 2 spec or configuration problem, 3 simulation
-failure, 4 solver nonconvergence (partial iterates are still written when
-available), 5 certification failure.  Failures also leave an ``error.json``
-next to the outputs.
+Exit codes: 0 success, 5 a failed certification.  :func:`main` maps an error
+raised by a command: ``SpecError``, ``ConfigurationError`` and
+``InfeasibleWarmStartError`` exit 2, ``SimulationError`` 3, and any other
+``GeometryError`` the command's own code (simulate 3, solve 4 with the
+partial iterate written when available, certify 5, converge 3, export 2).
+A failure leaves ``error.json`` (error class and message) in ``--out-dir``,
+else next to ``--out`` (converge, export to a file), else nowhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -123,6 +129,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
+#: A data line: comma-separated cells, each ASCII decimal text between
+#: blanks, or a word nan/inf that the finiteness check then names.
+_CELL = (r"[ \t]*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+         r"|nan|inf(?:inity)?)[ \t]*")
+_ROW = re.compile(f"{_CELL}(?:,{_CELL})*", re.IGNORECASE | re.ASCII)
+
+
 def _read_csv(path: str) -> tuple[list[str], Array]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -138,10 +151,9 @@ def _read_csv(path: str) -> tuple[list[str], Array]:
         if len(cells) != len(header):
             raise SpecError(f"{path}:{lineno}: expected {len(header)} "
                             f"columns, got {len(cells)}")
-        try:
-            row = [float(cell) for cell in cells]
-        except ValueError:
-            raise SpecError(f"{path}:{lineno}: non-numeric cell") from None
+        if not _ROW.fullmatch(line):
+            raise SpecError(f"{path}:{lineno}: non-numeric cell")
+        row = [float(cell) for cell in cells]
         for name, value in zip(header, row):
             if not math.isfinite(value):
                 raise SpecError(f"{path}:{lineno}: column {name} is {value}, not finite")
@@ -149,16 +161,17 @@ def _read_csv(path: str) -> tuple[list[str], Array]:
     return header, np.asarray(data, dtype=float)
 
 
-def _fail(out_dir: str | None, exc: Exception, code: int) -> int:
-    """Print the failure, drop error.json next to the outputs, return code."""
+def _fail(args, exc: Exception, code: int) -> int:
+    """Print the failure, drop error.json in --out-dir, else beside --out,
+    else nowhere, and return code."""
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    out_dir = (args.out_dir if "out_dir" in args else
+               args.out and os.path.dirname(os.path.abspath(args.out)))
     if out_dir:
-        try:
+        with contextlib.suppress(OSError):
             os.makedirs(out_dir, exist_ok=True)
             _write_json(os.path.join(out_dir, "error.json"),
                         {"error": type(exc).__name__, "message": str(exc)})
-        except OSError:
-            pass
     return code
 
 
@@ -269,16 +282,9 @@ def parse_certificate(data: dict, problem: OcpProblem, state: Path,
 
 def _cmd_simulate(args) -> int:
     out = args.out_dir
-    try:
-        spec = _load_spec(args.spec)
-        system = build_system(spec)
-        control = _read_path(args.control, "u", system.field.m, system.T)
-    except (SpecError, ConfigurationError) as e:
-        return _fail(out, e, EXIT_SPEC)
-    try:
-        state, records = simulate(system, control)
-    except (SimulationError, GeometryError) as e:
-        return _fail(out, e, EXIT_SIMULATION)
+    system = build_system(_load_spec(args.spec))
+    control = _read_path(args.control, "u", system.field.m, system.T)
+    state, records = simulate(system, control)
 
     os.makedirs(out, exist_ok=True)
     mesh = control.mesh
@@ -319,22 +325,19 @@ def _parse_schedule(raw) -> list[float] | None:
 
 def _cmd_solve(args) -> int:
     out = args.out_dir
-    try:
-        spec = _load_spec(args.spec)
-        problem = build_problem(spec, mode_override=args.mode)
-        solver_cfg = spec.get("solver", {})
-        if not isinstance(solver_cfg, dict):
-            raise SpecError("spec section 'solver' must be an object")
-        k = (_positive_int(solver_cfg.get("k", 50), "solver.k") if args.k is None
-             else _positive_int(args.k, "--k"))
-        method = args.solver or solver_cfg.get("method", "smoothed")
-        if method not in ("smoothed", "shooting"):
-            raise SpecError("solver must be 'smoothed' or 'shooting'")
-        schedule = _parse_schedule(
-            args.sigma_schedule if args.sigma_schedule is not None
-            else solver_cfg.get("sigma_schedule"))
-    except (SpecError, ConfigurationError) as e:
-        return _fail(out, e, EXIT_SPEC)
+    spec = _load_spec(args.spec)
+    problem = build_problem(spec, mode_override=args.mode)
+    solver_cfg = spec.get("solver", {})
+    if not isinstance(solver_cfg, dict):
+        raise SpecError("spec section 'solver' must be an object")
+    k = (_positive_int(solver_cfg.get("k", 50), "solver.k") if args.k is None
+         else _positive_int(args.k, "--k"))
+    method = args.solver or solver_cfg.get("method", "smoothed")
+    if method not in ("smoothed", "shooting"):
+        raise SpecError("solver must be 'smoothed' or 'shooting'")
+    schedule = _parse_schedule(
+        args.sigma_schedule if args.sigma_schedule is not None
+        else solver_cfg.get("sigma_schedule"))
 
     try:
         if method == "smoothed":
@@ -348,23 +351,19 @@ def _cmd_solve(args) -> int:
             u0 = np.atleast_1d(np.asarray(problem.u0, dtype=float))
             warm = Path(mesh=mesh, values=np.tile(u0, (k + 1, 1)))
             decision, report = solve_shooting(problem, k, warm, tol=tol)
-    except (InfeasibleWarmStartError, ConfigurationError) as e:
-        return _fail(out, e, EXIT_SPEC)
-    except SimulationError as e:
-        return _fail(out, e, EXIT_SIMULATION)
     except GeometryError as e:
-        partial = getattr(e, "partial", None)
-        try:
-            os.makedirs(out, exist_ok=True)
-            if partial is not None:
-                _write_solution(out, partial)
-            _write_json(os.path.join(out, "report.json"),
-                        {"status": "nonconverged", "solver": method, "k": k,
-                         "mode": problem.mode, "message": str(e),
-                         "partial_written": partial is not None})
-        except OSError:
-            pass
-        return _fail(out, e, EXIT_SOLVER)
+        # A solver failure keeps its partial iterate; main maps the error.
+        if not isinstance(e, ConfigurationError):
+            partial = getattr(e, "partial", None)
+            with contextlib.suppress(OSError):
+                os.makedirs(out, exist_ok=True)
+                if partial is not None:
+                    _write_solution(out, partial)
+                _write_json(os.path.join(out, "report.json"),
+                            {"status": "nonconverged", "solver": method, "k": k,
+                             "mode": problem.mode, "message": str(e),
+                             "partial_written": partial is not None})
+        raise
 
     os.makedirs(out, exist_ok=True)
     _write_solution(out, decision)
@@ -384,10 +383,10 @@ def _cmd_solve(args) -> int:
                  "sigma_trace": list(report.sigma_trace),
                  "cost_trace": list(report.cost_trace), **counters})
     if not converged:
-        return _fail(out, NumericalFailureError(
+        raise NumericalFailureError(
             f"shooting stopped by {report.stop_reason} after "
             f"{report.iterations} iterations with squared gradient norm "
-            f"{report.stat_residual ** 2:.3g} above tol {tol:.3g}"), EXIT_SOLVER)
+            f"{report.stat_residual ** 2:.3g} above tol {tol:.3g}")
     print(f"solved ({method}, k={k}): cost {report.cost:.8g}, "
           f"stationarity {report.stat_residual:.3g}, "
           f"complementarity {report.comp_residual:.3g}, "
@@ -397,46 +396,27 @@ def _cmd_solve(args) -> int:
 
 def _cmd_certify(args) -> int:
     out = args.out_dir
-    try:
-        spec = _load_spec(args.spec)
-        problem = build_problem(spec)
-        field = problem.system.field
-        T = problem.system.T
-        state = _read_path(os.path.join(args.solution, "x.csv"), "x",
-                           field.n, T)
-        control = _read_path(os.path.join(args.solution, "u.csv"), "u",
-                             field.m, T)
-        if state.mesh != control.mesh:
-            raise SpecError("x.csv and u.csv live on different meshes")
-        cert_data = None if args.certificate is None else _load_json(args.certificate)
-    except (SpecError, ConfigurationError) as e:
-        return _fail(out, e, EXIT_SPEC)
+    problem = build_problem(_load_spec(args.spec))
+    field, T = problem.system.field, problem.system.T
+    state = _read_path(os.path.join(args.solution, "x.csv"), "x", field.n, T)
+    control = _read_path(os.path.join(args.solution, "u.csv"), "u", field.m, T)
+    if state.mesh != control.mesh:
+        raise SpecError("x.csv and u.csv live on different meshes")
+    assembled = args.certificate is None
+    if assembled:
+        cert = assemble_certificate(problem, state, control, lam=args.lam)
+    else:
+        cert = parse_certificate(_load_json(args.certificate), problem, state,
+                                 control)
 
     theta = problem.system.theta
-    try:
-        if cert_data is None:
-            cert = assemble_certificate(problem, state, control, lam=args.lam)
-            assembled = True
-        else:
-            cert = parse_certificate(cert_data, problem, state, control)
-            assembled = False
-        stationarity = residual_continuous_EL(problem, state, control, cert)
-        max_condition = None
-        if isinstance(theta, NonpositiveOrthant):
-            max_condition = max_condition_check(problem, state, control, cert)
-        sufficiency = None
-        if isinstance(theta, (NonpositiveOrthant, Box)):
-            sufficiency = conventional_sufficiency_check(problem, state,
-                                                         control, cert)
-    except SpecError as e:
-        return _fail(out, e, EXIT_SPEC)
-    except ConfigurationError as e:
-        return _fail(out, e, EXIT_SPEC)
-    except GeometryError as e:
-        # The pair itself is inconsistent with the sweeping dynamics (for
-        # example no multiplier explains a step), so there is nothing to
-        # certify: that is a failed certification, not a bad spec.
-        return _fail(out, e, EXIT_CERTIFY)
+    stationarity = residual_continuous_EL(problem, state, control, cert)
+    max_condition = None
+    if isinstance(theta, NonpositiveOrthant):
+        max_condition = max_condition_check(problem, state, control, cert)
+    sufficiency = None
+    if isinstance(theta, (NonpositiveOrthant, Box)):
+        sufficiency = conventional_sufficiency_check(problem, state, control, cert)
 
     passed = stationarity.passed and (max_condition is None
                                       or max_condition.passed)
@@ -478,21 +458,16 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    try:
-        spec = _load_spec(args.spec)
-        problem = build_problem(spec)
-        ref_x, ref_u = _reference_pair(spec, problem)
-        try:
-            ks = [int(v) for v in args.ks.split(",") if v.strip()]
-        except ValueError:
-            raise SpecError("--ks must be a comma list of integers") from None
-        if not ks or any(k < 1 for k in ks):
-            raise SpecError("--ks must list positive integers")
-        if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-            raise SpecError("--ks must be strictly increasing")
-    except (SpecError, ConfigurationError) as e:
-        return _fail(out_dir, e, EXIT_SPEC)
+    spec = _load_spec(args.spec)
+    problem = build_problem(spec)
+    ref_x, ref_u = _reference_pair(spec, problem)
+    pieces = [v.strip() for v in args.ks.split(",") if v.strip()]
+    if not pieces or not all(v.isascii() and v.isdigit() and int(v) > 0
+                             for v in pieces):
+        raise SpecError("--ks must be a comma list of positive integers")
+    ks = [int(v) for v in pieces]
+    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
+        raise SpecError("--ks must be strictly increasing")
 
     system = problem.system
 
@@ -500,10 +475,7 @@ def _cmd_converge(args) -> int:
         mesh = Mesh(k=k, T=system.T)
         return Path(mesh=mesh, values=ref_u.at(mesh.nodes))
 
-    try:
-        table = convergence_study(system, control_family, (ref_x, ref_u), ks)
-    except (SimulationError, GeometryError) as e:
-        return _fail(out_dir, e, EXIT_SIMULATION)
+    table = convergence_study(system, control_family, (ref_x, ref_u), ks)
 
     rows = []
     for row in table.rows:
@@ -524,16 +496,11 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        spec = instance_spec(args.instance, k=args.k)
-    except ConfigurationError as e:
-        return _fail(None, e, EXIT_SPEC)
-    text = json.dumps(spec, indent=2) + "\n"
+    text = json.dumps(instance_spec(args.instance, k=args.k), indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
-        out_dir = os.path.dirname(os.path.abspath(args.out))
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
@@ -560,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", required=True,
                    help="CSV with columns t,u_1..u_m on a uniform grid")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, geometry_exit=EXIT_SIMULATION)
 
     p = sub.add_parser("solve", help="solve the discrete control problem")
     p.add_argument("spec", help="problem spec (JSON)")
@@ -574,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated decreasing smoothing parameters")
     p.add_argument("--tol", type=float, default=None,
                    help="stationarity tolerance")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, geometry_exit=EXIT_SOLVER)
 
     p = sub.add_parser("certify",
                        help="stationarity residuals for a stored pair")
@@ -586,7 +553,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.0,
                    help="cost multiplier for the assembled certificate")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_certify)
+    # A pair that no multiplier explains has nothing to certify: a failed
+    # certification, not a bad spec.
+    p.set_defaults(func=_cmd_certify, geometry_exit=EXIT_CERTIFY)
 
     p = sub.add_parser("converge",
                        help="mesh-refinement errors against the spec reference")
@@ -594,21 +563,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="25,50,100,200",
                    help="comma list of increasing mesh sizes")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_converge)
+    p.set_defaults(func=_cmd_converge, geometry_exit=EXIT_SIMULATION)
 
     p = sub.add_parser("export", help="write a named instance as a spec file")
     p.add_argument("instance", choices=INSTANCE_IDS)
     p.add_argument("--k", type=int, default=50,
                    help="solver mesh size stored in the spec")
     p.add_argument("--out", default=None, help="path (default: stdout)")
-    p.set_defaults(func=_cmd_export)
+    p.set_defaults(func=_cmd_export, geometry_exit=EXIT_SPEC)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and map its failure to an exit code and error.json
+    (the table in the module docstring)."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SpecError, ConfigurationError, InfeasibleWarmStartError) as e:
+        return _fail(args, e, EXIT_SPEC)
+    except SimulationError as e:
+        return _fail(args, e, EXIT_SIMULATION)
+    except GeometryError as e:
+        return _fail(args, e, args.geometry_exit)
 
 
 if __name__ == "__main__":

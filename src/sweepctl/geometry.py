@@ -233,7 +233,8 @@ class NonpositiveOrthant(_IntervalTheta):
 
 @dataclass(frozen=True)
 class Box(_IntervalTheta):
-    """Theta = product of intervals [lower_i, upper_i]; infinite bounds allowed."""
+    """Theta = product of intervals [lower_i, upper_i]; a lower end may be
+    -inf and an upper end +inf, and no end is NaN."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -242,8 +243,8 @@ class Box(_IntervalTheta):
         if len(self.lower) != len(self.upper):
             raise ConfigurationError("lower/upper length mismatch")
         for lo, hi in zip(self.lower, self.upper):
-            if lo > hi:
-                raise ConfigurationError(f"empty interval [{lo}, {hi}]")
+            if not (lo <= hi and lo < np.inf and hi > -np.inf):
+                raise ConfigurationError(f"interval [{lo}, {hi}] is empty or has a NaN end")
 
     @property
     def s(self) -> int:  # type: ignore[override]

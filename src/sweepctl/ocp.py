@@ -196,9 +196,9 @@ class OcpProblem:
     callbacks, which then need ``dphi`` and ``dell``, or the data forms
     :class:`QuadraticTerminalCost` and :class:`QuadraticStageCost`, from
     which ``dphi`` and ``dell`` are derived.  ``anchor`` is an optional
-    (state, control) Path pair; ``rho`` scales the proximity terms and
-    ``epsilon`` is the localization radius (infinity disables the tube
-    check).
+    (state, control) Path pair; ``rho`` (finite, nonnegative) scales the
+    proximity terms and ``epsilon`` is the localization radius (positive;
+    infinity disables the tube check).
     """
 
     system: SweepingSystem
@@ -226,8 +226,10 @@ class OcpProblem:
                 raise ConfigurationError("an energy term needs the W12xW12 mode")
             if self.ell.ref is not None and self.ell.ref[1].shape[1] != len(u0):
                 raise ConfigurationError("reference dimension differs from the control")
-        if self.rho < 0:
-            raise ConfigurationError("rho must be nonnegative")
+        if not 0 <= self.rho < np.inf:
+            raise ConfigurationError(f"rho must be finite and nonnegative, got {self.rho}")
+        if not self.epsilon > 0:
+            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.rho > 0 and self.anchor is None:
             raise ConfigurationError("rho > 0 requires an anchor pair")
         if self.anchor is not None and any(

@@ -313,6 +313,8 @@ def instance_spec(instance_id: str, k: int = 50) -> dict:
     mesh refined to 8 cells) when one exists, so convergence runs work
     straight from the exported file.
     """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     spec, _, ref_k = _entry(instance_id)
     spec = copy.deepcopy(spec)
     spec["solver"] = {"k": k}

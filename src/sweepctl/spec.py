@@ -17,7 +17,11 @@ exactly the shape its section declares.  The documented exceptions are the
 box sides, whose entries may be null (unbounded on that side) or "inf" and
 "-inf"; ``cost.epsilon``, which may be null or "inf" (no localization
 tube); and optional entries, which may be absent.  Counts (``dims`` and
-``solver.k``) are positive integers.
+``solver.k``) are positive integers.  Building the problem then checks the
+values: each box interval [lower_i, upper_i] is nonempty with no NaN end
+(so "inf" on a lower side or "-inf" on an upper side is rejected),
+``cost.epsilon`` is positive and ``cost.rho`` nonnegative, each a
+ConfigurationError.
 
 :func:`build_system` and :func:`build_problem` read a spec and raise
 :class:`SpecError` on anything that violates the format; the command line

@@ -13,8 +13,10 @@ from sweepctl.geometry import (
     ConfigurationError,
     DomainError,
     FieldMap,
+    LinearImagePolyhedron,
     NonpositiveOrthant,
     NotInConeError,
+    ProjectionFailureError,
     SmoothInequality,
     SurjectivityError,
     _cone_generators,
@@ -654,6 +656,90 @@ def test_interval_helpers_match_the_per_variant_branches():
             assert not got.nondegenerate and np.array_equal(got.witness, want)
             counts["degenerate"] += 1
     assert min(counts.values()) >= 200, counts
+
+
+def oracle_nondegeneracy_loop(theta, z, eta, act_tol=ACT_TOL, pos_tol=TOL_POS):
+    """The component loop check_nondegeneracy ran over theta.bounds() before
+    it read the interval table: the witness, or None when nondegenerate."""
+    for i, (lo, hi) in enumerate(zip(*theta.bounds())):
+        if np.isfinite(hi) and z[i] >= hi - act_tol and eta[i] > pos_tol:
+            sign = -1.0
+        elif np.isfinite(lo) and z[i] <= lo + act_tol and eta[i] < -pos_tol:
+            sign = 1.0
+        else:
+            continue
+        witness = np.zeros(theta.s)
+        witness[i] = sign
+        return witness
+    return None
+
+
+def random_bounded_target(rng, s):
+    """An orthant, a box or a diagonal linear image (scales of either sign)
+    on s components, with degenerate intervals lo == hi among the kinds."""
+    pick = rng.random()
+    if pick < 0.2:
+        return NonpositiveOrthant(s)
+    G, g, lower, upper = [], [], [], []
+    for i in range(s):
+        a, b = sorted(rng.normal(scale=2.0, size=2))
+        lo, hi = [(a, b), (a, a), (-math.inf, b), (a, math.inf),
+                  (-math.inf, math.inf)][int(rng.integers(5))]
+        lower.append(lo)
+        upper.append(hi)
+        e = np.eye(s)[i]
+        if np.isfinite(hi):
+            G.append(e)
+            g.append(hi)
+        if np.isfinite(lo):
+            G.append(-e)
+            g.append(-lo)
+    if pick < 0.6 or not G:
+        return Box(lower=tuple(lower), upper=tuple(upper))
+    scale = rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.5, 2.0, size=s)
+    return LinearImagePolyhedron(A=tuple(map(tuple, np.diag(scale))),
+                                 G=tuple(map(tuple, G)), g=tuple(g),
+                                 require_spd=False)
+
+
+def test_nondegeneracy_reads_the_interval_table_like_the_component_loop():
+    """Seeded orthants, boxes and diagonal images, with points on, within
+    and just beyond ACT_TOL of their ends and multipliers below TOL_POS,
+    between TOL_POS and ACT_TOL, and of order one."""
+    rng = np.random.default_rng(20240611)
+    counts = {"degenerate": 0, "small": 0, "nondegenerate": 0, "domain": 0}
+    for _ in range(3000):
+        s = int(rng.integers(1, 5))
+        theta = random_bounded_target(rng, s)
+        lo, hi = theta.bounds()
+        z = rng.normal(size=s)
+        for i in range(s):
+            ends = [e for e in (lo[i], hi[i]) if np.isfinite(e)]
+            if ends and rng.random() < 0.85:
+                z[i] = ends[int(rng.integers(len(ends)))] + rng.choice(
+                    [0.0, 5e-8, -5e-8, 2e-7, -2e-7, 0.3, -0.3])
+        eta = rng.choice([0.0, 5e-9, -5e-9, 5e-8, -5e-8, 1.0, -1.0], size=s)
+        field = FieldMap.affine_fixed(np.eye(s), np.zeros((s, 1)), np.zeros(s))
+        try:
+            got = check_nondegeneracy(field, theta, z, [0.0], eta)
+        except DomainError:
+            counts["domain"] += 1
+            continue
+        except ProjectionFailureError:
+            # The membership test projects a point off an image onto it, and
+            # the least-distance NNLS can fail when opposite rows pin a flat
+            # side (lo == hi); that happens before the interval branch.
+            assert isinstance(theta, LinearImagePolyhedron) and np.any(lo == hi)
+            continue
+        want = oracle_nondegeneracy_loop(theta, z, eta)
+        if want is None:
+            assert got.nondegenerate and got.witness is None
+            counts["nondegenerate"] += 1
+        else:
+            assert not got.nondegenerate and np.array_equal(got.witness, want)
+            counts["degenerate"] += 1
+            counts["small"] += bool(abs(eta[np.flatnonzero(want)[0]]) < ACT_TOL)
+    assert min(counts.values()) >= 100, counts
 
 
 def test_nondegeneracy_validates_its_inputs():

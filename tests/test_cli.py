@@ -16,8 +16,9 @@ import pytest
 
 import sweepctl.spec
 from sweepctl import cli
-from sweepctl.dynamics import Path, simulate
-from sweepctl.ocp import NumericalFailureError
+from sweepctl.dynamics import Path, SimulationError, simulate
+from sweepctl.geometry import ConfigurationError
+from sweepctl.ocp import InfeasibleWarmStartError, NumericalFailureError
 from sweepctl.problems import certificate_on_mesh, instance, solution_on_mesh
 
 
@@ -71,6 +72,19 @@ def test_export_to_stdout(capsys):
     spec = json.loads(capsys.readouterr().out)
     assert spec["schema"] == 1
     assert spec["solver"]["k"] == 50
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_export_rejects_a_mesh_size_that_is_not_positive(tmp_path, capsys, k):
+    """export used to write such a spec, which solve then rejected."""
+    out = tmp_path / "bad-k"
+    assert cli.main(["export", "remark45", "--k", k, "--out", str(out / "spec.json")]) == 2
+    assert not (out / "spec.json").exists()
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "ConfigurationError"
+    assert "k must be a positive integer" in error["message"]
+    assert cli.main(["export", "remark45", "--k", k]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_export_unknown_instance_exits_2():
@@ -143,6 +157,39 @@ def test_simulate_infeasible_control_exits_3(tmp_path):
                    "--out-dir", str(out)])
     assert rc == 3
     assert read_json(str(out / "error.json"))["error"] == "SimulationError"
+
+
+@pytest.mark.parametrize("cell", ["-1_0", "-1_000.5", "-\u0661", "-\uff12",
+                                  "-\U0001d7d0", "-\u0662.\u0665"],
+                         ids=["underscore", "underscore-fraction", "arabic-indic",
+                              "fullwidth", "math-bold", "arabic-indic-fraction"])
+def test_a_csv_cell_is_ascii_decimal_text(tmp_path, cell):
+    """float() reads Python literal syntax and any Unicode digits, so these
+    cells used to pass as -10, -1000.5, -1, -2, -2 and -2.5."""
+    spec_path = export_spec(tmp_path, "remark45", 4)
+    control_csv = tmp_path / "control.csv"
+    control_csv.write_text(f"t,u_1\n0,-2\n0.5,{cell}\n1,-1\n1.5,-1\n2,-1\n",
+                           encoding="utf-8")
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", spec_path, "--control", str(control_csv),
+                   "--out-dir", str(out)])
+    assert rc == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "SpecError"
+    assert "control.csv:3: non-numeric cell" in error["message"]
+
+
+def test_csv_cells_may_carry_blanks_and_any_decimal_form(tmp_path):
+    spec_path = export_spec(tmp_path, "remark45", 4)
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text("t,u_1\n0,-2\n0.5,-1.5\n1,-1\n1.5,-1\n2,-1\n", encoding="utf-8")
+    padded.write_text("t , u_1\n 0 ,\t-2.\n+.5, -15e-1\n1.0E0,-1\n1.5,-1 \n2,-1\n",
+                      encoding="utf-8")
+    for control in (plain, padded):
+        assert cli.main(["simulate", spec_path, "--control", str(control),
+                         "--out-dir", str(tmp_path / control.stem)]) == 0
+    assert ((tmp_path / "plain" / "state.csv").read_bytes()
+            == (tmp_path / "padded" / "state.csv").read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +715,46 @@ def test_spec_with_a_non_finite_entry_is_rejected(tmp_path, where, value, entry)
     assert entry in error["message"]
 
 
+@pytest.mark.parametrize("side, value", [("lower", "inf"), ("upper", "-inf")])
+def test_a_box_side_at_the_wrong_infinity_exits_2(tmp_path, side, value):
+    """Such a side has no halfspace row but contains no point, so simulate
+    and solve used to exit 3 on an infeasible initial state."""
+    spec_path = export_spec(tmp_path, "nonconvex22", 4)
+    spec = read_json(spec_path)
+    spec["moving_set"]["theta"][side] = [value]
+    with open(spec_path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    control_csv = str(tmp_path / "control.csv")
+    cli._write_csv(control_csv, ["t", "u_1"],
+                   np.column_stack([np.linspace(0.0, 1.0, 5), np.zeros(5)]))
+    for argv in (["simulate", spec_path, "--control", control_csv],
+                 ["solve", spec_path]):
+        out = tmp_path / argv[0]
+        assert cli.main(argv + ["--out-dir", str(out)]) == 2
+        error = read_json(str(out / "error.json"))
+        assert error["error"] == "ConfigurationError"
+        assert "is empty or has a NaN end" in error["message"]
+
+
+@pytest.mark.parametrize("cost, message", [
+    ({"epsilon": -1}, "epsilon must be positive"),
+    ({"epsilon": 0}, "epsilon must be positive"),
+    ({"rho": -1}, "rho must be finite and nonnegative"),
+])
+def test_a_nonpositive_radius_or_negative_rho_exits_2(tmp_path, cost, message):
+    """A negative epsilon used to build a problem that every solve ignored."""
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    spec = read_json(spec_path)
+    spec["cost"].update(cost)
+    with open(spec_path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    out = tmp_path / "run"
+    assert cli.main(["solve", spec_path, "--out-dir", str(out)]) == 2
+    error = read_json(str(out / "error.json"))
+    assert error["error"] == "ConfigurationError"
+    assert message in error["message"]
+
+
 def _number_leaves(node, path=()):
     """The paths to the JSON numbers in node (booleans are no numbers)."""
     if isinstance(node, dict):
@@ -818,6 +905,88 @@ def test_converge_validates_ks(tmp_path):
     for ks in ("32,16", "0", "a,b"):
         rc = cli.main(["converge", spec_path, "--ks", ks, "--out", out_csv])
         assert rc == 2
+
+
+@pytest.mark.parametrize("ks", ["1_0,2_0", "\u0664,\u0668", "+4,8", "4.0,8"],
+                         ids=["underscore", "arabic-indic", "plus", "decimal-point"])
+def test_converge_ks_are_ascii_digits(tmp_path, ks):
+    """int() read the first three as 10,20 / 4,8 / 4,8."""
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    out_csv = tmp_path / "t.csv"
+    assert cli.main(["converge", spec_path, "--ks", ks, "--out", str(out_csv)]) == 2
+    assert not out_csv.exists()
+    error = read_json(str(tmp_path / "error.json"))
+    assert error == {"error": "SpecError",
+                     "message": "--ks must be a comma list of positive integers"}
+    assert cli.main(["converge", spec_path, "--ks", " 4, 8 ", "--out", str(out_csv)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# failure policy
+# ---------------------------------------------------------------------------
+
+ERRORS = {
+    "SpecError": lambda: sweepctl.spec.SpecError("patched"),
+    "ConfigurationError": lambda: ConfigurationError("patched"),
+    "InfeasibleWarmStartError": lambda: InfeasibleWarmStartError("patched"),
+    "SimulationError": lambda: SimulationError(0, "patched"),
+    "NumericalFailureError": lambda: NumericalFailureError("patched"),
+}
+
+#: command -> (the library call it makes, its exit code for a GeometryError
+#: other than ConfigurationError)
+COMMANDS = {
+    "simulate": ("simulate", 3),
+    "solve": ("solve_smoothed", 4),
+    "certify": ("assemble_certificate", 5),
+    "converge": ("convergence_study", 3),
+    "export-file": ("instance_spec", 2),
+    "export-stdout": ("instance_spec", 2),
+}
+
+
+@pytest.mark.parametrize("error", list(ERRORS))
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_main_maps_every_failure_to_its_exit_code_and_error_json(
+        tmp_path, monkeypatch, capsys, command, error):
+    """The failure table: the exit code, and error.json in --out-dir, else
+    next to --out, else nowhere; only a solver GeometryError other than a
+    ConfigurationError leaves a nonconverged report.json."""
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    sol = write_pair(tmp_path, *solution_on_mesh("remark45", 8))
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", spec_path, "--control", os.path.join(sol, "u.csv"),
+                     "--out-dir", str(out)],
+        "solve": ["solve", spec_path, "--solver", "smoothed", "--out-dir", str(out)],
+        "certify": ["certify", spec_path, "--solution", sol, "--out-dir", str(out)],
+        "converge": ["converge", spec_path, "--ks", "4,8", "--out", str(out / "t.csv")],
+        "export-file": ["export", "remark45", "--out", str(out / "spec.json")],
+        "export-stdout": ["export", "remark45"],
+    }[command]
+    call, own_code = COMMANDS[command]
+
+    def fail(*args, **kwargs):
+        raise ERRORS[error]()
+
+    monkeypatch.setattr(cli, call, fail)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code = {"SimulationError": 3, "NumericalFailureError": own_code}.get(error, 2)
+    assert cli.main(argv) == code
+    assert f"error: {error}: " in capsys.readouterr().err
+    written = sorted(tmp_path.rglob("error.json"))
+    if command == "export-stdout":
+        assert written == []
+    else:
+        assert written == [out / "error.json"]
+        assert read_json(str(out / "error.json")) == {
+            "error": error, "message": str(ERRORS[error]())}
+    partial = command == "solve" and error == "NumericalFailureError"
+    assert (out / "report.json").exists() == partial
+    if partial:
+        report = read_json(str(out / "report.json"))
+        assert report["status"] == "nonconverged" and report["message"] == "patched"
 
 
 # ---------------------------------------------------------------------------

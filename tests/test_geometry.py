@@ -174,6 +174,18 @@ class TestThetaContains:
         assert theta_contains(theta, np.array([0.0, 100.0]))
         assert not theta_contains(theta, np.array([0.0, -1.0]))
 
+    @pytest.mark.parametrize("lower, upper", [
+        ((np.inf,), (np.inf,)), ((-np.inf,), (-np.inf,)), ((np.inf,), (1.0,)),
+        ((np.nan,), (1.0,)), ((0.0,), (np.nan,)), ((0.0, 1.0), (1.0, 0.5)),
+    ], ids=["lower-inf", "upper-minus-inf", "lower-inf-finite-upper",
+            "lower-nan", "upper-nan", "reversed"])
+    def test_box_rejects_an_end_that_leaves_the_interval_empty(self, lower, upper):
+        """A lower end at +inf or an upper end at -inf has no halfspace row
+        but contains no point; a NaN end compares false either way."""
+        with pytest.raises(ConfigurationError, match="is empty or has a NaN end"):
+            Box(lower=lower, upper=upper)
+        Box(lower=(-np.inf, 2.0), upper=(np.inf, 2.0))  # the whole line and a point
+
     def test_linear_image(self):
         # A = diag(2, 1): A[-1,1]^2 = [-2,2] x [-1,1]
         theta = LinearImagePolyhedron(

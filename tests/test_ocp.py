@@ -125,6 +125,24 @@ def test_rho_without_anchor_is_rejected():
         dataclasses.replace(problem, rho=1.0)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"rho": -1.0}, "rho must be finite and nonnegative"),
+    ({"rho": float("nan")}, "rho must be finite and nonnegative"),
+    ({"rho": float("inf")}, "rho must be finite and nonnegative"),
+    ({"epsilon": -1.0}, "epsilon must be positive"),
+    ({"epsilon": 0.0}, "epsilon must be positive"),
+    ({"epsilon": float("nan")}, "epsilon must be positive"),
+])
+def test_rho_and_epsilon_are_checked(change, message):
+    """A NaN rho made cost_eval NaN, and a negative epsilon was accepted."""
+    problem = remark45_problem()
+    anchored = dataclasses.replace(problem, anchor=solution_on_mesh("remark45", 8))
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(anchored, **change)
+    tube = dataclasses.replace(anchored, rho=0.5, epsilon=float("inf"))
+    assert tube.epsilon == float("inf") and tube.rho == 0.5
+
+
 def test_cost_forms_and_callbacks_are_validated():
     problem = remark45_problem()
     with pytest.raises(ConfigurationError):  # a callback needs its gradient

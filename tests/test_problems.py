@@ -44,6 +44,12 @@ def test_unknown_ids_raise():
         certificate_on_mesh("nonconvex22", 8)
 
 
+@pytest.mark.parametrize("k", [0, -3, True, 2.5, "8"])
+def test_instance_spec_needs_a_positive_integer_mesh_size(k):
+    with pytest.raises(ConfigurationError, match="k must be a positive integer"):
+        instance_spec("remark45", k=k)
+
+
 def test_reference_pairs_reproduce_under_catching_up():
     # Each closed form was chosen so that the implicit stepping reproduces
     # its node values exactly, not just to discretization accuracy.
