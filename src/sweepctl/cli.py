@@ -18,8 +18,9 @@ The spec format and its reader live in :mod:`sweepctl.spec`.  Certificate
 files follow the same rule for numbers: every entry is a finite JSON number,
 or nested lists of them in the declared shape, and an optional entry may be
 absent or null.  A CSV cell is ASCII decimal text between blanks, checked
-to be finite, and a ``--ks`` entry ASCII digits; other flags are text
-parsed by ``float()`` or ``int()``.
+to be finite; a ``--tol`` or ``--lam`` value and a ``--sigma-schedule``
+entry follow the same rule, a ``--k`` value is an ASCII decimal integer
+(digits with an optional sign), and a ``--ks`` entry ASCII digits.
 
 CSV files carry one header line and ``%.17g`` floats, so values survive a
 write/read round trip bit for bit.  State and control files are node-indexed
@@ -134,6 +135,20 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 _CELL = (r"[ \t]*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
          r"|nan|inf(?:inity)?)[ \t]*")
 _ROW = re.compile(f"{_CELL}(?:,{_CELL})*", re.IGNORECASE | re.ASCII)
+_NUMBER = re.compile(_CELL, re.IGNORECASE | re.ASCII)
+_INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*", re.ASCII)
+
+
+def _integer_flag(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
+def _number_flag(text: str) -> float:
+    if not _NUMBER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an ASCII decimal number: {text!r}")
+    return float(text)
 
 
 def _read_csv(path: str) -> tuple[list[str], Array]:
@@ -308,10 +323,10 @@ def _parse_schedule(raw) -> list[float] | None:
     if raw is None:
         return None
     if isinstance(raw, str):
-        try:
-            sched = [float(piece) for piece in raw.split(",") if piece.strip()]
-        except ValueError:
-            raise SpecError("sigma schedule entries must be numbers") from None
+        pieces = [piece for piece in raw.split(",") if piece.strip()]
+        if not all(map(_NUMBER.fullmatch, pieces)):
+            raise SpecError("sigma schedule entries must be numbers")
+        sched = [float(piece) for piece in pieces]
     elif isinstance(raw, list):
         if not all(map(_is_number, raw)):
             raise SpecError("sigma schedule entries must be numbers")
@@ -532,14 +547,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the discrete control problem")
     p.add_argument("spec", help="problem spec (JSON)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_integer_flag, default=None,
                    help="mesh intervals (default: solver.k from the spec, else 50)")
     p.add_argument("--mode", choices=("w12w12", "w12c"), default=None,
                    help="override the spec's cost mode")
     p.add_argument("--solver", choices=("smoothed", "shooting"), default=None)
     p.add_argument("--sigma-schedule", default=None,
                    help="comma-separated decreasing smoothing parameters")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_number_flag, default=None,
                    help="stationarity tolerance")
     p.set_defaults(func=_cmd_solve, geometry_exit=EXIT_SOLVER)
 
@@ -550,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directory holding x.csv and u.csv")
     p.add_argument("--certificate", default=None,
                    help="multiplier JSON (default: assemble by least squares)")
-    p.add_argument("--lam", type=float, default=1.0,
+    p.add_argument("--lam", type=_number_flag, default=1.0,
                    help="cost multiplier for the assembled certificate")
     p.add_argument("--out-dir", required=True)
     # A pair that no multiplier explains has nothing to certify: a failed
@@ -567,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write a named instance as a spec file")
     p.add_argument("instance", choices=INSTANCE_IDS)
-    p.add_argument("--k", type=int, default=50,
+    p.add_argument("--k", type=_integer_flag, default=50,
                    help="solver mesh size stored in the spec")
     p.add_argument("--out", default=None, help="path (default: stdout)")
     p.set_defaults(func=_cmd_export, geometry_exit=EXIT_SPEC)

@@ -7,10 +7,11 @@ The simulator realizes the catching-up selection of the discrete inclusion
 so each step is an exact projection onto the moving set at the incoming
 control, and the projection multiplier certifies the discrete inclusion.
 A linear state map G is part of psi (:meth:`geometry.FieldMap.with_state_map`).
-A step of :func:`simulate` is the drift and that projection alone: one
-least-distance solve for an affine-in-x field with a polyhedral Theta, else
-a local SQP whose multiplier comes from its last linearization, with no
-closing re-solve.  The step records (psi, active set, feasibility and KKT
+A step of :func:`simulate` is the drift and that projection alone: for an
+affine-in-x field with a polyhedral Theta, one least-distance kernel call on
+rows that :func:`geometry._step_rows` built for every step before the loop,
+else a local SQP whose multiplier comes from its last linearization, with
+no closing re-solve.  The step records (psi, active set, feasibility and KKT
 residual) come after the loop from one node table over nodes 1..k;
 :func:`step_catching_up` is one such step with its record.
 Residual checks against both the implicit (cone at the new point, next
@@ -36,8 +37,11 @@ from .geometry import (
     GeometryError,
     ThetaSet,
     TOL_FEAS,
-    _project_step,
+    _project_onto_halfspaces,
     _projection_diagnostics,
+    _rows,
+    _sqp_local_projection,
+    _step_rows,
     cone_distance_nodes,
     field_at_nodes,
     project_onto_moving_set,  # noqa: F401  (perfbench/layers.py wraps this name)
@@ -224,6 +228,39 @@ def _step_records(system: SweepingSystem, field: FieldMap, drifted: Array,
                                   active)]
 
 
+def _catching_up(system: SweepingSystem, x0: Array, U: Array, t: Array,
+                 h: float, warm: Array | None = None,
+                 ) -> tuple[Array, Array, Array]:
+    """Catching-up steps from x0: step j drifts x_j by h f(t[j], x_j) and
+    projects onto C(U[j]).  Returns the states x_0..x_K, the drifted points
+    and the multipliers, one row per step.
+
+    The loop body is the drift and the projection alone: the least-distance
+    kernel on the rows :func:`_step_rows` built for all steps before the
+    loop, else the local SQP from ``warm`` (x_j when None).  A failing step
+    j raises SimulationError(j) caused by the GeometryError.
+    """
+    field, theta, f = system.field, system.theta, system.f
+    rows = _step_rows(field, theta, U)
+    xs = np.empty((len(U) + 1, field.n))
+    xs[0] = x0
+    drifted = np.empty((len(U), field.n))
+    mus = np.empty((len(U), field.s if rows is None else rows[0].shape[1]))
+    for j, t_j in enumerate(t.tolist()):
+        x_j = xs[j]
+        drifted[j] = x_j + h * np.atleast_1d(np.asarray(f(t_j, x_j), dtype=float))
+        try:
+            if rows is None:
+                xs[j + 1], mus[j] = _sqp_local_projection(
+                    field, theta, U[j], drifted[j], x_j if warm is None else warm)
+            else:
+                xs[j + 1], mus[j] = _project_onto_halfspaces(rows[0][j], rows[1][j],
+                                                             drifted[j])
+        except GeometryError as e:
+            raise SimulationError(j, str(e)) from e
+    return xs, drifted, mus if rows is None else _rows(rows[2].T, mus)
+
+
 def step_catching_up(system: SweepingSystem, x_j: Array, u_next: Array,
                      t_j: float, h: float,
                      warm_start: Array | None = None,
@@ -233,17 +270,19 @@ def step_catching_up(system: SweepingSystem, x_j: Array, u_next: Array,
     The returned multiplier satisfies
     x_j + h f(t_j, x_j) - x_{j+1} = grad_x psi(x_{j+1}, u_next)^T eta
     with eta in N_Theta, so eta / h is the discrete inclusion multiplier.
-    This is one step of :func:`simulate`, with its record.
+    This is one step of :func:`simulate`, with its record; a failing
+    projection raises its GeometryError.
     """
     x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
     u_next = np.atleast_1d(np.asarray(u_next, dtype=float))
-    field = system.field
-    drifted = x_j + h * np.atleast_1d(np.asarray(system.f(t_j, x_j), dtype=float))
-    y, eta = _project_step(field, system.theta, u_next, drifted,
-                           x_j if warm_start is None else warm_start)
-    [record] = _step_records(system, field, drifted[np.newaxis],
-                             u_next[np.newaxis], y[np.newaxis], eta[np.newaxis])
-    return y, record
+    try:
+        xs, drifted, eta = _catching_up(system, x_j, u_next[np.newaxis],
+                                        np.array([t_j], dtype=float), h, warm_start)
+    except SimulationError as e:
+        raise e.__cause__ from None
+    [record] = _step_records(system, system.field, drifted, u_next[np.newaxis],
+                             xs[1:], eta)
+    return xs[1], record
 
 
 def simulate(system: SweepingSystem, control: Path,
@@ -252,30 +291,18 @@ def simulate(system: SweepingSystem, control: Path,
 
     The initial state must lie in the moving set at the initial control;
     a failing step aborts with that step's index.  Each step is the drift
-    and the projection alone; the step records come afterwards from one
-    node table over nodes 1..k.
+    and the projection alone (:func:`_catching_up`); the step records come
+    afterwards from one node table over nodes 1..k.
     """
     mesh = control.mesh
     if abs(mesh.T - system.T) > 1e-12:
         raise ConfigurationError("control horizon differs from the system horizon")
-    eff = system.field
-    z0 = psi_eval(eff, system.x0, control.values[0])
+    z0 = psi_eval(system.field, system.x0, control.values[0])
     if not system.theta.contains(z0, tol=TOL_FEAS):
         raise SimulationError(0, f"initial state infeasible: psi(x0,u0)={z0}")
-    h, k, U = mesh.h, mesh.k, control.values
-    xs = np.zeros((k + 1, system.field.n))
-    xs[0] = system.x0
-    drifted = np.empty((k, system.field.n))
-    etas = np.empty((k, system.field.s))
-    for j, t_j in enumerate(mesh.nodes[:-1].tolist()):
-        x_j = xs[j]
-        drifted[j] = x_j + h * np.atleast_1d(np.asarray(system.f(t_j, x_j), dtype=float))
-        try:
-            xs[j + 1], etas[j] = _project_step(eff, system.theta, U[j + 1],
-                                               drifted[j], x_j)
-        except GeometryError as e:
-            raise SimulationError(j, str(e)) from e
-    return Path(mesh=mesh, values=xs), _step_records(system, eff, drifted,
+    U = control.values
+    xs, drifted, etas = _catching_up(system, system.x0, U[1:], mesh.nodes[:-1], mesh.h)
+    return Path(mesh=mesh, values=xs), _step_records(system, system.field, drifted,
                                                     U[1:], xs[1:], etas)
 
 

@@ -35,13 +35,17 @@ one active row, an NNLS only at the others.
 
 Every projection onto a polyhedron (the affine projection, each linearized
 subproblem of the nonlinear one, and polyhedral distances) is one exact
-least-distance program solved by ``scipy.optimize.nnls``, which also returns
-the facet multipliers.  scipy is imported inside the functions that use it,
-never at package import.
+least-distance program with its facet multipliers
+(:func:`_project_onto_halfspaces`): a closed form on the violated rows when
+its KKT conditions hold, else one ``scipy.optimize.nnls`` solve.  For an
+affine-in-x field and a polyhedral Theta, :func:`_step_rows` builds the rows
+of C(u) at a whole stack of controls in one expression.  scipy is imported
+inside the functions that use it, never at package import.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -430,7 +434,13 @@ class FieldMap:
     hess_ux : callable (x, u, p) -> m x n matrix, the mixed contraction
         d/du of (dpsi_dx^T p).
     x_affine : callable u -> (A, c) with psi(y, u) = A y + c, or None when
-        psi is not affine in x.  Enables the exact projection path.
+        psi is not affine in x.  Enables the exact projection path.  The
+        ``x_affine`` of ``affine_fixed`` and of ``polyhedral`` also has a
+        stacked form ``x_affine.at_nodes(U)``: the pairs at the K controls
+        that are the rows of U, as (A (K, s, n), c (K, s)), each row equal
+        to the one-control call bit for bit.  :func:`_step_rows` reads it to
+        build the rows of every catching-up step at once, and calls any
+        other ``x_affine`` once per control.
     """
 
     n: int
@@ -459,6 +469,12 @@ class FieldMap:
         m = Au_.shape[1]
         if Au_.shape[0] != s or c_.shape != (s,):
             raise ConfigurationError("inconsistent affine field shapes")
+
+        def x_affine(u: Array) -> tuple[Array, Array]:
+            return Ax_, Au_ @ u + c_
+
+        x_affine.at_nodes = lambda U: (np.broadcast_to(Ax_, (len(U), s, n)),
+                                       _rows(Au_, U) + c_)
         return FieldMap(
             n=n, m=m, s=s,
             psi=_AffineCallback(Ax_, Au_, c_),
@@ -466,7 +482,7 @@ class FieldMap:
             dpsi_du=_ConstantCallback(Au_),
             hess_xx=_ConstantCallback(np.zeros((n, n))),
             hess_ux=_ConstantCallback(np.zeros((m, n))),
-            x_affine=lambda u: (Ax_, Au_ @ u + c_),
+            x_affine=x_affine,
         )
 
     @staticmethod
@@ -507,6 +523,10 @@ class FieldMap:
         def x_affine(u: Array) -> tuple[Array, Array]:
             U, b = rows(u)
             return U, -b
+
+        x_affine.at_nodes = lambda U: (
+            np.asarray(U[:, : s * n], dtype=float).reshape(len(U), s, n),
+            -np.asarray(U[:, s * n:], dtype=float))
 
         return FieldMap(
             n=n, m=m, s=s,
@@ -665,36 +685,78 @@ def _project_onto_halfspaces(G: Array, g: Array,
     """Minimize ||y - x|| subject to G y <= g.
 
     Returns (y*, mu) where mu >= 0 are the row multipliers with
-    x - y* = G^T mu.  With z = y - x this is the least-distance program
-    min ||z|| s.t. -G z >= -(g - G x), solved exactly by one nonnegative
-    least-squares problem (Lawson & Hanson, *Solving Least Squares
-    Problems*, 1974, ch. 23): for E = [-G^T; -(g - G x)^T], e = (0, .., 0, 1)
-    and w = argmin_{w >= 0} ||E w - e||, the residual res = E w - e has
-    res[-1] = -||res||^2.  It vanishes exactly when the set is empty;
-    otherwise mu = w / -res[-1].  Raises ProjectionFailureError for an empty
-    set, and NumericalFailureError when the NNLS iteration limit is hit or
-    when x, G or g is not finite.
+    x - y* = G^T mu.  A point meeting every row within TOL_FEAS is its own
+    projection.  Otherwise the rows V violated at x are taken as the active
+    set: with R = G[V], mu_V solves (R R^T) mu_V = (G x - g)_V (a division
+    for one row) and y = x - R^T mu_V.  That y is accepted when mu_V >= 0,
+    every row holds at y within TOL_FEAS and, for two or more rows, every
+    row of V is tight at y within TOL_FEAS: the KKT conditions of the convex
+    program then hold, so y is the projection.  The tightness test rejects
+    the points that an ill-conditioned R R^T puts off the projection.
+
+    Every other case (a singular R R^T, as with more violated rows than
+    dimensions, or a failed guess) is the least-distance
+    program min ||z|| s.t. -G z >= -(g - G x) with z = y - x, solved exactly
+    by one nonnegative least-squares problem (Lawson & Hanson, *Solving
+    Least Squares Problems*, 1974, ch. 23): for E = [-G^T; -(g - G x)^T],
+    e = (0, .., 0, 1) and w = argmin_{w >= 0} ||E w - e||, the residual
+    res = E w - e has res[-1] = -||res||^2.  It vanishes exactly when the set
+    is empty; otherwise mu = w / -res[-1].  Raises ProjectionFailureError for
+    an empty set, and NumericalFailureError when the NNLS iteration limit is
+    hit or when x, G or g is not finite.
     """
+    slack = (G.dot(x) - g).tolist()
+    if all(v <= TOL_FEAS for v in slack):  # a NaN slack fails the test
+        return x.copy(), np.zeros(len(g))
+    # A non-finite x, G or g leaves a non-finite slack (inf * 0 is NaN).
+    if not all(map(math.isfinite, slack)):
+        raise NumericalFailureError(
+            "least-distance program has a non-finite point or row")
+    V = [i for i, v in enumerate(slack) if v > TOL_FEAS]
+    mu = np.zeros(len(g))
+    if len(V) == 1:
+        [i] = V
+        aa = G[i].dot(G[i])
+        if aa > 0.0:
+            mu[i] = slack[i] / aa
+            y = x - mu[i] * G[i]
+            if all(v <= TOL_FEAS for v in (G.dot(y) - g).tolist()):
+                return y, mu
+    elif len(V) <= len(x):  # more rows than dimensions: R R^T is singular
+        R = G.take(V, axis=0)
+        try:
+            mu_V = np.linalg.solve(R.dot(R.T), [slack[i] for i in V])
+        except np.linalg.LinAlgError:  # a singular R R^T
+            pass
+        else:
+            y = x - mu_V.dot(R)
+            excess = (G.dot(y) - g).tolist()
+            if (all(m >= 0.0 for m in mu_V.tolist())
+                    and all(v <= TOL_FEAS for v in excess)
+                    and all(excess[i] >= -TOL_FEAS for i in V)):
+                mu[V] = mu_V
+                return y, mu
+    return _nnls_projection(G, g, x, slack)
+
+
+def _nnls_projection(G: Array, g: Array, x: Array,
+                     slack: list[float]) -> tuple[Array, Array]:
+    """The NNLS least-distance solve of :func:`_project_onto_halfspaces`,
+    with slack = G x - g."""
     # Imported here: importing scipy would double the package's import time.
     from scipy.optimize import nnls
 
     r, n = G.shape
-    Gx = G @ x
-    if r == 0 or (Gx <= g + TOL_FEAS).all():
-        return x.copy(), np.zeros(r)
     # Column-major like G^T, which fixes how E @ w below rounds.
     E = np.empty((n + 1, r), order="F")
     np.negative(G.T, out=E[:n])
-    np.subtract(Gx, g, out=E[n])
+    E[n] = slack
     e = np.zeros(n + 1)
     e[n] = 1.0
     try:
         w, _ = nnls(E, e)
     except RuntimeError as err:
         raise NumericalFailureError(f"least-distance NNLS: {err}") from err
-    except ValueError as err:  # nnls rejects infinite and NaN entries
-        raise NumericalFailureError(
-            f"least-distance program has a non-finite point or row: {err}") from err
     res = E @ w - e
     if not res[-1] < 0.0:
         raise ProjectionFailureError("least-distance program is infeasible: "
@@ -711,24 +773,55 @@ def _project_onto_halfspaces(G: Array, g: Array,
 
 
 def _sqp_local_projection(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
-                          warm: Array, tol: float, max_iter: int = 100,
+                          warm: Array, tol: float = 1e-10, max_iter: int = 100,
                           ) -> tuple[Array, Array]:
     """Local projection for nonlinear psi (or smooth Theta) from a warm start.
 
     Sequentially projects x onto the linearized constraint system at the
     current iterate until the iterate moves by at most ``tol``; returns
     (y, eta) with eta from the last linearization, the one whose projection
-    is y (no closing re-solve at y).
+    is y (no closing re-solve at y).  The shapes of the warm start and of u
+    are checked once, as :func:`psi_eval` checks them.
     """
-    y = np.asarray(warm, dtype=float).copy()
+    y = np.atleast_1d(np.asarray(warm, dtype=float)).copy()
+    if y.shape != (field.n,):
+        raise ConfigurationError(f"expected a warm start in R^{field.n}, got shape {y.shape}")
+    linearize = _linearization(field, theta, u)
     for _ in range(max_iter):
-        rows, rhs, lift = _constraint_rows(field, theta, y, u)
+        rows, rhs, lift = linearize(y)
         y_new, mu = _project_onto_halfspaces(rows, rhs, x)
-        step = np.linalg.norm(y_new - y)
+        move = y_new - y
         y = y_new
-        if step <= tol:
+        if math.sqrt(move.dot(move)) <= tol:  # ||move||, as np.linalg.norm rounds it
             return y, lift(mu)
     raise NumericalFailureError("projection SQP did not converge")
+
+
+def _linearization(field: FieldMap, theta: ThetaSet, u: Array,
+                   ) -> Callable[[Array], tuple[Array, Array, Callable[[Array], Array]]]:
+    """The map y -> :func:`_constraint_rows` (field, theta, y, u) for one
+    control u, whose shape is checked here once.  It calls ``psi`` and
+    ``dpsi_dx`` directly, checks psi's output shape as :func:`psi_eval`
+    does, and reads the halfspaces of a polyhedral Theta once."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.shape != (field.m,):
+        raise ConfigurationError(f"expected a control in R^{field.m}, got shape {u.shape}")
+    hs = theta.halfspaces()
+
+    def rows(y: Array) -> tuple[Array, Array, Callable[[Array], Array]]:
+        z = np.atleast_1d(np.asarray(field.psi(y, u), dtype=float))
+        if z.shape != (field.s,):
+            raise ConfigurationError(f"psi returned shape {z.shape}, expected ({field.s},)")
+        J = np.atleast_2d(np.asarray(field.dpsi_dx(y, u), dtype=float))
+        if hs is None:
+            g, Dg, d = theta.constraint(z)
+        else:
+            Dg, d = hs
+            g = Dg.dot(z)
+        R = Dg.dot(J)
+        return R, R.dot(y) - g + d, Dg.T.dot
+
+    return rows
 
 
 def _constraint_rows(field: FieldMap, theta: ThetaSet, y: Array, u: Array,
@@ -738,11 +831,34 @@ def _constraint_rows(field: FieldMap, theta: ThetaSet, y: Array, u: Array,
     Also returns ``lift`` mapping row multipliers mu >= 0 to the
     eta in N_Theta(psi(y,u)) they represent.
     """
-    z = psi_eval(field, y, u)
-    J = np.atleast_2d(np.asarray(field.dpsi_dx(y, u), dtype=float))
-    g, Dg, d = theta.constraint(z)
-    R = Dg @ J
-    return R, R @ y - g + d, lambda mu: Dg.T @ mu
+    return _linearization(field, theta, u)(np.atleast_1d(np.asarray(y, dtype=float)))
+
+
+def _step_rows(field: FieldMap, theta: ThetaSet, U: Array,
+               ) -> tuple[Array, Array, Array] | None:
+    """The moving sets C(u_j) at the K controls that are the rows of U, as
+    halfspaces R_j y <= rhs_j, for a field affine in x, psi(y, u) =
+    A(u) y + c(u), and a polyhedral Theta = {z : H z <= d}: R_j = H A(u_j)
+    and rhs_j = d - H c(u_j).  Returns (R (K, r, n), rhs (K, r), H), or None
+    for any other field or Theta.
+
+    The pairs (A, c) come from ``x_affine.at_nodes`` when the field has it,
+    else from one ``x_affine`` call per control.  Every product is taken
+    per node (:func:`_rows`), so the rows of one control do not depend on
+    the others: one step's rows equal its rows inside a stack bit for bit.
+    """
+    hs = theta.halfspaces()
+    if field.x_affine is None or hs is None:
+        return None
+    H, d = hs
+    at_nodes = getattr(field.x_affine, "at_nodes", None)
+    if at_nodes is not None:
+        A, c = at_nodes(U)
+    else:
+        pairs = [field.x_affine(u) for u in U]
+        A = np.array([a for a, _ in pairs], dtype=float)
+        c = np.array([c for _, c in pairs], dtype=float)
+    return np.matmul(H, A), d - _rows(H, c), H
 
 
 def _active_sets(theta: ThetaSet, Z: Array, tol: float = 1e-7,
@@ -761,25 +877,6 @@ def _active_sets(theta: ThetaSet, Z: Array, tol: float = 1e-7,
         mask = g >= d - tol
     return [tuple(i for i, active in enumerate(row) if active)
             for row in mask.tolist()]
-
-
-def _project_step(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
-                  warm: Array | None, tol: float = 1e-10) -> tuple[Array, Array]:
-    """The projection of one catching-up step and nothing else: (y, eta) with
-    y the projection of x onto C(u) and x - y = grad_x psi(y, u)^T eta.
-
-    One exact least-distance solve for an affine-in-x field with a
-    polyhedral Theta, else the local SQP projection from ``warm``.
-    """
-    hs = theta.halfspaces()
-    if field.x_affine is not None and hs is not None:
-        A, c = field.x_affine(u)
-        H, d = hs
-        y, mu = _project_onto_halfspaces(H @ A, d - H @ c, x)
-        return y, H.T @ mu
-    if warm is None:
-        raise ConfigurationError("nonlinear projection requires a feasible warm start")
-    return _sqp_local_projection(field, theta, u, x, warm, tol)
 
 
 def _projection_diagnostics(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
@@ -814,13 +911,19 @@ def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if field.x_affine is not None and theta.halfspaces() is not None:
-        y, eta = _project_step(field, theta, u, x, None)
+    rows = _step_rows(field, theta, u[np.newaxis])
+    if rows is not None:
+        R, rhs, H = rows
+        y, mu = _project_onto_halfspaces(R[0], rhs[0], x)
+        eta = _rows(H.T, mu[np.newaxis])[0]
     else:
+        starts = [warm_start, *extra_starts]
+        if any(start is None for start in starts):
+            raise ConfigurationError("nonlinear projection requires a feasible warm start")
         candidates: list[tuple[Array, Array]] = []
-        for start in [warm_start, *extra_starts]:
+        for start in starts:
             try:
-                candidates.append(_project_step(field, theta, u, x, start, tol))
+                candidates.append(_sqp_local_projection(field, theta, u, x, start, tol))
             except (NumericalFailureError, ProjectionFailureError):
                 continue
         if not candidates:

@@ -963,10 +963,13 @@ class _Augmented:
         self._sort(self._cols)
 
     def _sort(self, cols: Array) -> None:
-        """The CSC pattern and gather index with entry e in column cols[e]."""
+        """The CSC pattern and gather index with entry e in column cols[e].
+        The pattern is C int, the index type of SuperLU, so ``splu`` takes
+        it as it is instead of copying it on every factorization."""
         self.gather = np.lexsort((self._rows, cols))
-        self.indices = self._rows[self.gather]
-        self.indptr = np.searchsorted(cols[self.gather], np.arange(self.size + 1))
+        self.indices = self._rows[self.gather].astype(np.intc)
+        self.indptr = np.searchsorted(cols[self.gather],
+                                      np.arange(self.size + 1)).astype(np.intc)
 
     def factor(self, Jdata: Array, damping: Array = ()):
         """``splu`` of the matrix at J's entries ``Jdata`` and, without C,

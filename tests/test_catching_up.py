@@ -7,8 +7,11 @@ least-distance program, and for a nonlinear field or a smooth Theta an SQP
 closed by a re-solve at the converged point), then evaluated psi, the active
 set, grad_x psi, the residual norm and the feasibility of that one step.
 
-On the affine path (an affine-in-x field and a polyhedral Theta) the
-arithmetic is unchanged, so states, multipliers, active sets and
+Both project with the production least-distance kernel
+(``_project_onto_halfspaces``); ``oracle_halfspaces``, the kernel's NNLS
+form, is the reference that the kernel itself is held to below.  On the
+affine path (an affine-in-x field and a polyhedral Theta) the arithmetic is
+unchanged, so states, multipliers, active sets and
 feasibility must agree bit for bit; the residuals only change summation
 order.  On the nonlinear path the states must agree bit for bit and the
 multipliers, which now come from the last SQP linearization, to the
@@ -38,6 +41,7 @@ from sweepctl.geometry import (
     ProjectionFailureError,
     SmoothInequality,
     _constraint_rows,
+    _project_onto_halfspaces,
     psi_eval,
 )
 from sweepctl.problems import instance
@@ -86,7 +90,7 @@ def oracle_sqp(field, theta, u, x, warm, tol=1e-10, max_iter=100):
     y = np.asarray(warm, dtype=float).copy()
     for _ in range(max_iter):
         rows, rhs, _ = _constraint_rows(field, theta, y, u)
-        y_new, _ = oracle_halfspaces(rows, rhs, x)
+        y_new, _ = _project_onto_halfspaces(rows, rhs, x)
         step = np.linalg.norm(y_new - y)
         y = y_new
         if step <= tol:
@@ -94,7 +98,7 @@ def oracle_sqp(field, theta, u, x, warm, tol=1e-10, max_iter=100):
     else:
         raise NumericalFailureError("projection SQP did not converge")
     rows, rhs, lift = _constraint_rows(field, theta, y, u)
-    _, mu = oracle_halfspaces(rows, rhs, x)
+    _, mu = _project_onto_halfspaces(rows, rhs, x)
     return y, lift(mu)
 
 
@@ -103,7 +107,7 @@ def oracle_project(field, theta, u, x, warm):
     if field.x_affine is not None and hs is not None:
         A, c = field.x_affine(u)
         H, d = hs
-        y, mu = oracle_halfspaces(H @ A, d - H @ c, x)
+        y, mu = _project_onto_halfspaces(H @ A, d - H @ c, x)
         eta = H.T @ mu
     else:
         try:
@@ -146,6 +150,101 @@ def oracle_simulate(system, control):
         xs[j + 1] = y
         steps.append((eta, residual, oracle_feasibility(system.theta, z), active))
     return xs, steps
+
+
+# ---------------------------------------------------------------------------
+# The kernel against its NNLS form
+# ---------------------------------------------------------------------------
+
+
+def least_distance_case(rng, kind):
+    """Seeded rows G y <= g (n <= 4, up to 12 rows) around an interior
+    point c, and a point x off the set, shaped by ``kind``."""
+    n, r = int(rng.integers(1, 5)), int(rng.integers(2, 12))  # r + 1 rows if dependent
+    G = rng.standard_normal((r, n))
+    c = rng.standard_normal(n)
+    g = G @ c + rng.uniform(0.05, 1.0, r)
+    x = c + rng.uniform(0.5, 4.0) * rng.standard_normal(n)
+    if kind == "duplicated":
+        G[1], g[1] = G[0], g[0]
+    elif kind == "dependent":  # row 2 is a positive combination of rows 0, 1
+        G = np.vstack([G, 0.5 * G[0] + 1.5 * G[1]])
+        g = np.append(g, 0.5 * g[0] + 1.5 * g[1])
+    elif kind == "flat":  # rows 0 and 1 pin a flat side: lo == hi
+        G[1], g[0], g[1] = -G[0], G[0] @ c, -(G[0] @ c)
+    elif kind == "parallel":  # an ill-conditioned Gram matrix
+        G[1] = G[0] + 1e-7 * rng.standard_normal(n)
+        g[1] = g[0] + 1e-7 * rng.uniform()
+    elif kind == "weak":  # x projects onto y with row 1 tight at mu_1 = 0
+        y = c + rng.standard_normal(n)
+        g[:2] = G[:2] @ y
+        g[2:] = np.maximum(g[2:], G[2:] @ y + rng.uniform(0.05, 1.0, r - 2))
+        x = y + rng.uniform(0.5, 2.0) * G[0]
+    return G, g, x
+
+
+LEAST_DISTANCE_KINDS = ("generic", "duplicated", "dependent", "flat", "parallel",
+                        "weak")
+
+
+def test_the_kernel_solves_the_nnls_least_distance_program(monkeypatch):
+    from sweepctl import geometry
+
+    nnls_calls = []
+    nnls = geometry._nnls_projection
+
+    def counted(*args):
+        nnls_calls.append(1)
+        return nnls(*args)
+
+    monkeypatch.setattr(geometry, "_nnls_projection", counted)
+    rng = np.random.default_rng(2025)
+    paths = {kind: {"inside": 0, "closed form": 0, "nnls": 0}
+             for kind in LEAST_DISTANCE_KINDS}
+    for trial in range(3000):
+        kind = LEAST_DISTANCE_KINDS[trial % len(LEAST_DISTANCE_KINDS)]
+        G, g, x = least_distance_case(rng, kind)
+        before = len(nnls_calls)
+        y, mu = _project_onto_halfspaces(G, g, x)
+        want_y, want_mu = oracle_halfspaces(G, g, x)
+        if np.all(G @ x <= g + TOL_FEAS):
+            path = "inside"
+        else:
+            path = "nnls" if len(nnls_calls) > before else "closed form"
+        paths[kind][path] += 1
+        assert np.linalg.norm(y - want_y) <= 1e-12 * (1.0 + np.linalg.norm(want_y)), kind
+        # KKT: x - y = G^T mu with mu >= 0 on rows that hold with equality
+        assert np.all(mu >= 0.0)
+        scale = 1.0 + np.linalg.norm(x)
+        assert np.linalg.norm(x - y - G.T @ mu) <= 1e-12 * scale
+        assert np.all(G @ y - g <= 1e-9 * scale)
+        assert np.all(mu * np.abs(G @ y - g) <= 1e-9 * scale)
+        active = (mu > 0.0) | (want_mu > 0.0)
+        if np.linalg.matrix_rank(G[active]) == active.sum():
+            np.testing.assert_allclose(mu, want_mu, rtol=1e-8, atol=1e-12 * scale)
+    # Every kind reaches both the closed form and its NNLS fallback (a
+    # failed guess of the active set, or a singular Gram matrix).
+    for kind, counts in paths.items():
+        assert counts["closed form"] >= 50 and counts["nnls"] >= 50, (kind, counts)
+
+
+@pytest.mark.parametrize("one_row", [True, False])
+def test_the_kernel_rejects_an_empty_set_and_a_non_finite_entry(one_row):
+    # |y| <= -1 is empty; with one_row the point violates only its first row
+    G, g = np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])
+    x = np.array([3.0 if one_row else 0.0])
+    for project in (_project_onto_halfspaces, oracle_halfspaces):
+        with pytest.raises(ProjectionFailureError):
+            project(G, g, x)
+    # a point with one violated row or two, and a NaN or inf in x, G or g
+    G, g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 3.0])
+    x = np.array([2.0, 0.0 if one_row else 2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ("x", "G", "g"):
+            args = {"G": G.copy(), "g": g.copy(), "x": x.copy()}
+            args[where].flat[-1] = bad
+            with pytest.raises(NumericalFailureError), np.errstate(invalid="ignore"):
+                _project_onto_halfspaces(args["G"], args["g"], args["x"])
 
 
 # ---------------------------------------------------------------------------

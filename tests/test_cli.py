@@ -921,6 +921,37 @@ def test_converge_ks_are_ascii_digits(tmp_path, ks):
     assert cli.main(["converge", spec_path, "--ks", " 4, 8 ", "--out", str(out_csv)]) == 0
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("export --k", "1_0"), ("export --k", "\u0661\u0660"), ("solve --k", "1_0"),
+    ("solve --tol", "1_0e-8"), ("solve --tol", "\uff11e-8"), ("certify --lam", "1_0"),
+    ("solve --sigma-schedule", "1e-2,1_0e-9")],
+    ids=["export-k-underscore", "export-k-arabic-indic", "solve-k-underscore",
+         "tol-underscore", "tol-fullwidth", "lam-underscore", "sigma-underscore"])
+def test_number_flags_are_ascii_decimal_text(tmp_path, capsys, flag, text):
+    """int() and float() read Python literal syntax and Unicode digits:
+    ``export --k 1_0`` wrote k = 10 and ``solve --tol 1_0e-8`` solved to
+    1e-7.  A --k value is now ASCII digits with an optional sign, and the
+    other flags follow the rule of a CSV cell; plain text of the same value
+    passes."""
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    command, name = flag.split()
+    args = {"export": ["remark45"],
+            "solve": [spec_path, "--out-dir", str(tmp_path / "out")],
+            "certify": [spec_path, "--solution", str(tmp_path / "out"),
+                        "--out-dir", str(tmp_path / "cert")]}[command]
+    try:
+        rc = cli.main([command, *args, name, text])
+    except SystemExit as exit_:  # argparse rejects the text
+        rc = exit_.code
+    assert rc == 2
+    if command == "export":
+        capsys.readouterr()
+        assert cli.main([command, *args, name, " 10 "]) == 0
+        assert json.loads(capsys.readouterr().out)["solver"]["k"] == 10
+    if name in ("--tol", "--lam"):
+        assert cli._number_flag(" 1.0e-8 ") == 1e-8
+
+
 # ---------------------------------------------------------------------------
 # failure policy
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from sweepctl import spec
 from sweepctl.geometry import (
+    TOL_FEAS,
     Box,
     ConeDecomposition,
     CoderivativeCase,
@@ -372,6 +373,42 @@ class TestProjection:
         assert np.all(mu >= 0.0) and np.all(np.abs(G @ y - g)[mu > 0] <= scale[mu > 0])
         np.testing.assert_allclose(x - y, G.T @ mu, rtol=0,
                                    atol=1e-12 * np.linalg.norm(x))
+
+    def test_a_diagonal_image_with_flat_sides_projects_by_clipping(self):
+        # A diagonal A maps the box Z onto a box, so the projection is a
+        # clip to its bounds.  Coordinates 1, 3 and 4 are flat (lo == hi).
+        # An NNLS solve alone put weight on both rows of an opposite pair
+        # here, missed the set by 0.38 and raised ProjectionFailureError.
+        A = np.diag([0.8239359167383096, 1.3283382643496313,
+                     1.6915327862192444, 0.9539714421624368])
+        G = np.repeat(np.eye(4), 2, axis=0) * np.tile([1.0, -1.0], 4)[:, None]
+        g = (0.839120674647437, -0.839120674647437, 0.2108722588618705,
+             -0.10420362513237261, -1.487998662125029, 1.487998662125029,
+             -1.1101929914416675, 1.1101929914416675)
+        theta = LinearImagePolyhedron(A=tuple(map(tuple, A)), G=tuple(map(tuple, G)),
+                                      g=g, require_spd=False)
+        z = np.array([0.6913816623197048, 0.43841766254727543,
+                      -2.5169985728348583, -0.7590924091242373])
+        lo, hi = theta.bounds()
+        assert not theta.contains(z)
+        y, _ = _project_onto_halfspaces(*theta.halfspaces(), z)
+        np.testing.assert_allclose(y, np.clip(z, lo, hi), rtol=0, atol=1e-12)
+        # Seeded diagonal images with flat sides: every point clips.
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            s = int(rng.integers(1, 5))
+            a, b = np.sort(rng.normal(scale=2.0, size=(2, s)), axis=0)
+            b = np.where(rng.random(s) < 0.5, a, b)
+            G = np.repeat(np.eye(s), 2, axis=0) * np.tile([1.0, -1.0], s)[:, None]
+            scale = rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.5, 2.0, size=s)
+            theta = LinearImagePolyhedron(
+                A=tuple(map(tuple, np.diag(scale))), G=tuple(map(tuple, G)),
+                g=tuple(np.stack([b, -a], axis=1).ravel()), require_spd=False)
+            lo, hi = theta.bounds()
+            z = rng.normal(scale=3.0, size=s)
+            y, _ = _project_onto_halfspaces(*theta.halfspaces(), z)
+            np.testing.assert_allclose(y, np.clip(z, lo, hi), rtol=0, atol=1e-12)
+            assert theta.contains(z) == bool(np.all((lo - TOL_FEAS <= z) & (z <= hi + TOL_FEAS)))
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
