@@ -384,6 +384,7 @@ def _cmd_solve(args) -> int:
     _write_solution(out, decision)
     counters = ({"simulations": report.simulations,
                  "line_search_trials": report.line_search_trials,
+                 "forward_gradients": report.forward_gradients,
                  "stop_reason": report.stop_reason}
                 if method == "shooting" else
                 {"line_search_trials": report.line_search_trials})

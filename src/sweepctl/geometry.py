@@ -435,12 +435,13 @@ class FieldMap:
         d/du of (dpsi_dx^T p).
     x_affine : callable u -> (A, c) with psi(y, u) = A y + c, or None when
         psi is not affine in x.  Enables the exact projection path.  The
-        ``x_affine`` of ``affine_fixed`` and of ``polyhedral`` also has a
-        stacked form ``x_affine.at_nodes(U)``: the pairs at the K controls
-        that are the rows of U, as (A (K, s, n), c (K, s)), each row equal
-        to the one-control call bit for bit.  :func:`_step_rows` reads it to
-        build the rows of every catching-up step at once, and calls any
-        other ``x_affine`` once per control.
+        ``x_affine`` of ``affine_fixed`` and of ``polyhedral``, and that of
+        ``with_state_map`` over either, also has a stacked form
+        ``x_affine.at_nodes(U)``: the pairs at the K controls that are the
+        rows of U, as (A (K, s, n), c (K, s)), each row equal to the
+        one-control call bit for bit.  :func:`_affine_pairs` reads it, for
+        the rows of every catching-up step and the shooting gradient's step
+        maps at once, and calls any other ``x_affine`` once per control.
     """
 
     n: int
@@ -552,12 +553,28 @@ class FieldMap:
 
     def with_state_map(self, G: Array) -> "FieldMap":
         """psi(G x, u) for a square n x n matrix G, with the derivatives by
-        the chain rule; an affine-in-x field stays affine in x."""
+        the chain rule; an affine-in-x field stays affine in x, its pair
+        (A G, c) taken from one inner ``x_affine`` call per control, or
+        from the inner ``at_nodes`` for a stack."""
         G = np.atleast_2d(np.asarray(G, dtype=float))
         if G.shape[0] != G.shape[1]:
             raise ConfigurationError("state map must be a square matrix")
         if G.shape[0] != self.n:
             raise ConfigurationError("state map size must match the field")
+        x_affine = None
+        if self.x_affine is not None:
+            inner, inner_nodes = self.x_affine, getattr(self.x_affine, "at_nodes", None)
+
+            def x_affine(u: Array) -> tuple[Array, Array]:
+                A, c = inner(u)
+                return A @ G, c
+
+            if inner_nodes is not None:
+                def at_nodes(U: Array) -> tuple[Array, Array]:
+                    A, c = inner_nodes(U)
+                    return np.matmul(A, G), c
+
+                x_affine.at_nodes = at_nodes
         return FieldMap(
             n=self.n, m=self.m, s=self.s,
             psi=lambda x, u: self.psi(G @ x, u),
@@ -567,8 +584,7 @@ class FieldMap:
                      lambda x, u, p: G.T @ self.hess_xx(G @ x, u, p) @ G),
             hess_ux=(None if self.hess_ux is None else
                      lambda x, u, p: self.hess_ux(G @ x, u, p) @ G),
-            x_affine=(None if self.x_affine is None else
-                      lambda u: (self.x_affine(u)[0] @ G, self.x_affine(u)[1])),
+            x_affine=x_affine,
         )
 
 
@@ -842,8 +858,7 @@ def _step_rows(field: FieldMap, theta: ThetaSet, U: Array,
     and rhs_j = d - H c(u_j).  Returns (R (K, r, n), rhs (K, r), H), or None
     for any other field or Theta.
 
-    The pairs (A, c) come from ``x_affine.at_nodes`` when the field has it,
-    else from one ``x_affine`` call per control.  Every product is taken
+    The pairs (A, c) come from :func:`_affine_pairs`.  Every product is taken
     per node (:func:`_rows`), so the rows of one control do not depend on
     the others: one step's rows equal its rows inside a stack bit for bit.
     """
@@ -851,14 +866,21 @@ def _step_rows(field: FieldMap, theta: ThetaSet, U: Array,
     if field.x_affine is None or hs is None:
         return None
     H, d = hs
+    A, c = _affine_pairs(field, U)
+    return np.matmul(H, A), d - _rows(H, c), H
+
+
+def _affine_pairs(field: FieldMap, U: Array) -> tuple[Array, Array]:
+    """The pairs (A(u_j), c(u_j)) with psi(y, u_j) = A(u_j) y + c(u_j) of a
+    field affine in x at the K controls that are the rows of U, as
+    (A (K, s, n), c (K, s)): from ``x_affine.at_nodes`` when the field has
+    it, else from one ``x_affine`` call per control."""
     at_nodes = getattr(field.x_affine, "at_nodes", None)
     if at_nodes is not None:
-        A, c = at_nodes(U)
-    else:
-        pairs = [field.x_affine(u) for u in U]
-        A = np.array([a for a, _ in pairs], dtype=float)
-        c = np.array([c for _, c in pairs], dtype=float)
-    return np.matmul(H, A), d - _rows(H, c), H
+        return at_nodes(U)
+    pairs = [field.x_affine(u) for u in U]
+    return (np.array([a for a, _ in pairs], dtype=float),
+            np.array([c for _, c in pairs], dtype=float))
 
 
 def _active_sets(theta: ThetaSet, Z: Array, tol: float = 1e-7,

@@ -37,9 +37,14 @@ fit in ``certify`` shares that assembler and that kernel.
 ``solve_shooting`` instead optimizes the control nodes directly over the
 catching-up simulator with L-BFGS directions and an Armijo line search.  When
 every step is the exact projection (an affine-in-x field and a polyhedral
-Theta) the gradient is exact: forward-mode tangents carried along the
-simulated trajectory, each step projecting its tangent onto the critical
-cone of that step's projection, and ``cost_grad`` for the cost.  Nonlinear
+Theta) the gradient is exact, with ``cost_grad`` for the cost.  A step that
+no row touches, or whose multiplier is a strictly positive combination of
+its active rows, maps the state tangent linearly; all these step maps are
+built as stacks before any loop, and the gradient is one reverse (adjoint)
+sweep of an n-vector through them.  At a weakly active step the tangent
+map is a projection onto a cone, not linear, and that gradient takes the
+forward sweep instead: tangents carried along the simulated trajectory,
+each projected onto the critical cone of its step's projection.  Nonlinear
 fields and smooth Theta keep forward differences, one simulation per free
 control entry.
 
@@ -80,7 +85,10 @@ from .geometry import (
     ConfigurationError,
     NumericalFailureError,
     _ConstantCallback,
+    _affine_pairs,
     _project_onto_halfspaces,
+    _rows,
+    _stacked,
     field_at_nodes,
     psi_eval,
 )
@@ -283,6 +291,11 @@ class SolveReport:
     #: sparse factorization and one evaluation of the KKT residual.
     simulations: int = 0
     line_search_trials: int = 0
+    #: Exact shooting gradients that took the forward tangent sweep because
+    #: a step was weakly active (:func:`_shooting_gradient`); the others were
+    #: one reverse sweep.  0 from ``solve_smoothed`` and on the
+    #: forward-difference route.
+    forward_gradients: int = 0
     #: Why ``solve_shooting`` stopped: "tolerance", "iteration_budget" or
     #: "line_search" (empty from ``solve_smoothed``, which converges or raises).
     stop_reason: str = ""
@@ -1274,9 +1287,84 @@ def _has_exact_tangents(system: SweepingSystem) -> bool:
 def _shooting_gradient(problem: OcpProblem, z: DiscreteDecision,
                        records: Sequence[StepRecord],
                        free_idx: Sequence[tuple[int, int]]) -> Array:
-    """Exact gradient of cost_eval o simulate over the free control entries.
+    """Exact gradient of cost_eval o simulate over the free control entries
+    (node, component) at the simulated trajectory ``z`` and its step records:
+    one reverse sweep (:func:`_adjoint_gradient`), or the forward tangent
+    sweep (:func:`_forward_gradient`) when some step is weakly active."""
+    grad = _adjoint_gradient(problem, z, records, free_idx)
+    return _forward_gradient(problem, z, records, free_idx) if grad is None else grad
 
-    Forward mode along the simulated trajectory ``z`` and its step records.
+
+def _adjoint_gradient(problem: OcpProblem, z: DiscreteDecision,
+                      records: Sequence[StepRecord],
+                      free_idx: Sequence[tuple[int, int]]) -> Array | None:
+    """The gradient of :func:`_shooting_gradient` by reverse mode, or None
+    when some step is weakly active.
+
+    At a step j that no row touches, or whose multiplier eta is a strictly
+    positive combination of its active rows H_A, the tangent T = dx / dU of
+    :func:`_forward_gradient` goes through the linear map
+
+        T_{j+1} = B_j T_j + E_j dU_{j+1},   B_j = P_j (I + h Df_j),
+        E_j = -P_j hess_ux^T - G_j^+ H_A Ju_j,
+
+    P_j = I - G_j^+ G_j the projector onto the null space of G_j = H_A J_j.
+    Every B_j and E_j is built before any loop: the pairs from
+    :func:`geometry._affine_pairs`, the active rows H (J y + c) >=
+    d - TOL_FEAS rounded per node as the forward sweep rounds them, Ju and
+    hess_ux stacked as :func:`field_at_nodes` stacks them, Df from
+    :func:`_drift_jacobian`, and per distinct active-row pattern one
+    least-squares strictness test over all its steps and one stacked
+    ``pinv``.  The cost gradient is then one backward sweep of an n-vector
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3):
+    lambda_k = dX_k, lambda_j = dX_j + B_j^T lambda_{j+1}, and the entry
+    (j+1, a) of the gradient is dU_{j+1, a} + lambda_{j+1}^T E_j[:, a].  A
+    weakly active step projects its tangent onto a cone, which is not a
+    linear map, so such a gradient has no adjoint sweep here.
+    """
+    system, mesh = problem.system, z.mesh
+    field = system.field
+    H, d = system.theta.halfspaces()
+    n, m = field.n, field.m
+    Y, U = z.x[1:], z.u[1:]
+    eta = np.array([rec.eta for rec in records], dtype=float)
+    A, c = _affine_pairs(field, U)
+    active = _rows(H, _rows(A, Y) + c) >= d - TOL_FEAS
+    Ju = _stacked(field, "dpsi_du", (Y, U), (field.s, m))
+    E = -_stacked(field, "hess_ux", (Y, U, eta), (m, n)).swapaxes(1, 2)
+    B = np.eye(n) + mesh.h * _drift_jacobian(system, mesh.nodes[:-1], z.x[:-1])
+    groups: dict[tuple[bool, ...], list[int]] = {}
+    for j, pattern in enumerate(map(tuple, active.tolist())):
+        groups.setdefault(pattern, []).append(j)
+    for pattern, steps in groups.items():
+        if not any(pattern):
+            continue
+        rows = H[np.array(pattern)]
+        W = eta[steps].T
+        mu = np.linalg.lstsq(rows.T, W, rcond=None)[0]
+        scale = _STRICT_TOL * abs(W).max(axis=0)
+        if not ((mu.min(axis=0) > scale)
+                & (abs(rows.T @ mu - W).max(axis=0) <= scale)).all():
+            return None
+        G = np.matmul(rows, A[steps])
+        Gp = np.linalg.pinv(G)
+        B[steps] -= Gp @ (G @ B[steps])
+        E[steps] -= Gp @ (G @ E[steps] + rows @ Ju[steps])
+    dX, dU = cost_grad(problem, z)
+    lam = [dX[-1]]  # lambda_k, lambda_{k-1}, ..., lambda_1
+    for Bj, dXj in zip(B[:0:-1], dX[-2:0:-1]):
+        lam.append(dXj + lam[-1] @ Bj)
+    dU[1:] += _rows(E.swapaxes(1, 2), np.array(lam[::-1]))
+    nodes, comps = np.array(free_idx, dtype=int).reshape(-1, 2).T
+    return dU[nodes, comps]
+
+
+def _forward_gradient(problem: OcpProblem, z: DiscreteDecision,
+                      records: Sequence[StepRecord],
+                      free_idx: Sequence[tuple[int, int]]) -> Array:
+    """The gradient of :func:`_shooting_gradient` by forward mode, per
+    column of the free entries.
+
     The tangent T_j = dx_j / dU_free (n x #free) starts at 0.  Step j,
     y = x_{j+1} = proj_C(u)(x_j + h f(t_j, x_j)) with u = u_{j+1} and step
     multiplier eta, maps it through
@@ -1370,7 +1458,8 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
 
     With an affine-in-x field and a polyhedral Theta, where every
     catching-up step is an exact projection, the gradient is exact: one
-    tangent sweep over the current trajectory (``_shooting_gradient``).
+    reverse sweep over the current trajectory, or the forward tangent sweep
+    when a step is weakly active (``_shooting_gradient``).
     Otherwise (a nonlinear field or a smooth Theta) it comes from forward
     differences with step 1e-6 (1 + ||u||), one simulation per free entry.
     The direction d is the two-loop L-BFGS direction over the last
@@ -1394,7 +1483,8 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     route, where it belongs to the iterate before the last accepted step
     (the gradient of the returned one would cost a simulation per free
     entry).
-    The report counts the simulations and the line-search trials among them.
+    The report counts the simulations, the line-search trials among them,
+    and the exact gradients that took the forward sweep.
     """
     if not 0 < tol < np.inf:
         raise ConfigurationError(f"tol must be finite and positive, got {tol}")
@@ -1405,7 +1495,7 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     mask = np.ones(k + 1, dtype=bool) if free_mask is None else \
         np.asarray(free_mask, dtype=bool).copy()
     mask[0] = False
-    simulations = trials = 0
+    simulations = trials = forward_gradients = 0
 
     def run(Uvals: Array) -> tuple[DiscreteDecision, list[StepRecord], float] | None:
         """Simulate a control: (decision, step records, cost), None on failure."""
@@ -1433,8 +1523,13 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     exact = _has_exact_tangents(problem.system)
 
     def gradient() -> Array:
+        nonlocal forward_gradients
         if exact:
-            return _shooting_gradient(problem, base[0], base[1], free_idx)
+            g = _adjoint_gradient(problem, base[0], base[1], free_idx)
+            if g is None:
+                forward_gradients += 1
+                g = _forward_gradient(problem, base[0], base[1], free_idx)
+            return g
         delta = 1e-6 * (1.0 + float(np.linalg.norm(U)))
         g = np.zeros(len(free_idx))
         for idx, (j, a) in enumerate(free_idx):
@@ -1522,6 +1617,7 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
         cost_trace=tuple(cost_trace),
         simulations=simulations,
         line_search_trials=trials,
+        forward_gradients=forward_gradients,
         stop_reason=stop_reason,
     )
     return decision, report

@@ -249,6 +249,20 @@ def test_solve_reports_the_shooting_work_counters(tmp_path):
     assert report["simulations"] == 1 + report["line_search_trials"]
 
 
+def test_shooting_report_counts_the_forward_sweep_gradients(tmp_path):
+    # No row is active along the held start, so the first gradient is one
+    # reverse sweep; every later iterate has a step resting on x + u = 0
+    # with a zero multiplier (weakly active), so the other six take the
+    # forward sweep.
+    spec_path = export_spec(tmp_path, "remark45", 8)
+    out = tmp_path / "run"
+    assert cli.main(["solve", spec_path, "--out-dir", str(out),
+                     "--solver", "shooting"]) == 0
+    report = read_json(str(out / "report.json"))
+    assert report["iterations"] == 7
+    assert report["forward_gradients"] == 6
+
+
 def test_shooting_stopped_short_exits_nonconverged(tmp_path, capsys):
     """From its resting control nonconvex22 sits at the kink of its optimum,
     where forward-difference gradients stay above the default tolerance and

@@ -20,7 +20,10 @@ from sweepctl.geometry import (
     NotInConeError,
     ProjectionFailureError,
     SmoothInequality,
+    _affine_pairs,
     _project_onto_halfspaces,
+    _rows,
+    _step_rows,
     coderivative_orthant,
     coderivative_theta,
     field_at_nodes,
@@ -709,6 +712,40 @@ def _table_fields():
 def test_state_map_is_square_of_the_field_size(G):
     with pytest.raises(ConfigurationError, match="state map"):
         _bent_field().with_state_map(G)
+
+
+@pytest.mark.parametrize("inner", ["affine_fixed", "polyhedral"])
+def test_state_mapped_pairs_stack_like_the_one_control_call(inner):
+    rng = np.random.default_rng([len(inner), 11])
+    base = (FieldMap.affine_fixed(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)),
+                                  rng.normal(size=3))
+            if inner == "affine_fixed" else FieldMap.polyhedral(n=2, s=3))
+    field = base.with_state_map(rng.normal(size=(2, 2)))
+    U = rng.normal(size=(7, field.m))
+    A, c = field.x_affine.at_nodes(U)
+    assert np.array_equal(A, _affine_pairs(field, U)[0])
+    for j, u in enumerate(U):
+        Aj, cj = field.x_affine(u)
+        assert np.array_equal(A[j], Aj) and np.array_equal(c[j], cj)
+
+
+def test_state_mapped_pairs_call_the_inner_map_once_per_control():
+    base = FieldMap.affine_fixed([[1.0, 2.0], [0.0, -1.0]], [[1.0], [0.5]], [0.1, 0.2])
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return base.x_affine(u)
+
+    field = dataclasses.replace(base, x_affine=counted).with_state_map(
+        [[2.0, 0.0], [1.0, 1.0]])
+    assert not hasattr(field.x_affine, "at_nodes")
+    U = np.linspace(-1.0, 1.0, 5)[:, np.newaxis]
+    R, rhs, H = _step_rows(field, NonpositiveOrthant(2), U)
+    assert len(calls) == len(U)
+    stacked = base.with_state_map([[2.0, 0.0], [1.0, 1.0]]).x_affine.at_nodes(U)
+    assert np.array_equal(R, np.matmul(H, stacked[0]))
+    assert np.array_equal(rhs, -_rows(H, stacked[1]))
 
 
 @pytest.mark.parametrize("name", sorted(_table_fields()))

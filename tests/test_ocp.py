@@ -7,8 +7,10 @@ import re
 import numpy as np
 import pytest
 
+from sweepctl import ocp
 from sweepctl.dynamics import Mesh, Path, simulate
 from sweepctl.geometry import (
+    TOL_FEAS,
     ConfigurationError,
     FieldMap,
     LinearImagePolyhedron,
@@ -24,7 +26,10 @@ from sweepctl.ocp import (
     OcpProblem,
     QuadraticStageCost,
     QuadraticTerminalCost,
+    _STRICT_TOL,
     _Augmented,
+    _adjoint_gradient,
+    _forward_gradient,
     _KktSystem,
     _has_exact_tangents,
     _lbfgs_direction,
@@ -653,6 +658,163 @@ def test_lbfgs_direction_descends_on_curvature_pairs():
                 pairs.append((s, y))
         g = rng.standard_normal(n)
         assert g @ _lbfgs_direction(g, pairs) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# The reverse sweep against the forward oracle
+# ---------------------------------------------------------------------------
+
+
+def _weak_steps(problem, z, records):
+    """The steps whose multiplier is not a strictly positive combination of
+    their active rows, decided one step at a time as the forward sweep
+    decides it."""
+    H, d = problem.system.theta.halfspaces()
+    weak = []
+    for j, rec in enumerate(records):
+        J, c = problem.system.field.x_affine(z.u[j + 1])
+        rows = H[H @ (J @ z.x[j + 1] + c) >= d - TOL_FEAS]
+        if len(rows):
+            mu = np.linalg.lstsq(rows.T, rec.eta, rcond=None)[0]
+            scale = _STRICT_TOL * np.max(np.abs(rec.eta))
+            if not (np.min(mu) > scale
+                    and np.max(np.abs(rows.T @ mu - rec.eta)) <= scale):
+                weak.append(j)
+    return weak
+
+
+def _dependent_active_steps(problem, z):
+    """How many steps have active rows G = H_A J of lower rank than their
+    count (duplicated or dependent active rows)."""
+    H, d = problem.system.theta.halfspaces()
+    count = 0
+    for y, u in zip(z.x[1:], z.u[1:]):
+        J, c = problem.system.field.x_affine(u)
+        G = H[H @ (J @ y + c) >= d - TOL_FEAS] @ J
+        count += len(G) > np.linalg.matrix_rank(G)
+    return count
+
+
+def _at_simulated(problem, U):
+    """(z, records, free) at the simulated trajectory of U, every control
+    entry after node 0 free."""
+    k, m = U.shape[0] - 1, U.shape[1]
+    z, records = _simulated(problem, U, Mesh(k=k, T=problem.system.T))
+    return z, records, [(j, a) for j in range(1, k + 1) for a in range(m)]
+
+
+def _assert_agree(reverse, forward):
+    assert np.max(np.abs(reverse - forward)) <= 1e-14 * np.max(np.abs(forward))
+
+
+#: The GRADIENT_CASES with a weakly active step.
+WEAK_GRADIENT_CASES = {"remark45-reference", "remark45-retargeted-rest",
+                       "counterexample53-mixed-activity",
+                       "duplicated-rows-reference"}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_reverse_sweep_matches_the_forward_sweep(case):
+    problem, U = GRADIENT_CASES[case]()
+    z, records, free = _at_simulated(problem, U)
+    reverse = _adjoint_gradient(problem, z, records, free)
+    forward = _forward_gradient(problem, z, records, free)
+    weak = _weak_steps(problem, z, records)
+    assert bool(weak) == (case in WEAK_GRADIENT_CASES)
+    assert (reverse is None) == bool(weak)
+    if reverse is not None:
+        _assert_agree(reverse, forward)
+    assert np.array_equal(_shooting_gradient(problem, z, records, free),
+                          forward if reverse is None else reverse)
+
+
+def _random_polytope(seed, n, s, kind):
+    """A seeded moving polytope {x : <r_i, x> <= b_i} whose rows and offsets
+    are the control, with costs on the state, the control and its rate.
+
+    The kinds: "generic"; "duplicated" (the last row and offset copy the
+    first at every node); "dependent" (they are the sum of the first two);
+    "theta-duplicated" (Theta lists its first face twice); "state-map"
+    (swept through a random state map); "resting" (no drift, the state
+    starts on the first face and the control holds still for three steps,
+    so that face is active with a zero multiplier).  The drift is a bare
+    callback at even seeds (Df by central differences), an AffineDrift at
+    odd ones.
+    """
+    rng = np.random.default_rng([seed, n, s, len(kind)])
+    k = 6
+    rows = rng.standard_normal((s, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    b = rng.uniform(0.3, 0.8, s)
+    x0 = np.zeros(n)
+    push = 3.0 * (rows[0] + 0.5 * rows[1])
+    if kind == "resting":
+        x0 = b[0] * rows[0]
+        b[1:] = np.maximum(b[1:], rows[1:] @ x0 + 0.1)
+        push = np.zeros(n)
+    field = FieldMap.polyhedral(n, s)
+    theta = NonpositiveOrthant(s)
+    if kind == "theta-duplicated":
+        theta = LinearImagePolyhedron(A=np.eye(s), G=np.vstack([np.eye(s), np.eye(s)[:1]]),
+                                      g=np.zeros(s + 1))
+    if kind == "state-map":
+        field = field.with_state_map(np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+    rate = 0.0 if kind == "resting" else -0.5
+    f = (AffineDrift(rate * np.eye(n), push) if seed % 2 else
+         (lambda t, x: rate * x + push))
+    U = np.tile(np.concatenate([rows.ravel(), b]), (k + 1, 1))
+    U[1 + 3 * (kind == "resting"):] += 0.05 * rng.standard_normal(
+        U[1 + 3 * (kind == "resting"):].shape)
+    R, offsets = U[:, :s * n].reshape(k + 1, s, n), U[:, s * n:]
+    if kind == "duplicated":
+        R[:, -1], offsets[:, -1] = R[:, 0], offsets[:, 0]
+    if kind == "dependent":
+        R[:, -1], offsets[:, -1] = R[:, 0] + R[:, 1], offsets[:, 0] + offsets[:, 1]
+    U = np.hstack([R.reshape(k + 1, -1), offsets])
+    problem = OcpProblem(
+        system=SweepingSystem(f=f, field=field, theta=theta, x0=x0, T=1.0),
+        phi=lambda x: 0.5 * x @ x, dphi=lambda x: x.copy(),
+        ell=lambda t, x, u, vx, vu: 0.5 * x @ x + 0.05 * u @ u + 0.5 * vu @ vu,
+        dell=lambda t, x, u, vx, vu: (x.copy(), 0.1 * u, np.zeros_like(vx),
+                                      vu.copy()),
+        mode="W12xW12", u0=U[0])
+    return problem, U
+
+
+@pytest.mark.parametrize("n, s", [(2, 4), (2, 8), (3, 4), (3, 8)])
+def test_reverse_sweep_matches_the_forward_sweep_on_random_polytopes(n, s):
+    """The forward sweep runs where the reverse one does: at a weakly active
+    step with duplicated rows in control space it can find its critical cone
+    empty, which is no concern of the reverse sweep."""
+    routes = {"reverse": 0, "forward": 0, "dependent": 0}
+    for kind in ("generic", "duplicated", "dependent", "theta-duplicated",
+                 "state-map", "resting"):
+        for seed in range(3):
+            problem, U = _random_polytope(seed, n, s, kind)
+            z, records, free = _at_simulated(problem, U)
+            reverse = _adjoint_gradient(problem, z, records, free)
+            assert (reverse is None) == bool(_weak_steps(problem, z, records)), (kind, seed)
+            if reverse is None:
+                routes["forward"] += 1
+                continue
+            _assert_agree(reverse, _forward_gradient(problem, z, records, free))
+            routes["reverse"] += 1
+            routes["dependent"] += _dependent_active_steps(problem, z) > 0
+    assert min(routes.values()) >= 1, routes
+
+
+def test_forcing_the_forward_sweep_repeats_the_solve(monkeypatch):
+    """remark45 at k=8 from a noisy reference control: both sweeps give the
+    same gradients bit for bit here, so the solve repeats exactly."""
+    problem, U = _reference("remark45", 8, 0.2, 8)
+    start = Path(mesh=Mesh(k=8, T=2.0), values=U)
+    z, report = solve_shooting(problem, 8, start)
+    monkeypatch.setattr(ocp, "_adjoint_gradient", lambda *args: None)
+    z_forward, forced = solve_shooting(problem, 8, start)
+    assert report.forward_gradients == 0 and report.iterations > 2
+    assert forced.forward_gradients == forced.iterations
+    assert dataclasses.replace(forced, forward_gradients=0) == report
+    assert np.array_equal(z_forward.u, z.u) and np.array_equal(z_forward.x, z.x)
 
 
 # ---------------------------------------------------------------------------
