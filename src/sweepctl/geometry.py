@@ -27,20 +27,17 @@ coderivative of the normal-cone map of a box-like Theta (one interval case
 table).  Membership, the normal-cone test, the decomposition, the
 moving-set cone distance grad_x psi^T N_Theta(psi) and the case table each
 have a form over a stack of K points, and the one-point functions are
-one-node calls of it, except the normal-cone test of a Theta without
-interval form: that one stays the NNLS that the stack's closed form for a
-single active row is held to.  Both cone distances over a stack share one
-kernel (``_cone_distance_rows``): that closed form at points with at most
-one active row, an NNLS only at the others.
+one-node calls of it.
 
-Every projection onto a polyhedron (the affine projection, each linearized
-subproblem of the nonlinear one, and polyhedral distances) is one exact
-least-distance program with its facet multipliers
-(:func:`_project_onto_halfspaces`): a closed form on the violated rows when
-its KKT conditions hold, else one ``scipy.optimize.nnls`` solve.  For an
-affine-in-x field and a polyhedral Theta, :func:`_step_rows` builds the rows
-of C(u) at a whole stack of controls in one expression.  scipy is imported
-inside the functions that use it, never at package import.
+One least-distance kernel (:func:`_project_onto_halfspaces`) answers every
+projection onto a polyhedron (the affine projection, each linearized
+subproblem of the nonlinear one, polyhedral distances, the shooting
+gradient's critical cones) and, by Moreau's decomposition, every cone
+distance but the interval normal-cone test: the distance from v to the cone
+of some rows is the length of v's projection onto their polar cone.  For an
+affine-in-x field and a polyhedral Theta, :func:`_step_rows` builds the
+rows of C(u) at a whole stack of controls in one expression.  scipy is
+imported inside :func:`_nnls_projection`, never at package import.
 """
 
 from __future__ import annotations
@@ -167,15 +164,15 @@ class ThetaSet:
         return None
 
     def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
-        """How far ``eta`` is from N_Theta(z), as a nonnegative number: its
-        distance to the cone of the rows of Dg(z) active within tol."""
-        g, Dg, d = self.constraint(z)
-        return _cone_distance_of(Dg[g >= d - tol].T, np.asarray(eta, dtype=float))
+        """How far ``eta`` is from N_Theta(z), as a nonnegative number: one
+        node of :meth:`normal_cone_violation_stack`."""
+        Z, E = (np.asarray(a, dtype=float)[np.newaxis] for a in (z, eta))
+        return float(self.normal_cone_violation_stack(Z, E, tol)[0])
 
     def normal_cone_violation_stack(self, Z: Array, E: Array,
                                     tol: float = TOL_FEAS) -> Array:
-        """:meth:`normal_cone_violation` at each pair of rows (Z[j], E[j]) of
-        two (K, s) stacks, as a (K,) array, by :func:`_cone_distance_rows`."""
+        """The distance of each E[j] to the cone of the rows of Dg(Z[j])
+        active within tol, as a (K,) array, by :func:`_cone_distance_rows`."""
         Z, E = np.asarray(Z, dtype=float), np.asarray(E, dtype=float)
         g, Dg, d = self.constraint(Z)
         return _cone_distance_rows(np.broadcast_to(Dg, g.shape + (self.s,)),
@@ -205,11 +202,6 @@ class _IntervalTheta(ThetaSet):
         rhs = np.stack([hi, -lo], axis=1).ravel()
         finite = np.isfinite(rhs)
         return rows[finite], rhs[finite]
-
-    def normal_cone_violation(self, z: Array, eta: Array, tol: float = TOL_FEAS) -> float:
-        return float(self.normal_cone_violation_stack(
-            np.asarray(z, dtype=float)[np.newaxis],
-            np.asarray(eta, dtype=float)[np.newaxis], tol)[0])
 
     def normal_cone_violation_stack(self, Z: Array, E: Array,
                                     tol: float = TOL_FEAS) -> Array:
@@ -711,15 +703,19 @@ def _project_onto_halfspaces(G: Array, g: Array,
     the points that an ill-conditioned R R^T puts off the projection.
 
     Every other case (a singular R R^T, as with more violated rows than
-    dimensions, or a failed guess) is the least-distance
-    program min ||z|| s.t. -G z >= -(g - G x) with z = y - x, solved exactly
-    by one nonnegative least-squares problem (Lawson & Hanson, *Solving
-    Least Squares Problems*, 1974, ch. 23): for E = [-G^T; -(g - G x)^T],
-    e = (0, .., 0, 1) and w = argmin_{w >= 0} ||E w - e||, the residual
-    res = E w - e has res[-1] = -||res||^2.  It vanishes exactly when the set
-    is empty; otherwise mu = w / -res[-1].  Raises ProjectionFailureError for
-    an empty set, and NumericalFailureError when the NNLS iteration limit is
-    hit or when x, G or g is not finite.
+    dimensions, or a failed guess) takes one NNLS solve.  A cone (g = 0) is
+    mu = argmin_{mu >= 0} ||G^T mu - x||, y = x - G^T mu (Moreau 1962); any
+    other polyhedron is the least-distance program min ||z|| s.t.
+    -G z >= -(g - G x), z = y - x (Lawson & Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23): for E = [-G^T; -(g - G x)^T], e = (0, .., 0, 1)
+    and w = argmin_{w >= 0} ||E w - e||, res = E w - e has
+    res[-1] = -||res||^2, zero exactly when the set is empty; else
+    mu = w / -res[-1], and y must hold every row and be tight where mu_i > 0,
+    within 1e-6 (1 + |g_i| + (|G| |y|)_i).  The absolute TOL_FEAS reads the
+    cone distance of an x shorter than about 1e-9 as ||x||, below every
+    tolerance it meets (``ACT_TOL`` 1e-7, ``TOL_RESIDUAL`` 1e-6).  Raises
+    ProjectionFailureError for an empty set, NumericalFailureError for a hit
+    NNLS iteration limit, failed complementarity or a non-finite x, G or g.
     """
     slack = (G.dot(x) - g).tolist()
     if all(v <= TOL_FEAS for v in slack):  # a NaN slack fails the test
@@ -757,8 +753,9 @@ def _project_onto_halfspaces(G: Array, g: Array,
 
 def _nnls_projection(G: Array, g: Array, x: Array,
                      slack: list[float]) -> tuple[Array, Array]:
-    """The NNLS least-distance solve of :func:`_project_onto_halfspaces`,
-    with slack = G x - g."""
+    """The NNLS solve of :func:`_project_onto_halfspaces`, with slack =
+    G x - g: over the rows of a cone (g = 0, never empty), else the
+    least-distance program."""
     # Imported here: importing scipy would double the package's import time.
     from scipy.optimize import nnls
 
@@ -770,6 +767,9 @@ def _nnls_projection(G: Array, g: Array, x: Array,
     e = np.zeros(n + 1)
     e[n] = 1.0
     try:
+        if not g.any():  # a cone: one NNLS over its rows (Moreau)
+            mu, _ = nnls(G.T, x)
+            return x - G.T @ mu, mu
         w, _ = nnls(E, e)
     except RuntimeError as err:
         raise NumericalFailureError(f"least-distance NNLS: {err}") from err
@@ -785,6 +785,11 @@ def _nnls_projection(G: Array, g: Array, x: Array,
     if (excess > 1e-9 * (1.0 + np.abs(g))).any() and (
             excess > 1e-9 * (1.0 + np.abs(g) + np.abs(G) @ np.abs(y))).any():
         raise ProjectionFailureError("projection finished infeasible; set may be empty")
+    loose = [i for i, (m, e) in enumerate(zip(mu.tolist(), excess.tolist()))
+             if m > 0.0 and abs(e) > 1e-6]  # a row with a multiplier must be tight
+    if loose and (abs(excess[loose]) > 1e-6 * (
+            1.0 + abs(g[loose]) + abs(G[loose]) @ abs(y))).any():
+        raise NumericalFailureError("least-distance projection failed complementarity")
     return y, mu
 
 
@@ -1074,32 +1079,14 @@ def decompose_nodes(theta: ThetaSet, Z: Array, J: Array, V: Array, tol: float,
     return eta, residual, (j, error(message(j)))
 
 
-def _cone_distance_of(cols: Array, v: Array) -> float:
-    """Distance from v to the cone { cols @ mu : mu >= 0 }."""
-    from scipy.optimize import nnls
-
-    if cols.size == 0:
-        return float(np.linalg.norm(v))
-    _, res = nnls(cols, v)
-    return float(res)
-
-
 def _cone_distance_rows(R: Array, active: Array, E: Array) -> Array:
     """Distance from each E[j] (K, dim) to the cone spanned with nonnegative
-    coefficients by the rows R[j][active[j]] of a (K, l, dim) stack.
-
-    A point with at most one active row a (a = 0 for none) is at the
-    distance ||e - max(0, <a, e>) / ||a||^2 a||, the one-column NNLS in
-    closed form; only a point with two or more active rows runs the NNLS of
-    :func:`_cone_distance_of`.  The two agree to rounding.
-    """
-    a = np.sum(np.where(active[..., np.newaxis], R, 0.0), axis=1)
-    aa, ae = np.sum(a * a, axis=1), np.sum(a * E, axis=1)
-    mu = np.divide(np.maximum(ae, 0.0), aa, out=np.zeros_like(aa), where=aa > 0)
-    out = np.linalg.norm(E - mu[:, np.newaxis] * a, axis=1)
-    for j in np.flatnonzero(np.sum(active, axis=1) > 1):
-        out[j] = _cone_distance_of(R[j][active[j]].T, E[j])
-    return out
+    coefficients by the rows R[j][active[j]] of a (K, l, dim) stack: by
+    Moreau's decomposition, the length of the kernel's projection of E[j]
+    onto the polar cone {y : R_A y <= 0}, one kernel call per node."""
+    ys = [_project_onto_halfspaces(rows[mask], np.zeros(mask.sum()), e)[0]
+          for rows, mask, e in zip(R, active, E)]
+    return np.array([math.sqrt(y.dot(y)) for y in ys], dtype=float)
 
 
 def normal_cone_distance(field: FieldMap, theta: ThetaSet, x: Array, u: Array,

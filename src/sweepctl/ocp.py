@@ -84,6 +84,7 @@ from .geometry import (
     Array,
     ConfigurationError,
     NumericalFailureError,
+    ProjectionFailureError,
     _ConstantCallback,
     _affine_pairs,
     _project_onto_halfspaces,
@@ -1416,8 +1417,14 @@ def _forward_gradient(problem: OcpProblem, z: DiscreteDecision,
                 rhs = np.vstack([-(rows @ Ju), eta @ Ju])
                 outside = np.any(cone @ q - rhs > TOL_FEAS, axis=0)
                 for col in np.flatnonzero(outside):
-                    q[:, col] = _project_onto_halfspaces(cone, rhs[:, col],
-                                                         q[:, col])[0]
+                    try:
+                        q[:, col] = _project_onto_halfspaces(cone, rhs[:, col],
+                                                             q[:, col])[0]
+                    except ProjectionFailureError as err:
+                        raise ProjectionFailureError(
+                            f"step {j + 1}, free entry (node {nodes[col]}, component "
+                            f"{comps[col]}): the tangent's critical cone at a weakly "
+                            "active step is empty") from err
         T = q
         grad += dX[j + 1] @ T
     return grad
@@ -1484,7 +1491,8 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     (the gradient of the returned one would cost a simulation per free
     entry).
     The report counts the simulations, the line-search trials among them,
-    and the exact gradients that took the forward sweep.
+    and the exact gradients that took the forward sweep.  An error that ends
+    the loop carries the last accepted iterate as ``partial``.
     """
     if not 0 < tol < np.inf:
         raise ConfigurationError(f"tol must be finite and positive, got {tol}")
@@ -1528,7 +1536,11 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
             g = _adjoint_gradient(problem, base[0], base[1], free_idx)
             if g is None:
                 forward_gradients += 1
-                g = _forward_gradient(problem, base[0], base[1], free_idx)
+                try:
+                    g = _forward_gradient(problem, base[0], base[1], free_idx)
+                except ProjectionFailureError as err:
+                    err.partial = base[0]  # last accepted iterate
+                    raise
             return g
         delta = 1e-6 * (1.0 + float(np.linalg.norm(U)))
         g = np.zeros(len(free_idx))

@@ -18,6 +18,8 @@ multipliers, which now come from the last SQP linearization, to the
 distance of that linearization from the returned point (``ETA_TOL``).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from sweepctl.geometry import (
     NumericalFailureError,
     ProjectionFailureError,
     SmoothInequality,
+    _cone_distance_rows,
     _constraint_rows,
     _project_onto_halfspaces,
     psi_eval,
@@ -245,6 +248,111 @@ def test_the_kernel_rejects_an_empty_set_and_a_non_finite_entry(one_row):
             args[where].flat[-1] = bad
             with pytest.raises(NumericalFailureError), np.errstate(invalid="ignore"):
                 _project_onto_halfspaces(args["G"], args["g"], args["x"])
+
+
+CONE_KINDS = ("generic", "copy", "twice", "sum")
+
+
+def degenerate_cone(rng, kind):
+    """Seeded rows of a cone {y : G y <= 0} in R^n, n in {2, 3}, with n + 1
+    to n + 3 rows, the last one generic or a copy of row 0, twice row 0 or
+    row 0 + row 1; and a point t G^T c, c in {0, 1} U(0.1, 2) per row, with
+    or without N(0, 0.01^2) noise."""
+    n = int(rng.integers(2, 4))
+    r = int(rng.integers(n + 1, n + 4))
+    G = rng.standard_normal((r, n))
+    if kind == "copy":
+        G[-1] = G[0]
+    elif kind == "twice":
+        G[-1] = 2.0 * G[0]
+    elif kind == "sum":
+        G[-1] = G[0] + G[1]
+    c = rng.integers(0, 2, r) * rng.uniform(0.1, 2.0, r)
+    x = rng.uniform(-1.0, 2.0) * (G.T @ c)
+    if rng.random() < 0.5:
+        x += rng.normal(scale=0.01, size=n)
+    return G, x
+
+
+def oracle_cone_projection(G, x):
+    """Brute force over active sets: the projection onto a polyhedral cone
+    is the projection onto the null space of the rows tight at it, so it is
+    the nearest feasible one among those of every row subset."""
+    best, best_dist = None, np.inf
+    scale = 1e-12 * (1.0 + np.linalg.norm(x))
+    for size in range(min(G.shape) + 1):
+        for rows in itertools.combinations(range(len(G)), size):
+            GS = G[list(rows)]
+            y = x - np.linalg.pinv(GS) @ (GS @ x) if size else x
+            dist = np.linalg.norm(x - y)
+            if dist < best_dist and np.all(G @ y <= scale):
+                best, best_dist = y, dist
+    return best
+
+
+def test_the_kernel_projects_onto_degenerate_cones(monkeypatch):
+    """A zero right-hand side is a cone, which always holds 0: the kernel
+    must return its projection even with more violated rows than dimensions
+    and with repeated rows, where the least-distance program can fail; and
+    a cone distance is the length of that projection (Moreau)."""
+    from sweepctl import geometry
+
+    nnls_calls = []
+    nnls = geometry._nnls_projection
+
+    def counted(*args):
+        nnls_calls.append(1)
+        return nnls(*args)
+
+    monkeypatch.setattr(geometry, "_nnls_projection", counted)
+    rng = np.random.default_rng(20261020)
+    paths = {"inside": 0, "closed form": 0, "nnls": 0}
+    for trial in range(2000):
+        G, x = degenerate_cone(rng, CONE_KINDS[trial % len(CONE_KINDS)])
+        zero = np.zeros(len(G))
+        before = len(nnls_calls)
+        y, mu = _project_onto_halfspaces(G, zero, x)
+        if np.all(G @ x <= TOL_FEAS):
+            paths["inside"] += 1
+        else:
+            paths["nnls" if len(nnls_calls) > before else "closed form"] += 1
+        scale = 1.0 + np.linalg.norm(x)
+        assert np.linalg.norm(y - oracle_cone_projection(G, x)) <= 1e-10 * scale
+        # KKT: x - y = G^T mu, mu >= 0, G y <= 0, mu_i (G y)_i = 0
+        assert np.all(mu >= 0.0)
+        assert np.linalg.norm(x - y - G.T @ mu) <= 1e-12 * scale
+        assert np.all(G @ y <= 1e-9 * scale)
+        assert np.all(mu * np.abs(G @ y) <= 1e-9 * scale)
+        # Moreau: the distance from x to the cone of the active rows R_A is
+        # the length of the projection y_A of x onto their polar cone, with
+        # x - y_A = R_A^T mu_A in the cone and orthogonal to y_A.
+        active = rng.random(len(G)) < 0.7
+        [dist] = _cone_distance_rows(G[np.newaxis], active[np.newaxis], x[np.newaxis])
+        y_A, mu_A = _project_onto_halfspaces(G[active], zero[active], x)
+        assert abs(dist - np.linalg.norm(y_A)) <= 1e-13 * scale
+        assert np.all(G[active] @ y_A <= 1e-9 * scale) and np.all(mu_A >= 0.0)
+        assert np.linalg.norm(x - y_A - G[active].T @ mu_A) <= 1e-12 * scale
+        assert abs(y_A @ (x - y_A)) <= 1e-12 * scale ** 2
+    assert paths["closed form"] >= 50 and paths["nnls"] >= 50, paths
+
+
+def test_the_kernel_never_returns_a_non_projection_on_a_translated_cone():
+    """Rows through one point p (g = G p) are a translated cone, which the
+    least-distance program solves; the kernel returns its projection or
+    raises, and never returns a point that is not the projection."""
+    rng = np.random.default_rng(20261021)
+    solved = 0
+    for trial in range(1000):
+        G, x = degenerate_cone(rng, CONE_KINDS[trial % len(CONE_KINDS)])
+        p = rng.standard_normal(G.shape[1])
+        try:
+            y, _ = _project_onto_halfspaces(G, G @ p, x + p)
+        except GeometryError:
+            continue
+        want = p + oracle_cone_projection(G, x)
+        assert np.linalg.norm(y - want) <= 1e-8 * (1.0 + np.linalg.norm(x + p))
+        solved += 1
+    assert solved >= 900
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ a polyhedral or smooth-inequality Theta once per reader: both branches of
 the SQP linearization, the feasibility violation, the active sets, the
 interior margin, the cone generators and the two variant copies of
 ``normal_cone_violation``.  Every output of the new code must equal them bit
-for bit, with two exceptions that come from rounding:
+for bit, with three exceptions that come from rounding:
 
 * the right-hand side of the polyhedral linearization is now R y - g + d
   instead of H (J y - z) + d; it must agree to 1e-14 relative to the size of
@@ -17,7 +17,10 @@ for bit, with two exceptions that come from rounding:
   that put a row on opposite sides of the activity edge d_i - tol, the old
   readers disagreed with each other; the new ones all read g = H z, so there
   they must match the oracle taken with the active sets' rows, and the row
-  must sit within rounding of the edge.
+  must sit within rounding of the edge;
+* the normal-cone test of a Theta without interval form is now the
+  least-distance kernel's projection onto the polar cone instead of an
+  NNLS over the active rows; it must agree to 1e-13 (1 + ||eta||).
 """
 
 import math
@@ -285,9 +288,10 @@ def test_row_readers_match_the_per_variant_branches(name, theta, points):
                     coef @ rows + rng.normal(scale=1e-3, size=theta.s),
                     rng.normal(size=theta.s)):
             for tol in (TOL_FEAS, ACT_TOL):
-                assert theta.normal_cone_violation(z, eta, tol) \
-                    == oracle_normal_cone_violation(theta, z, eta, tol,
+                got = theta.normal_cone_violation(z, eta, tol)
+                want = oracle_normal_cone_violation(theta, z, eta, tol,
                                                     tie_rows(theta, z, tol))
+                assert abs(got - want) <= 1e-13 * (1.0 + np.linalg.norm(eta))
 
 
 @pytest.mark.parametrize("name,theta,points", CASES,

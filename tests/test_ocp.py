@@ -16,6 +16,7 @@ from sweepctl.geometry import (
     LinearImagePolyhedron,
     NonpositiveOrthant,
     NumericalFailureError,
+    ProjectionFailureError,
     SmoothInequality,
     field_at_nodes,
 )
@@ -815,6 +816,26 @@ def test_forcing_the_forward_sweep_repeats_the_solve(monkeypatch):
     assert forced.forward_gradients == forced.iterations
     assert dataclasses.replace(forced, forward_gradients=0) == report
     assert np.array_equal(z_forward.u, z.u) and np.array_equal(z_forward.x, z.x)
+
+
+def test_an_empty_critical_cone_names_its_entry_and_keeps_the_iterate():
+    """With the last row and offset a copy of the first, a weakly active
+    step can leave the forward sweep's critical cone empty for the column
+    that moves one copy inward (a limit of the tangent formula): the error
+    names the step and the free entry, and carries the last accepted
+    iterate, here the simulated start."""
+    problem, U = _random_polytope(0, 2, 4, "duplicated")
+    mesh = Mesh(k=len(U) - 1, T=problem.system.T)
+    with pytest.raises(ProjectionFailureError) as info:
+        solve_shooting(problem, mesh.k, Path(mesh=mesh, values=U))
+    match = re.fullmatch(r"step (\d+), free entry \(node (\d+), component (\d+)\): the "
+                         r"tangent's critical cone at a weakly active step is empty",
+                         str(info.value))
+    assert match and match.group(1) == match.group(2), str(info.value)
+    assert 0 <= int(match.group(3)) < problem.system.field.m
+    start, _ = _simulated(problem, U, mesh)
+    partial = info.value.partial
+    assert np.array_equal(partial.u, U) and np.array_equal(partial.x, start.x)
 
 
 # ---------------------------------------------------------------------------
