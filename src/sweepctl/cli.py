@@ -385,6 +385,7 @@ def _cmd_solve(args) -> int:
     counters = ({"simulations": report.simulations,
                  "line_search_trials": report.line_search_trials,
                  "forward_gradients": report.forward_gradients,
+                 "descent_steps": report.descent_steps,
                  "stop_reason": report.stop_reason}
                 if method == "shooting" else
                 {"line_search_trials": report.line_search_trials})

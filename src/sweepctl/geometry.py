@@ -483,7 +483,9 @@ class FieldMap:
         """Moving-rows polyhedral field psi_i(x, (u, b)) = <x, u_i> - b_i.
 
         The control vector stacks the s rows (s*n entries, row-major) followed
-        by the s offsets b.
+        by the s offsets b.  ``psi``, ``dpsi_dx``, ``dpsi_du`` and ``hess_ux``
+        also evaluate at a stack of nodes (see :func:`field_at_nodes`), each
+        node's value equal to the one-node call bit for bit.
         """
         m = s * n + s
         # Entry (i, i n + a) of dpsi_du is x_a; entry (i, s n + i) is -1.
@@ -495,6 +497,12 @@ class FieldMap:
             U = np.asarray(u[: s * n], dtype=float).reshape(s, n)
             b = np.asarray(u[s * n:], dtype=float)
             return U, b
+
+        def node_rows(U: Array) -> tuple[Array, Array]:
+            """The rows (K, s, n) and offsets (K, s) at the K controls that
+            are the rows of U."""
+            U = np.asarray(U, dtype=float)
+            return U[:, : s * n].reshape(len(U), s, n), U[:, s * n:]
 
         def psi(x: Array, u: Array) -> Array:
             U, b = rows(u)
@@ -517,14 +525,38 @@ class FieldMap:
             U, b = rows(u)
             return U, -b
 
-        x_affine.at_nodes = lambda U: (
-            np.asarray(U[:, : s * n], dtype=float).reshape(len(U), s, n),
-            -np.asarray(U[:, s * n:], dtype=float))
+        def psi_at_nodes(X: Array, U: Array) -> Array:
+            R, B = node_rows(U)
+            return _rows(R, X) - B
 
+        def dpsi_du_at_nodes(X: Array, U: Array) -> Array:
+            J = np.zeros((len(X), s, m))
+            J[:, row_of, col_of] = np.asarray(X, dtype=float)[:, entry_of]
+            J[:, offsets[0], offsets[1]] = -1.0
+            return J
+
+        def hess_ux_at_nodes(X: Array, U: Array, P: Array) -> Array:
+            H = np.zeros((len(X), m, n))
+            H[:, :s * n] = (np.asarray(P, dtype=float)[:, :, None, None]
+                            * np.eye(n)).reshape(len(X), s * n, n)
+            return H
+
+        def x_affine_at_nodes(U: Array) -> tuple[Array, Array]:
+            R, B = node_rows(U)
+            return R, -B
+
+        def dpsi_dx(x: Array, u: Array) -> Array:
+            return rows(u)[0]
+
+        psi.at_nodes = psi_at_nodes
+        dpsi_dx.at_nodes = lambda X, U: node_rows(U)[0]
+        dpsi_du.at_nodes = dpsi_du_at_nodes
+        hess_ux.at_nodes = hess_ux_at_nodes
+        x_affine.at_nodes = x_affine_at_nodes
         return FieldMap(
             n=n, m=m, s=s,
             psi=psi,
-            dpsi_dx=lambda x, u: rows(u)[0],
+            dpsi_dx=dpsi_dx,
             dpsi_du=dpsi_du,
             hess_xx=lambda x, u, p: np.zeros((n, n)),
             hess_ux=hess_ux,
@@ -620,7 +652,8 @@ def _stacked(field: FieldMap, name: str, stacks: tuple, shape: tuple) -> Array:
     """The callback ``name`` of the field at the K nodes whose arguments are
     the rows of ``stacks``, as one read-only (K,) + shape array, its shape
     checked once: one array expression for a callback with ``at_nodes``
-    (those of ``FieldMap.affine_fixed``), else one call per node.  A value
+    (those of ``FieldMap.affine_fixed`` and ``FieldMap.polyhedral``), else
+    one call per node.  A value
     may drop a leading axis of length 1 (s = 1), as :func:`psi_eval`
     allows."""
     fn, K = getattr(field, name), len(stacks[0])
@@ -647,8 +680,8 @@ def field_at_nodes(field: FieldMap, x: Array, u: Array) -> NodeTable:
     """The field along a pair: psi and its Jacobians at the nodes (x_j, u_j),
     the rows of x and u.
 
-    A callback of ``FieldMap.affine_fixed`` is evaluated at all nodes as one
-    stacked array expression (an affine map or a constant); any other
+    A callback of ``FieldMap.affine_fixed`` or ``FieldMap.polyhedral`` is
+    evaluated at all nodes as one stacked array expression; any other
     callback is called once per node, so a field whose callback is replaced
     (``dataclasses.replace``) falls back to per-node calls for that callback
     alone.  The shapes are checked once on the stacked values, and a

@@ -35,18 +35,20 @@ sparse scatter, not by per-step loops, and each damped step is one sparse
 LU factorization of an augmented least-squares system.  The certificate
 fit in ``certify`` shares that assembler and that kernel.
 ``solve_shooting`` instead optimizes the control nodes directly over the
-catching-up simulator with L-BFGS directions and an Armijo line search.  When
-every step is the exact projection (an affine-in-x field and a polyhedral
-Theta) the gradient is exact, with ``cost_grad`` for the cost.  A step that
+catching-up simulator with Newton directions and an Armijo line search.
+When every step is the exact projection (an affine-in-x field and a
+polyhedral Theta) the control-to-state map is piecewise affine in the
+controls, and one forward tangent sweep gives its derivative: a step that
 no row touches, or whose multiplier is a strictly positive combination of
-its active rows, maps the state tangent linearly; all these step maps are
-built as stacks before any loop, and the gradient is one reverse (adjoint)
-sweep of an n-vector through them.  At a weakly active step the tangent
-map is a projection onto a cone, not linear, and that gradient takes the
-forward sweep instead: tangents carried along the simulated trajectory,
-each projected onto the critical cone of its step's projection.  Nonlinear
-fields and smooth Theta keep forward differences, one simulation per free
-control entry.
+its active rows, maps the state tangent linearly, and all these step maps
+are built as stacks before the sweep; at a weakly active step the tangent
+map is a projection onto a cone, not linear, and each tangent column is
+projected onto the critical cone of its step's projection.  The tangents
+give the exact gradient, with ``cost_grad`` for the cost, and with the
+cost's stage Hessians the reduced Hessian over the free controls, so a
+Newton step lands on the minimizer of a quadratic piece.  Nonlinear fields
+and smooth Theta keep forward differences, one simulation per free control
+entry, whose state differences give the tangents.
 
 Costs and drifts come in two kinds.  The data forms
 :class:`QuadraticStageCost`, :class:`QuadraticTerminalCost` and
@@ -62,7 +64,6 @@ central differences.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -292,11 +293,16 @@ class SolveReport:
     #: sparse factorization and one evaluation of the KKT residual.
     simulations: int = 0
     line_search_trials: int = 0
-    #: Exact shooting gradients that took the forward tangent sweep because
-    #: a step was weakly active (:func:`_shooting_gradient`); the others were
-    #: one reverse sweep.  0 from ``solve_smoothed`` and on the
-    #: forward-difference route.
+    #: Exact shooting gradients whose tangent sweep (:func:`_tangents`) met
+    #: a weakly active step and projected tangent columns onto its critical
+    #: cone; the others went through linear step maps alone.  0 from
+    #: ``solve_smoothed`` and on the forward-difference route.
     forward_gradients: int = 0
+    #: Shooting directions that were -g instead of the Newton direction:
+    #: the Newton direction did not descend (g.d >= 0), or its line search
+    #: failed after a tangent sweep that met a weakly active step.  0 from
+    #: ``solve_smoothed``.
+    descent_steps: int = 0
     #: Why ``solve_shooting`` stopped: "tolerance", "iteration_budget" or
     #: "line_search" (empty from ``solve_smoothed``, which converges or raises).
     stop_reason: str = ""
@@ -506,14 +512,24 @@ def cost_grad(problem: OcpProblem, z: DiscreteDecision) -> tuple[Array, Array]:
     anchor quadratics, with no differencing.  dX and dU have the shapes of
     ``z.x`` and ``z.u``.
     """
-    mesh, n = z.mesh, z.x.shape[1]
+    gz, _ = _cost_derivatives(problem, z, want_hess=False)
+    n = z.x.shape[1]
+    return gz[:, :n], gz[:, n:]
+
+
+def _cost_derivatives(problem: OcpProblem, z: DiscreteDecision, want_hess: bool,
+                      ) -> tuple[Array, Array | None]:
+    """The node gradient (k+1, n+m) of :func:`cost_eval` and, with
+    ``want_hess``, its per-stage Hessian blocks over (z_j, z_{j+1}), from
+    :func:`_cost_terms` without the tie-break, which cost_eval does not
+    have."""
+    mesh = z.mesh
     Z = np.hstack([z.x, z.u])
     t = mesh.nodes[:-1]
-    g, _ = _running_grad(problem, t, _raw_args(problem, Z, mesh.h),
-                         _quadratic_stage(problem, t), want_hess=False)
-    gphi, _ = _terminal_grad(problem, z.x[-1], want_hess=False)
-    gz, _ = _cost_terms(problem, mesh, _raw_map(problem, mesh.h), Z, g, gphi)
-    return gz[:, :n], gz[:, n:]
+    g, Hraw = _running_grad(problem, t, _raw_args(problem, Z, mesh.h),
+                            _quadratic_stage(problem, t), want_hess)
+    gphi, Hphi = _terminal_grad(problem, z.x[-1], want_hess)
+    return _cost_terms(problem, mesh, _raw_map(problem, mesh.h), Z, g, gphi, Hraw, Hphi)
 
 
 def localization_violation(problem: OcpProblem, z: DiscreteDecision) -> float:
@@ -1290,195 +1306,162 @@ def _shooting_gradient(problem: OcpProblem, z: DiscreteDecision,
                        free_idx: Sequence[tuple[int, int]]) -> Array:
     """Exact gradient of cost_eval o simulate over the free control entries
     (node, component) at the simulated trajectory ``z`` and its step records:
-    one reverse sweep (:func:`_adjoint_gradient`), or the forward tangent
-    sweep (:func:`_forward_gradient`) when some step is weakly active."""
-    grad = _adjoint_gradient(problem, z, records, free_idx)
-    return _forward_gradient(problem, z, records, free_idx) if grad is None else grad
+    dU[free] + sum_j dX_j T_j, with (dX, dU) from :func:`cost_grad` and the
+    tangents T of :func:`_tangents`."""
+    T, _ = _tangents(problem, z, records, free_idx)
+    return _reduced_derivatives(problem, z, T, free_idx, want_hess=False)[0]
 
 
-def _adjoint_gradient(problem: OcpProblem, z: DiscreteDecision,
-                      records: Sequence[StepRecord],
-                      free_idx: Sequence[tuple[int, int]]) -> Array | None:
-    """The gradient of :func:`_shooting_gradient` by reverse mode, or None
-    when some step is weakly active.
+def _tangents(problem: OcpProblem, z: DiscreteDecision,
+              records: Sequence[StepRecord],
+              free_idx: Sequence[tuple[int, int]]) -> tuple[Array, bool]:
+    """The tangents T_j = dx_j / dU_free of the simulated states over the
+    free control entries (node, component), stacked (k+1, n, F) with
+    T_0 = 0, and whether some step was weakly active.
 
-    At a step j that no row touches, or whose multiplier eta is a strictly
-    positive combination of its active rows H_A, the tangent T = dx / dU of
-    :func:`_forward_gradient` goes through the linear map
+    Step j, y = x_{j+1} = proj_C(u)(x_j + h f(t_j, x_j)) with u = u_{j+1}
+    and step multiplier eta, first maps the tangent to
 
-        T_{j+1} = B_j T_j + E_j dU_{j+1},   B_j = P_j (I + h Df_j),
+        q = (I + h Df_j) T_j - hess_ux(y, u, eta)^T S_{j+1},
+
+    S_{j+1} = du_{j+1} / dU_free and Df the drift Jacobian (A for an
+    AffineDrift, central differences of a bare callback).  A step that no
+    row touches keeps q.  Otherwise T_{j+1} is the projection of q onto the
+    critical cone
+
+        {v : H_A (J v + J_u S_{j+1}) <= 0,  eta^T (J v + J_u S_{j+1}) >= 0},
+
+    H_A the active halfspace rows of Theta, J = dpsi_dx and J_u = dpsi_du at
+    (y, u): the one-sided directional derivative of the projection (Haraux
+    1977).  When eta is a strictly positive combination of the active rows
+    the cone is the subspace H_A (J v + J_u S) = 0 and the step is linear,
+
+        T_{j+1} = B_j T_j + E_j S_{j+1},   B_j = P_j (I + h Df_j),
         E_j = -P_j hess_ux^T - G_j^+ H_A Ju_j,
 
     P_j = I - G_j^+ G_j the projector onto the null space of G_j = H_A J_j.
-    Every B_j and E_j is built before any loop: the pairs from
+    Every B_j and E_j is built before the sweep: the pairs from
     :func:`geometry._affine_pairs`, the active rows H (J y + c) >=
-    d - TOL_FEAS rounded per node as the forward sweep rounds them, Ju and
-    hess_ux stacked as :func:`field_at_nodes` stacks them, Df from
-    :func:`_drift_jacobian`, and per distinct active-row pattern one
-    least-squares strictness test over all its steps and one stacked
-    ``pinv``.  The cost gradient is then one backward sweep of an n-vector
-    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3):
-    lambda_k = dX_k, lambda_j = dX_j + B_j^T lambda_{j+1}, and the entry
-    (j+1, a) of the gradient is dU_{j+1, a} + lambda_{j+1}^T E_j[:, a].  A
-    weakly active step projects its tangent onto a cone, which is not a
-    linear map, so such a gradient has no adjoint sweep here.
+    d - TOL_FEAS rounded per node, Ju and hess_ux stacked as
+    :func:`field_at_nodes` stacks them, Df from :func:`_drift_jacobian`,
+    and per distinct active-row pattern one least-squares strictness test
+    over all its steps, read per step, and one stacked ``pinv`` over its
+    strictly active steps.  At a weakly active step each column of q
+    outside the cone gets its own least-distance solve; the cone needs eta
+    alone, so dependent active rows are no obstacle, but it can be empty,
+    which raises ProjectionFailureError naming the step and the entry.
     """
     system, mesh = problem.system, z.mesh
     field = system.field
     H, d = system.theta.halfspaces()
-    n, m = field.n, field.m
+    n, k = field.n, mesh.k
     Y, U = z.x[1:], z.u[1:]
     eta = np.array([rec.eta for rec in records], dtype=float)
     A, c = _affine_pairs(field, U)
     active = _rows(H, _rows(A, Y) + c) >= d - TOL_FEAS
-    Ju = _stacked(field, "dpsi_du", (Y, U), (field.s, m))
-    E = -_stacked(field, "hess_ux", (Y, U, eta), (m, n)).swapaxes(1, 2)
+    Ju = _stacked(field, "dpsi_du", (Y, U), (field.s, field.m))
+    E = -_stacked(field, "hess_ux", (Y, U, eta), (field.m, n)).swapaxes(1, 2)
     B = np.eye(n) + mesh.h * _drift_jacobian(system, mesh.nodes[:-1], z.x[:-1])
+    weak = np.zeros(k, dtype=bool)
     groups: dict[tuple[bool, ...], list[int]] = {}
     for j, pattern in enumerate(map(tuple, active.tolist())):
         groups.setdefault(pattern, []).append(j)
     for pattern, steps in groups.items():
         if not any(pattern):
             continue
-        rows = H[np.array(pattern)]
+        rows, steps = H[np.array(pattern)], np.array(steps)
         W = eta[steps].T
         mu = np.linalg.lstsq(rows.T, W, rcond=None)[0]
         scale = _STRICT_TOL * abs(W).max(axis=0)
-        if not ((mu.min(axis=0) > scale)
-                & (abs(rows.T @ mu - W).max(axis=0) <= scale)).all():
-            return None
+        strict = (mu.min(axis=0) > scale) & (abs(rows.T @ mu - W).max(axis=0) <= scale)
+        weak[steps[~strict]] = True
+        if not strict.any():
+            continue
+        steps = steps[strict]
         G = np.matmul(rows, A[steps])
         Gp = np.linalg.pinv(G)
         B[steps] -= Gp @ (G @ B[steps])
         E[steps] -= Gp @ (G @ E[steps] + rows @ Ju[steps])
-    dX, dU = cost_grad(problem, z)
-    lam = [dX[-1]]  # lambda_k, lambda_{k-1}, ..., lambda_1
-    for Bj, dXj in zip(B[:0:-1], dX[-2:0:-1]):
-        lam.append(dXj + lam[-1] @ Bj)
-    dU[1:] += _rows(E.swapaxes(1, 2), np.array(lam[::-1]))
     nodes, comps = np.array(free_idx, dtype=int).reshape(-1, 2).T
-    return dU[nodes, comps]
+    T = np.zeros((k + 1, n, len(nodes)))
+    for j in range(k):
+        cols = np.flatnonzero(nodes == j + 1)  # the columns where S_{j+1} != 0
+        q = B[j] @ T[j]
+        q[:, cols] += E[j][:, comps[cols]]
+        if weak[j]:
+            rows = H[active[j]]
+            JuS = np.zeros((field.s, len(nodes)))
+            JuS[:, cols] = Ju[j][:, comps[cols]]
+            cone = np.vstack([rows @ A[j], -(eta[j] @ A[j])])
+            rhs = np.vstack([-(rows @ JuS), eta[j] @ JuS])
+            for col in np.flatnonzero(np.any(cone @ q - rhs > TOL_FEAS, axis=0)):
+                try:
+                    q[:, col] = _project_onto_halfspaces(cone, rhs[:, col], q[:, col])[0]
+                except ProjectionFailureError as err:
+                    raise ProjectionFailureError(
+                        f"step {j + 1}, free entry (node {nodes[col]}, component "
+                        f"{comps[col]}): the tangent's critical cone at a weakly "
+                        "active step is empty") from err
+        T[j + 1] = q
+    return T, bool(weak.any())
 
 
-def _forward_gradient(problem: OcpProblem, z: DiscreteDecision,
-                      records: Sequence[StepRecord],
-                      free_idx: Sequence[tuple[int, int]]) -> Array:
-    """The gradient of :func:`_shooting_gradient` by forward mode, per
-    column of the free entries.
+def _reduced_derivatives(problem: OcpProblem, z: DiscreteDecision, T: Array,
+                         free_idx: Sequence[tuple[int, int]], want_hess: bool = True,
+                         ) -> tuple[Array, Array | None]:
+    """The gradient g of cost_eval o simulate over the free control entries
+    (node, component) at ``z``, given the state tangents T = dx / dU_free
+    (k+1, n, F), and with ``want_hess`` its reduced Hessian H (F, F).
 
-    The tangent T_j = dx_j / dU_free (n x #free) starts at 0.  Step j,
-    y = x_{j+1} = proj_C(u)(x_j + h f(t_j, x_j)) with u = u_{j+1} and step
-    multiplier eta, maps it through
-
-        q = T_j + h Df T_j - hess_ux(y, u, eta)^T E,
-
-    with E = du_{j+1} / dU_free and Df the drift Jacobian (A for an
-    AffineDrift, central differences of a bare callback), and T_{j+1} is
-    the projection of q
-    onto the critical cone
-
-        {v : H_A (J v + J_u E) <= 0,  eta^T (J v + J_u E) >= 0},
-
-    H_A the active halfspace rows of Theta, J = dpsi_dx and J_u = dpsi_du at
-    (y, u): the one-sided directional derivative of the projection (Haraux
-    1977).  The cone needs eta alone, so dependent active rows are no
-    obstacle.  When eta is a strictly positive combination of the active
-    rows the cone is the subspace H_A (J v + J_u E) = 0 and every column
-    takes one least-squares correction; at a weakly active step each column
-    outside the cone gets its own least-distance solve.  The gradient is
-    dU + sum_j dX_j T_j with (dX, dU) = cost_grad(problem, z).
+    D_j = dz_j / dU_free stacks T_j over the selector of the free entries of
+    node j; g = sum_j D_j^T gz_j and H = sum_j P_j^T Hc_j P_j with
+    P_j = [D_j; D_{j+1}], gz and Hc the node gradient and stage Hessians of
+    :func:`_cost_derivatives` (exact for the data forms, central differences
+    of bare callbacks).  H is one product of the flattened stacks.  Where
+    the state map is affine on the current piece (an affine field and
+    drift), H is the Hessian of the cost on that piece; otherwise it leaves
+    out the curvature of the state map (a Gauss-Newton matrix).
     """
-    system, mesh = problem.system, z.mesh
-    field = system.field
-    H, d = system.theta.halfspaces()
+    n = z.x.shape[1]
+    gz, Hc = _cost_derivatives(problem, z, want_hess)
     nodes, comps = np.array(free_idx, dtype=int).reshape(-1, 2).T
-    dX, dU = cost_grad(problem, z)
-    grad = dU[nodes, comps]
-    T = np.zeros((field.n, len(nodes)))
-    Df = _drift_jacobian(system, mesh.nodes[:-1], z.x[:-1])
-    for j, rec in enumerate(records):
-        y, u, eta = z.x[j + 1], z.u[j + 1], rec.eta
-        cols = np.flatnonzero(nodes == j + 1)  # the columns where du = E != 0
-        q = T + mesh.h * (Df[j] @ T)
-        if field.hess_ux is not None:
-            q[:, cols] -= np.atleast_2d(field.hess_ux(y, u, eta)).T[:, comps[cols]]
-        J, c = field.x_affine(u)
-        rows = H[H @ (J @ y + c) >= d - TOL_FEAS]
-        if len(rows):
-            G = rows @ J
-            Ju = np.zeros((H.shape[1], len(nodes)))
-            Ju[:, cols] = np.atleast_2d(field.dpsi_du(y, u))[:, comps[cols]]
-            mu = np.linalg.lstsq(rows.T, eta, rcond=None)[0]
-            scale = _STRICT_TOL * float(np.max(np.abs(eta)))
-            if np.min(mu) > scale and np.max(np.abs(rows.T @ mu - eta)) <= scale:
-                q -= np.linalg.pinv(G) @ (G @ q + rows @ Ju)
-            else:
-                cone = np.vstack([G, -(eta @ J)])
-                rhs = np.vstack([-(rows @ Ju), eta @ Ju])
-                outside = np.any(cone @ q - rhs > TOL_FEAS, axis=0)
-                for col in np.flatnonzero(outside):
-                    try:
-                        q[:, col] = _project_onto_halfspaces(cone, rhs[:, col],
-                                                             q[:, col])[0]
-                    except ProjectionFailureError as err:
-                        raise ProjectionFailureError(
-                            f"step {j + 1}, free entry (node {nodes[col]}, component "
-                            f"{comps[col]}): the tangent's critical cone at a weakly "
-                            "active step is empty") from err
-        T = q
-        grad += dX[j + 1] @ T
-    return grad
-
-
-#: Curvature pairs the L-BFGS direction keeps (Liu & Nocedal 1989).
-_LBFGS_MEMORY = 8
-
-#: An accepted step shorter than this means the quasi-Newton model has
-#: stopped fitting the cost (at a nonsmooth optimum, say), so the pairs are
-#: dropped and the next direction is -g again.
-_LBFGS_RESET_ALPHA = 2.0 ** -10
-
-
-def _lbfgs_direction(g: Array, pairs: Sequence[tuple[Array, Array]]) -> Array:
-    """Two-loop recursion: -H g for the L-BFGS inverse-Hessian estimate built
-    from the curvature pairs (s, y), oldest first, each with y.s > 0, and
-    scaled by s.y / y.y of the newest pair.  Without pairs it is -g."""
-    q = np.array(g, dtype=float)
-    coeffs = []
-    for s, y in reversed(pairs):
-        coeffs.append(s @ q / (y @ s))
-        q -= coeffs[-1] * y
-    if pairs:
-        s, y = pairs[-1]
-        q *= s @ y / (y @ y)
-    for (s, y), a in zip(pairs, reversed(coeffs)):
-        q += (a - y @ q / (y @ s)) * s
-    return -q
+    F = len(nodes)
+    D = np.zeros((len(gz), gz.shape[1], F))
+    D[:, :n] = T
+    D[nodes, n + comps, np.arange(F)] = 1.0
+    g = gz.ravel() @ D.reshape(-1, F)
+    if Hc is None:
+        return g, None
+    P = np.concatenate([D[:-1], D[1:]], axis=1)
+    return g, P.reshape(-1, F).T @ np.matmul(Hc, P).reshape(-1, F)
 
 
 def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
                    tol: float = 1e-12, max_iter: int = 500,
                    free_mask: Array | None = None,
                    ) -> tuple[DiscreteDecision, SolveReport]:
-    """L-BFGS directions with an Armijo search over control nodes through the
-    simulator.
+    """Newton directions with an Armijo search over control nodes through
+    the simulator.
 
     With an affine-in-x field and a polyhedral Theta, where every
-    catching-up step is an exact projection, the gradient is exact: one
-    reverse sweep over the current trajectory, or the forward tangent sweep
-    when a step is weakly active (``_shooting_gradient``).
-    Otherwise (a nonlinear field or a smooth Theta) it comes from forward
-    differences with step 1e-6 (1 + ||u||), one simulation per free entry.
-    The direction d is the two-loop L-BFGS direction over the last
-    ``_LBFGS_MEMORY`` accepted steps (pairs with y.s <= 0 are skipped); it
-    falls back to -g, dropping the pairs, whenever g.d >= 0 and after an
-    accepted step shorter than ``_LBFGS_RESET_ALPHA``.  Armijo backtracking
-    from alpha = 1 on the slope g.d takes the steps and accepts only a
-    strict decrease, so the cost over accepted iterates never increases and
-    a step lost in rounding counts as no step; the search ends once
-    alpha |g.d| <= eps max(1, |cost|), where the predicted decrease is below
-    the cost's rounding unit.  Node 0 is always pinned to
-    the prescribed initial control; ``free_mask`` (length k+1) can pin more.
+    catching-up step is an exact projection, the tangents of the states are
+    exact: one forward sweep over the current trajectory (:func:`_tangents`).
+    Otherwise (a nonlinear field or a smooth Theta) they are the state
+    differences of forward differences with step 1e-6 (1 + ||U||), one
+    simulation per free entry, whose cost differences are the gradient.
+    The tangents give the reduced Hessian H over the free entries, a dense
+    F x F matrix for F free entries (:func:`_reduced_derivatives`), and on
+    the exact route the gradient g too.  The direction is the minimum-norm
+    Newton step d = -lstsq(H, g); it falls back to -g when g.d >= 0, and
+    after a failed line search along it when the tangent sweep met a weakly
+    active step (one retry; ``descent_steps`` counts these -g directions).
+    Armijo backtracking from alpha = 1 on the slope g.d takes the steps and
+    accepts only a strict decrease, so the cost over accepted iterates never
+    increases and a step lost in rounding counts as no step; the search ends
+    once alpha |g.d| <= eps max(1, |cost|), where the predicted decrease is
+    below the cost's rounding unit.  Node 0 is always pinned to the
+    prescribed initial control; ``free_mask``, a length-(k+1) vector of
+    booleans or 0/1, can pin more.
 
     The loop stops when the squared gradient norm drops below ``tol``, which
     must be finite and positive (``stop_reason`` "tolerance"), when
@@ -1491,19 +1474,26 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     (the gradient of the returned one would cost a simulation per free
     entry).
     The report counts the simulations, the line-search trials among them,
-    and the exact gradients that took the forward sweep.  An error that ends
-    the loop carries the last accepted iterate as ``partial``.
+    the exact gradients whose tangent sweep met a weakly active step and
+    the -g directions.  An error that ends the loop carries the last
+    accepted iterate as ``partial``.
     """
     if not 0 < tol < np.inf:
         raise ConfigurationError(f"tol must be finite and positive, got {tol}")
     mesh = Mesh(k=k, T=problem.system.T)
     if initial_control.mesh != mesh:
         raise ConfigurationError("initial control must live on the target mesh")
-    m = problem.system.field.m
-    mask = np.ones(k + 1, dtype=bool) if free_mask is None else \
-        np.asarray(free_mask, dtype=bool).copy()
+    n, m = problem.system.field.n, problem.system.field.m
+    mask = np.ones(k + 1, dtype=bool)
+    if free_mask is not None:
+        given = np.asarray(free_mask)
+        if given.shape != (k + 1,) or not np.isin(given, (0, 1)).all():
+            raise ConfigurationError(
+                f"free_mask must have shape ({k + 1},) with boolean or 0/1 "
+                f"entries, got shape {given.shape}")
+        mask = given.astype(bool)
     mask[0] = False
-    simulations = trials = forward_gradients = 0
+    simulations = trials = forward_gradients = descent_steps = 0
 
     def run(Uvals: Array) -> tuple[DiscreteDecision, list[StepRecord], float] | None:
         """Simulate a control: (decision, step records, cost), None on failure."""
@@ -1514,10 +1504,6 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
         except SimulationError:
             return None
         return z, records, cost_eval(problem, z)
-
-    def cost_of(Uvals: Array) -> float:
-        result = run(Uvals)
-        return float("inf") if result is None else result[2]
 
     U = initial_control.values.copy()
     U[0] = problem.u0
@@ -1530,83 +1516,87 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
     free_nodes, free_comps = np.array(free_idx, dtype=int).reshape(-1, 2).T
     exact = _has_exact_tangents(problem.system)
 
-    def gradient() -> Array:
+    def derivatives(want_hess: bool = True) -> tuple[Array, Array | None, bool]:
+        """(g, H, weak) at the current iterate, weak when the exact tangent
+        sweep met a weakly active step."""
         nonlocal forward_gradients
+        z = base[0]
         if exact:
-            g = _adjoint_gradient(problem, base[0], base[1], free_idx)
-            if g is None:
-                forward_gradients += 1
-                try:
-                    g = _forward_gradient(problem, base[0], base[1], free_idx)
-                except ProjectionFailureError as err:
-                    err.partial = base[0]  # last accepted iterate
-                    raise
-            return g
+            try:
+                T, weak = _tangents(problem, z, base[1], free_idx)
+            except ProjectionFailureError as err:
+                err.partial = z  # last accepted iterate
+                raise
+            forward_gradients += weak
+            return *_reduced_derivatives(problem, z, T, free_idx, want_hess), weak
         delta = 1e-6 * (1.0 + float(np.linalg.norm(U)))
-        g = np.zeros(len(free_idx))
+        g = np.full(len(free_idx), np.inf)
+        T = np.zeros((k + 1, n, len(free_idx)))
         for idx, (j, a) in enumerate(free_idx):
             Up = U.copy()
             Up[j, a] += delta
-            g[idx] = (cost_of(Up) - current) / delta
-        return g
+            result = run(Up)
+            if result is not None:
+                g[idx] = (result[2] - current) / delta
+                T[:, :, idx] = (result[0].x - z.x) / delta
+        return g, _reduced_derivatives(problem, z, T, free_idx)[1], False
+
+    def search(d: Array, slope: float) -> bool:
+        """Armijo backtracking along d from alpha = 1; an accepted trial
+        becomes the iterate and returns True."""
+        nonlocal U, base, current, trials
+        # Past alpha |g.d| <= eps max(1, |cost|) the predicted decrease is
+        # below the cost's rounding unit, so no trial could show it.
+        spent = np.finfo(float).eps * max(1.0, abs(current))
+        alpha = 1.0
+        any_finite_trial = False
+        while alpha >= 1e-12 and alpha * -slope > spent:
+            Un = U.copy()
+            Un[free_nodes, free_comps] += alpha * d
+            trials += 1
+            result = run(Un)
+            trial = float("inf") if result is None else result[2]
+            any_finite_trial |= bool(np.isfinite(trial))
+            if trial < current + 1e-4 * alpha * slope:
+                U, base, current = Un, result, trial
+                cost_trace.append(current)
+                return True
+            alpha /= 2
+        if alpha < 1.0 and not any_finite_trial:  # trials ran, all failed
+            err = NumericalFailureError("every trial step failed to simulate")
+            err.partial = base[0]  # last accepted iterate
+            raise err
+        return False
 
     iterations = 0
     grad_norm = 0.0
     stop_reason = "iteration_budget" if free_idx else "tolerance"
-    pairs: deque[tuple[Array, Array]] = deque(maxlen=_LBFGS_MEMORY)
-    step = g_prev = None  # the last accepted step and the gradient it began at
     if free_idx:
         for iterations in range(1, max_iter + 1):
-            g = gradient()
+            g, H, weak = derivatives()
             grad_norm = float(np.linalg.norm(g))
             if grad_norm ** 2 < tol:
                 stop_reason = "tolerance"
                 break
-            if step is not None:
-                y = g - g_prev
-                if float(y @ step) > 0.0:
-                    pairs.append((step, y))
-            d = _lbfgs_direction(g, pairs)
+            # lstsq: H is singular where a free entry moves no cost term
+            # (u_k of the W12xC template while x_k is inactive).
+            d = -np.linalg.lstsq(H, g, rcond=None)[0]
             slope = float(g @ d)
-            if slope >= 0.0:
-                pairs.clear()
+            steepest = not slope < 0.0  # a NaN slope too
+            if steepest:
                 d, slope = -g, -grad_norm ** 2
-            # Past alpha |g.d| <= eps max(1, |cost|) the predicted decrease is
-            # below the cost's rounding unit, so no trial could show it.
-            spent = np.finfo(float).eps * max(1.0, abs(current))
-            alpha = 1.0
-            accepted = False
-            any_finite_trial = False
-            while alpha >= 1e-12 and alpha * -slope > spent:
-                Un = U.copy()
-                Un[free_nodes, free_comps] += alpha * d
-                trials += 1
-                result = run(Un)
-                trial = float("inf") if result is None else result[2]
-                if np.isfinite(trial):
-                    any_finite_trial = True
-                if trial < current + 1e-4 * alpha * slope:
-                    U, base, current = Un, result, trial
-                    cost_trace.append(current)
-                    accepted = True
-                    break
-                alpha /= 2
-            if not accepted:
-                if alpha < 1.0 and not any_finite_trial:  # trials ran, all failed
-                    err = NumericalFailureError(
-                        "every trial step failed to simulate")
-                    err.partial = base[0]  # last accepted iterate
-                    raise err
-                stop_reason = "line_search"  # predicted decrease is spent
-                break
-            if alpha < _LBFGS_RESET_ALPHA:
-                pairs.clear()
-                step = None
-            else:
-                step, g_prev = alpha * d, g
+            descent_steps += steepest
+            if search(d, slope):
+                continue
+            if weak and not steepest:
+                descent_steps += 1
+                if search(-g, -grad_norm ** 2):
+                    continue
+            stop_reason = "line_search"  # predicted decrease is spent
+            break
         else:
             if exact:  # the gradient of the returned decision, no simulation
-                grad_norm = float(np.linalg.norm(gradient()))
+                grad_norm = float(np.linalg.norm(derivatives(want_hess=False)[0]))
                 if grad_norm ** 2 < tol:
                     stop_reason = "tolerance"
     decision = base[0]
@@ -1630,6 +1620,7 @@ def solve_shooting(problem: OcpProblem, k: int, initial_control: Path,
         simulations=simulations,
         line_search_trials=trials,
         forward_gradients=forward_gradients,
+        descent_steps=descent_steps,
         stop_reason=stop_reason,
     )
     return decision, report

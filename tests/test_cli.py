@@ -250,17 +250,18 @@ def test_solve_reports_the_shooting_work_counters(tmp_path):
 
 
 def test_shooting_report_counts_the_forward_sweep_gradients(tmp_path):
-    # No row is active along the held start, so the first gradient is one
-    # reverse sweep; every later iterate has a step resting on x + u = 0
-    # with a zero multiplier (weakly active), so the other six take the
-    # forward sweep.
+    # No row is active along the held start, so the first tangent sweep
+    # meets no weakly active step; the Newton step lands on an iterate with
+    # a step resting on x + u = 0 with a zero multiplier (weakly active),
+    # whose gradient meets the tolerance.  No direction was -g.
     spec_path = export_spec(tmp_path, "remark45", 8)
     out = tmp_path / "run"
     assert cli.main(["solve", spec_path, "--out-dir", str(out),
                      "--solver", "shooting"]) == 0
     report = read_json(str(out / "report.json"))
-    assert report["iterations"] == 7
-    assert report["forward_gradients"] == 6
+    assert report["iterations"] == 2
+    assert report["forward_gradients"] == 1
+    assert report["descent_steps"] == 0
 
 
 def test_shooting_stopped_short_exits_nonconverged(tmp_path, capsys):

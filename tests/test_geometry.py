@@ -837,3 +837,19 @@ def test_polyhedral_derivatives_equal_the_row_loops(n, s):
             assert got.shape == want.shape
             # bit for bit, the sign of every zero included
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,s", [(2, 4), (2, 8), (2, 12), (3, 4), (3, 8), (3, 12)])
+def test_polyhedral_stacked_callbacks_equal_the_one_node_calls(n, s):
+    field = FieldMap.polyhedral(n, s)
+    rng = np.random.default_rng([n, s, 5])
+    K = 9
+    X, U, P = rng.normal(size=(K, n)), rng.normal(size=(K, field.m)), rng.normal(size=(K, s))
+    for name, args in (("psi", (X, U)), ("dpsi_dx", (X, U)), ("dpsi_du", (X, U)),
+                       ("hess_ux", (X, U, P))):
+        fn = getattr(field, name)
+        stacked = fn.at_nodes(*args)
+        one_node = np.array([fn(*a) for a in zip(*args)])
+        assert stacked.shape == one_node.shape, name
+        # bit for bit, the sign of every zero included
+        assert np.ascontiguousarray(stacked).tobytes() == one_node.tobytes(), name

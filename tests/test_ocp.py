@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 
-from sweepctl import ocp
 from sweepctl.dynamics import Mesh, Path, simulate
 from sweepctl.geometry import (
     TOL_FEAS,
@@ -18,6 +17,7 @@ from sweepctl.geometry import (
     NumericalFailureError,
     ProjectionFailureError,
     SmoothInequality,
+    _project_onto_halfspaces,
     field_at_nodes,
 )
 from sweepctl.dynamics import AffineDrift, SweepingSystem
@@ -29,13 +29,13 @@ from sweepctl.ocp import (
     QuadraticTerminalCost,
     _STRICT_TOL,
     _Augmented,
-    _adjoint_gradient,
-    _forward_gradient,
     _KktSystem,
+    _drift_jacobian,
     _has_exact_tangents,
-    _lbfgs_direction,
     _lm_stage,
+    _reduced_derivatives,
     _shooting_gradient,
+    _tangents,
     cost_eval,
     cost_grad,
     localization_violation,
@@ -553,8 +553,8 @@ def test_state_mapped_shooting_takes_the_exact_route():
     _, report = solve_shooting(problem, k, Path(mesh=Mesh(k=k, T=problem.system.T),
                                                 values=U))
     assert report.stop_reason == "tolerance"
-    assert report.iterations == 76
-    assert report.simulations == 1 + report.line_search_trials == 86
+    assert report.iterations == 3
+    assert report.simulations == 1 + report.line_search_trials == 3
     assert report.cost == pytest.approx(1.0416666666667698, rel=1e-12)
 
 
@@ -588,11 +588,10 @@ def test_nonlinear_field_keeps_forward_differences():
                          [(40, 417, 0.5021), (60, 626, 0.50048)])
 def test_forward_differences_reach_the_nonsmooth_optimum(max_iter, simulations,
                                                          cost):
-    """On nonconvex22 the optimum is a kink.  The L-BFGS memory is dropped
-    after a line search that needs a step below 2^-10, and a trial whose
-    decrease is lost in rounding is rejected, so the forward-difference route
-    stays within what steepest descent spent and gets further (the bounds are
-    its simulations and cost at the same max_iter)."""
+    """On nonconvex22 the optimum is a kink.  A trial whose decrease is lost
+    in rounding is rejected, so the forward-difference route stays within
+    what steepest descent spent and gets further (the bounds are its
+    simulations and cost at the same max_iter)."""
     problem = instance("nonconvex22").problem
     k = 6
     u = np.zeros((k + 1, 1))
@@ -615,22 +614,22 @@ def test_remark45_shooting_converges_in_few_iterations(k):
         assert report.stat_residual ** 2 < 1e-10
 
 
-def _elastoplastic_budget(seed):
-    """elastoplastic61 at k=20 from a seeded noisy resting control, with a
-    40-iteration budget; returns the problem, the result and the mesh."""
+def _elastoplastic_budget(seed, max_iter=40):
+    """elastoplastic61 at k=20 from a seeded noisy resting control, with an
+    iteration budget; returns the problem, the result and the mesh."""
     problem = instance("elastoplastic61").problem
     k = 20
     u = np.zeros((k + 1, 1))
     u[1:] = 0.03 * np.random.default_rng(seed).standard_normal((k, 1))
     mesh = Mesh(k=k, T=1.0)
     return problem, solve_shooting(problem, k, Path(mesh=mesh, values=u),
-                                   max_iter=40), mesh
+                                   max_iter=max_iter), mesh
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_elastoplastic_budget_reaches_the_optimum(seed):
     _, (_, report), _ = _elastoplastic_budget(seed)
-    assert report.stop_reason == "iteration_budget"
+    assert report.stop_reason == "tolerance"
     assert abs(report.cost - 0.125) <= 1e-6
     assert report.simulations <= 60
     assert report.simulations == 1 + report.line_search_trials
@@ -638,38 +637,89 @@ def test_elastoplastic_budget_reaches_the_optimum(seed):
 
 
 def test_budget_end_residual_belongs_to_the_returned_decision():
-    problem, (z, report), mesh = _elastoplastic_budget(1)
-    assert report.iterations == 40
+    problem, (z, report), mesh = _elastoplastic_budget(1, max_iter=1)
+    assert report.iterations == 1
     _, records = simulate(problem.system, Path(mesh=mesh, values=z.u))
     free = [(j, 0) for j in range(1, mesh.k + 1)]
     g = _shooting_gradient(problem, z, records, free)
     assert report.stat_residual == pytest.approx(np.linalg.norm(g), rel=1e-12)
 
 
-def test_lbfgs_direction_descends_on_curvature_pairs():
-    rng = np.random.default_rng(3)
-    assert np.array_equal(_lbfgs_direction(np.array([1.0, -2.0]), []),
-                          np.array([-1.0, 2.0]))
-    for _ in range(200):
-        n = int(rng.integers(1, 12))
-        pairs = []
-        while len(pairs) < int(rng.integers(1, 9)):
-            s, y = rng.standard_normal(n), rng.standard_normal(n)
-            if y @ s > 0.0:
-                pairs.append((s, y))
-        g = rng.standard_normal(n)
-        assert g @ _lbfgs_direction(g, pairs) < 0.0
+# ---------------------------------------------------------------------------
+# The tangent sweep against the forward oracle
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# The reverse sweep against the forward oracle
-# ---------------------------------------------------------------------------
+def _forward_oracle(problem, z, records, free_idx):
+    """The gradient of cost_eval o simulate over the free entries and the
+    tangents T_j = dx_j / dU_free (k+1, n, F), one step at a time.
+
+    The tangent starts at 0.  Step j, y = x_{j+1} = proj_C(u)(x_j + h f(t_j,
+    x_j)) with u = u_{j+1} and step multiplier eta, maps it through
+
+        q = T_j + h Df T_j - hess_ux(y, u, eta)^T E,
+
+    with E = du_{j+1} / dU_free and Df the drift Jacobian, and T_{j+1} is
+    the projection of q onto the critical cone
+
+        {v : H_A (J v + J_u E) <= 0,  eta^T (J v + J_u E) >= 0},
+
+    H_A the active halfspace rows of Theta, J = dpsi_dx and J_u = dpsi_du at
+    (y, u), from the one-node callbacks.  When eta is a strictly positive
+    combination of the active rows the cone is the subspace
+    H_A (J v + J_u E) = 0 and every column takes one least-squares
+    correction; at a weakly active step each column outside the cone gets
+    its own least-distance solve.  The gradient is dU + sum_j dX_j T_j with
+    (dX, dU) = cost_grad(problem, z).
+    """
+    system, mesh = problem.system, z.mesh
+    field = system.field
+    H, d = system.theta.halfspaces()
+    nodes, comps = np.array(free_idx, dtype=int).reshape(-1, 2).T
+    dX, dU = cost_grad(problem, z)
+    grad = dU[nodes, comps]
+    T = np.zeros((field.n, len(nodes)))
+    tangents = [T]
+    Df = _drift_jacobian(system, mesh.nodes[:-1], z.x[:-1])
+    for j, rec in enumerate(records):
+        y, u, eta = z.x[j + 1], z.u[j + 1], rec.eta
+        cols = np.flatnonzero(nodes == j + 1)  # the columns where du = E != 0
+        q = T + mesh.h * (Df[j] @ T)
+        if field.hess_ux is not None:
+            q[:, cols] -= np.atleast_2d(field.hess_ux(y, u, eta)).T[:, comps[cols]]
+        J, c = field.x_affine(u)
+        rows = H[H @ (J @ y + c) >= d - TOL_FEAS]
+        if len(rows):
+            G = rows @ J
+            Ju = np.zeros((H.shape[1], len(nodes)))
+            Ju[:, cols] = np.atleast_2d(field.dpsi_du(y, u))[:, comps[cols]]
+            mu = np.linalg.lstsq(rows.T, eta, rcond=None)[0]
+            scale = _STRICT_TOL * float(np.max(np.abs(eta)))
+            if np.min(mu) > scale and np.max(np.abs(rows.T @ mu - eta)) <= scale:
+                q -= np.linalg.pinv(G) @ (G @ q + rows @ Ju)
+            else:
+                cone = np.vstack([G, -(eta @ J)])
+                rhs = np.vstack([-(rows @ Ju), eta @ Ju])
+                outside = np.any(cone @ q - rhs > TOL_FEAS, axis=0)
+                for col in np.flatnonzero(outside):
+                    try:
+                        q[:, col] = _project_onto_halfspaces(cone, rhs[:, col],
+                                                             q[:, col])[0]
+                    except ProjectionFailureError as err:
+                        raise ProjectionFailureError(
+                            f"step {j + 1}, free entry (node {nodes[col]}, component "
+                            f"{comps[col]}): the tangent's critical cone at a weakly "
+                            "active step is empty") from err
+        T = q
+        tangents.append(T)
+        grad += dX[j + 1] @ T
+    return grad, np.array(tangents)
 
 
 def _weak_steps(problem, z, records):
     """The steps whose multiplier is not a strictly positive combination of
-    their active rows, decided one step at a time as the forward sweep
-    decides it."""
+    their active rows, decided one step at a time as the oracle decides
+    it."""
     H, d = problem.system.theta.halfspaces()
     weak = []
     for j, rec in enumerate(records):
@@ -704,8 +754,20 @@ def _at_simulated(problem, U):
     return z, records, [(j, a) for j in range(1, k + 1) for a in range(m)]
 
 
-def _assert_agree(reverse, forward):
-    assert np.max(np.abs(reverse - forward)) <= 1e-14 * np.max(np.abs(forward))
+def _assert_agree(swept, oracle):
+    assert np.max(np.abs(swept - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def _assert_sweep_matches_the_oracle(problem, z, records, free):
+    """The tangents and the gradient of the sweep against the oracle; returns
+    whether the sweep met a weakly active step."""
+    T, weak = _tangents(problem, z, records, free)
+    grad, T_oracle = _forward_oracle(problem, z, records, free)
+    assert T.shape == T_oracle.shape
+    _assert_agree(T, T_oracle)
+    _assert_agree(_shooting_gradient(problem, z, records, free), grad)
+    assert weak == bool(_weak_steps(problem, z, records))
+    return weak
 
 
 #: The GRADIENT_CASES with a weakly active step.
@@ -716,17 +778,11 @@ WEAK_GRADIENT_CASES = {"remark45-reference", "remark45-retargeted-rest",
 
 @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
 def test_reverse_sweep_matches_the_forward_sweep(case):
+    """The stacked step maps of the tangent sweep, and its column-wise cone
+    projections at weakly active steps, agree with the one-step oracle."""
     problem, U = GRADIENT_CASES[case]()
-    z, records, free = _at_simulated(problem, U)
-    reverse = _adjoint_gradient(problem, z, records, free)
-    forward = _forward_gradient(problem, z, records, free)
-    weak = _weak_steps(problem, z, records)
-    assert bool(weak) == (case in WEAK_GRADIENT_CASES)
-    assert (reverse is None) == bool(weak)
-    if reverse is not None:
-        _assert_agree(reverse, forward)
-    assert np.array_equal(_shooting_gradient(problem, z, records, free),
-                          forward if reverse is None else reverse)
+    weak = _assert_sweep_matches_the_oracle(problem, *_at_simulated(problem, U))
+    assert weak == (case in WEAK_GRADIENT_CASES)
 
 
 def _random_polytope(seed, n, s, kind):
@@ -784,38 +840,92 @@ def _random_polytope(seed, n, s, kind):
 
 @pytest.mark.parametrize("n, s", [(2, 4), (2, 8), (3, 4), (3, 8)])
 def test_reverse_sweep_matches_the_forward_sweep_on_random_polytopes(n, s):
-    """The forward sweep runs where the reverse one does: at a weakly active
-    step with duplicated rows in control space it can find its critical cone
-    empty, which is no concern of the reverse sweep."""
-    routes = {"reverse": 0, "forward": 0, "dependent": 0}
+    """Weakly active draws included: at a weakly active step with duplicated
+    rows in control space the critical cone can be empty, and then the
+    sweep raises the oracle's error."""
+    routes = {"linear": 0, "weak": 0, "empty": 0, "dependent": 0}
     for kind in ("generic", "duplicated", "dependent", "theta-duplicated",
                  "state-map", "resting"):
         for seed in range(3):
             problem, U = _random_polytope(seed, n, s, kind)
             z, records, free = _at_simulated(problem, U)
-            reverse = _adjoint_gradient(problem, z, records, free)
-            assert (reverse is None) == bool(_weak_steps(problem, z, records)), (kind, seed)
-            if reverse is None:
-                routes["forward"] += 1
+            try:
+                _forward_oracle(problem, z, records, free)
+            except ProjectionFailureError as err:
+                with pytest.raises(ProjectionFailureError, match=re.escape(str(err))):
+                    _tangents(problem, z, records, free)
+                routes["empty"] += 1
                 continue
-            _assert_agree(reverse, _forward_gradient(problem, z, records, free))
-            routes["reverse"] += 1
+            weak = _assert_sweep_matches_the_oracle(problem, z, records, free)
+            routes["weak" if weak else "linear"] += 1
             routes["dependent"] += _dependent_active_steps(problem, z) > 0
     assert min(routes.values()) >= 1, routes
 
 
-def test_forcing_the_forward_sweep_repeats_the_solve(monkeypatch):
-    """remark45 at k=8 from a noisy reference control: both sweeps give the
-    same gradients bit for bit here, so the solve repeats exactly."""
-    problem, U = _reference("remark45", 8, 0.2, 8)
-    start = Path(mesh=Mesh(k=8, T=2.0), values=U)
-    z, report = solve_shooting(problem, 8, start)
-    monkeypatch.setattr(ocp, "_adjoint_gradient", lambda *args: None)
-    z_forward, forced = solve_shooting(problem, 8, start)
-    assert report.forward_gradients == 0 and report.iterations > 2
-    assert forced.forward_gradients == forced.iterations
-    assert dataclasses.replace(forced, forward_gradients=0) == report
-    assert np.array_equal(z_forward.u, z.u) and np.array_equal(z_forward.x, z.x)
+#: The GRADIENT_CASES whose field is bilinear in (x, u): the state map is
+#: not affine on a piece, and the reduced Hessian leaves out its curvature.
+BILINEAR_GRADIENT_CASES = {"polytope-n2-s4", "polytope-n2-s8", "polytope-n3-s4",
+                           "polytope-n3-s8"}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES.keys() - WEAK_GRADIENT_CASES
+                                        - BILINEAR_GRADIENT_CASES))
+def test_reduced_hessian_matches_central_differences_of_the_gradient(case):
+    problem, U = GRADIENT_CASES[case]()
+    z, records, free = _at_simulated(problem, U)
+    _, H = _reduced_derivatives(problem, z, _tangents(problem, z, records, free)[0],
+                                free)
+    fd = np.empty_like(H)
+    for col, (j, a) in enumerate(free):
+        step = 1e-6 * (1.0 + abs(U[j, a]))
+        grads = []
+        for sign in (1.0, -1.0):
+            moved = U.copy()
+            moved[j, a] += sign * step
+            grads.append(_shooting_gradient(problem, *_at_simulated(problem, moved)))
+        fd[:, col] = (grads[0] - grads[1]) / (2 * step)
+    assert np.max(np.abs(H - fd)) <= 1e-6 * max(1.0, np.max(np.abs(H)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_full_newton_step_reaches_the_tolerance(seed):
+    """elastoplastic61 from a noisy resting control: the cost is quadratic
+    on the piece of the start, so the first trial, the full Newton step, is
+    accepted and the gradient at it meets the tolerance."""
+    _, (_, report), _ = _elastoplastic_budget(seed)
+    assert report.stop_reason == "tolerance"
+    assert report.iterations == 2
+    assert report.simulations == 1 + report.line_search_trials == 2
+    assert report.descent_steps == 0
+    assert abs(report.cost - 0.125) <= 1e-12
+
+
+def test_the_newton_step_leaves_the_flat_terminal_control():
+    """In W12xC mode u_k enters no cost term, and while x_k is inactive it
+    moves no state either: the reduced Hessian has a zero row and column.
+    The minimum-norm Newton step still reaches the tolerance, from the
+    shooting benchmark's seed-1 start of remark45 at k=16."""
+    problem, U = _reference("remark45", 16, 0.2, [1, 1])
+    z, records, free = _at_simulated(problem, U)
+    _, H = _reduced_derivatives(problem, z, _tangents(problem, z, records, free)[0],
+                                free)
+    assert not H[-1].any() and not H[:, -1].any()
+    assert np.linalg.matrix_rank(H) == len(free) - 1
+    _, report = solve_shooting(problem, 16, Path(mesh=Mesh(k=16, T=2.0), values=U),
+                               tol=1e-10)
+    assert report.stop_reason == "tolerance"
+    assert report.iterations <= 3
+    assert report.descent_steps == 0
+
+
+@pytest.mark.parametrize("mask", [np.ones(8, dtype=bool), np.ones((2, 9), dtype=bool),
+                                  np.ones(13, dtype=bool),
+                                  np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])],
+                         ids=["length-k", "2-D", "length-k+5", "nan"])
+def test_shooting_rejects_a_malformed_free_mask(mask):
+    warm = Path(mesh=Mesh(k=8, T=2.0), values=np.full((9, 1), -2.0))
+    with pytest.raises(ConfigurationError, match=re.escape("shape (9,)")):
+        solve_shooting(remark45_problem(), 8, warm, free_mask=mask)
 
 
 def test_an_empty_critical_cone_names_its_entry_and_keeps_the_iterate():
