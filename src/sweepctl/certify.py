@@ -31,7 +31,8 @@ for bit.
 
 The field enters through one table per public function
 (:func:`geometry.field_at_nodes`): psi and its Jacobians at every node of
-the pair, one callback call each per node, with the Hessian contractions
+the pair (one stacked expression per callback of a built-in field, one
+call per node for any other callback), with the Hessian contractions
 against the velocity multipliers taken from the same table.  The measure
 tails inside a function read that table too, so a certify run evaluates the
 field a fixed number of times per node.  The per-cell checks (multiplier

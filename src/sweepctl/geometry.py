@@ -6,11 +6,12 @@ This module owns the two geometric ingredients of a controlled moving set
 
 namely the target set ``Theta`` (orthant, box, smooth-inequality, or linear
 image of a polyhedron) and the field ``psi`` together with its derivatives.
-Code that needs the field along a pair of paths reads one
-:class:`NodeTable` from :func:`field_at_nodes`: psi and its Jacobians at
-every node from one call of each callback per node (one stacked array
-expression for the callbacks of an affine field), shapes checked once, and
-the Hessian contractions on demand.
+Each field callback the package builds is written once, over a stack of K
+nodes (``at_nodes``); a call at one node is that form at K = 1.  Code that
+needs the field along a pair of paths reads one :class:`NodeTable` from
+:func:`field_at_nodes`: psi and its Jacobians at every node (one stacked
+expression per callback, one call per node for a hand-written callback),
+shapes checked once, and the Hessian contractions on demand.
 It owns the three descriptions of ``Theta`` the rest of the package reads:
 ``constraint(z)``, the rows g(z) <= d of every variant with their Jacobian
 (g = H z for a polyhedron, g = h and d = 0 for smooth inequalities), for
@@ -315,7 +316,7 @@ class LinearImagePolyhedron(ThetaSet):
 
     @property
     def s(self) -> int:  # type: ignore[override]
-        return self._A().shape[0]
+        return len(self.A)
 
     def _build_halfspaces(self) -> tuple[Array, Array]:
         # w in A Z  <=>  G A^{-1} w <= g
@@ -371,42 +372,38 @@ def theta_contains(theta: ThetaSet, z: Array, tol: float = TOL_FEAS) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _ConstantCallback:
-    """A field callback whose value is one read-only array at every
-    argument; ``at_nodes`` gives it at a stack of K nodes as one view."""
+class _Stacked:
+    """A field callback written once, as ``at_nodes`` over a stack of K
+    nodes (a leading axis on each argument).  A call at one node is that form
+    at K = 1: row 0 of the value, or of each array of a pair."""
+
+    def __init__(self, at_nodes: Callable):
+        self.at_nodes = at_nodes
+
+    def __call__(self, *args: Array):
+        value = self.at_nodes(*(np.asarray(a, dtype=float)[np.newaxis] for a in args))
+        return tuple(v[0] for v in value) if isinstance(value, tuple) else value[0]
+
+
+class _ConstantCallback(_Stacked):
+    """A field callback whose value is one read-only array at every argument:
+    one broadcast view at a stack of K nodes, the array itself at one node
+    (an SQP step reads a Jacobian at one node per iteration)."""
 
     def __init__(self, value: Array):
-        self.value = value
         value.flags.writeable = False
+        super().__init__(lambda x, *stacks: np.broadcast_to(value, (len(x),) + value.shape))
+        self.value = value
 
     def __call__(self, *args: Array) -> Array:
         return self.value
-
-    def at_nodes(self, x: Array, *stacks: Array) -> Array:
-        return np.broadcast_to(self.value, (len(x),) + self.value.shape)
-
-
-class _AffineCallback:
-    """The field callback (x, u) -> A x + B u + c; ``at_nodes`` evaluates it
-    at a stack of nodes by the same products, one ``np.matmul`` over the
-    stack, so each row equals the per-node call bit for bit."""
-
-    def __init__(self, A: Array, B: Array, c: Array):
-        self.A, self.B, self.c = A, B, c
-
-    def __call__(self, x: Array, u: Array) -> Array:
-        return self.A @ x + self.B @ u + self.c
-
-    def at_nodes(self, x: Array, u: Array) -> Array:
-        return (np.matmul(self.A, x[:, :, np.newaxis])
-                + np.matmul(self.B, u[:, :, np.newaxis]))[:, :, 0] + self.c
 
 
 @dataclass(frozen=True)
 class FieldMap:
     """The field psi(x, u) in R^s with its partial derivatives.
 
-    Two construction styles are supported.  ``affine_fixed`` builds the
+    Four constructors are supported.  ``affine_fixed`` builds the
     affine-in-both-arguments case psi = Ax x + Au u + c that all shipped
     problem instances use; ``polyhedral`` builds the moving-rows case
     psi_i(x, (u, b)) = <x, u_i> - b_i where the control is the concatenation
@@ -427,13 +424,10 @@ class FieldMap:
         d/du of (dpsi_dx^T p).
     x_affine : callable u -> (A, c) with psi(y, u) = A y + c, or None when
         psi is not affine in x.  Enables the exact projection path.  The
-        ``x_affine`` of ``affine_fixed`` and of ``polyhedral``, and that of
-        ``with_state_map`` over either, also has a stacked form
-        ``x_affine.at_nodes(U)``: the pairs at the K controls that are the
-        rows of U, as (A (K, s, n), c (K, s)), each row equal to the
-        one-control call bit for bit.  :func:`_affine_pairs` reads it, for
-        the rows of every catching-up step and the shooting gradient's step
-        maps at once, and calls any other ``x_affine`` once per control.
+        callbacks of ``affine_fixed`` and ``polyhedral``, and the ``x_affine``
+        of ``with_state_map``, are written once, over a stack of K nodes
+        (``at_nodes``; ``x_affine.at_nodes(U)`` gives (A (K, s, n), c (K, s))),
+        and a one-node call is that form at K = 1.
     """
 
     n: int
@@ -451,31 +445,22 @@ class FieldMap:
     @staticmethod
     def affine_fixed(Ax: Sequence[Sequence[float]], Au: Sequence[Sequence[float]],
                      c: Sequence[float]) -> "FieldMap":
-        """psi(x, u) = Ax x + Au u + c with constant matrices.
-
-        Each callback is a small object that also evaluates at a whole stack
-        of nodes (see :func:`field_at_nodes`): ``psi`` an affine map, the
-        Jacobians and the zero Hessian contractions constants.
-        """
+        """psi(x, u) = Ax x + Au u + c with constant matrices; the Jacobians
+        and the zero Hessian contractions are constants."""
         Ax_, Au_, c_ = (np.array(v, dtype=float) for v in (Ax, Au, c))
         s, n = Ax_.shape
         m = Au_.shape[1]
         if Au_.shape[0] != s or c_.shape != (s,):
             raise ConfigurationError("inconsistent affine field shapes")
-
-        def x_affine(u: Array) -> tuple[Array, Array]:
-            return Ax_, Au_ @ u + c_
-
-        x_affine.at_nodes = lambda U: (np.broadcast_to(Ax_, (len(U), s, n)),
-                                       _rows(Au_, U) + c_)
         return FieldMap(
             n=n, m=m, s=s,
-            psi=_AffineCallback(Ax_, Au_, c_),
+            psi=_Stacked(lambda X, U: _rows(Ax_, X) + _rows(Au_, U) + c_),
             dpsi_dx=_ConstantCallback(Ax_),
             dpsi_du=_ConstantCallback(Au_),
             hess_xx=_ConstantCallback(np.zeros((n, n))),
             hess_ux=_ConstantCallback(np.zeros((m, n))),
-            x_affine=x_affine,
+            x_affine=_Stacked(lambda U: (np.broadcast_to(Ax_, (len(U), s, n)),
+                                         _rows(Au_, U) + c_)),
         )
 
     @staticmethod
@@ -483,9 +468,7 @@ class FieldMap:
         """Moving-rows polyhedral field psi_i(x, (u, b)) = <x, u_i> - b_i.
 
         The control vector stacks the s rows (s*n entries, row-major) followed
-        by the s offsets b.  ``psi``, ``dpsi_dx``, ``dpsi_du`` and ``hess_ux``
-        also evaluate at a stack of nodes (see :func:`field_at_nodes`), each
-        node's value equal to the one-node call bit for bit.
+        by the s offsets b.
         """
         m = s * n + s
         # Entry (i, i n + a) of dpsi_du is x_a; entry (i, s n + i) is -1.
@@ -493,74 +476,39 @@ class FieldMap:
         entry_of = np.tile(np.arange(n), s)
         offsets = (np.arange(s), s * n + np.arange(s))
 
-        def rows(u: Array) -> tuple[Array, Array]:
-            U = np.asarray(u[: s * n], dtype=float).reshape(s, n)
-            b = np.asarray(u[s * n:], dtype=float)
-            return U, b
-
-        def node_rows(U: Array) -> tuple[Array, Array]:
-            """The rows (K, s, n) and offsets (K, s) at the K controls that
-            are the rows of U."""
+        def rows(U: Array) -> tuple[Array, Array]:  # (K, s, n) rows, (K, s) offsets
             U = np.asarray(U, dtype=float)
             return U[:, : s * n].reshape(len(U), s, n), U[:, s * n:]
 
-        def psi(x: Array, u: Array) -> Array:
-            U, b = rows(u)
-            return U @ x - b
-
-        def dpsi_du(x: Array, u: Array) -> Array:
-            J = np.zeros((s, m))
-            J[row_of, col_of] = np.asarray(x, dtype=float)[entry_of]
-            J[offsets] = -1.0
-            return J
-
-        def hess_ux(x: Array, u: Array, p: Array) -> Array:
-            # d/du of (U^T p): the u_i block contributes p_i * I_n.
-            H = np.zeros((m, n))
-            H[:s * n] = (np.asarray(p, dtype=float)[:, None, None]
-                         * np.eye(n)).reshape(s * n, n)
-            return H
-
-        def x_affine(u: Array) -> tuple[Array, Array]:
-            U, b = rows(u)
-            return U, -b
-
-        def psi_at_nodes(X: Array, U: Array) -> Array:
-            R, B = node_rows(U)
+        def psi(X: Array, U: Array) -> Array:
+            R, B = rows(U)
             return _rows(R, X) - B
 
-        def dpsi_du_at_nodes(X: Array, U: Array) -> Array:
+        def dpsi_du(X: Array, U: Array) -> Array:
             J = np.zeros((len(X), s, m))
             J[:, row_of, col_of] = np.asarray(X, dtype=float)[:, entry_of]
             J[:, offsets[0], offsets[1]] = -1.0
             return J
 
-        def hess_ux_at_nodes(X: Array, U: Array, P: Array) -> Array:
+        def hess_ux(X: Array, U: Array, P: Array) -> Array:
+            # d/du of (U^T p): the u_i block contributes p_i * I_n.
             H = np.zeros((len(X), m, n))
             H[:, :s * n] = (np.asarray(P, dtype=float)[:, :, None, None]
                             * np.eye(n)).reshape(len(X), s * n, n)
             return H
 
-        def x_affine_at_nodes(U: Array) -> tuple[Array, Array]:
-            R, B = node_rows(U)
+        def x_affine(U: Array) -> tuple[Array, Array]:
+            R, B = rows(U)
             return R, -B
 
-        def dpsi_dx(x: Array, u: Array) -> Array:
-            return rows(u)[0]
-
-        psi.at_nodes = psi_at_nodes
-        dpsi_dx.at_nodes = lambda X, U: node_rows(U)[0]
-        dpsi_du.at_nodes = dpsi_du_at_nodes
-        hess_ux.at_nodes = hess_ux_at_nodes
-        x_affine.at_nodes = x_affine_at_nodes
         return FieldMap(
             n=n, m=m, s=s,
-            psi=psi,
-            dpsi_dx=dpsi_dx,
-            dpsi_du=dpsi_du,
-            hess_xx=lambda x, u, p: np.zeros((n, n)),
-            hess_ux=hess_ux,
-            x_affine=x_affine,
+            psi=_Stacked(psi),
+            dpsi_dx=_Stacked(lambda X, U: rows(U)[0]),
+            dpsi_du=_Stacked(dpsi_du),
+            hess_xx=_ConstantCallback(np.zeros((n, n))),
+            hess_ux=_Stacked(hess_ux),
+            x_affine=_Stacked(x_affine),
         )
 
     @staticmethod
@@ -577,28 +525,18 @@ class FieldMap:
 
     def with_state_map(self, G: Array) -> "FieldMap":
         """psi(G x, u) for a square n x n matrix G, with the derivatives by
-        the chain rule; an affine-in-x field stays affine in x, its pair
-        (A G, c) taken from one inner ``x_affine`` call per control, or
-        from the inner ``at_nodes`` for a stack."""
+        the chain rule; an affine-in-x field stays affine in x, its pairs
+        (A G, c) taken from the inner pairs by :func:`_affine_pairs`."""
         G = np.atleast_2d(np.asarray(G, dtype=float))
         if G.shape[0] != G.shape[1]:
             raise ConfigurationError("state map must be a square matrix")
         if G.shape[0] != self.n:
             raise ConfigurationError("state map size must match the field")
-        x_affine = None
-        if self.x_affine is not None:
-            inner, inner_nodes = self.x_affine, getattr(self.x_affine, "at_nodes", None)
 
-            def x_affine(u: Array) -> tuple[Array, Array]:
-                A, c = inner(u)
-                return A @ G, c
+        def x_affine(U: Array) -> tuple[Array, Array]:
+            A, c = _affine_pairs(self, U)
+            return np.matmul(A, G), c
 
-            if inner_nodes is not None:
-                def at_nodes(U: Array) -> tuple[Array, Array]:
-                    A, c = inner_nodes(U)
-                    return np.matmul(A, G), c
-
-                x_affine.at_nodes = at_nodes
         return FieldMap(
             n=self.n, m=self.m, s=self.s,
             psi=lambda x, u: self.psi(G @ x, u),
@@ -608,7 +546,7 @@ class FieldMap:
                      lambda x, u, p: G.T @ self.hess_xx(G @ x, u, p) @ G),
             hess_ux=(None if self.hess_ux is None else
                      lambda x, u, p: self.hess_ux(G @ x, u, p) @ G),
-            x_affine=x_affine,
+            x_affine=None if self.x_affine is None else _Stacked(x_affine),
         )
 
 
@@ -651,11 +589,10 @@ class NodeTable:
 def _stacked(field: FieldMap, name: str, stacks: tuple, shape: tuple) -> Array:
     """The callback ``name`` of the field at the K nodes whose arguments are
     the rows of ``stacks``, as one read-only (K,) + shape array, its shape
-    checked once: one array expression for a callback with ``at_nodes``
-    (those of ``FieldMap.affine_fixed`` and ``FieldMap.polyhedral``), else
-    one call per node.  A value
-    may drop a leading axis of length 1 (s = 1), as :func:`psi_eval`
-    allows."""
+    checked once: its ``at_nodes`` form (every callback the package builds),
+    else one call per node (``FieldMap.nonlinear``, or a callback swapped in
+    by ``dataclasses.replace``).  A value may drop a leading axis of length
+    1 (s = 1), as :func:`psi_eval` allows."""
     fn, K = getattr(field, name), len(stacks[0])
     if fn is None or not K:
         arr = np.zeros((K,) + shape)
@@ -680,11 +617,10 @@ def field_at_nodes(field: FieldMap, x: Array, u: Array) -> NodeTable:
     """The field along a pair: psi and its Jacobians at the nodes (x_j, u_j),
     the rows of x and u.
 
-    A callback of ``FieldMap.affine_fixed`` or ``FieldMap.polyhedral`` is
-    evaluated at all nodes as one stacked array expression; any other
-    callback is called once per node, so a field whose callback is replaced
-    (``dataclasses.replace``) falls back to per-node calls for that callback
-    alone.  The shapes are checked once on the stacked values, and a
+    Each callback is read by :func:`_stacked`: a stacked form at all nodes
+    at once, any other callback once per node, so a field whose callback is
+    replaced (``dataclasses.replace``) falls back to per-node calls for that
+    callback alone.  The shapes are checked once on the stacked values, and a
     mismatch raises the ConfigurationError that :func:`psi_eval` raises.
     The Hessian contractions are evaluated only when :meth:`NodeTable.hess`
     asks.
@@ -746,7 +682,8 @@ def _project_onto_halfspaces(G: Array, g: Array,
     mu = w / -res[-1], and y must hold every row and be tight where mu_i > 0,
     within 1e-6 (1 + |g_i| + (|G| |y|)_i).  The absolute TOL_FEAS reads the
     cone distance of an x shorter than about 1e-9 as ||x||, below every
-    tolerance it meets (``ACT_TOL`` 1e-7, ``TOL_RESIDUAL`` 1e-6).  Raises
+    tolerance it meets (``ACT_TOL`` 1e-7, ``TOL_RESIDUAL`` 1e-6).  Rows
+    through one point are a translated cone where the program fails.  Raises
     ProjectionFailureError for an empty set, NumericalFailureError for a hit
     NNLS iteration limit, failed complementarity or a non-finite x, G or g.
     """
@@ -788,7 +725,9 @@ def _nnls_projection(G: Array, g: Array, x: Array,
                      slack: list[float]) -> tuple[Array, Array]:
     """The NNLS solve of :func:`_project_onto_halfspaces`, with slack =
     G x - g: over the rows of a cone (g = 0, never empty), else the
-    least-distance program."""
+    least-distance program; where that raises, rows through one point p =
+    lstsq(G, g) (|G p - g| <= 1e-12 (1 + |g|)) are the cone moved to p:
+    y = x - G^T mu with mu = argmin_{mu >= 0} ||G^T mu - (x - p)||."""
     # Imported here: importing scipy would double the package's import time.
     from scipy.optimize import nnls
 
@@ -804,9 +743,22 @@ def _nnls_projection(G: Array, g: Array, x: Array,
             mu, _ = nnls(G.T, x)
             return x - G.T @ mu, mu
         w, _ = nnls(E, e)
+        try:
+            return _least_distance_point(G, g, x, w, E @ w - e)
+        except (ProjectionFailureError, NumericalFailureError):
+            p = np.linalg.lstsq(G, g, rcond=None)[0]
+            if (np.abs(G @ p - g) > 1e-12 * (1.0 + np.abs(g))).any():
+                raise
+            mu, _ = nnls(G.T, x - p)
+            return x - G.T @ mu, mu
     except RuntimeError as err:
         raise NumericalFailureError(f"least-distance NNLS: {err}") from err
-    res = E @ w - e
+
+
+def _least_distance_point(G: Array, g: Array, x: Array, w: Array,
+                          res: Array) -> tuple[Array, Array]:
+    """(y, mu) from the least-distance NNLS solution w and res = E w - e,
+    or the error of an empty set, an infeasible y or failed complementarity."""
     if not res[-1] < 0.0:
         raise ProjectionFailureError("least-distance program is infeasible: "
                                      "the moving set is empty")
@@ -900,19 +852,25 @@ def _step_rows(field: FieldMap, theta: ThetaSet, U: Array,
     per node (:func:`_rows`), so the rows of one control do not depend on
     the others: one step's rows equal its rows inside a stack bit for bit.
     """
-    hs = theta.halfspaces()
-    if field.x_affine is None or hs is None:
+    if not _exact_steps(field, theta):
         return None
-    H, d = hs
+    H, d = theta.halfspaces()
     A, c = _affine_pairs(field, U)
     return np.matmul(H, A), d - _rows(H, c), H
+
+
+def _exact_steps(field: FieldMap, theta: ThetaSet) -> bool:
+    """Whether :func:`_step_rows` builds the rows of every C(u): an
+    affine-in-x field and a polyhedral Theta, every step one exact projection."""
+    return field.x_affine is not None and theta.halfspaces() is not None
 
 
 def _affine_pairs(field: FieldMap, U: Array) -> tuple[Array, Array]:
     """The pairs (A(u_j), c(u_j)) with psi(y, u_j) = A(u_j) y + c(u_j) of a
     field affine in x at the K controls that are the rows of U, as
-    (A (K, s, n), c (K, s)): from ``x_affine.at_nodes`` when the field has
-    it, else from one ``x_affine`` call per control."""
+    (A (K, s, n), c (K, s)): the stacked form ``x_affine.at_nodes`` of a
+    field the package built, else one ``x_affine`` call per control (a
+    callback swapped in by ``dataclasses.replace``)."""
     at_nodes = getattr(field.x_affine, "at_nodes", None)
     if at_nodes is not None:
         return at_nodes(U)

@@ -88,6 +88,7 @@ from .geometry import (
     ProjectionFailureError,
     _ConstantCallback,
     _affine_pairs,
+    _exact_steps,
     _project_onto_halfspaces,
     _rows,
     _stacked,
@@ -1294,11 +1295,10 @@ _STRICT_TOL = 1e-9
 
 
 def _has_exact_tangents(system: SweepingSystem) -> bool:
-    """Whether every catching-up step of the system is the exact NNLS
-    projection (an affine-in-x field and a polyhedral Theta), so that shooting
-    gradients come from tangents rather than forward differences."""
-    return (system.field.x_affine is not None
-            and system.theta.halfspaces() is not None)
+    """Whether every catching-up step of the system is one exact projection
+    (:func:`geometry._exact_steps`), so that shooting gradients come from
+    tangents rather than forward differences."""
+    return _exact_steps(system.field, system.theta)
 
 
 def _shooting_gradient(problem: OcpProblem, z: DiscreteDecision,

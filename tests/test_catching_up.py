@@ -355,6 +355,19 @@ def test_the_kernel_never_returns_a_non_projection_on_a_translated_cone():
     assert solved >= 900
 
 
+def test_the_kernel_projects_onto_every_translated_cone():
+    """Where the least-distance program fails on rows through one point p,
+    the kernel solves them as the cone moved to p: every draw projects."""
+    rng = np.random.default_rng(20261021)
+    for trial in range(1000):
+        G, x = degenerate_cone(rng, CONE_KINDS[trial % len(CONE_KINDS)])
+        p = rng.standard_normal(G.shape[1])
+        y, mu = _project_onto_halfspaces(G, G @ p, x + p)
+        want = p + oracle_cone_projection(G, x)
+        assert np.linalg.norm(y - want) <= 1e-8 * (1.0 + np.linalg.norm(x + p)), trial
+        assert np.all(mu >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Seeded instances
 # ---------------------------------------------------------------------------

@@ -739,13 +739,55 @@ def test_state_mapped_pairs_call_the_inner_map_once_per_control():
 
     field = dataclasses.replace(base, x_affine=counted).with_state_map(
         [[2.0, 0.0], [1.0, 1.0]])
-    assert not hasattr(field.x_affine, "at_nodes")
     U = np.linspace(-1.0, 1.0, 5)[:, np.newaxis]
     R, rhs, H = _step_rows(field, NonpositiveOrthant(2), U)
     assert len(calls) == len(U)
     stacked = base.with_state_map([[2.0, 0.0], [1.0, 1.0]]).x_affine.at_nodes(U)
     assert np.array_equal(R, np.matmul(H, stacked[0]))
     assert np.array_equal(rhs, -_rows(H, stacked[1]))
+    assert all(np.array_equal(stacked[0][j], A) and np.array_equal(stacked[1][j], c)
+               for j, (A, c) in enumerate(map(field.x_affine, U)))
+
+
+def test_state_mapped_pairs_stack_over_an_inner_map_without_a_stacked_form():
+    base = FieldMap.affine_fixed([[1.0, 2.0], [0.0, -1.0]], [[1.0], [0.5]], [0.1, 0.2])
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return base.x_affine(u)
+
+    G = np.array([[2.0, 0.5], [1.0, 1.0]])
+    field = dataclasses.replace(base, x_affine=counted).with_state_map(G)
+    U = np.linspace(-1.0, 1.0, 6)[:, np.newaxis]
+    A, c = field.x_affine.at_nodes(U)
+    assert len(calls) == len(U)
+    assert A.shape == (6, 2, 2) and c.shape == (6, 2)
+    for j, u in enumerate(U):
+        Aj, cj = base.x_affine(u)
+        assert np.array_equal(A[j], Aj @ G) and np.array_equal(c[j], cj)
+
+
+@pytest.mark.parametrize("name", ["affine_fixed", "polyhedral", "state_mapped"])
+def test_one_node_calls_take_lists_and_ints(name):
+    """A built-in field's one-node call is its stacked form at one node: it
+    reads any sequence of numbers and returns float arrays."""
+    affine = FieldMap.affine_fixed([[1, 2], [0, -1], [3, 1]], [[1], [2], [0]], [1, 0, 2])
+    field = {"affine_fixed": affine, "polyhedral": FieldMap.polyhedral(n=2, s=3),
+             "state_mapped": affine.with_state_map([[2, 0], [1, 1]])}[name]
+    n, m, s = field.n, field.m, field.s
+    x, u, p = [1, -2], list(range(1, m + 1)), [3, 0, -1]
+    floats = tuple(np.array(v, dtype=float) for v in (x, u, p))
+    shapes = {"psi": (s,), "dpsi_dx": (s, n), "dpsi_du": (s, m),
+              "hess_xx": (n, n), "hess_ux": (m, n)}
+    for cb, shape in shapes.items():
+        arity = 3 if cb.startswith("hess") else 2
+        got = getattr(field, cb)(*(x, u, p)[:arity])
+        assert got.dtype == float and got.shape == shape, cb
+        assert np.array_equal(got, getattr(field, cb)(*floats[:arity])), cb
+    A, c = field.x_affine(u)
+    assert A.dtype == c.dtype == float and A.shape == (s, n) and c.shape == (s,)
+    assert np.array_equal(field.psi(x, u), A @ floats[0] + c)
 
 
 @pytest.mark.parametrize("name", sorted(_table_fields()))

@@ -18,6 +18,7 @@ from sweepctl.geometry import (
     ProjectionFailureError,
     SmoothInequality,
     _project_onto_halfspaces,
+    _step_rows,
     field_at_nodes,
 )
 from sweepctl.dynamics import AffineDrift, SweepingSystem
@@ -582,6 +583,25 @@ def test_nonlinear_field_keeps_forward_differences():
     assert report.cost_trace[-1] < report.cost_trace[0]
     assert report.simulations == (1 + k * report.iterations
                                   + report.line_search_trials)
+
+
+def test_exact_tangents_exactly_where_the_steps_have_rows():
+    """Shooting takes tangents for exactly the systems whose catching-up
+    steps run on the rows that ``_step_rows`` builds."""
+    disk = SmoothInequality(s=1, l=1, h=lambda z: np.array([z[0] ** 2 - 1.0]),
+                            jac=lambda z: np.array([[2.0 * z[0]]]))
+    systems = {name: instance(name).problem.system for name in
+               ("remark45", "counterexample53", "elastoplastic61", "nonconvex22")}
+    systems["polytope"] = _random_polytope(3, 2, 4, "generic")[0].system
+    systems["smooth-theta"] = SweepingSystem(
+        f=lambda t, x: np.zeros(1), field=FieldMap.affine_fixed([[1.0]], [[1.0]], [0.0]),
+        theta=disk, x0=[0.0], T=1.0)
+    systems["state-map"] = _state_mapped()[0].system
+    for name, system in systems.items():
+        rows = _step_rows(system.field, system.theta, np.zeros((3, system.field.m)))
+        assert _has_exact_tangents(system) == (rows is not None), name
+    assert [name for name, system in systems.items()
+            if not _has_exact_tangents(system)] == ["nonconvex22", "smooth-theta"]
 
 
 @pytest.mark.parametrize("max_iter, simulations, cost",
