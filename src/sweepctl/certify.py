@@ -374,13 +374,12 @@ class NondegeneracyResult:
 # ---------------------------------------------------------------------------
 
 
-def recover_eta(system: SweepingSystem, state: Path, control: Path,
-                tol: float = 1e-8) -> Path:
+def recover_eta(system: SweepingSystem, state: Path, control: Path) -> Path:
     """Velocity multipliers of a candidate pair, all cells in one pass.
 
     Solves grad_x psi(x_j, u_j)^T eta_j = f(t_j, x_j) - dx_j/h on every
-    cell and certifies eta_j against the normal cone, in one stacked
-    :func:`geometry.decompose_nodes`; the first failing cell raises its
+    cell and certifies eta_j against the normal cone within 1e-8, in one
+    stacked :func:`geometry.decompose_nodes`; the first failing cell raises its
     error with the cell index j and its time t_j prefixed to the message.
     The returned path uses the cell convention (node j stores the
     multiplier of cell j, node k repeats the last cell).
@@ -391,7 +390,7 @@ def recover_eta(system: SweepingSystem, state: Path, control: Path,
     k, h = mesh.k, mesh.h
     tab = field_at_nodes(system.field, state.values[:k], control.values[:k])
     v = _drift(system, mesh.nodes[:k], state.values[:k]) - np.diff(state.values, axis=0) / h
-    eta, _, failure = decompose_nodes(system.theta, tab.psi, tab.Jx, v, tol)
+    eta, _, failure = decompose_nodes(system.theta, tab.psi, tab.Jx, v, 1e-8)
     if failure is not None:
         j, e = failure
         raise type(e)(f"cell {j} (t = {float(mesh.nodes[j]):g}): {e}") from e
@@ -446,8 +445,7 @@ def _midpoint_q(cert: Certificate, tab: NodeTable, state: Path,
 
 
 def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
-                         cert: DiscreteCertificate,
-                         tol: float = TOL_RESIDUAL) -> ResidualReport:
+                         cert: DiscreteCertificate) -> ResidualReport:
     """Residuals of the discrete adjoint system at a decision.
 
     Items: ``adjoint_ode`` (the backward difference system in both state and
@@ -512,11 +510,11 @@ def residual_discrete_EL(problem: OcpProblem, z: DiscreteDecision,
         margin += float(np.linalg.norm(pu[k]))
 
     items = (
-        ResidualItem("adjoint_ode", adj, tol),
-        ResidualItem("q_u", qu, tol),
-        ResidualItem("transversality", trans, tol),
+        ResidualItem("adjoint_ode", adj, TOL_RESIDUAL),
+        ResidualItem("q_u", qu, TOL_RESIDUAL),
+        ResidualItem("transversality", trans, TOL_RESIDUAL),
         _shortfall_item("nontriviality_margin", margin),
-        ResidualItem("measured_coderivative", code, tol),
+        ResidualItem("measured_coderivative", code, TOL_RESIDUAL),
     )
     return ResidualReport(items=items,
                           details={"nontriviality_margin": margin})
@@ -732,8 +730,7 @@ def max_condition_check(problem: OcpProblem, state: Path, control: Path,
 
 
 def conventional_sufficiency_check(problem: OcpProblem, state: Path,
-                                   control: Path, cert: Certificate,
-                                   tol: float = TOL_RESIDUAL) -> ResidualReport:
+                                   control: Path, cert: Certificate) -> ResidualReport:
     """Classical Hamiltonian identity on cells where it is justified.
 
     A cell qualifies when psi has active components and every active
@@ -768,7 +765,7 @@ def conventional_sufficiency_check(problem: OcpProblem, state: Path,
                             initial=0.0))
     checked = int(np.sum(qualifies))
 
-    items = (ResidualItem("hamilton_identity", identity, tol),)
+    items = (ResidualItem("hamilton_identity", identity, TOL_RESIDUAL),)
     return ResidualReport(items=items,
                           details={"cells_checked": checked,
                                    "cells_skipped": k - checked,
@@ -782,9 +779,7 @@ def conventional_sufficiency_check(problem: OcpProblem, state: Path,
 
 
 def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
-                        u_T: Array, eta_T: Array,
-                        act_tol: float = ACT_TOL,
-                        pos_tol: float = TOL_POS) -> NondegeneracyResult:
+                        u_T: Array, eta_T: Array) -> NondegeneracyResult:
     """Endpoint qualification: only the zero multiplier may be two-sided.
 
     Degeneracy means some nonzero element lies both in the coderivative of
@@ -800,19 +795,19 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
     eta_T = np.atleast_1d(np.asarray(eta_T, dtype=float))
     tab = field_at_nodes(field, np.reshape(x_T, (1, -1)), np.reshape(u_T, (1, -1)))
     z = tab.psi[0]
-    if not theta.contains(z, tol=act_tol):
+    if not theta.contains(z, tol=ACT_TOL):
         raise DomainError(f"psi(x,u)={z} is not in Theta")
     ok, sigma_min = surjectivity_check(tab.J[0])
     if not ok:
         raise SurjectivityError(
             f"endpoint constraint Jacobian is rank deficient (sigma_min={sigma_min:.3e})")
-    if theta.normal_cone_violation(z, eta_T, tol=act_tol) > act_tol:
+    if theta.normal_cone_violation(z, eta_T, tol=ACT_TOL) > ACT_TOL:
         raise DomainError("eta_T is not in the normal cone at psi(x_T, u_T)")
 
     bounds = theta.bounds()
     if bounds is not None:
         free = np.flatnonzero(coderivative_codes(*bounds, z, eta_T, np.zeros_like(z),
-                                                 act_tol, pos_tol) == _FREE)
+                                                 ACT_TOL, TOL_POS) == _FREE)
         if not free.size:
             return NondegeneracyResult(nondegenerate=True)
         witness = np.zeros(theta.s)
@@ -827,7 +822,7 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
         # eta_T passed the cone test above, so the gradients generate it.
         mu, *_ = np.linalg.lstsq(Dh.T, eta_T, rcond=None)
         for i in range(theta.l):
-            if hv[i] >= -act_tol and mu[i] > pos_tol:
+            if hv[i] >= -ACT_TOL and mu[i] > TOL_POS:
                 return NondegeneracyResult(nondegenerate=False, witness=-Dh[i])
         return NondegeneracyResult(nondegenerate=True)
     raise ConfigurationError(
@@ -835,8 +830,7 @@ def check_nondegeneracy(field: FieldMap, theta: ThetaSet, x_T: Array,
 
 
 def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
-                           cert: Certificate, tol: float = TOL_RESIDUAL,
-                           ) -> tuple[Path, ResidualReport]:
+                           cert: Certificate) -> tuple[Path, ResidualReport]:
     """Lift multipliers through an inequality-described target set.
 
     With Theta = {z : h(z) <= 0}, the velocity multipliers resolve as
@@ -892,10 +886,10 @@ def smooth_inequality_lift(problem: OcpProblem, state: Path, control: Path,
     mu_vals = np.vstack([mu, mu[-1:]])
 
     items = (
-        ResidualItem("lift_mu", res_mu, tol),
-        ResidualItem("lift_nu", res_nu, tol),
-        ResidualItem("measured_coderivative", code, tol),
-        ResidualItem("max_condition", maxc, tol),
+        ResidualItem("lift_mu", res_mu, TOL_RESIDUAL),
+        ResidualItem("lift_nu", res_nu, TOL_RESIDUAL),
+        ResidualItem("measured_coderivative", code, TOL_RESIDUAL),
+        ResidualItem("max_condition", maxc, TOL_RESIDUAL),
     )
     return Path(mesh=mesh, values=mu_vals), ResidualReport(items=items)
 

@@ -10,10 +10,11 @@ A linear state map G is part of psi (:meth:`geometry.FieldMap.with_state_map`).
 A step of :func:`simulate` is the drift and that projection alone: for an
 affine-in-x field with a polyhedral Theta, one least-distance kernel call on
 rows that :func:`geometry._step_rows` built for every step before the loop,
-else a local SQP whose multiplier comes from its last linearization, with
-no closing re-solve.  The step records (psi, active set, feasibility and KKT
-residual) come after the loop from one node table over nodes 1..k;
-:func:`step_catching_up` is one such step with its record.
+else a local SQP from x_j whose multiplier comes from its last
+linearization, with no closing re-solve (a point at the centre of a gap of
+a nonconvex set goes to the side of x_j).  The step records (psi, active
+set, feasibility and KKT residual) come after the loop from one node table
+over nodes 1..k; :func:`step_catching_up` is one such step with its record.
 Residual checks against both the implicit (cone at the new point, next
 control) and explicit (cone at the old point, old control) readings live in
 :func:`inclusion_residual`, one stacked pass: the drifts, one node table
@@ -37,6 +38,7 @@ from .geometry import (
     GeometryError,
     ThetaSet,
     TOL_FEAS,
+    _point,
     _project_onto_halfspaces,
     _projection_diagnostics,
     _rows,
@@ -229,16 +231,15 @@ def _step_records(system: SweepingSystem, field: FieldMap, drifted: Array,
 
 
 def _catching_up(system: SweepingSystem, x0: Array, U: Array, t: Array,
-                 h: float, warm: Array | None = None,
-                 ) -> tuple[Array, Array, Array]:
+                 h: float) -> tuple[Array, Array, Array]:
     """Catching-up steps from x0: step j drifts x_j by h f(t[j], x_j) and
     projects onto C(U[j]).  Returns the states x_0..x_K, the drifted points
     and the multipliers, one row per step.
 
     The loop body is the drift and the projection alone: the least-distance
     kernel on the rows :func:`_step_rows` built for all steps before the
-    loop, else the local SQP from ``warm`` (x_j when None).  A failing step
-    j raises SimulationError(j) caused by the GeometryError.
+    loop, else the local SQP from x_j.  A failing step j raises
+    SimulationError(j) caused by the GeometryError.
     """
     field, theta, f = system.field, system.theta, system.f
     rows = _step_rows(field, theta, U)
@@ -251,8 +252,8 @@ def _catching_up(system: SweepingSystem, x0: Array, U: Array, t: Array,
         drifted[j] = x_j + h * np.atleast_1d(np.asarray(f(t_j, x_j), dtype=float))
         try:
             if rows is None:
-                xs[j + 1], mus[j] = _sqp_local_projection(
-                    field, theta, U[j], drifted[j], x_j if warm is None else warm)
+                xs[j + 1], mus[j] = _sqp_local_projection(field, theta, U[j],
+                                                          drifted[j], x_j)
             else:
                 xs[j + 1], mus[j] = _project_onto_halfspaces(rows[0][j], rows[1][j],
                                                              drifted[j])
@@ -262,22 +263,20 @@ def _catching_up(system: SweepingSystem, x0: Array, U: Array, t: Array,
 
 
 def step_catching_up(system: SweepingSystem, x_j: Array, u_next: Array,
-                     t_j: float, h: float,
-                     warm_start: Array | None = None,
-                     ) -> tuple[Array, StepRecord]:
+                     t_j: float, h: float) -> tuple[Array, StepRecord]:
     """One catching-up step: drift by h f, then project onto C(u_next).
 
     The returned multiplier satisfies
     x_j + h f(t_j, x_j) - x_{j+1} = grad_x psi(x_{j+1}, u_next)^T eta
     with eta in N_Theta, so eta / h is the discrete inclusion multiplier.
     This is one step of :func:`simulate`, with its record; a failing
-    projection raises its GeometryError.
+    projection raises its GeometryError, and x_j or u_next of the wrong
+    shape a ConfigurationError.
     """
-    x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
-    u_next = np.atleast_1d(np.asarray(u_next, dtype=float))
+    x_j, u_next = _point(system.field, x_j, u_next)
     try:
         xs, drifted, eta = _catching_up(system, x_j, u_next[np.newaxis],
-                                        np.array([t_j], dtype=float), h, warm_start)
+                                        np.array([t_j], dtype=float), h)
     except SimulationError as e:
         raise e.__cause__ from None
     [record] = _step_records(system, system.field, drifted, u_next[np.newaxis],

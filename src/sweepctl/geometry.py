@@ -362,11 +362,6 @@ def polyhedron_distance(H: Array, d: Array, z: Array) -> float:
     return float(np.linalg.norm(w - z))
 
 
-def theta_contains(theta: ThetaSet, z: Array, tol: float = TOL_FEAS) -> bool:
-    """Membership of z in Theta within tol (per-variant metric)."""
-    return theta.contains(np.asarray(z, dtype=float), tol)
-
-
 # ---------------------------------------------------------------------------
 # Field maps
 # ---------------------------------------------------------------------------
@@ -550,13 +545,19 @@ class FieldMap:
         )
 
 
-def psi_eval(field: FieldMap, x: Array, u: Array) -> Array:
-    """Evaluate psi(x, u), validating dimensions."""
+def _point(field: FieldMap, x: Array, u: Array) -> tuple[Array, Array]:
+    """x and u as float vectors, checked to lie in R^n and R^m."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if x.shape != (field.n,) or u.shape != (field.m,):
         raise ConfigurationError(
             f"expected shapes ({field.n},), ({field.m},); got {x.shape}, {u.shape}")
+    return x, u
+
+
+def psi_eval(field: FieldMap, x: Array, u: Array) -> Array:
+    """Evaluate psi(x, u), validating dimensions."""
+    x, u = _point(field, x, u)
     z = np.atleast_1d(np.asarray(field.psi(x, u), dtype=float))
     if z.shape != (field.s,):
         raise ConfigurationError(f"psi returned shape {z.shape}, expected ({field.s},)")
@@ -779,36 +780,37 @@ def _least_distance_point(G: Array, g: Array, x: Array, w: Array,
 
 
 def _sqp_local_projection(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
-                          warm: Array, tol: float = 1e-10, max_iter: int = 100,
-                          ) -> tuple[Array, Array]:
+                          warm: Array) -> tuple[Array, Array]:
     """Local projection for nonlinear psi (or smooth Theta) from a warm start.
 
     Sequentially projects x onto the linearized constraint system at the
-    current iterate until the iterate moves by at most ``tol``; returns
-    (y, eta) with eta from the last linearization, the one whose projection
-    is y (no closing re-solve at y).  The shapes of the warm start and of u
-    are checked once, as :func:`psi_eval` checks them.
+    current iterate until the iterate moves by at most 1e-10, within 100
+    iterations; returns (y, eta) with eta from the last linearization, the
+    one whose projection is y (no closing re-solve at y).  The shapes of the
+    warm start and of u are checked once, as :func:`psi_eval` checks them.
     """
     y = np.atleast_1d(np.asarray(warm, dtype=float)).copy()
     if y.shape != (field.n,):
         raise ConfigurationError(f"expected a warm start in R^{field.n}, got shape {y.shape}")
     linearize = _linearization(field, theta, u)
-    for _ in range(max_iter):
+    for _ in range(100):
         rows, rhs, lift = linearize(y)
         y_new, mu = _project_onto_halfspaces(rows, rhs, x)
         move = y_new - y
         y = y_new
-        if math.sqrt(move.dot(move)) <= tol:  # ||move||, as np.linalg.norm rounds it
+        if math.sqrt(move.dot(move)) <= 1e-10:  # ||move||, as np.linalg.norm rounds it
             return y, lift(mu)
     raise NumericalFailureError("projection SQP did not converge")
 
 
 def _linearization(field: FieldMap, theta: ThetaSet, u: Array,
                    ) -> Callable[[Array], tuple[Array, Array, Callable[[Array], Array]]]:
-    """The map y -> :func:`_constraint_rows` (field, theta, y, u) for one
-    control u, whose shape is checked here once.  It calls ``psi`` and
-    ``dpsi_dx`` directly, checks psi's output shape as :func:`psi_eval`
-    does, and reads the halfspaces of a polyhedral Theta once."""
+    """The linearization of C(u) for one control u, whose shape is checked
+    here once: y -> (R, e, lift), the rows R y <= e of C(u) linearized at y
+    and the map from row multipliers mu >= 0 to the eta in N_Theta(psi(y,u))
+    they represent.  It calls ``psi`` and ``dpsi_dx`` directly, checks psi's
+    output shape as :func:`psi_eval` does, and reads the halfspaces of a
+    polyhedral Theta once."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (field.m,):
         raise ConfigurationError(f"expected a control in R^{field.m}, got shape {u.shape}")
@@ -828,16 +830,6 @@ def _linearization(field: FieldMap, theta: ThetaSet, u: Array,
         return R, R.dot(y) - g + d, Dg.T.dot
 
     return rows
-
-
-def _constraint_rows(field: FieldMap, theta: ThetaSet, y: Array, u: Array,
-                     ) -> tuple[Array, Array, Callable[[Array], Array]]:
-    """Linearize { y : psi(y,u) in Theta } at y as rows R y <= e.
-
-    Also returns ``lift`` mapping row multipliers mu >= 0 to the
-    eta in N_Theta(psi(y,u)) they represent.
-    """
-    return _linearization(field, theta, u)(np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 def _step_rows(field: FieldMap, theta: ThetaSet, U: Array,
@@ -911,46 +903,30 @@ def _projection_diagnostics(field: FieldMap, theta: ThetaSet, x: Array, u: Array
 
 
 def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array,
-                            tol: float = 1e-10, warm_start: Array | None = None,
-                            extra_starts: Sequence[Array] = (),
+                            warm_start: Array | None = None,
                             ) -> tuple[Array, ConeDecomposition]:
     """Project x onto C(u) = {y : psi(y, u) in Theta}.
 
     For affine-in-x fields with polyhedral Theta this is an exact convex QP.
-    For nonlinear fields it is a local projection by sequential quadratic
-    stepping from ``warm_start`` (required), whose multiplier comes from the
-    last linearization, with no closing re-solve at the converged point.
-    When several candidates tie in distance the one with lexicographically
-    largest coordinates wins, so callers can pass ``extra_starts`` to
-    explore set-valued projections deterministically.
+    For nonlinear fields it is the local projection that the catching-up
+    step's SQP reaches from ``warm_start`` (required), whose multiplier
+    comes from the last linearization, with no closing re-solve.  So x at
+    the centre of a gap of a nonconvex set goes to the side of the warm
+    start, and a failing SQP raises its GeometryError, as in the step.
 
     Returns the projected point and the ConeDecomposition carrying the KKT
     multiplier eta with x - y* = grad_x psi(y*, u)^T eta.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x, u = _point(field, x, u)
     rows = _step_rows(field, theta, u[np.newaxis])
     if rows is not None:
         R, rhs, H = rows
         y, mu = _project_onto_halfspaces(R[0], rhs[0], x)
         eta = _rows(H.T, mu[np.newaxis])[0]
+    elif warm_start is None:
+        raise ConfigurationError("nonlinear projection requires a feasible warm start")
     else:
-        starts = [warm_start, *extra_starts]
-        if any(start is None for start in starts):
-            raise ConfigurationError("nonlinear projection requires a feasible warm start")
-        candidates: list[tuple[Array, Array]] = []
-        for start in starts:
-            try:
-                candidates.append(_sqp_local_projection(field, theta, u, x, start, tol))
-            except (NumericalFailureError, ProjectionFailureError):
-                continue
-        if not candidates:
-            raise ProjectionFailureError("no projection candidate converged")
-        dists = [np.linalg.norm(cand[0] - x) for cand in candidates]
-        dmin = min(dists)
-        tied = [cand for cand, dist in zip(candidates, dists) if dist <= dmin + 1e-9]
-        # Deterministic tie-break: lexicographically largest coordinates win.
-        y, eta = max(tied, key=lambda cand: tuple(cand[0]))
+        y, eta = _sqp_local_projection(field, theta, u, x, warm_start)
     psi, residual, active = _projection_diagnostics(
         field, theta, x[np.newaxis], u[np.newaxis], y[np.newaxis], eta[np.newaxis])
     return y, ConeDecomposition(eta=eta, active_indices=active[0],
@@ -962,21 +938,19 @@ def project_onto_moving_set(field: FieldMap, theta: ThetaSet, u: Array, x: Array
 # ---------------------------------------------------------------------------
 
 
-def surjectivity_check(jacobian: Array, tol: float | None = None,
-                       ) -> tuple[bool, float]:
+def surjectivity_check(jacobian: Array) -> tuple[bool, float]:
     """Full-row-rank check: returns (ok, sigma_min).
 
-    ``ok`` iff the smallest singular value is at least ``tol`` (default:
-    RANK_TOL_FACTOR times the largest singular value).  A matrix with more
-    rows than columns can never be surjective.
+    ``ok`` iff the smallest singular value is at least RANK_TOL_FACTOR times
+    the largest one (times 1 for the zero matrix).  A matrix with more rows
+    than columns can never be surjective.
     """
     J = np.atleast_2d(np.asarray(jacobian, dtype=float))
-    _, ok, sigma_min = _transpose_solver(J[np.newaxis], tol)
+    _, ok, sigma_min = _transpose_solver(J[np.newaxis])
     return bool(ok[0]), float(sigma_min[0])
 
 
-def _transpose_solver(J: Array, tol: float | None = None,
-                      ) -> tuple[Callable[[Array], Array], Array, Array]:
+def _transpose_solver(J: Array) -> tuple[Callable[[Array], Array], Array, Array]:
     """For a stack J (K, s, n): (solve, ok, sigma_min), with ``ok`` and
     ``sigma_min`` the rank test of :func:`surjectivity_check` per matrix and
     ``solve(V)`` the least-squares solutions y_j of J_j^T y = V_j (zero
@@ -993,8 +967,7 @@ def _transpose_solver(J: Array, tol: float | None = None,
         ok, sigma_min = np.zeros(len(J), dtype=bool), np.zeros(len(J))
     else:
         sigma_min, sigma_max = S[:, -1], S[:, 0]
-        if tol is None:
-            tol = np.where(sigma_max > 0, RANK_TOL_FACTOR * sigma_max, RANK_TOL_FACTOR)
+        tol = np.where(sigma_max > 0, RANK_TOL_FACTOR * sigma_max, RANK_TOL_FACTOR)
         ok = (sigma_min >= tol) & finite
 
     def solve(V: Array) -> Array:
@@ -1011,17 +984,17 @@ def _rows(A: Array, v: Array) -> Array:
 
 
 def normal_cone_decompose(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
-                          v: Array, tol: float = 1e-8) -> ConeDecomposition:
+                          v: Array) -> ConeDecomposition:
     """Solve grad_x psi(x,u)^T eta = v with eta in N_Theta(psi(x,u)).
 
     The solution is unique when grad_x psi has full row rank (its transpose
     is then injective); membership of v in N(x; C(u)) is certified by the
-    residual and the cone check, otherwise NotInConeError is raised.  One
-    node of :func:`decompose_nodes`.
+    residual and the cone check within 1e-8, otherwise NotInConeError is
+    raised.  One node of :func:`decompose_nodes`.
     """
     tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
     eta, residual, failure = decompose_nodes(theta, tab.psi, tab.Jx,
-                                             np.reshape(v, (1, -1)), tol)
+                                             np.reshape(v, (1, -1)), 1e-8)
     if failure is not None:
         raise failure[1]
     [active] = _active_sets(theta, tab.psi)
@@ -1081,14 +1054,13 @@ def _cone_distance_rows(R: Array, active: Array, E: Array) -> Array:
 
 
 def normal_cone_distance(field: FieldMap, theta: ThetaSet, x: Array, u: Array,
-                         v: Array, tol: float = TOL_FEAS) -> float:
+                         v: Array) -> float:
     """Distance from v to N(x; C(u)) = grad_x psi^T N_Theta(psi(x,u)).
 
     Infinity when psi(x,u) is outside Theta (the cone is then empty).  One
-    node of :func:`cone_distance_nodes`."""
+    node of :func:`cone_distance_nodes` at its default tolerance."""
     tab = field_at_nodes(field, np.reshape(x, (1, -1)), np.reshape(u, (1, -1)))
-    return float(cone_distance_nodes(theta, tab.psi, tab.Jx, np.reshape(v, (1, -1)),
-                                     tol)[0])
+    return float(cone_distance_nodes(theta, tab.psi, tab.Jx, np.reshape(v, (1, -1)))[0])
 
 
 def cone_distance_nodes(theta: ThetaSet, Z: Array, J: Array, V: Array,
@@ -1138,12 +1110,11 @@ _CASES = (CoderivativeCase.MUST_BE_ZERO, CoderivativeCase.NONNEGATIVE,
 
 
 def coderivative_orthant(w: Array, xi: Array, udir: Array,
-                         act_tol: float = TOL_FEAS,
-                         pos_tol: float = 1e-12,
                          ) -> tuple[CoderivativeCase, ...] | None:
     """Per-index classification of D*N_{R^s_-}(w, xi)(udir).
 
-    The interval table of :func:`coderivative_theta` on (-inf, 0]:
+    The interval table of :func:`coderivative_theta` on (-inf, 0], at its
+    default tolerances:
 
     * ``w_i < 0``                          -> must_be_zero
     * ``w_i = 0, xi_i = 0, udir_i <  0``   -> must_be_zero
@@ -1156,7 +1127,7 @@ def coderivative_orthant(w: Array, xi: Array, udir: Array,
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     return _interval_coderivative(np.full(w.shape, -np.inf), np.zeros(w.shape),
-                                  w, xi, udir, act_tol, pos_tol)
+                                  w, xi, udir, TOL_FEAS, 1e-12)
 
 
 def coderivative_theta(theta: ThetaSet, w: Array, xi: Array, udir: Array,

@@ -208,8 +208,8 @@ class OcpProblem:
     :class:`QuadraticTerminalCost` and :class:`QuadraticStageCost`, from
     which ``dphi`` and ``dell`` are derived.  ``anchor`` is an optional
     (state, control) Path pair; ``rho`` (finite, nonnegative) scales the
-    proximity terms and ``epsilon`` is the localization radius (positive;
-    infinity disables the tube check).
+    proximity terms.  No solver imposes the localization tube of the method
+    of discrete approximations, so the problem carries no radius for one.
     """
 
     system: SweepingSystem
@@ -221,7 +221,6 @@ class OcpProblem:
     dell: Callable[..., tuple] | None = None
     anchor: tuple[Path, Path] | None = None
     rho: float = 0.0
-    epsilon: float = float("inf")
 
     def __post_init__(self) -> None:
         if self.mode not in ("W12xW12", "W12xC"):
@@ -239,8 +238,6 @@ class OcpProblem:
                 raise ConfigurationError("reference dimension differs from the control")
         if not 0 <= self.rho < np.inf:
             raise ConfigurationError(f"rho must be finite and nonnegative, got {self.rho}")
-        if not self.epsilon > 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.rho > 0 and self.anchor is None:
             raise ConfigurationError("rho > 0 requires an anchor pair")
         if self.anchor is not None and any(
@@ -531,15 +528,6 @@ def _cost_derivatives(problem: OcpProblem, z: DiscreteDecision, want_hess: bool,
                             _quadratic_stage(problem, t), want_hess)
     gphi, Hphi = _terminal_grad(problem, z.x[-1], want_hess)
     return _cost_terms(problem, mesh, _raw_map(problem, mesh.h), Z, g, gphi, Hraw, Hphi)
-
-
-def localization_violation(problem: OcpProblem, z: DiscreteDecision) -> float:
-    """How far the decision leaves the epsilon/2 tube around the anchor."""
-    if problem.anchor is None or not np.isfinite(problem.epsilon):
-        return 0.0
-    ref = np.hstack([path.at(z.mesh.nodes) for path in problem.anchor])
-    dist = np.linalg.norm(np.hstack([z.x, z.u]) - ref, axis=1)
-    return max(0.0, float(np.max(dist)) - problem.epsilon / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,9 +1172,10 @@ def solve_smoothed(transcription: Transcription,
     system, warm-started from the previous stage.  Fine meshes are reached
     by mesh continuation: the problem is first solved on a coarsened mesh
     (the schedule applies there in full), then prolonged stepwise, each
-    finer mesh re-running the schedule's tail.  A warm start that already
-    satisfies the final-stage system is returned unchanged after the
-    tolerance check.  The schedule's entries and ``tol_stat`` must be finite
+    finer mesh re-running the schedule's tail.  A warm start lives on the
+    transcription's mesh and pins (x_0, u_0); one that already satisfies the
+    final-stage system is returned unchanged after the tolerance check.
+    The schedule's entries and ``tol_stat`` must be finite
     and positive, and the final sigma at most 1e-8 so the reported
     complementarity is meaningful.  ``line_search_trials`` of the report
     counts the damped trials (:func:`_lm_stage`).  A stall raises
@@ -1210,6 +1199,11 @@ def solve_smoothed(transcription: Transcription,
     if warm is None:
         warm = transcription.initial_decision()
     else:
+        if warm.mesh != transcription.mesh:
+            raise ConfigurationError(
+                f"warm start must live on the target mesh: it has k={warm.mesh.k} "
+                f"(T={warm.mesh.T:g}), the transcription k={transcription.mesh.k} "
+                f"(T={transcription.mesh.T:g})")
         z0 = psi_eval(transcription.field, warm.x[0], warm.u[0])
         if not problem.system.theta.contains(z0, tol=1e-7):
             raise InfeasibleWarmStartError("warm start violates psi(x0,u0) in Theta")

@@ -6,7 +6,7 @@ A spec is a JSON object with ``schema: 1`` and sections ``dims`` (n, m, s),
 with a, b, c meaning a x^2 + b u + c; ``theta``: ``orthant``, ``box`` with
 null/"inf" entries for unbounded sides, or ``image`` with A, G, g),
 ``cost`` (``phi``: ``quadratic_distance``; ``ell``: ``control_tracking`` or
-``control_energy``; optional ``rho``, ``epsilon``, ``anchor``), ``initial``
+``control_energy``; optional ``rho``, ``anchor``), ``initial``
 (x0, u0), ``mode`` ("w12w12" or "w12c"), optional ``solver`` defaults and an
 optional ``reference`` pair used by ``converge``.
 
@@ -15,12 +15,12 @@ float that is finite, so booleans, numeric strings, null and the NaN and
 Infinity tokens are rejected.  An array is nested lists of such numbers in
 exactly the shape its section declares.  The documented exceptions are the
 box sides, whose entries may be null (unbounded on that side) or "inf" and
-"-inf"; ``cost.epsilon``, which may be null or "inf" (no localization
-tube); and optional entries, which may be absent.  Counts (``dims`` and
-``solver.k``) are positive integers.  Building the problem then checks the
-values: each box interval [lower_i, upper_i] is nonempty with no NaN end
-(so "inf" on a lower side or "-inf" on an upper side is rejected),
-``cost.epsilon`` is positive and ``cost.rho`` nonnegative, each a
+"-inf", and optional entries, which may be absent.  Counts (``dims`` and
+``solver.k``) are positive integers.  A ``cost.epsilon`` (a localization
+radius) is rejected, since no solver imposes a localization tube.  Building
+the problem then checks the values: each box interval [lower_i, upper_i] is
+nonempty with no NaN end (so "inf" on a lower side or "-inf" on an upper
+side is rejected) and ``cost.rho`` is nonnegative, each a
 ConfigurationError.
 
 :func:`build_system` and :func:`build_problem` read a spec and raise
@@ -293,8 +293,9 @@ def build_problem(spec: dict, mode_override: str | None = None) -> OcpProblem:
 
     cost = _section(spec, "cost")
     rho = _number(cost, "rho", "cost", 0.0)
-    epsilon = (math.inf if cost.get("epsilon", "inf") in ("inf", None)
-               else _number(cost, "epsilon", "cost"))
+    if "epsilon" in cost:
+        raise SpecError("cost.epsilon is not supported: no solver imposes a "
+                        "localization tube, so a radius for one would be ignored")
     anchor = None
     if "anchor" in cost:
         anchor_obj = cost["anchor"]
@@ -304,7 +305,7 @@ def build_problem(spec: dict, mode_override: str | None = None) -> OcpProblem:
                   _path_from_obj(anchor_obj, "u", system.T, m, "anchor"))
 
     return OcpProblem(system=system, phi=phi, ell=ell, mode=mode, u0=u0,
-                      anchor=anchor, rho=rho, epsilon=epsilon)
+                      anchor=anchor, rho=rho)
 
 
 def _reference_pair(spec: dict, problem: OcpProblem) -> tuple[Path, Path]:

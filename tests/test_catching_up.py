@@ -18,6 +18,7 @@ multipliers, which now come from the last SQP linearization, to the
 distance of that linearization from the returned point (``ETA_TOL``).
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -43,8 +44,9 @@ from sweepctl.geometry import (
     ProjectionFailureError,
     SmoothInequality,
     _cone_distance_rows,
-    _constraint_rows,
+    _linearization,
     _project_onto_halfspaces,
+    project_onto_moving_set,
     psi_eval,
 )
 from sweepctl.problems import instance
@@ -92,7 +94,7 @@ def oracle_active(theta, z, tol=1e-7):
 def oracle_sqp(field, theta, u, x, warm, tol=1e-10, max_iter=100):
     y = np.asarray(warm, dtype=float).copy()
     for _ in range(max_iter):
-        rows, rhs, _ = _constraint_rows(field, theta, y, u)
+        rows, rhs, _ = _linearization(field, theta, u)(y)
         y_new, _ = _project_onto_halfspaces(rows, rhs, x)
         step = np.linalg.norm(y_new - y)
         y = y_new
@@ -100,7 +102,7 @@ def oracle_sqp(field, theta, u, x, warm, tol=1e-10, max_iter=100):
             break
     else:
         raise NumericalFailureError("projection SQP did not converge")
-    rows, rhs, lift = _constraint_rows(field, theta, y, u)
+    rows, rhs, lift = _linearization(field, theta, u)(y)
     _, mu = _project_onto_halfspaces(rows, rhs, x)
     return y, lift(mu)
 
@@ -565,6 +567,23 @@ def test_step_catching_up_is_one_step_of_simulate(case):
         assert one.active_indices == rec.active_indices
         assert one.feasibility == rec.feasibility
         assert one.projection_residual == rec.projection_residual
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_one_tie_rule_for_the_step_and_the_projection(side):
+    """nonconvex22 at u = 0.5 is {x : x^2 >= 1/2}, and the drift
+    f(t, x) = -x with h = 1 lands x_j = +-1 on 0, the centre of the gap,
+    where both roots are nearest.  The step and the projection from the
+    warm start x_j both take the root on the side of x_j, with one eta."""
+    system = dataclasses.replace(instance("nonconvex22").problem.system,
+                                 f=AffineDrift([[-1.0]], [0.0]))
+    y, record = step_catching_up(system, np.array([side]), np.array([0.5]), 0.0, 1.0)
+    y2, dec = project_onto_moving_set(system.field, system.theta, np.array([0.5]),
+                                      np.zeros(1), warm_start=np.array([side]))
+    np.testing.assert_allclose(y, [side * np.sqrt(0.5)], rtol=0.0, atol=1e-12)
+    assert np.array_equal(y2, y)
+    assert np.array_equal(dec.eta, record.eta)
+    assert dec.residual == record.projection_residual
 
 
 @pytest.mark.parametrize("iid", ["remark45", "nonconvex22"])

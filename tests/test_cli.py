@@ -752,12 +752,15 @@ def test_a_box_side_at_the_wrong_infinity_exits_2(tmp_path, side, value):
 
 
 @pytest.mark.parametrize("cost, message", [
-    ({"epsilon": -1}, "epsilon must be positive"),
-    ({"epsilon": 0}, "epsilon must be positive"),
+    ({"epsilon": -1}, "cost.epsilon"),
+    ({"epsilon": 0}, "cost.epsilon"),
     ({"rho": -1}, "rho must be finite and nonnegative"),
+    ({"epsilon": None}, "cost.epsilon"),
 ])
 def test_a_nonpositive_radius_or_negative_rho_exits_2(tmp_path, cost, message):
-    """A negative epsilon used to build a problem that every solve ignored."""
+    """A negative epsilon used to build a problem that every solve ignored.
+    No solver imposes a localization tube, so a spec may set no radius, not
+    even the null that stood for no tube."""
     spec_path = export_spec(tmp_path, "remark45", 8)
     spec = read_json(spec_path)
     spec["cost"].update(cost)
@@ -766,7 +769,7 @@ def test_a_nonpositive_radius_or_negative_rho_exits_2(tmp_path, cost, message):
     out = tmp_path / "run"
     assert cli.main(["solve", spec_path, "--out-dir", str(out)]) == 2
     error = read_json(str(out / "error.json"))
-    assert error["error"] == "ConfigurationError"
+    assert error["error"] == ("SpecError" if "epsilon" in cost else "ConfigurationError")
     assert message in error["message"]
 
 

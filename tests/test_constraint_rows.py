@@ -39,7 +39,7 @@ from sweepctl.geometry import (
     _IntervalTheta,
     _active_sets,
     _cone_generators,
-    _constraint_rows,
+    _linearization,
 )
 
 
@@ -302,7 +302,7 @@ def test_linearized_rows_match_the_per_variant_branches(name, theta, points):
     for z in points[:20]:
         y = rng.normal(scale=0.5, size=theta.s)
         u = z - field.psi(y, np.zeros(theta.s))  # psi(y, u) lands near z
-        R, rhs, lift = _constraint_rows(field, theta, y, u)
+        R, rhs, lift = _linearization(field, theta, u)(y)
         want_R, want_rhs, want_lift = oracle_constraint_rows(field, theta, y, u)
         assert np.array_equal(R, want_R)
         mu = rng.uniform(size=len(rhs))

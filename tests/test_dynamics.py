@@ -19,12 +19,15 @@ from sweepctl.dynamics import (
     w12_distance,
 )
 from sweepctl.geometry import (
+    ConfigurationError,
     FieldMap,
     LinearImagePolyhedron,
     NonpositiveOrthant,
     normal_cone_distance,
+    project_onto_moving_set,
     psi_eval,
 )
+from sweepctl.problems import instance
 
 # ---------------------------------------------------------------------------
 # Reference trajectories integrated by hand (oracles for the DERIVED cases)
@@ -95,6 +98,25 @@ class TestStep:
         x1, rec = step_catching_up(sys_, np.array([0.0]), np.array([-10.0]), 0.0, 0.1)
         np.testing.assert_allclose(x1, [0.1], atol=1e-14)
         np.testing.assert_allclose(rec.eta, [0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("iid", ["remark45", "nonconvex22"])
+@pytest.mark.parametrize("wrong", ["x", "u"])
+def test_one_step_entry_points_check_shapes(iid, wrong):
+    """A state or control of the wrong length is a ConfigurationError, as in
+    psi_eval, on the exact path (remark45) and the SQP path (nonconvex22).
+    It used to fail inside numpy: a broadcast of the state into x_0, or a
+    matmul core-dimension mismatch on the control."""
+    system = instance(iid).problem.system
+    x, u = system.x0, np.array([-1.0])
+    if wrong == "x":
+        x = np.ones(2)
+    else:
+        u = np.zeros(2)
+    with pytest.raises(ConfigurationError, match=r"expected shapes \(1,\), \(1,\)"):
+        project_onto_moving_set(system.field, system.theta, u, x, warm_start=system.x0)
+    with pytest.raises(ConfigurationError, match=r"expected shapes \(1,\), \(1,\)"):
+        step_catching_up(system, x, u, 0.0, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from sweepctl.geometry import (
     project_onto_moving_set,
     psi_eval,
     surjectivity_check,
-    theta_contains,
 )
 from sweepctl.dynamics import (Mesh, Path, SimulationError, SweepingSystem,
                                simulate)
@@ -157,12 +156,12 @@ class TestPsiEval:
 class TestThetaContains:
     def test_orthant(self):
         theta = NonpositiveOrthant(2)
-        assert theta_contains(theta, np.array([-1.0, 0.0]))
+        assert theta.contains(np.array([-1.0, 0.0]))
 
     def test_orthant_tolerance(self):
         theta = NonpositiveOrthant(2)
-        assert theta_contains(theta, np.array([1e-12, -3.0]), tol=1e-9)
-        assert not theta_contains(theta, np.array([1e-6, -3.0]), tol=1e-9)
+        assert theta.contains(np.array([1e-12, -3.0]), tol=1e-9)
+        assert not theta.contains(np.array([1e-6, -3.0]), tol=1e-9)
 
     def test_smooth_inequality(self):
         theta = SmoothInequality(
@@ -170,13 +169,13 @@ class TestThetaContains:
             h=lambda z: np.array([z[0] - 1.0]),
             jac=lambda z: np.array([[1.0]]),
         )
-        assert not theta_contains(theta, np.array([2.0]))
-        assert theta_contains(theta, np.array([0.5]))
+        assert not theta.contains(np.array([2.0]))
+        assert theta.contains(np.array([0.5]))
 
     def test_box(self):
         theta = Box(lower=(-1.0, 0.0), upper=(1.0, np.inf))
-        assert theta_contains(theta, np.array([0.0, 100.0]))
-        assert not theta_contains(theta, np.array([0.0, -1.0]))
+        assert theta.contains(np.array([0.0, 100.0]))
+        assert not theta.contains(np.array([0.0, -1.0]))
 
     @pytest.mark.parametrize("lower, upper", [
         ((np.inf,), (np.inf,)), ((-np.inf,), (-np.inf,)), ((np.inf,), (1.0,)),
@@ -197,8 +196,8 @@ class TestThetaContains:
             G=((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)),
             g=(1.0, 1.0, 1.0, 1.0),
         )
-        assert theta_contains(theta, np.array([1.5, 0.5]))
-        assert not theta_contains(theta, np.array([2.5, 0.0]))
+        assert theta.contains(np.array([1.5, 0.5]))
+        assert not theta.contains(np.array([2.5, 0.0]))
 
     @pytest.mark.parametrize("theta", [
         NonpositiveOrthant(2),
@@ -261,14 +260,16 @@ class TestProjection:
 
     def test_nonconvex_tie_break(self):
         # C(1/2) = {x : x^2 >= 1/2} and the origin sits dead center; both
-        # square roots are closest, the positive one wins the tie.
+        # square roots are closest, and the SQP keeps to the side of its
+        # warm start.
         field = quadratic_field()
         theta = Box(lower=(0.0,), upper=(np.inf,))
-        y, dec = project_onto_moving_set(
-            field, theta, np.array([0.5]), np.array([0.0]),
-            warm_start=np.array([-1.0]), extra_starts=[np.array([1.0])])
-        np.testing.assert_allclose(y, [np.sqrt(0.5)], atol=1e-9)
-        assert dec.residual < 1e-9
+        for side in (-1.0, 1.0):
+            y, dec = project_onto_moving_set(
+                field, theta, np.array([0.5]), np.array([0.0]),
+                warm_start=np.array([side]))
+            np.testing.assert_allclose(y, [side * np.sqrt(0.5)], atol=1e-9)
+            assert dec.residual < 1e-9
 
     def test_multiplier_identity_random(self):
         rng = np.random.default_rng(7)

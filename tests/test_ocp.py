@@ -39,7 +39,6 @@ from sweepctl.ocp import (
     _tangents,
     cost_eval,
     cost_grad,
-    localization_violation,
     solve_shooting,
     solve_smoothed,
     transcribe,
@@ -136,18 +135,13 @@ def test_rho_without_anchor_is_rejected():
     ({"rho": -1.0}, "rho must be finite and nonnegative"),
     ({"rho": float("nan")}, "rho must be finite and nonnegative"),
     ({"rho": float("inf")}, "rho must be finite and nonnegative"),
-    ({"epsilon": -1.0}, "epsilon must be positive"),
-    ({"epsilon": 0.0}, "epsilon must be positive"),
-    ({"epsilon": float("nan")}, "epsilon must be positive"),
 ])
 def test_rho_and_epsilon_are_checked(change, message):
-    """A NaN rho made cost_eval NaN, and a negative epsilon was accepted."""
+    """A NaN rho made cost_eval NaN."""
     problem = remark45_problem()
     anchored = dataclasses.replace(problem, anchor=solution_on_mesh("remark45", 8))
     with pytest.raises(ConfigurationError, match=message):
         dataclasses.replace(anchored, **change)
-    tube = dataclasses.replace(anchored, rho=0.5, epsilon=float("inf"))
-    assert tube.epsilon == float("inf") and tube.rho == 0.5
 
 
 def test_cost_forms_and_callbacks_are_validated():
@@ -163,17 +157,6 @@ def test_cost_forms_and_callbacks_are_validated():
         QuadraticStageCost(tracking=1.0)
     with pytest.raises(ConfigurationError):
         QuadraticStageCost(tracking=1.0, ref=([0.0, 1.0, 1.0], [[0.0]] * 3))
-
-
-def test_localization_violation_measures_tube_exit():
-    problem, z = exact_remark45_decision(8)
-    xbar, ubar = solution_on_mesh("remark45", 8)
-    tight = dataclasses.replace(problem, anchor=(xbar, ubar), epsilon=0.5)
-    assert localization_violation(tight, z) == 0.0
-    z_off = DiscreteDecision(mesh=z.mesh, x=z.x + 1.0, u=z.u, eta=z.eta)
-    # node distance 1 against a tube of radius eps/2 = 0.25
-    assert abs(localization_violation(tight, z_off) - 0.75) < 1e-12
-    assert localization_violation(problem, z_off) == 0.0  # no anchor, no tube
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +282,17 @@ def test_smoothed_rejects_unpinned_warm_start():
     tr = transcribe(problem, 8)
     with pytest.raises(InfeasibleWarmStartError):
         solve_smoothed(tr, warm=bad)
+
+
+def test_smoothed_rejects_a_warm_start_on_another_mesh():
+    """A k=10 warm start for a k=8 transcription failed inside numpy with a
+    (10, 2) against (8, 2) shape mismatch."""
+    problem = remark45_problem()
+    z = transcribe(problem, 10).initial_decision()
+    with pytest.raises(ConfigurationError,
+                       match="warm start must live on the target mesh: it has k=10 "
+                             r"\(T=2\), the transcription k=8"):
+        solve_smoothed(transcribe(problem, 8), warm=z)
 
 
 def test_smoothed_solves_the_reachable_play_target():

@@ -3,12 +3,11 @@
 Each oracle below is a test-local copy of the loop as it was: the per-point
 moving-set cone distance (membership, the active rows' columns J^T a and one
 NNLS), the per-cell inclusion residual built on it, the exact segment
-quadrature of the anchor term, the midpoint loop that prolongs multipliers
-to a finer mesh and the node loop of the localization tube.
+quadrature of the anchor term and the midpoint loop that prolongs
+multipliers to a finer mesh.
 """
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -31,7 +30,6 @@ from sweepctl.ocp import (
     _prolong,
     cost_eval,
     cost_grad,
-    localization_violation,
     solve_shooting,
 )
 from sweepctl.problems import INSTANCE_IDS, instance, solution_on_mesh
@@ -114,15 +112,6 @@ def oracle_prolong_eta(z, mesh):
         cj = min(int(tm / z.mesh.h), z.mesh.k - 1)
         eta[j] = z.eta[cj]
     return eta
-
-
-def oracle_localization(problem, z):
-    xref, uref = problem.anchor
-    worst = 0.0
-    for j, t in enumerate(z.mesh.nodes):
-        d = np.concatenate([z.x[j] - xref.at(t), z.u[j] - uref.at(t)])
-        worst = max(worst, float(np.linalg.norm(d)) - problem.epsilon / 2.0)
-    return max(0.0, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +401,11 @@ def test_an_anchor_off_the_horizon_or_dimensions_is_rejected():
                    (xa, Path(mesh=ua.mesh, values=np.hstack([ua.values, ua.values])))):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(problem, rho=0.5, anchor=anchor)
-        with pytest.raises(ConfigurationError):  # the tube needs one too
-            dataclasses.replace(problem, anchor=anchor, epsilon=0.5)
     dataclasses.replace(problem, rho=0.5, anchor=(xa, ua))
 
 
 # ---------------------------------------------------------------------------
-# Prolongation and the localization tube
+# Prolongation
 # ---------------------------------------------------------------------------
 
 
@@ -434,13 +421,3 @@ def test_prolonged_multipliers_match_the_midpoint_loop(k_coarse, k_fine):
     fine = _prolong(problem, z, k_fine)
     assert np.array_equal(fine.eta, oracle_prolong_eta(z, fine.mesh))
 
-
-@pytest.mark.parametrize("iid,rho", ANCHORED)
-def test_localization_violation_matches_the_node_loop(iid, rho):
-    anchored = _anchored(iid, rho)
-    rng = np.random.default_rng(17)
-    for k, epsilon in itertools.product((6, 8, 37), (0.1, 1.0, 10.0)):
-        tube = dataclasses.replace(anchored, epsilon=epsilon)
-        z = _random_decision(rng, tube, k)
-        assert localization_violation(tube, z) == pytest.approx(
-            oracle_localization(tube, z), rel=1e-15, abs=1e-15)
